@@ -20,11 +20,11 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     MissingStatistic,
-    ParseError,
     SpaceMismatch,
 )
 from .kernels import Kernel, Dist, kernel_from_json, _freeze
 from .reconstruct import LossTable, Reconstruction
+from .schema import INT, LIST, MATRIX, NAMES, NUM, OBJECT, fields, typed
 
 #: Expectations below this threshold count as zero in Bernstein/compatibility
 #: ratios (the tie boundary between "no excess risk" and "some excess risk").
@@ -292,8 +292,7 @@ def eta_compatibility(loss: LossTable, t: Kernel, r: Reconstruction) -> float:
         raise SpaceMismatch("loss outcomes must match the corruption's domain")
     if r.kernel.domain != t.domain or r.kernel.codomain != t.codomain:
         raise SpaceMismatch("reconstruction spaces do not match the corruption")
-    if float(np.abs(r.matrix @ t.matrix - np.eye(len(t.domain))).max()) > 1e-9:
-        raise SpaceMismatch("reconstruction is not a left inverse of this kernel")
+    Reconstruction(kernel=t, matrix=r.matrix)  # NotReconstructible unless R is a left inverse of t
     corrected = r.matrix.T @ loss.values
     n_actions = len(loss.actions)
     eta = 0.0
@@ -323,39 +322,20 @@ def fastrate_gamma(beta: float, sup_norm: float) -> float:
 
 
 # -- JSON wire formats -----------------------------------------------------------
-# DecisionProblem: {"thetas": [...], "actions": [...], "loss": [[...]],
-#                   "experiment": <kernel json>}
-# Mixed sources:   [{"kernel": <kernel json>?, "count": int,
-#                    "alpha": float?, "corrected_sup": float?}, ...]
 
 def problem_from_json(obj: dict) -> DecisionProblem:
-    needed = {"thetas", "actions", "loss", "experiment"}
-    if not isinstance(obj, dict) or not needed <= set(obj):
-        raise ParseError(f"problem JSON needs keys {sorted(needed)}")
-    try:
-        loss = np.asarray(obj["loss"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"problem loss is not numeric: {exc}") from exc
-    return DecisionProblem(
-        thetas=tuple(obj["thetas"]),
-        actions=tuple(obj["actions"]),
-        loss=loss,
-        experiment=kernel_from_json(obj["experiment"]),
-    )
+    thetas, actions, loss, experiment = fields(
+        obj, "problem", ("thetas", NAMES), ("actions", NAMES), ("loss", MATRIX),
+        ("experiment", OBJECT))
+    return DecisionProblem(thetas=thetas, actions=actions, loss=loss,
+                           experiment=kernel_from_json(experiment))
 
 
 def mixed_from_json(obj: list) -> MixedCorruption:
-    if not isinstance(obj, list):
-        raise ParseError("mixed-corruption JSON must be a list of sources")
     sources = []
-    for entry in obj:
-        if not isinstance(entry, dict) or "count" not in entry:
-            raise ParseError('each mixed source needs a "count"')
-        kernel = kernel_from_json(entry["kernel"]) if "kernel" in entry else None
-        sources.append(MixedSource(
-            count=entry["count"],
-            kernel=kernel,
-            alpha=entry.get("alpha"),
-            corrected_sup=entry.get("corrected_sup"),
-        ))
+    for i, entry in enumerate(typed(obj, "mixed corruption", LIST)):
+        count, kernel, alpha, corrected_sup = fields(entry, f"mixed source {i}", ("count", INT), optional=(
+            ("kernel", OBJECT, None), ("alpha", NUM, None), ("corrected_sup", NUM, None)))
+        kernel = kernel_from_json(kernel) if kernel is not None else None
+        sources.append(MixedSource(count, kernel, alpha, corrected_sup))
     return MixedCorruption(sources)

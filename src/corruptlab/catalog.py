@@ -10,12 +10,11 @@ numerically via :mod:`corruptlab.reconstruct`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
 import numpy as np
 
-from .errors import InvalidParameter, ParseError, UnknownFamily
+from .errors import InvalidParameter, UnknownFamily
 from .kernels import Kernel, Space
+from .schema import INT, NUM, OBJECT, STR, fields
 
 BINARY = "binary_label_noise"
 SYMMETRIC = "symmetric_label_noise"
@@ -173,29 +172,22 @@ def closed_form_stats(spec: CorruptionSpec) -> ClosedFormStats:
 
 
 # -- JSON wire format -----------------------------------------------------------
-# {"family": "...", "params": {"sigma": 0.2, ...}}
 
 def spec_to_json(spec: CorruptionSpec) -> dict:
     params = {k: (int(v) if k == "classes" else v) for k, v in spec.params}
     return {"family": spec.family, "params": params}
 
 
-def spec_from_json(obj: Mapping) -> CorruptionSpec:
-    if not isinstance(obj, Mapping) or "family" not in obj:
-        raise ParseError('corruption JSON needs a "family" key')
-    family = obj["family"]
-    params = obj.get("params", {})
-    if not isinstance(params, Mapping):
-        raise ParseError('"params" must be an object')
-    try:
-        if family == BINARY:
-            return binary_label_noise(params["sigma_neg"], params["sigma_pos"])
-        if family == SYMMETRIC:
-            return symmetric_label_noise(params.get("classes", 3), params["sigma"])
-        if family == SEMI_SUPERVISED:
-            return semi_supervised(params["sigma_neg"], params["sigma_pos"])
-        if family == PARTIAL:
-            return partial_labels(params["sigma"])
-    except KeyError as exc:
-        raise ParseError(f"missing parameter {exc} for family {family!r}") from exc
+def spec_from_json(obj: dict) -> CorruptionSpec:
+    family, params = fields(obj, "corruption", ("family", STR), optional=(("params", OBJECT, {}),))
+    what = f"{family} params"
+    if family == BINARY:
+        return binary_label_noise(*fields(params, what, ("sigma_neg", NUM), ("sigma_pos", NUM)))
+    if family == SYMMETRIC:
+        sigma, classes = fields(params, what, ("sigma", NUM), optional=(("classes", INT, 3),))
+        return symmetric_label_noise(classes, sigma)
+    if family == SEMI_SUPERVISED:
+        return semi_supervised(*fields(params, what, ("sigma_neg", NUM), ("sigma_pos", NUM)))
+    if family == PARTIAL:
+        return partial_labels(*fields(params, what, ("sigma", NUM)))
     raise UnknownFamily(f"unknown corruption family {family!r}")

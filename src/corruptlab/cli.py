@@ -27,6 +27,7 @@ from .reconstruct import (
     pseudoinverse,
     zero_one_loss,
 )
+from .schema import load_json
 from .simlab import config_from_json, fastrate_curve, risk_curve
 
 TABLE_HEADER = (
@@ -41,16 +42,6 @@ _FAMILY_BUILDERS = {
     catalog.SEMI_SUPERVISED: lambda s, k: catalog.semi_supervised(s, s),
     catalog.PARTIAL: lambda s, k: catalog.partial_labels(s),
 }
-
-
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(obj) -> None:
@@ -86,7 +77,7 @@ def _theta_ref(text: str):
 
 
 def cmd_analyze(args) -> int:
-    kernel = kernel_from_json(_load_json(args.kernel))
+    kernel = kernel_from_json(load_json(args.kernel))
     report = {
         "alpha": divergence.alpha(kernel),
         "lambda": divergence.lambda_coeff(kernel),
@@ -96,7 +87,7 @@ def cmd_analyze(args) -> int:
     if report["reconstructible"]:
         report["row_norm"] = op_norm_row_sum(pseudoinverse(kernel))
     if args.loss is not None:
-        loss = loss_from_json(_load_json(args.loss))
+        loss = loss_from_json(load_json(args.loss))
         report["corrected_sup"] = (
             corrected_sup_norm(pseudoinverse(kernel), loss)
             if report["reconstructible"] else None
@@ -149,7 +140,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    offers = planner.offers_from_json(_load_json(args.offers))
+    offers = planner.offers_from_json(load_json(args.offers))
     try:
         budget = Fraction(args.budget)
     except (ValueError, ZeroDivisionError) as exc:
@@ -168,7 +159,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = config_from_json(_load_json(args.config))
+    config = config_from_json(load_json(args.config))
     if args.mode == "fast-rate":
         report = fastrate_curve(config)
         csv = report.curve.to_csv()
@@ -184,20 +175,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lecam(args) -> int:
-    problem = problem_from_json(_load_json(args.problem))
+    problem = problem_from_json(load_json(args.problem))
     t1, t2 = _theta_ref(args.theta1), _theta_ref(args.theta2)
     report = {
         "rho": separation(problem, t1, t2),
         "n": args.n,
     }
     if args.kernel is not None:
-        kernel = kernel_from_json(_load_json(args.kernel))
+        kernel = kernel_from_json(load_json(args.kernel))
         report["alpha"] = divergence.alpha(kernel)
         report["effective_count"] = report["alpha"] * args.n
         report["value"] = lecam_corrupted(problem, kernel, t1, t2, args.n)
         report["unclamped"] = lecam_corrupted(problem, kernel, t1, t2, args.n, clamped=False)
     elif args.mix is not None:
-        mix = mixed_from_json(_load_json(args.mix))
+        mix = mixed_from_json(load_json(args.mix))
         report["effective_count"] = mix.effective_count()
         report["value"] = lecam_mixed(problem, mix, t1, t2)
         report["unclamped"] = lecam_mixed(problem, mix, t1, t2, clamped=False)

@@ -24,10 +24,10 @@ from .errors import (
     LengthMismatch,
     NegativeWeight,
     NotNormalized,
-    ParseError,
     SizeGuardExceeded,
     SpaceMismatch,
 )
+from .schema import MATRIX, NAMES, VECTOR, fields
 
 #: Absolute tolerance on "sums to one" checks at construction time.
 STOCHASTIC_ATOL = 1e-9
@@ -112,6 +112,8 @@ class Kernel:
                 f"kernel matrix has shape {m.shape}, expected "
                 f"({len(self.codomain)}, {len(self.domain)})"
             )
+        if not np.isfinite(m).all():
+            raise InvalidParameter("kernel entries must be finite")
         if np.any(m < 0):
             raise NegativeWeight("kernel entries must be non-negative")
         sums = m.sum(axis=0)
@@ -128,15 +130,7 @@ class Kernel:
 
 def make_dist(space: Space, weights: Sequence[float]) -> Dist:
     """Validate weights into a :class:`Dist`.  Never normalizes silently."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != len(space):
-        raise LengthMismatch(f"{w.shape[0] if w.ndim == 1 else w.shape} weights for {len(space)} outcomes")
-    if np.any(w < 0):
-        raise NegativeWeight(f"negative weight in {w.tolist()}")
-    total = float(w.sum())
-    if not abs(total - 1.0) <= STOCHASTIC_ATOL:
-        raise NotNormalized(f"weights sum to {total!r}, not 1")
-    return Dist(space, w)
+    return Dist(space, weights)
 
 
 def normalized(weights: Sequence[float]) -> np.ndarray:
@@ -234,8 +228,6 @@ def replicate(t: Kernel, n: int) -> Kernel:
 
 
 # -- JSON wire formats ---------------------------------------------------------
-# Kernel: {"from": [names...], "to": [names...], "matrix": [[row...], ...]}
-# Dist:   {"space": [names...], "weights": [...]}
 
 def kernel_to_json(t: Kernel) -> dict:
     return {
@@ -246,15 +238,8 @@ def kernel_to_json(t: Kernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> Kernel:
-    if not isinstance(obj, dict) or not {"from", "to", "matrix"} <= set(obj):
-        raise ParseError('kernel JSON needs keys "from", "to", "matrix"')
-    try:
-        matrix = np.asarray(obj["matrix"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"kernel matrix is not numeric: {exc}") from exc
-    if matrix.ndim != 2:
-        raise ParseError("kernel matrix must be a list of equal-length rows")
-    return Kernel(Space(obj["from"]), Space(obj["to"]), matrix)
+    domain, codomain, matrix = fields(obj, "kernel", ("from", NAMES), ("to", NAMES), ("matrix", MATRIX))
+    return Kernel(Space(domain), Space(codomain), matrix)
 
 
 def dist_to_json(p: Dist) -> dict:
@@ -262,10 +247,5 @@ def dist_to_json(p: Dist) -> dict:
 
 
 def dist_from_json(obj: dict) -> Dist:
-    if not isinstance(obj, dict) or not {"space", "weights"} <= set(obj):
-        raise ParseError('dist JSON needs keys "space", "weights"')
-    try:
-        weights = [float(x) for x in obj["weights"]]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"dist weights are not numeric: {exc}") from exc
-    return make_dist(Space(obj["space"]), weights)
+    space, weights = fields(obj, "distribution", ("space", NAMES), ("weights", VECTOR))
+    return Dist(Space(space), weights)

@@ -18,8 +18,8 @@ from .errors import (
     CapacityGuardExceeded,
     InvalidParameter,
     MissingStatistic,
-    ParseError,
 )
+from .schema import LIST, NUM, RATIONAL, STR, fields, typed
 
 #: Largest integer-scaled knapsack capacity the DP will accept.
 CAPACITY_GUARD = 10**7
@@ -145,33 +145,10 @@ def rank_sources_upper(offers: Sequence[SourceOffer]) -> list[str]:
 
 
 # -- JSON wire format -----------------------------------------------------------
-# [{"name": ..., "alpha": ..., "corrected_sup": ...?,
-#   "cost": {"num": int, "den": int}}, ...]
-
-def _cost_from_json(obj) -> Fraction:
-    if isinstance(obj, dict):
-        try:
-            return Fraction(int(obj["num"]), int(obj.get("den", 1)))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad cost object: {exc}") from exc
-    if isinstance(obj, int):
-        return Fraction(obj)
-    raise ParseError(f'cost must be an integer or {{"num", "den"}}, got {obj!r}')
-
 
 def offers_from_json(obj: list) -> list[SourceOffer]:
-    if not isinstance(obj, list) or not obj:
-        raise ParseError("offers JSON must be a non-empty list")
-    offers = []
-    for entry in obj:
-        if not isinstance(entry, dict) or not {"name", "alpha", "cost"} <= set(entry):
-            raise ParseError('each offer needs "name", "alpha" and "cost"')
-        offers.append(SourceOffer(
-            name=str(entry["name"]),
-            alpha=float(entry["alpha"]),
-            unit_cost=_cost_from_json(entry["cost"]),
-            corrected_sup=(
-                float(entry["corrected_sup"]) if entry.get("corrected_sup") is not None else None
-            ),
-        ))
-    return offers
+    return [
+        SourceOffer(*fields(entry, f"offer {i}", ("name", STR), ("alpha", NUM), ("cost", RATIONAL),
+                            optional=(("corrected_sup", NUM, None),)))
+        for i, entry in enumerate(typed(obj, "offers", LIST))
+    ]

@@ -19,10 +19,10 @@ from .errors import (
     InvalidParameter,
     LengthMismatch,
     NotReconstructible,
-    ParseError,
     SpaceMismatch,
 )
 from .kernels import Kernel, Space, _freeze
+from .schema import MATRIX, NAMES, fields
 
 #: Left-inverse residual allowed before a Reconstruction is rejected.
 RESIDUAL_ATOL = 1e-9
@@ -196,7 +196,6 @@ def sandwich_report(t: Kernel) -> SandwichReport:
 
 
 # -- JSON wire format -----------------------------------------------------------
-# LossTable: {"outcomes": [...], "actions": [...], "values": [[row per outcome]]}
 
 def loss_to_json(loss: LossTable) -> dict:
     return {
@@ -207,10 +206,6 @@ def loss_to_json(loss: LossTable) -> dict:
 
 
 def loss_from_json(obj: dict) -> LossTable:
-    if not isinstance(obj, dict) or not {"outcomes", "actions", "values"} <= set(obj):
-        raise ParseError('loss JSON needs keys "outcomes", "actions", "values"')
-    try:
-        values = np.asarray(obj["values"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"loss values are not numeric: {exc}") from exc
-    return LossTable(Space(obj["outcomes"]), obj["actions"], values)
+    outcomes, actions, values = fields(
+        obj, "loss", ("outcomes", NAMES), ("actions", NAMES), ("values", MATRIX))
+    return LossTable(Space(outcomes), actions, values)

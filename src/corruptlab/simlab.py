@@ -27,12 +27,12 @@ from .errors import (
     DivergedObjective,
     EmptySample,
     InvalidParameter,
-    ParseError,
     PreconditionFailed,
     UnknownOutcome,
 )
 from .kernels import Dist, Kernel, Space, dist_from_json, kernel_from_json
 from .reconstruct import LossTable, corrected_loss, loss_from_json, pseudoinverse
+from .schema import INT, INTS, OBJECT, fields
 
 _MASK64 = (1 << 64) - 1
 
@@ -373,24 +373,11 @@ def gradient_check(
 
 
 # -- JSON wire format -------------------------------------------------------------
-# {"clean": <dist json>, "loss": <loss json>,
-#  "corruption": <corruption-spec json> | {"kernel": <kernel json>},
-#  "sample_sizes": [...], "trials": int, "seed": int}
 
 def config_from_json(obj: dict) -> ExperimentConfig:
-    needed = {"clean", "loss", "corruption", "sample_sizes", "trials", "seed"}
-    if not isinstance(obj, dict) or not needed <= set(obj):
-        raise ParseError(f"config JSON needs keys {sorted(needed)}")
-    corr = obj["corruption"]
-    if isinstance(corr, dict) and "kernel" in corr:
-        corruption = kernel_from_json(corr["kernel"])
-    else:
-        corruption = catalog.spec_from_json(corr)
-    return ExperimentConfig(
-        clean_dist=dist_from_json(obj["clean"]),
-        loss=loss_from_json(obj["loss"]),
-        corruption=corruption,
-        sample_sizes=tuple(obj["sample_sizes"]),
-        trials=obj["trials"],
-        seed=obj["seed"],
-    )
+    clean, loss, corr, sample_sizes, trials, seed = fields(
+        obj, "config", ("clean", OBJECT), ("loss", OBJECT), ("corruption", OBJECT),
+        ("sample_sizes", INTS), ("trials", INT), ("seed", INT))
+    corruption = kernel_from_json(corr["kernel"]) if "kernel" in corr else catalog.spec_from_json(corr)
+    return ExperimentConfig(dist_from_json(clean), loss_from_json(loss), corruption,
+                            sample_sizes, trials, seed)

@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from corruptlab.kernels import Dist, Kernel, Space
@@ -33,3 +36,47 @@ def random_kernel(rng, m, k):
 
 def random_dist(rng, space):
     return Dist(space, rng.dirichlet(np.ones(len(space))))
+
+
+# -- one valid JSON document per CLI input role ------------------------------------
+
+_KERNEL = {"from": ["-1", "+1"], "to": ["-1", "+1"], "matrix": [[0.8, 0.3], [0.2, 0.7]]}
+_LOSS = {"outcomes": ["-1", "+1"], "actions": ["-1", "+1"], "values": [[0.0, 1.0], [1.0, 0.0]]}
+DOCUMENTS = {
+    "kernel": _KERNEL,
+    "loss": _LOSS,
+    "config": {
+        "clean": {"space": ["-1", "+1"], "weights": [0.3, 0.7]},
+        "loss": _LOSS,
+        "corruption": {"family": "binary_label_noise",
+                       "params": {"sigma_neg": 0.2, "sigma_pos": 0.3}},
+        "sample_sizes": [10, 20],
+        "trials": 3,
+        "seed": 5,
+    },
+    "offers": [
+        {"name": "A", "alpha": 0.9, "cost": {"num": 3, "den": 1}, "corrected_sup": 2.0},
+        {"name": "B", "alpha": 0.5, "cost": 1},
+    ],
+    "problem": {"thetas": ["t0", "t1"], "actions": ["a0", "a1"], "loss": [[0.0, 1.0], [1.0, 0.0]],
+                "experiment": _KERNEL | {"from": ["t0", "t1"]}},
+    "mix": [{"count": 10, "alpha": 0.7}, {"count": 6, "kernel": _KERNEL, "corrected_sup": 1.5}],
+}
+
+
+def role_argv(role, directory, path):
+    """CLI arguments that read the file `path` as the document of `role`; the
+    other inputs are valid documents written under `directory`."""
+    valid = {}
+    for name in ("kernel", "problem"):
+        valid[name] = str(Path(directory) / f"valid-{name}.json")
+        Path(valid[name]).write_text(json.dumps(DOCUMENTS[name]))
+    lecam = ["lecam", "--theta1", "0", "--theta2", "1"]
+    return {
+        "kernel": ["analyze", "--kernel", path],
+        "loss": ["analyze", "--kernel", valid["kernel"], "--loss", path],
+        "config": ["simulate", "--config", path, "--out", str(Path(directory) / "out.csv")],
+        "offers": ["plan", "--offers", path, "--budget", "10"],
+        "problem": [*lecam, "--problem", path],
+        "mix": [*lecam, "--problem", valid["problem"], "--mix", path],
+    }[role]

@@ -343,7 +343,7 @@ class TestEtaCompatibility:
     def test_mismatched_reconstruction_rejected(self):
         t = binary_noise(0.2)
         other = pseudoinverse(binary_noise(0.3))
-        with pytest.raises(errors.SpaceMismatch):
+        with pytest.raises(errors.NotReconstructible):
             eta_compatibility(zero_one_loss(t.domain), t, other)
 
 

@@ -15,7 +15,7 @@ from corruptlab.cli import main
 from corruptlab.kernels import Space, identity, kernel_to_json
 from corruptlab.reconstruct import loss_to_json, zero_one_loss
 
-from helpers import asym_noise, binary_noise
+from helpers import DOCUMENTS, asym_noise, binary_noise, role_argv
 
 
 def run(capsys, *argv):
@@ -272,6 +272,71 @@ class TestLecam:
         with pytest.raises(SystemExit):
             main(["lecam", "--problem", coin_problem_file, "--theta1", "0",
                   "--theta2", "1", "--frobnicate"])
+
+
+# -- malformed documents --------------------------------------------------------
+
+def changed(role: str, path: tuple, value):
+    """The valid document of `role` with the value at `path` replaced."""
+    doc = json.loads(json.dumps(DOCUMENTS[role]))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+_SYMMETRIC = {"family": "symmetric_label_noise", "params": {"sigma": 0.2, "classes": "x"}}
+
+#: (role, document or raw file bytes).  Each raised out of `main` or ended
+#: with the wrong outcome before every document was read through one schema.
+MALFORMED = {
+    "from-int": ("kernel", changed("kernel", ("from",), 5)),
+    "loss-actions-int": ("loss", changed("loss", ("actions",), 3)),
+    "problem-actions-int": ("problem", changed("problem", ("actions",), 3)),
+    "trials-string": ("config", changed("config", ("trials",), "5")),
+    "sample-sizes-int": ("config", changed("config", ("sample_sizes",), 5)),
+    "seed-string": ("config", changed("config", ("seed",), "x")),
+    "sigma-string": ("config", changed("config", ("corruption", "params", "sigma_neg"), "x")),
+    "classes-string": ("config", changed("config", ("corruption",), _SYMMETRIC)),
+    "sigma-list": ("config", changed("config", ("corruption", "params", "sigma_neg"), [1])),
+    "offer-alpha-string": ("offers", changed("offers", (0, "alpha"), "x")),
+    "offer-sup-string": ("offers", changed("offers", (0, "corrected_sup"), "x")),
+    "thetas-int": ("problem", changed("problem", ("thetas",), 5)),
+    "mix-count-string": ("mix", changed("mix", (0, "count"), "x")),
+    "mix-alpha-string": ("mix", changed("mix", (0, "alpha"), "x")),
+    "mix-sup-string": ("mix", changed("mix", (1, "corrected_sup"), "x")),
+    # accepted silently, or exit 3
+    "trials-fraction": ("config", changed("config", ("trials",), 2.5)),
+    "trials-true": ("config", changed("config", ("trials",), True)),
+    "sample-sizes-fraction": ("config", changed("config", ("sample_sizes",), [10.7, 20])),
+    "from-nested-lists": ("kernel", changed("kernel", ("from",), [["-1"], ["+1"]])),
+    "boolean-matrix": ("kernel", changed("kernel", ("matrix",), [[True, False], [False, True]])),
+    "cost-true": ("offers", changed("offers", (1, "cost"), True)),
+    "nan-kernel": ("kernel", changed("kernel", ("matrix", 0, 0), float("nan"))),
+    # files that json.load cannot decode into a document
+    "invalid-utf8": ("kernel", b'\xff\xfe{"from": []}'),
+    "nested-too-deeply": ("kernel", b"[" * 100_000 + b"]" * 100_000),
+    "integer-past-digit-limit": ("kernel", b'{"matrix": [[' + b"1" * 5000 + b"]]}"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_document_exits_two(case, tmp_path, capsys):
+    role, document = MALFORMED[case]
+    path = tmp_path / f"{role}.json"
+    path.write_bytes(document if isinstance(document, bytes) else json.dumps(document).encode())
+    code, out, err = run(capsys, *role_argv(role, tmp_path, str(path)))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("role", DOCUMENTS)
+def test_valid_documents_exit_zero(role, tmp_path, capsys):
+    path = write_json(tmp_path, f"{role}.json", DOCUMENTS[role])
+    code, _, err = run(capsys, *role_argv(role, tmp_path, path))
+    assert code == 0, err
 
 
 # What a console-script wrapper generated from [project.scripts] does, with the

@@ -68,6 +68,13 @@ class TestKernelValidation:
         with pytest.raises(errors.NegativeWeight):
             Kernel(space, space, [[1.2, 0.5], [-0.2, 0.5]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_entry(self, bad):
+        # A NaN column passes both the sign test and the column-sum test.
+        space = Space(["a", "b"])
+        with pytest.raises(errors.InvalidParameter, match="finite"):
+            Kernel(space, space, [[bad, 0.5], [1.0, 0.5]])
+
     def test_immutable(self):
         t = identity(Space(["a", "b"]))
         with pytest.raises(ValueError):
