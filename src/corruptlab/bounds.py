@@ -10,6 +10,7 @@ running the clean experiment with the real-valued effective sample count
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -111,12 +112,12 @@ def lecam_replicated(
 ) -> float:
     """Two-point lower bound for n replicates: rho * (1/4 - (n/4) V).
 
-    ``n`` may be any non-negative real; corrupted variants pass effective
-    counts alpha * n.  The clamp at zero drops the vacuous negative branch;
-    pass ``clamped=False`` to see the raw value.
+    ``n`` may be any finite non-negative real; corrupted variants pass
+    effective counts alpha * n.  The clamp at zero drops the vacuous negative
+    branch; pass ``clamped=False`` to see the raw value.
     """
-    if not n >= 0.0:
-        raise InvalidParameter(f"replication count must be >= 0, got {n!r}")
+    if not 0.0 <= n < math.inf:
+        raise InvalidParameter(f"replication count must be finite and >= 0, got {n!r}")
     i = problem.theta_index(theta1)
     j = problem.theta_index(theta2)
     rho = separation(problem, i, j)
@@ -167,6 +168,8 @@ class MixedSource:
     corrected_sup: float | None = None
 
     def __post_init__(self):
+        if self.count > sys.float_info.max:  # alpha * count must stay a float
+            raise InvalidParameter(f"count must be at most {sys.float_info.max!r}")
         if int(self.count) != self.count or self.count < 0:
             raise InvalidParameter(f"count must be a non-negative integer, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))

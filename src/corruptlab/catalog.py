@@ -9,11 +9,12 @@ numerically via :mod:`corruptlab.reconstruct`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import InvalidParameter, UnknownFamily
-from .kernels import Kernel, Space
+from .errors import InvalidParameter, SizeGuardExceeded, UnknownFamily
+from .kernels import PRODUCT_ENTRY_GUARD, Kernel, Space
 from .schema import INT, NUM, OBJECT, STR, fields
 
 BINARY = "binary_label_noise"
@@ -56,6 +57,8 @@ def symmetric_label_noise(classes: int, sigma: float) -> CorruptionSpec:
     classes = int(classes)
     if classes < 2:
         raise InvalidParameter(f"need at least 2 classes, got {classes}")
+    if classes**2 > PRODUCT_ENTRY_GUARD:  # before float(classes) and the k x k matrix
+        raise SizeGuardExceeded(f"more than {math.isqrt(PRODUCT_ENTRY_GUARD)} classes exceed the entry guard")
     return CorruptionSpec(SYMMETRIC, (
         ("classes", float(classes)),
         ("sigma", _check_prob("sigma", sigma)),

@@ -12,21 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import catalog, divergence, planner
 from .bounds import lecam_corrupted, lecam_mixed, lecam_replicated, mixed_from_json, problem_from_json, separation
-from .errors import NUMERICAL_ERRORS, VALIDATION_ERRORS, ParseError, UnknownFamily
+from .errors import (NUMERICAL_ERRORS, VALIDATION_ERRORS, InvalidParameter, ParseError, RankDeficient,
+                     SizeGuardExceeded, UnknownFamily)
 from .kernels import kernel_from_json
-from .reconstruct import (
-    corrected_sup_norm,
-    is_reconstructible,
-    loss_from_json,
-    op_norm_row_sum,
-    pseudoinverse,
-    zero_one_loss,
-)
+from .reconstruct import corrected_sup_norm, loss_from_json, op_norm_row_sum, pseudoinverse, zero_one_loss
 from .schema import load_json
 from .simlab import config_from_json, fastrate_curve, risk_curve
 
@@ -34,6 +29,9 @@ TABLE_HEADER = (
     "param,alpha_closed,alpha_numeric,row_norm_closed,row_norm_numeric,"
     "corrected01_closed,corrected01_numeric,max_abs_diff,flag"
 )
+
+#: Most points a ``tables --grid`` may hold.
+GRID_POINT_GUARD = 10**5
 
 #: Grid families: symmetric single-parameter sweeps of each catalog family.
 _FAMILY_BUILDERS = {
@@ -56,17 +54,20 @@ def _parse_grid(text: str) -> list[float]:
         start, end, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"non-numeric grid bound in {text!r}") from exc
+    if not all(map(math.isfinite, (start, end, step))):
+        raise ParseError(f"grid bounds must be finite, got {text!r}")
     if step <= 0:
         raise ParseError("grid step must be positive")
+    too_many = f"grid {text!r} has more than {GRID_POINT_GUARD} points"
+    if (end + 1e-12 - start) / step >= GRID_POINT_GUARD:  # counted before any point is made
+        raise SizeGuardExceeded(too_many)
     values = []
-    k = 0
-    while True:
+    for k in range(GRID_POINT_GUARD + 1):  # a step below the float spacing at start repeats points
         v = start + k * step
         if v > end + 1e-12:
-            break
+            return values
         values.append(round(v, 12))  # keep grid labels clean in the CSV
-        k += 1
-    return values
+    raise SizeGuardExceeded(too_many)
 
 
 def _theta_ref(text: str):
@@ -76,22 +77,26 @@ def _theta_ref(text: str):
         return text
 
 
+def _reconstruction(kernel):
+    """The kernel's pseudoinverse, or None when its columns are dependent."""
+    try:
+        return pseudoinverse(kernel)
+    except RankDeficient:
+        return None
+
+
 def cmd_analyze(args) -> int:
     kernel = kernel_from_json(load_json(args.kernel))
     report = {
         "alpha": divergence.alpha(kernel),
         "lambda": divergence.lambda_coeff(kernel),
-        "reconstructible": is_reconstructible(kernel),
-        "row_norm": None,
     }
-    if report["reconstructible"]:
-        report["row_norm"] = op_norm_row_sum(pseudoinverse(kernel))
+    rec = _reconstruction(kernel)
+    report["reconstructible"] = rec is not None
+    report["row_norm"] = None if rec is None else op_norm_row_sum(rec)
     if args.loss is not None:
         loss = loss_from_json(load_json(args.loss))
-        report["corrected_sup"] = (
-            corrected_sup_norm(pseudoinverse(kernel), loss)
-            if report["reconstructible"] else None
-        )
+        report["corrected_sup"] = None if rec is None else corrected_sup_norm(rec, loss)
     _emit(report)
     return 0
 
@@ -111,29 +116,17 @@ def cmd_tables(args) -> int:
         spec = build(sigma, args.classes)
         kernel = catalog.build_kernel(spec)
         closed = catalog.closed_form_stats(spec)
-        alpha_numeric = divergence.alpha(kernel)
-        cells = {"alpha": (closed.alpha, alpha_numeric)}
-        if is_reconstructible(kernel):
-            rec = pseudoinverse(kernel)
-            row_numeric = op_norm_row_sum(rec)
-            sup_numeric = corrected_sup_norm(rec, zero_one_loss(kernel.domain))
-            cells["row"] = (closed.row_norm, row_numeric)
-            cells["sup"] = (closed.corrected01_norm, sup_numeric)
-            flag = ""
-        else:
-            cells["row"] = (closed.row_norm, None)
-            cells["sup"] = (closed.corrected01_norm, None)
-            flag = "non-reconstructible"
-        diffs = [
-            abs(c - n) for c, n in cells.values() if c is not None and n is not None
-        ]
+        numeric = [divergence.alpha(kernel), None, None]
+        rec = _reconstruction(kernel)
+        if rec is not None:
+            numeric[1:] = op_norm_row_sum(rec), corrected_sup_norm(rec, zero_one_loss(kernel.domain))
+        cells = list(zip((closed.alpha, closed.row_norm, closed.corrected01_norm), numeric))
+        diffs = [abs(c - n) for c, n in cells if c is not None and n is not None]
         lines.append(",".join([
             repr(float(sigma)),
-            _cell(cells["alpha"][0]), _cell(cells["alpha"][1]),
-            _cell(cells["row"][0]), _cell(cells["row"][1]),
-            _cell(cells["sup"][0]), _cell(cells["sup"][1]),
+            *(_cell(value) for cell in cells for value in cell),
             _cell(max(diffs) if diffs else None),
-            flag,
+            "" if rec is not None else "non-reconstructible",
         ]))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -175,6 +168,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lecam(args) -> int:
+    if not 0.0 <= args.n < math.inf:  # printed even when --mix overrides it
+        raise InvalidParameter(f"--n must be finite and >= 0, got {args.n!r}")
     problem = problem_from_json(load_json(args.problem))
     t1, t2 = _theta_ref(args.theta1), _theta_ref(args.theta2)
     report = {

@@ -105,49 +105,38 @@ def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
     return total
 
 
-def lambda_coeff(t: Kernel) -> float:
-    """Minimal column overlap: min over column pairs of sum_k min(T_ki, T_kj).
+def _pair_extremes(t: Kernel) -> tuple[float, float]:
+    """(max total variation, min overlap) over all column pairs, in one pass.
 
-    A single-column kernel has overlap 1 with itself (nothing to distinguish).
+    Column i meets every later column in one slab, so each step holds
+    O(m k) memory.  The two must add up to 1 within 1e-9; a disagreement
+    signals a numeric bug and raises :class:`InternalInconsistency`.  A
+    single column gives (0.0, 1.0): nothing to distinguish.
     """
-    m = t.matrix
-    cols = m.shape[1]
-    if cols == 1:
-        return 1.0
-    best = math.inf
-    for i in range(cols):
-        for j in range(i + 1, cols):
-            best = min(best, float(np.minimum(m[:, i], m[:, j]).sum()))
-    return best
+    cols = np.ascontiguousarray(t.matrix.T)
+    if len(cols) == 1:
+        return 0.0, 1.0
+    worst, best = 0.0, math.inf  # an overlap may exceed 1 by rounding
+    for i, col in enumerate(cols[:-1]):
+        rest = cols[i + 1:]
+        worst = max(worst, 0.5 * float(np.abs(rest - col).sum(axis=1).max()))
+        best = min(best, float(np.minimum(rest, col).sum(axis=1).min()))
+    if abs((1.0 - best) - worst) > ALPHA_CONSISTENCY_ATOL:
+        raise InternalInconsistency(
+            f"alpha formulas disagree: 1-lambda={1.0 - best!r}, max column V={worst!r}"
+        )
+    return worst, best
 
 
-def _alpha_pairwise(t: Kernel) -> float:
-    m = t.matrix
-    cols = m.shape[1]
-    if cols == 1:
-        return 0.0
-    worst = 0.0
-    for i in range(cols):
-        for j in range(i + 1, cols):
-            worst = max(worst, 0.5 * float(np.abs(m[:, i] - m[:, j]).sum()))
-    return worst
+def lambda_coeff(t: Kernel) -> float:
+    """Minimal column overlap: min over column pairs of sum_k min(T_ki, T_kj)."""
+    return _pair_extremes(t)[1]
 
 
 def alpha(t: Kernel) -> float:
-    """Contraction coefficient: 1 - lambda(T), equal to the maximum
-    variational divergence between two columns.
-
-    Both formulas are evaluated; a disagreement beyond 1e-9 signals a
-    numeric bug and raises :class:`InternalInconsistency`.
-    """
-    via_overlap = 1.0 - lambda_coeff(t)
-    via_columns = _alpha_pairwise(t)
-    if abs(via_overlap - via_columns) > ALPHA_CONSISTENCY_ATOL:
-        raise InternalInconsistency(
-            f"alpha formulas disagree: 1-lambda={via_overlap!r}, "
-            f"max column V={via_columns!r}"
-        )
-    return via_columns
+    """Contraction coefficient: the maximum variational divergence between
+    two columns, equal to 1 - lambda(T) (both come from one pass)."""
+    return _pair_extremes(t)[0]
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,10 @@ class NotReconstructible(CorruptLabError):
     """The kernel admits no left inverse under the rank threshold."""
 
 
+class RankDeficient(NotReconstructible):
+    """The kernel's Gram matrix fails the relative pivot test."""
+
+
 class InvalidParameter(CorruptLabError):
     """A scalar argument is outside its documented domain."""
 
@@ -67,7 +71,7 @@ class ParseError(CorruptLabError):
 # -- numerical failure / guards -----------------------------------------------
 
 class SizeGuardExceeded(CorruptLabError):
-    """A materialized product kernel would exceed the entry guard."""
+    """A kernel, grid or other materialized object would exceed its size guard."""
 
 
 class CapacityGuardExceeded(CorruptLabError):

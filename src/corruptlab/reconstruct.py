@@ -15,12 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import divergence
-from .errors import (
-    InvalidParameter,
-    LengthMismatch,
-    NotReconstructible,
-    SpaceMismatch,
-)
+from .errors import InvalidParameter, LengthMismatch, NotReconstructible, RankDeficient, SpaceMismatch
 from .kernels import Kernel, Space, _freeze
 from .schema import MATRIX, NAMES, fields
 
@@ -140,11 +135,12 @@ class Reconstruction:
 
 
 def pseudoinverse(t: Kernel) -> Reconstruction:
-    """The Moore-Penrose left inverse R = (T^t T)^{-1} T^t."""
+    """The Moore-Penrose left inverse R = (T^t T)^{-1} T^t; raises
+    :class:`RankDeficient` when the pivots fail the rank test."""
     gram = t.matrix.T @ t.matrix
     u, rhs, pivots = _eliminate(gram, t.matrix.T.copy())
     if not _pivots_ok(pivots):
-        raise NotReconstructible(
+        raise RankDeficient(
             "kernel has (numerically) dependent columns; no left inverse"
         )
     n = gram.shape[0]

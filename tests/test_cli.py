@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import corruptlab
-from corruptlab.cli import main
+from corruptlab import catalog, reconstruct
+from corruptlab.cli import _parse_grid, main
 from corruptlab.kernels import Space, identity, kernel_to_json
 from corruptlab.reconstruct import loss_to_json, zero_one_loss
 
@@ -46,6 +47,20 @@ def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Records one entry per elimination of a Gram matrix."""
+    calls = []
+    original = reconstruct._eliminate
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(reconstruct, "_eliminate", counting)
+    return calls
 
 
 class TestAnalyze:
@@ -95,6 +110,23 @@ class TestAnalyze:
         _, out2, _ = run(capsys, "analyze", "--kernel", path)
         assert out1 == out2
 
+    @pytest.mark.parametrize("sigmas", [(0.1, 0.2), (0.5, 0.5)], ids=["reconstructible", "singular"])
+    def test_one_elimination_per_kernel(self, sigmas, tmp_path, capsys, eliminations):
+        t = asym_noise(*sigmas)
+        kpath = write_json(tmp_path, "k.json", kernel_to_json(t))
+        lpath = write_json(tmp_path, "l.json", loss_to_json(zero_one_loss(t.domain)))
+        code, out, _ = run(capsys, "analyze", "--kernel", kpath, "--loss", lpath)
+        assert code == 0 and len(eliminations) == 1
+        assert json.loads(out)["reconstructible"] is (sigmas != (0.5, 0.5))
+
+    def test_residual_failure_still_exits_two(self, tmp_path, capsys, monkeypatch):
+        # full rank, so only the left-inverse residual check can refuse it
+        monkeypatch.setattr(reconstruct, "RESIDUAL_ATOL", 0.0)
+        path = write_json(tmp_path, "k.json", kernel_to_json(binary_noise(0.2)))
+        code, out, err = run(capsys, "analyze", "--kernel", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: matrix is not a left inverse") and err.count("\n") == 1
+
 
 class TestTables:
     def test_binary_symmetric_row(self, capsys):
@@ -135,6 +167,24 @@ class TestTables:
     def test_bad_grid_exits_two(self, capsys):
         code, _, err = run(capsys, "tables", "--family", "partial_labels", "--grid", "0-1-2")
         assert code == 2
+
+    @pytest.mark.parametrize("family", ["binary_label_noise", "symmetric_label_noise"])
+    def test_one_elimination_per_grid_point(self, family, capsys, eliminations):
+        code, out, _ = run(capsys, "tables", "--family", family, "--grid", "0.4:0.6:0.1")
+        assert code == 0 and len(eliminations) == len(out.strip().split("\n")) - 1 == 3
+
+    @pytest.mark.parametrize("grid", ["0:0.45:0.05", "0.4:0.6:0.1", "0.3:0.3:0.1", "1:0:0.1",
+                                      "-1:1:0.03", "0.2:0.499999999999:0.1", "0.3:0.999999999999:0.1",
+                                      "0.5:0.5:2e-17"])
+    def test_grid_points_match_unbounded_loop(self, grid):
+        # 0.2:0.49.. and 0.3:0.99.. end where (end - start) / step rounds one point
+        # short; 0.5:0.5:2e-17 steps below the float spacing at 0.5, so points repeat
+        start, end, step = map(float, grid.split(":"))
+        expected, k = [], 0
+        while start + k * step <= end + 1e-12:
+            expected.append(round(start + k * step, 12))
+            k += 1
+        assert _parse_grid(grid) == expected
 
 
 class TestPlan:
@@ -322,14 +372,66 @@ MALFORMED = {
 }
 
 
+def document_argv(role, document, directory):
+    """CLI arguments that read `document` (an object or raw bytes) as `role`."""
+    path = Path(directory) / f"{role}.json"
+    path.write_bytes(document if isinstance(document, bytes) else json.dumps(document).encode())
+    return role_argv(role, directory, str(path))
+
+
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_document_exits_two(case, tmp_path, capsys):
     role, document = MALFORMED[case]
-    path = tmp_path / f"{role}.json"
-    path.write_bytes(document if isinstance(document, bytes) else json.dumps(document).encode())
-    code, out, err = run(capsys, *role_argv(role, tmp_path, str(path)))
+    code, out, err = run(capsys, *document_argv(role, document, tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def _symmetric_config(classes):
+    return changed("config", ("corruption",),
+                   {"family": "symmetric_label_noise", "params": {"sigma": 0.2, "classes": classes}})
+
+
+def _tables(grid, classes=3):
+    return ["tables", "--family", "symmetric_label_noise", "--grid", grid, "--classes", str(classes)]
+
+
+def _lecam(role, *extra):
+    return lambda d: [*document_argv(role, DOCUMENTS[role], d), *extra]
+
+
+#: (exit code, argv for a directory).  Counts past a float's range and sizes
+#: past a guard; each used to hang, raise out of `main` or print non-JSON.
+REFUSED = {
+    "n-inf": (2, _lecam("problem", "--n", "inf")),
+    "n-inf-with-mix": (2, _lecam("mix", "--n", "inf")),
+    "n-negative-with-mix": (2, _lecam("mix", "--n", "-1")),
+    "n-nan-with-kernel": (2, lambda d: [*_lecam("problem", "--n", "nan")(d),
+                                         "--kernel", str(d / "valid-kernel.json")]),
+    "mix-count-10**400": (2, lambda d: document_argv("mix", changed("mix", (0, "count"), 10**400), d)),
+    "mix-effective-count-inf": (2, lambda d: document_argv("mix", [{"count": 10**308, "alpha": 1.0}] * 2, d)),
+    "config-classes-10**400": (3, lambda d: document_argv("config", _symmetric_config(10**400), d)),
+    "config-classes-10**9": (3, lambda d: document_argv("config", _symmetric_config(10**9), d)),
+    "tables-classes-10**9": (3, lambda d: _tables("0.1:0.2:0.1", 10**9)),
+    "grid-nan": (2, lambda d: _tables("0:nan:0.1")),
+    "grid-inf": (2, lambda d: _tables("0:inf:0.1")),
+    "grid-step-1e-300": (3, lambda d: _tables("0:0.1:1e-300")),
+    "grid-repeats-past-guard": (3, lambda d: _tables("0.9:0.9:1e-17")),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_refused_input_exits_cleanly(case, tmp_path, capsys, monkeypatch):
+    expected, argv = REFUSED[case]
+
+    def no_kernel(spec):
+        raise AssertionError("a guard must trip before a catalog kernel is built")
+
+    monkeypatch.setattr(catalog, "build_kernel", no_kernel)
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == expected and out == ""
+    assert err.startswith("error: " if code == 2 else "numerical failure: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("role", DOCUMENTS)

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corruptlab import errors
+from corruptlab import divergence, errors
 from corruptlab.divergence import (
     KL,
     VARIATIONAL,
@@ -16,7 +17,7 @@ from corruptlab.divergence import (
     sdpi_check,
     variational,
 )
-from corruptlab.kernels import Dist, Kernel, Space, compose, identity, make_dist, point_mass
+from corruptlab.kernels import Dist, Kernel, Space, compose, identity, make_dist, point_mass, replicate
 
 from helpers import asym_noise, binary_noise, constant_kernel, random_dist, random_kernel
 
@@ -174,6 +175,86 @@ class TestLambdaAlpha:
             big_q = Dist(prod_space, np.kron(qs[0].weights, qs[1].weights))
             bound = sum(variational(p, q) for p, q in zip(ps, qs))
             assert variational(big_p, big_q) <= bound + 1e-12
+
+
+def lambda_loop(t):
+    """lambda_coeff as it was: a Python loop over the column pairs."""
+    m = t.matrix
+    cols = m.shape[1]
+    if cols == 1:
+        return 1.0
+    best = math.inf
+    for i in range(cols):
+        for j in range(i + 1, cols):
+            best = min(best, float(np.minimum(m[:, i], m[:, j]).sum()))
+    return best
+
+
+def alpha_loop(t):
+    """alpha as it was: the largest column total variation, pair by pair."""
+    m = t.matrix
+    cols = m.shape[1]
+    if cols == 1:
+        return 0.0
+    worst = 0.0
+    for i in range(cols):
+        for j in range(i + 1, cols):
+            worst = max(worst, 0.5 * float(np.abs(m[:, i] - m[:, j]).sum()))
+    return worst
+
+
+@st.composite
+def dirichlet_kernels(draw):
+    """A random kernel of up to 12 columns and 40 rows, some columns repeated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = random_kernel(rng, draw(st.integers(1, 12)), draw(st.integers(1, 40)))
+    picks = draw(st.lists(st.integers(0, len(t.domain) - 1), min_size=1, max_size=12))
+    if draw(st.booleans()):  # columns drawn with replacement, so duplicates occur
+        return Kernel(Space([f"x{i}" for i in range(len(picks))]), t.codomain, t.matrix[:, picks])
+    return t
+
+
+class TestOnePassMatchesPairLoops:
+    """alpha and lambda_coeff come from one vectorised pass; they must equal,
+    bit for bit, what the two loops over the column pairs gave."""
+
+    def check(self, t):
+        assert alpha(t) == alpha_loop(t) and lambda_coeff(t) == lambda_loop(t)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dirichlet_kernels())
+    def test_random_dirichlet_kernels(self, t):
+        self.check(t)
+
+    def test_one_column_and_one_row(self):
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 7):
+            self.check(random_kernel(rng, 1, k))
+        for m in (1, 2, 9):
+            self.check(random_kernel(rng, m, 1))
+        t = random_kernel(rng, 1, 3)
+        assert alpha(t) == 0.0 and lambda_coeff(t) == 1.0
+
+    def test_duplicate_columns(self):
+        rng = np.random.default_rng(7)
+        col = rng.dirichlet(np.ones(6))
+        same = Kernel(Space(["a", "b", "c"]), Space([f"y{i}" for i in range(6)]),
+                      np.tile(col[:, None], (1, 3)))
+        self.check(same)
+        assert alpha(same) == 0.0
+
+    def test_256_column_product(self):
+        for t in (replicate(binary_noise(0.2), 8), replicate(asym_noise(0.1, 0.3), 8)):
+            assert t.matrix.shape == (256, 256)
+            self.check(t)
+
+    def test_cross_check_still_raises(self, monkeypatch):
+        monkeypatch.setattr(divergence, "ALPHA_CONSISTENCY_ATOL", -1.0)
+        t = binary_noise(0.2)
+        with pytest.raises(errors.InternalInconsistency):
+            alpha(t)
+        with pytest.raises(errors.InternalInconsistency):
+            lambda_coeff(t)
 
 
 class TestStrongDataProcessing:

@@ -70,8 +70,9 @@ class TestPseudoinverse:
         np.testing.assert_allclose(r.matrix @ t.matrix, np.eye(3), atol=1e-9)
 
     def test_not_reconstructible_raises(self):
-        with pytest.raises(errors.NotReconstructible):
+        with pytest.raises(errors.RankDeficient) as info:
             pseudoinverse(asym_noise(0.5, 0.5))
+        assert isinstance(info.value, errors.NotReconstructible)
 
     def test_external_matrix_validated(self):
         t = binary_noise(0.2)
