@@ -180,17 +180,15 @@ def cmd_lecam(args) -> int:
         kernel = kernel_from_json(load_json(args.kernel))
         report["alpha"] = divergence.alpha(kernel)
         report["effective_count"] = report["alpha"] * args.n
-        report["value"] = lecam_corrupted(problem, kernel, t1, t2, args.n)
         report["unclamped"] = lecam_corrupted(problem, kernel, t1, t2, args.n, clamped=False)
     elif args.mix is not None:
         mix = mixed_from_json(load_json(args.mix))
         report["effective_count"] = mix.effective_count()
-        report["value"] = lecam_mixed(problem, mix, t1, t2)
         report["unclamped"] = lecam_mixed(problem, mix, t1, t2, clamped=False)
     else:
         report["effective_count"] = args.n
-        report["value"] = lecam_replicated(problem, t1, t2, args.n)
         report["unclamped"] = lecam_replicated(problem, t1, t2, args.n, clamped=False)
+    report["value"] = max(0.0, report["unclamped"])  # the clamp lecam_replicated applies
     _emit(report)
     return 0
 

@@ -33,7 +33,8 @@ class NotReconstructible(CorruptLabError):
 
 
 class RankDeficient(NotReconstructible):
-    """The kernel's Gram matrix fails the relative pivot test."""
+    """The kernel's smallest singular value is below ``RANK_SV_RTOL`` of its
+    largest, or it has fewer corrupted outcomes than clean ones."""
 
 
 class InvalidParameter(CorruptLabError):

@@ -10,7 +10,7 @@ be negative even when ell is not; nothing here clamps them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .schema import MATRIX, NAMES, fields
 #: Left-inverse residual allowed before a Reconstruction is rejected.
 RESIDUAL_ATOL = 1e-9
 
-#: A pivot below this fraction of the largest pivot marks the Gram matrix
-#: singular for reconstruction purposes.
-RANK_PIVOT_RTOL = 1e-10
+#: A singular value below this fraction of the largest marks the kernel's
+#: columns dependent for reconstruction purposes.
+RANK_SV_RTOL = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,35 +70,23 @@ def zero_one_loss(space: Space) -> LossTable:
     return LossTable(space, space.labels, 1.0 - np.eye(n))
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Forward elimination with partial pivoting; returns (U, b', pivots)."""
-    a = a.copy()
-    b = b.copy()
-    n = a.shape[0]
-    pivots: list[float] = []
-    for col in range(n):
-        lead = col + int(np.argmax(np.abs(a[col:, col])))
-        pivots.append(float(abs(a[lead, col])))
-        if lead != col:
-            a[[col, lead]] = a[[lead, col]]
-            b[[col, lead]] = b[[lead, col]]
-        if a[col, col] != 0.0:
-            factors = a[col + 1:, col] / a[col, col]
-            a[col + 1:, col:] -= np.outer(factors, a[col, col:])
-            b[col + 1:] -= np.outer(factors, b[col])
-    return a, b, pivots
-
-
-def _pivots_ok(pivots: Sequence[float]) -> bool:
-    largest = max(pivots)
-    return largest > 0.0 and min(pivots) >= RANK_PIVOT_RTOL * largest
+def _svd(t: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thin SVD ``(u, s, vt)`` of T; raises :class:`RankDeficient` when
+    T has fewer singular values than clean outcomes or its smallest is below
+    ``RANK_SV_RTOL`` of its largest."""
+    u, s, vt = np.linalg.svd(t.matrix, full_matrices=False)
+    if s.size < len(t.domain) or not s[-1] >= RANK_SV_RTOL * s[0]:
+        raise RankDeficient("kernel has (numerically) dependent columns; no left inverse")
+    return u, s, vt
 
 
 def is_reconstructible(t: Kernel) -> bool:
-    """True when T has full column rank under the relative pivot threshold."""
-    gram = t.matrix.T @ t.matrix
-    _, _, pivots = _eliminate(gram, np.zeros((gram.shape[0], 1)))
-    return _pivots_ok(pivots)
+    """True when T has full column rank under the relative singular-value threshold."""
+    try:
+        _svd(t)
+    except RankDeficient:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,19 +123,10 @@ class Reconstruction:
 
 
 def pseudoinverse(t: Kernel) -> Reconstruction:
-    """The Moore-Penrose left inverse R = (T^t T)^{-1} T^t; raises
-    :class:`RankDeficient` when the pivots fail the rank test."""
-    gram = t.matrix.T @ t.matrix
-    u, rhs, pivots = _eliminate(gram, t.matrix.T.copy())
-    if not _pivots_ok(pivots):
-        raise RankDeficient(
-            "kernel has (numerically) dependent columns; no left inverse"
-        )
-    n = gram.shape[0]
-    r = np.zeros_like(rhs)
-    for row in range(n - 1, -1, -1):
-        r[row] = (rhs[row] - u[row, row + 1:] @ r[row + 1:]) / u[row, row]
-    return Reconstruction(kernel=t, matrix=r)
+    """The Moore-Penrose left inverse R = V diag(1/s) U^t from the thin SVD
+    of T; raises :class:`RankDeficient` when T fails the rank test."""
+    u, s, vt = _svd(t)
+    return Reconstruction(kernel=t, matrix=(vt.T / s) @ u.T)
 
 
 def corrected_loss(r: Reconstruction, loss: LossTable) -> LossTable:

@@ -7,6 +7,7 @@ the document and the key.  Range checks stay in the constructors.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -27,6 +28,8 @@ def _array(v, ndim: int) -> np.ndarray:
     # list of booleans alone give a dtype other than integer or float.
     a = np.asarray(v)
     _need(a.ndim == ndim and a.dtype.kind in "iuf" and bool(np.isfinite(a).all()), a)
+    # numpy reads a boolean among numbers as 0 or 1, so look at the entries' types.
+    _need(bool not in set(map(type, itertools.chain.from_iterable(v) if ndim == 2 else v)), a)
     return a.astype(np.float64, copy=False)
 
 

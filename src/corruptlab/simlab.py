@@ -28,6 +28,7 @@ from .errors import (
     EmptySample,
     InvalidParameter,
     PreconditionFailed,
+    SizeGuardExceeded,
     UnknownOutcome,
 )
 from .kernels import Dist, Kernel, Space, dist_from_json, kernel_from_json
@@ -38,6 +39,16 @@ _MASK64 = (1 << 64) - 1
 
 #: Clean risks below this are treated as exactly zero (separability test).
 EXCESS_ZERO_TOL = 1e-12
+
+#: Empirical risks within this fraction of the loss's sup norm of the
+#: smallest count as tied in ``erm``, so rounding cannot break an exact tie.
+ERM_TIE_RTOL = 1e-12
+
+#: Largest sample size a config may ask for.
+SAMPLE_SIZE_GUARD = 10**7
+
+#: Most clean draws a config may ask for over all trials and sample sizes.
+DRAW_GUARD = 10**8
 
 
 def splitmix64(x: int) -> int:
@@ -91,14 +102,16 @@ def corrupt(t: Kernel, clean: Sequence, seed: int) -> np.ndarray:
 
 
 def erm(sample_values: Sequence, loss: LossTable) -> str:
-    """The action minimizing average loss on the sample; ties go to the
-    lowest action index."""
+    """The action minimizing average loss on the sample.  Risks within
+    ``ERM_TIE_RTOL`` times the loss's sup norm of the minimum are tied, and
+    ties go to the lowest action index."""
     idx = _as_indices(loss.outcomes, sample_values)
     if idx.size == 0:
         raise EmptySample("empirical risk minimization needs at least one observation")
     counts = np.bincount(idx, minlength=len(loss.outcomes)).astype(np.float64)
-    empirical = (counts / idx.size) @ loss.values
-    return loss.actions[int(np.argmin(empirical))]
+    risks = ((counts / idx.size) @ loss.values).tolist()
+    cut = min(risks) + ERM_TIE_RTOL * loss.sup_norm
+    return next(a for a, r in zip(loss.actions, risks) if r <= cut)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +133,10 @@ class ExperimentConfig:
             raise InvalidParameter("need at least one trial")
         if self.loss.outcomes != self.clean_dist.space:
             raise InvalidParameter("loss outcomes must match the clean distribution")
+        if sizes[-1] > SAMPLE_SIZE_GUARD:  # checked before anything is drawn
+            raise SizeGuardExceeded(f"a sample size above {SAMPLE_SIZE_GUARD} exceeds the size guard")
+        if self.trials * sum(sizes) > DRAW_GUARD:
+            raise SizeGuardExceeded(f"trials times the summed sample sizes exceed {DRAW_GUARD} draws")
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))

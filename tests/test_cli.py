@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import corruptlab
-from corruptlab import catalog, reconstruct
+from corruptlab import bounds, catalog, cli, reconstruct, simlab
 from corruptlab.cli import _parse_grid, main
 from corruptlab.kernels import Space, identity, kernel_to_json
 from corruptlab.reconstruct import loss_to_json, zero_one_loss
@@ -50,16 +50,16 @@ def write_json(tmp_path, name, obj):
 
 
 @pytest.fixture
-def eliminations(monkeypatch):
-    """Records one entry per elimination of a Gram matrix."""
+def factorizations(monkeypatch):
+    """Records one entry per SVD of a kernel."""
     calls = []
-    original = reconstruct._eliminate
+    original = reconstruct._svd
 
-    def counting(*args):
-        calls.append(args[0].shape)
-        return original(*args)
+    def counting(t):
+        calls.append(t.matrix.shape)
+        return original(t)
 
-    monkeypatch.setattr(reconstruct, "_eliminate", counting)
+    monkeypatch.setattr(reconstruct, "_svd", counting)
     return calls
 
 
@@ -111,12 +111,12 @@ class TestAnalyze:
         assert out1 == out2
 
     @pytest.mark.parametrize("sigmas", [(0.1, 0.2), (0.5, 0.5)], ids=["reconstructible", "singular"])
-    def test_one_elimination_per_kernel(self, sigmas, tmp_path, capsys, eliminations):
+    def test_one_elimination_per_kernel(self, sigmas, tmp_path, capsys, factorizations):
         t = asym_noise(*sigmas)
         kpath = write_json(tmp_path, "k.json", kernel_to_json(t))
         lpath = write_json(tmp_path, "l.json", loss_to_json(zero_one_loss(t.domain)))
         code, out, _ = run(capsys, "analyze", "--kernel", kpath, "--loss", lpath)
-        assert code == 0 and len(eliminations) == 1
+        assert code == 0 and len(factorizations) == 1
         assert json.loads(out)["reconstructible"] is (sigmas != (0.5, 0.5))
 
     def test_residual_failure_still_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -169,9 +169,9 @@ class TestTables:
         assert code == 2
 
     @pytest.mark.parametrize("family", ["binary_label_noise", "symmetric_label_noise"])
-    def test_one_elimination_per_grid_point(self, family, capsys, eliminations):
+    def test_one_elimination_per_grid_point(self, family, capsys, factorizations):
         code, out, _ = run(capsys, "tables", "--family", family, "--grid", "0.4:0.6:0.1")
-        assert code == 0 and len(eliminations) == len(out.strip().split("\n")) - 1 == 3
+        assert code == 0 and len(factorizations) == len(out.strip().split("\n")) - 1 == 3
 
     @pytest.mark.parametrize("grid", ["0:0.45:0.05", "0.4:0.6:0.1", "0.3:0.3:0.1", "1:0:0.1",
                                       "-1:1:0.03", "0.2:0.499999999999:0.1", "0.3:0.999999999999:0.1",
@@ -313,6 +313,27 @@ class TestLecam:
         assert code == 0
         assert json.loads(out)["effective_count"] == pytest.approx(10.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["replicated", "kernel", "mix"])
+    def test_each_bound_evaluated_once(self, mode, tmp_path, capsys, coin_problem_file, monkeypatch):
+        calls = []
+        original = bounds.lecam_replicated
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "lecam_replicated", counting)  # corrupted and mixed call it
+        monkeypatch.setattr(cli, "lecam_replicated", counting)
+        noise = {"from": ["tails", "heads"], "to": ["tails", "heads"], "matrix": [[0.9, 0.1], [0.1, 0.9]]}
+        extra = {"replicated": [],
+                 "kernel": ["--kernel", write_json(tmp_path, "noise.json", noise)],
+                 "mix": ["--mix", write_json(tmp_path, "mix.json", [{"count": 20, "alpha": 0.5}])]}[mode]
+        code, out, _ = run(capsys, "lecam", "--problem", coin_problem_file,
+                           "--theta1", "0", "--theta2", "1", "--n", "10", *extra)
+        report = json.loads(out)
+        assert code == 0 and len(calls) == 1
+        assert report["unclamped"] < 0.0 and report["value"] == 0.0
+
     def test_bad_theta_exits_two(self, capsys, coin_problem_file):
         code, _, err = run(capsys, "lecam", "--problem", coin_problem_file,
                            "--theta1", "0.5", "--theta2", "0.6")
@@ -364,6 +385,8 @@ MALFORMED = {
     "from-nested-lists": ("kernel", changed("kernel", ("from",), [["-1"], ["+1"]])),
     "boolean-matrix": ("kernel", changed("kernel", ("matrix",), [[True, False], [False, True]])),
     "cost-true": ("offers", changed("offers", (1, "cost"), True)),
+    "boolean-among-numbers": ("kernel", changed("kernel", ("matrix",), [[True, 0.0], [0.0, 1]])),
+    "boolean-weight": ("config", changed("config", ("clean", "weights"), [False, 1.0])),
     "nan-kernel": ("kernel", changed("kernel", ("matrix", 0, 0), float("nan"))),
     # files that json.load cannot decode into a document
     "invalid-utf8": ("kernel", b'\xff\xfe{"from": []}'),
@@ -392,6 +415,10 @@ def _symmetric_config(classes):
                    {"family": "symmetric_label_noise", "params": {"sigma": 0.2, "classes": classes}})
 
 
+def _sized_config(sample_sizes, trials):
+    return changed("config", ("sample_sizes",), sample_sizes) | {"trials": trials}
+
+
 def _tables(grid, classes=3):
     return ["tables", "--family", "symmetric_label_noise", "--grid", grid, "--classes", str(classes)]
 
@@ -417,6 +444,10 @@ REFUSED = {
     "grid-inf": (2, lambda d: _tables("0:inf:0.1")),
     "grid-step-1e-300": (3, lambda d: _tables("0:0.1:1e-300")),
     "grid-repeats-past-guard": (3, lambda d: _tables("0.9:0.9:1e-17")),
+    "sample-size-10**9": (3, lambda d: document_argv("config", _sized_config([10, 10**9], 3), d)),
+    "sample-size-10**400": (3, lambda d: document_argv("config", _sized_config([10, 10**400], 3), d)),
+    "trials-10**9": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**9), d)),
+    "trials-10**400": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**400), d)),
 }
 
 
@@ -427,7 +458,11 @@ def test_refused_input_exits_cleanly(case, tmp_path, capsys, monkeypatch):
     def no_kernel(spec):
         raise AssertionError("a guard must trip before a catalog kernel is built")
 
+    def no_sample(*args):
+        raise AssertionError("a guard must trip before anything is drawn")
+
     monkeypatch.setattr(catalog, "build_kernel", no_kernel)
+    monkeypatch.setattr(simlab, "sample", no_sample)
     code, out, err = run(capsys, *argv(tmp_path))
     assert code == expected and out == ""
     assert err.startswith("error: " if code == 2 else "numerical failure: ")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from corruptlab import errors
+from corruptlab import catalog, errors
 from corruptlab.divergence import alpha
 from corruptlab.kernels import Dist, Kernel, Space, compose, identity
 from corruptlab.reconstruct import (
@@ -50,6 +50,94 @@ class TestReconstructible:
         t = Kernel(Space(["a", "b", "c"]), Space(["x", "y"]),
                    [[0.5, 0.2, 0.9], [0.5, 0.8, 0.1]])
         assert not is_reconstructible(t)
+
+
+# -- the normal-equation solve the SVD replaced, kept as an oracle -------------------
+
+#: The oracle's rank test: a Gram pivot below this fraction of the largest.
+ORACLE_PIVOT_RTOL = 1e-10
+
+
+def _eliminate(a, b):
+    """Forward elimination with partial pivoting; returns (U, b', pivots)."""
+    a = a.copy()
+    b = b.copy()
+    n = a.shape[0]
+    pivots = []
+    for col in range(n):
+        lead = col + int(np.argmax(np.abs(a[col:, col])))
+        pivots.append(float(abs(a[lead, col])))
+        if lead != col:
+            a[[col, lead]] = a[[lead, col]]
+            b[[col, lead]] = b[[lead, col]]
+        if a[col, col] != 0.0:
+            factors = a[col + 1:, col] / a[col, col]
+            a[col + 1:, col:] -= np.outer(factors, a[col, col:])
+            b[col + 1:] -= np.outer(factors, b[col])
+    return a, b, pivots
+
+
+def normal_equations_inverse(matrix):
+    """(T^t T)^{-1} T^t by elimination and back substitution, or None when
+    the Gram pivots fail the relative pivot test."""
+    gram = matrix.T @ matrix
+    u, rhs, pivots = _eliminate(gram, matrix.T.copy())
+    if not (max(pivots) > 0.0 and min(pivots) >= ORACLE_PIVOT_RTOL * max(pivots)):
+        return None
+    r = np.zeros_like(rhs)
+    for row in range(gram.shape[0] - 1, -1, -1):
+        r[row] = (rhs[row] - u[row, row + 1:] @ r[row + 1:]) / u[row, row]
+    return r
+
+
+def agree(r, oracle):
+    """Equal within 1e-9 of the largest entry (at least 1): the oracle's
+    error grows with the square of T's condition number."""
+    return float(np.abs(r - oracle).max()) <= 1e-9 * max(1.0, float(np.abs(oracle).max()))
+
+
+_GRID = np.linspace(0.0, 1.0, 201)
+_COARSE = np.linspace(0.0, 1.0, 51)
+CATALOG_GRIDS = {
+    "binary": [catalog.binary_label_noise(a, b) for a in _GRID for b in _COARSE],
+    "semi-supervised": [catalog.semi_supervised(a, b) for a in _GRID for b in _COARSE],
+    "symmetric-3-4-7": [catalog.symmetric_label_noise(k, s) for k in (3, 4, 7) for s in _GRID],
+    "partial": [catalog.partial_labels(s) for s in _GRID],
+}
+
+
+class TestSvdMatchesNormalEquations:
+    @pytest.mark.parametrize("family", CATALOG_GRIDS)
+    def test_catalog_grid(self, family):
+        for spec in CATALOG_GRIDS[family]:
+            t = catalog.build_kernel(spec)
+            old = normal_equations_inverse(t.matrix)
+            assert is_reconstructible(t) is (old is not None), spec
+            if old is not None:
+                assert agree(pseudoinverse(t).matrix, old), spec
+
+    def test_random_kernels_change_only_residual_failures(self):
+        # a third of the kernels get a last column within 1e-7..1e-3 of the first
+        rng = np.random.default_rng(113)
+        for i in range(400):
+            m = int(rng.integers(2, 5))
+            t = random_kernel(rng, m, int(rng.integers(m, 7)))
+            if i % 3 == 0:
+                eps = 10 ** rng.uniform(-7, -3)
+                matrix = t.matrix.copy()
+                matrix[:, -1] = (1 - eps) * matrix[:, 0] + eps * matrix[:, -1]
+                t = Kernel(t.domain, t.codomain, matrix)
+            old = normal_equations_inverse(t.matrix)
+            old_fits = old is not None and np.abs(old @ t.matrix - np.eye(m)).max() <= 1e-9
+            if old is None:
+                assert not is_reconstructible(t)
+            elif old_fits:
+                assert agree(pseudoinverse(t).matrix, old)
+            else:  # the oracle's own left inverse missed the residual
+                try:
+                    assert pseudoinverse(t).residual <= 1e-9
+                except errors.RankDeficient:
+                    pass
 
 
 class TestPseudoinverse:

@@ -10,6 +10,8 @@ from corruptlab.catalog import binary_label_noise, build_kernel, partial_labels
 from corruptlab.kernels import Dist, Kernel, Space, identity, make_dist, point_mass
 from corruptlab.reconstruct import LossTable, corrected_loss, pseudoinverse, zero_one_loss
 from corruptlab.simlab import (
+    DRAW_GUARD,
+    SAMPLE_SIZE_GUARD,
     CanonicalProperLoss,
     ExperimentConfig,
     corrupt,
@@ -103,6 +105,19 @@ class TestErm:
         space = Space(["a"])
         loss = LossTable(space, ["first", "second"], [[0.5, 0.5]])
         assert erm(np.array([0]), loss) == "first"
+
+    def test_rounding_does_not_break_an_exact_tie(self):
+        # The corrected 0-1 loss of binary noise at sigma = 0.2 is -1/3 and 4/3,
+        # so both risks on the sample [0, 1] are exactly 0.5.  The left inverse
+        # by normal equations gave these values, whose risks differ by 3.3e-16.
+        t = binary_noise(0.2)
+        rounded = LossTable(t.codomain, t.domain.labels,
+                            [[-0.3333333333333333, 1.333333333333333],
+                             [1.3333333333333335, -0.3333333333333334]])
+        risks = np.array([0.5, 0.5]) @ rounded.values
+        assert risks[0] - risks[1] == pytest.approx(3.3e-16, rel=0.01)
+        for loss in (rounded, corrected_loss(pseudoinverse(t), zero_one_loss(t.domain))):
+            assert erm(np.array([0, 1]), loss) == "-1"
 
     def test_empty_sample(self):
         with pytest.raises(errors.EmptySample):
@@ -343,6 +358,19 @@ class TestConfigValidation:
     def test_loss_space_must_match(self):
         with pytest.raises(errors.InvalidParameter):
             standard_config(loss=zero_one_loss(Space(["x", "y"])))
+
+    def test_guards_allow_the_scaling_series(self):
+        # sizes 10^4..10^6 with 50 trials: 5.55e7 draws; nothing is drawn here
+        config = standard_config(sample_sizes=(10**4, 10**5, 10**6), trials=50)
+        assert config.sample_sizes[-1] == 10**6
+        standard_config(sample_sizes=(SAMPLE_SIZE_GUARD,), trials=DRAW_GUARD // SAMPLE_SIZE_GUARD)
+
+    @pytest.mark.parametrize("sizes, trials", [((SAMPLE_SIZE_GUARD + 1,), 1),
+                                               ((SAMPLE_SIZE_GUARD,), DRAW_GUARD // SAMPLE_SIZE_GUARD + 1)],
+                             ids=["size", "draws"])
+    def test_size_guards(self, sizes, trials):
+        with pytest.raises(errors.SizeGuardExceeded):
+            standard_config(sample_sizes=sizes, trials=trials)
 
     def test_explicit_kernel_accepted(self):
         config = standard_config(corruption=binary_noise(0.1))
