@@ -136,6 +136,13 @@ def lecam_bound(
     return lecam_replicated(problem, theta1, theta2, 1.0, clamped=clamped)
 
 
+def check_corruption(problem: DecisionProblem, *kernels: Kernel | None) -> None:
+    """Raise SpaceMismatch unless each kernel, ``None`` aside, corrupts the experiment's outputs."""
+    for t in kernels:
+        if t is not None and t.domain != problem.experiment.codomain:
+            raise SpaceMismatch("corruption domain must be the experiment's output space")
+
+
 def lecam_corrupted(
     problem: DecisionProblem,
     t: Kernel,
@@ -148,8 +155,7 @@ def lecam_corrupted(
 
     Identical to ``lecam_replicated`` at the effective count alpha(t) * n.
     """
-    if t.domain != problem.experiment.codomain:
-        raise SpaceMismatch("corruption domain must be the experiment's output space")
+    check_corruption(problem, t)
     return lecam_replicated(problem, theta1, theta2, divergence.alpha(t) * n, clamped=clamped)
 
 
@@ -225,9 +231,7 @@ def lecam_mixed(
     clamped: bool = True,
 ) -> float:
     """Lower bound for a mixed data set via its effective clean count."""
-    for s in mix.sources:
-        if s.kernel is not None and s.kernel.domain != problem.experiment.codomain:
-            raise SpaceMismatch("every source must corrupt the experiment's output space")
+    check_corruption(problem, *(s.kernel for s in mix.sources))
     return lecam_replicated(problem, theta1, theta2, mix.effective_count(), clamped=clamped)
 
 

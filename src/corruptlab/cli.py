@@ -5,6 +5,10 @@ parameter grid, ``plan`` acquisitions against a budget, ``simulate`` risk
 curves, and evaluate ``lecam`` lower bounds.  JSON in, JSON or CSV out; all
 output is byte-stable for fixed inputs and seeds.
 
+``tables`` sweeps one family along the grid: every probability parameter is
+set to the grid value sigma and ``classes`` (if the family has it) to
+``--classes``.
+
 Exit codes: 0 success, 2 invalid input, 3 numerical failure or tripped guard.
 """
 
@@ -17,9 +21,8 @@ import sys
 from fractions import Fraction
 
 from . import catalog, divergence, planner
-from .bounds import lecam_corrupted, lecam_mixed, lecam_replicated, mixed_from_json, problem_from_json, separation
-from .errors import (NUMERICAL_ERRORS, VALIDATION_ERRORS, InvalidParameter, ParseError, RankDeficient,
-                     SizeGuardExceeded, UnknownFamily)
+from .bounds import check_corruption, lecam_replicated, mixed_from_json, problem_from_json, separation
+from .errors import InvalidInput, InvalidParameter, NumericalFailure, ParseError, RankDeficient, SizeGuardExceeded
 from .kernels import kernel_from_json
 from .reconstruct import corrected_sup_norm, loss_from_json, op_norm_row_sum, pseudoinverse, zero_one_loss
 from .schema import load_json
@@ -32,14 +35,6 @@ TABLE_HEADER = (
 
 #: Most points a ``tables --grid`` may hold.
 GRID_POINT_GUARD = 10**5
-
-#: Grid families: symmetric single-parameter sweeps of each catalog family.
-_FAMILY_BUILDERS = {
-    catalog.BINARY: lambda s, k: catalog.binary_label_noise(s, s),
-    catalog.SYMMETRIC: lambda s, k: catalog.symmetric_label_noise(k, s),
-    catalog.SEMI_SUPERVISED: lambda s, k: catalog.semi_supervised(s, s),
-    catalog.PARTIAL: lambda s, k: catalog.partial_labels(s),
-}
 
 
 def _emit(obj) -> None:
@@ -106,14 +101,11 @@ def _cell(value) -> str:
 
 
 def cmd_tables(args) -> int:
-    if args.family not in _FAMILY_BUILDERS:
-        raise UnknownFamily(
-            f"unknown family {args.family!r}; known: {', '.join(sorted(_FAMILY_BUILDERS))}"
-        )
-    build = _FAMILY_BUILDERS[args.family]
+    names = catalog.family(args.family).params  # an unknown family fails before the grid is read
     lines = [TABLE_HEADER]
     for sigma in _parse_grid(args.grid):
-        spec = build(sigma, args.classes)
+        params = {key: args.classes if key == "classes" else sigma for key in names}
+        spec = catalog.make_spec(args.family, **params)
         kernel = catalog.build_kernel(spec)
         closed = catalog.closed_form_stats(spec)
         numeric = [divergence.alpha(kernel), None, None]
@@ -179,15 +171,16 @@ def cmd_lecam(args) -> int:
     if args.kernel is not None:
         kernel = kernel_from_json(load_json(args.kernel))
         report["alpha"] = divergence.alpha(kernel)
+        check_corruption(problem, kernel)
         report["effective_count"] = report["alpha"] * args.n
-        report["unclamped"] = lecam_corrupted(problem, kernel, t1, t2, args.n, clamped=False)
     elif args.mix is not None:
         mix = mixed_from_json(load_json(args.mix))
         report["effective_count"] = mix.effective_count()
-        report["unclamped"] = lecam_mixed(problem, mix, t1, t2, clamped=False)
+        check_corruption(problem, *(s.kernel for s in mix.sources))
     else:
         report["effective_count"] = args.n
-        report["unclamped"] = lecam_replicated(problem, t1, t2, args.n, clamped=False)
+    # lecam_corrupted and lecam_mixed are this call at their effective counts
+    report["unclamped"] = lecam_replicated(problem, t1, t2, report["effective_count"], clamped=False)
     report["value"] = max(0.0, report["unclamped"])  # the clamp lecam_replicated applies
     _emit(report)
     return 0
@@ -234,10 +227,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except VALIDATION_ERRORS as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

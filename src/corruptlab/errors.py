@@ -1,8 +1,10 @@
 """Exception types raised by the library.
 
 Everything derives from :class:`CorruptLabError` so callers can catch the
-whole surface with one clause.  The split between "bad input" and "numerical
-failure" matters for the CLI exit codes (2 vs 3).
+whole surface with one clause, and from exactly one of its two subclasses:
+:class:`InvalidInput` for bad input and :class:`NumericalFailure` for a
+numerical failure or a tripped guard.  The CLI exit code (2 vs 3) is read
+from these two bases alone.
 """
 
 
@@ -10,25 +12,33 @@ class CorruptLabError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidInput(CorruptLabError):
+    """Bad input; the CLI exits 2."""
+
+
+class NumericalFailure(CorruptLabError):
+    """A numerical failure or tripped guard; the CLI exits 3."""
+
+
 # -- input validation ---------------------------------------------------------
 
-class LengthMismatch(CorruptLabError):
+class LengthMismatch(InvalidInput):
     """A vector or matrix dimension does not match the named space."""
 
 
-class NegativeWeight(CorruptLabError):
+class NegativeWeight(InvalidInput):
     """A probability weight or kernel entry is negative."""
 
 
-class NotNormalized(CorruptLabError):
+class NotNormalized(InvalidInput):
     """Weights (or a kernel column) do not sum to 1 within tolerance."""
 
 
-class SpaceMismatch(CorruptLabError):
+class SpaceMismatch(InvalidInput):
     """Two objects live on different outcome spaces."""
 
 
-class NotReconstructible(CorruptLabError):
+class NotReconstructible(InvalidInput):
     """The kernel admits no left inverse under the rank threshold."""
 
 
@@ -37,65 +47,52 @@ class RankDeficient(NotReconstructible):
     largest, or it has fewer corrupted outcomes than clean ones."""
 
 
-class InvalidParameter(CorruptLabError):
+class InvalidParameter(InvalidInput):
     """A scalar argument is outside its documented domain."""
 
 
-class IndexOutOfRange(CorruptLabError):
+class IndexOutOfRange(InvalidInput):
     """A hypothesis or action reference does not resolve."""
 
 
-class MissingStatistic(CorruptLabError):
+class MissingStatistic(InvalidInput):
     """An offer lacks a statistic required by the requested ranking."""
 
 
-class UnknownOutcome(CorruptLabError):
+class UnknownOutcome(InvalidInput):
     """A sample value is not an outcome of the expected space."""
 
 
-class EmptySample(CorruptLabError):
+class EmptySample(InvalidInput):
     """An operation that averages over a sample received no data."""
 
 
-class PreconditionFailed(CorruptLabError):
+class PreconditionFailed(InvalidInput):
     """A documented precondition (e.g. separability) does not hold."""
 
 
-class UnknownFamily(CorruptLabError):
+class UnknownFamily(InvalidInput):
     """The corruption family name is not in the catalog."""
 
 
-class ParseError(CorruptLabError):
+class ParseError(InvalidInput):
     """A JSON document does not match the expected schema."""
 
 
 # -- numerical failure / guards -----------------------------------------------
 
-class SizeGuardExceeded(CorruptLabError):
+class SizeGuardExceeded(NumericalFailure):
     """A kernel, grid or other materialized object would exceed its size guard."""
 
 
-class CapacityGuardExceeded(CorruptLabError):
+class CapacityGuardExceeded(NumericalFailure):
     """The integer-scaled knapsack capacity exceeds the DP guard."""
 
 
-class InternalInconsistency(CorruptLabError):
+class InternalInconsistency(NumericalFailure):
     """Two formulas that must agree disagreed; signals a numeric bug."""
 
 
-class DivergedObjective(CorruptLabError):
+class DivergedObjective(NumericalFailure):
     """An optimization objective became NaN or infinite."""
 
-
-#: Errors that indicate bad input (CLI exit code 2).
-VALIDATION_ERRORS = (
-    LengthMismatch, NegativeWeight, NotNormalized, SpaceMismatch,
-    NotReconstructible, InvalidParameter, IndexOutOfRange, MissingStatistic,
-    UnknownOutcome, EmptySample, PreconditionFailed, UnknownFamily, ParseError,
-)
-
-#: Errors that indicate a numerical failure or tripped guard (CLI exit code 3).
-NUMERICAL_ERRORS = (
-    SizeGuardExceeded, CapacityGuardExceeded, InternalInconsistency,
-    DivergedObjective,
-)

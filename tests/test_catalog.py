@@ -5,10 +5,12 @@ import pytest
 
 from corruptlab import errors
 from corruptlab.catalog import (
+    FAMILIES,
     PARTIAL_LABEL_SETS,
     binary_label_noise,
     build_kernel,
     closed_form_stats,
+    make_spec,
     partial_labels,
     semi_supervised,
     spec_from_json,
@@ -25,6 +27,13 @@ from corruptlab.reconstruct import (
 )
 
 GRID = [round(0.05 * i, 2) for i in range(10)]  # 0, 0.05, ..., 0.45
+
+
+def sample_spec(family, classes=4, sigmas=(0.1, 0.2)):
+    """A spec of `family` with its probabilities taken from `sigmas` in turn."""
+    probabilities = iter(sigmas)
+    return make_spec(family, **{key: classes if key == "classes" else next(probabilities)
+                                for key in FAMILIES[family].params})
 
 
 class TestBuildKernel:
@@ -68,6 +77,21 @@ class TestBuildKernel:
             symmetric_label_noise(1, 0.2)
         with pytest.raises(errors.InvalidParameter):
             partial_labels(1.5)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestEveryFamily:
+    def test_kernel_is_column_stochastic(self, family):
+        for sigma in GRID:
+            matrix = build_kernel(sample_spec(family, sigmas=(sigma, 0.45 - sigma))).matrix
+            assert (matrix >= 0.0).all()
+            np.testing.assert_allclose(matrix.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_closed_form_alpha_matches_generic(self, family):
+        for classes in (3, 4, 7):
+            for sigma in GRID:
+                spec = sample_spec(family, classes, sigmas=(sigma, 0.45 - sigma))
+                assert abs(closed_form_stats(spec).alpha - alpha(build_kernel(spec))) <= 1e-12
 
 
 class TestClosedForms:
@@ -157,9 +181,11 @@ class TestGridCrossValidation:
 
 class TestJson:
     def test_round_trip(self):
-        for spec in (binary_label_noise(0.1, 0.2), symmetric_label_noise(4, 0.3),
-                     semi_supervised(0.2, 0.5), partial_labels(0.25)):
-            assert spec_from_json(spec_to_json(spec)) == spec
+        for family in FAMILIES:
+            spec = sample_spec(family, sigmas=(0.2, 0.5))
+            document = spec_to_json(spec)
+            assert spec_from_json(document) == spec
+            assert all(type(v) is (int if k == "classes" else float) for k, v in document["params"].items())
 
     def test_unknown_family(self):
         with pytest.raises(errors.UnknownFamily):

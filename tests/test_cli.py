@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import corruptlab
-from corruptlab import bounds, catalog, cli, reconstruct, simlab
+from corruptlab import bounds, catalog, cli, divergence, errors, reconstruct, simlab
 from corruptlab.cli import _parse_grid, main
 from corruptlab.kernels import Space, identity, kernel_to_json
 from corruptlab.reconstruct import loss_to_json, zero_one_loss
@@ -161,8 +161,16 @@ class TestTables:
         assert all(r.split(",")[4] != "" for r in clean_rows)  # numeric row norm present
 
     def test_unknown_family_exits_two(self, capsys):
-        code, _, err = run(capsys, "tables", "--family", "nope", "--grid", "0:0.4:0.1")
-        assert code == 2 and "family" in err
+        for grid in ("0:0.4:0.1", "1:0:0.1"):  # the family is checked before an empty grid
+            code, out, err = run(capsys, "tables", "--family", "nope", "--grid", grid)
+            assert code == 2 and out == "" and "family" in err
+
+    @pytest.mark.parametrize("family", catalog.FAMILIES)
+    def test_every_family_sweeps_grid(self, family, capsys):
+        code, out, err = run(capsys, "tables", "--family", family, "--grid", "0.1:0.3:0.1")
+        lines = out.strip().split("\n")
+        assert code == 0 and err == "" and lines[0] == cli.TABLE_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.1", "0.2", "0.3"]
 
     def test_bad_grid_exits_two(self, capsys):
         code, _, err = run(capsys, "tables", "--family", "partial_labels", "--grid", "0-1-2")
@@ -334,6 +342,31 @@ class TestLecam:
         assert code == 0 and len(calls) == 1
         assert report["unclamped"] < 0.0 and report["value"] == 0.0
 
+    def test_kernel_alpha_computed_once(self, tmp_path, capsys, coin_problem_file, monkeypatch):
+        calls = []
+        original = divergence.alpha
+
+        def counting(kernel):
+            calls.append(kernel)
+            return original(kernel)
+
+        monkeypatch.setattr(divergence, "alpha", counting)
+        noise = {"from": ["tails", "heads"], "to": ["tails", "heads"], "matrix": [[0.9, 0.1], [0.1, 0.9]]}
+        code, out, _ = run(capsys, "lecam", "--problem", coin_problem_file, "--theta1", "0",
+                           "--theta2", "1", "--kernel", write_json(tmp_path, "noise.json", noise))
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["alpha"] == pytest.approx(0.8, abs=1e-12)
+
+    @pytest.mark.parametrize("flag", ["--kernel", "--mix"])
+    def test_wrong_space_corruption_exits_two(self, flag, tmp_path, capsys, coin_problem_file):
+        kernel = binary_noise(0.1)  # corrupts -1/+1, not the coin's tails/heads
+        document = kernel_to_json(kernel) if flag == "--kernel" else [
+            {"count": 10, "alpha": 0.7}, {"count": 6, "kernel": kernel_to_json(kernel)}]
+        code, out, err = run(capsys, "lecam", "--problem", coin_problem_file, "--theta1", "0",
+                             "--theta2", "1", flag, write_json(tmp_path, "corruption.json", document))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "output space" in err and err.count("\n") == 1
+
     def test_bad_theta_exits_two(self, capsys, coin_problem_file):
         code, _, err = run(capsys, "lecam", "--problem", coin_problem_file,
                            "--theta1", "0.5", "--theta2", "0.6")
@@ -468,6 +501,36 @@ def test_refused_input_exits_cleanly(case, tmp_path, capsys, monkeypatch):
     assert err.startswith("error: " if code == 2 else "numerical failure: ")
     assert err.count("\n") == 1 and err.endswith("\n")
 
+
+
+#: The exit code of each error class; RankDeficient is bad input like its base.
+EXIT_CODES = {
+    **dict.fromkeys(["LengthMismatch", "NegativeWeight", "NotNormalized", "SpaceMismatch", "NotReconstructible",
+                     "RankDeficient", "InvalidParameter", "IndexOutOfRange", "MissingStatistic", "UnknownOutcome",
+                     "EmptySample", "PreconditionFailed", "UnknownFamily", "ParseError"], 2),
+    **dict.fromkeys(["SizeGuardExceeded", "CapacityGuardExceeded", "InternalInconsistency",
+                     "DivergedObjective"], 3),
+}
+
+
+def test_every_error_has_one_exit_base():
+    bases = (errors.CorruptLabError, errors.InvalidInput, errors.NumericalFailure)
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.CorruptLabError) and c not in bases]
+    assert sorted(c.__name__ for c in classes) == sorted(EXIT_CODES)
+    for cls in classes:
+        assert issubclass(cls, errors.InvalidInput) != issubclass(cls, errors.NumericalFailure), cls
+
+
+@pytest.mark.parametrize("name", EXIT_CODES)
+def test_exit_code_follows_error_type(name, capsys, monkeypatch):
+    def failing(args):
+        raise getattr(errors, name)("detail")
+
+    monkeypatch.setattr(cli, "cmd_plan", failing)
+    code, out, err = run(capsys, "plan", "--offers", "offers.json", "--budget", "1")
+    assert code == EXIT_CODES[name] and out == ""
+    assert err == ("error: detail\n" if code == 2 else "numerical failure: detail\n")
 
 @pytest.mark.parametrize("role", DOCUMENTS)
 def test_valid_documents_exit_zero(role, tmp_path, capsys):
