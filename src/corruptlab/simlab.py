@@ -3,10 +3,17 @@
 Randomness contract
 -------------------
 All sampling uses numpy's Philox counter-based generator.  Substreams are
-derived with splitmix64, a fixed 64-bit mixing function, so the stream for
-trial ``i`` is ``Philox(key=seed XOR splitmix64(i))`` regardless of execution
-order.  Trials are therefore independent and could run concurrently; results
-are aggregated in trial-index order so repeated runs are bit-identical.
+derived with splitmix64, a fixed 64-bit mixing function: trial ``t`` at the
+``k``-th sample size is cell ``i = k * trials + t``, with stream
+``Philox(key=seed XOR splitmix64(i))`` regardless of execution order.  Cells
+are therefore independent and could run concurrently; results are aggregated
+in cell order so repeated runs are bit-identical.
+
+Corrected ERM reads a corrupted sample only through its outcome counts,
+which follow Multinomial(n, T·p), so each cell draws them in one
+``multinomial`` call on its stream and costs the same at every n.
+``sample``, ``corrupt`` and ``erm`` work outcome by outcome; the tests use
+them as the oracle.
 
 Excess risk is always scored against the true clean distribution (it is
 available analytically here); this is a validation lab for bound formulas,
@@ -101,17 +108,23 @@ def corrupt(t: Kernel, clean: Sequence, seed: int) -> np.ndarray:
     return np.minimum(out, len(t.codomain) - 1)
 
 
-def erm(sample_values: Sequence, loss: LossTable) -> str:
-    """The action minimizing average loss on the sample.  Risks within
-    ``ERM_TIE_RTOL`` times the loss's sup norm of the minimum are tied, and
-    ties go to the lowest action index."""
-    idx = _as_indices(loss.outcomes, sample_values)
-    if idx.size == 0:
+def erm_index(counts: Sequence[int], loss: LossTable) -> int:
+    """Index of the action minimizing average loss over the outcome counts.
+    Risks within ``ERM_TIE_RTOL`` times the loss's sup norm of the minimum
+    are tied, and ties go to the lowest action index."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum()
+    if total == 0:
         raise EmptySample("empirical risk minimization needs at least one observation")
-    counts = np.bincount(idx, minlength=len(loss.outcomes)).astype(np.float64)
-    risks = ((counts / idx.size) @ loss.values).tolist()
+    risks = ((counts / total) @ loss.values).tolist()
     cut = min(risks) + ERM_TIE_RTOL * loss.sup_norm
-    return next(a for a, r in zip(loss.actions, risks) if r <= cut)
+    return next(a for a, r in enumerate(risks) if r <= cut)
+
+
+def erm(sample_values: Sequence, loss: LossTable) -> str:
+    """The action minimizing average loss on the sample (see ``erm_index``)."""
+    idx = _as_indices(loss.outcomes, sample_values)
+    return loss.actions[erm_index(np.bincount(idx, minlength=len(loss.outcomes)), loss)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,16 +198,15 @@ def _excess_risks(config: ExperimentConfig, t: Kernel, table: LossTable) -> dict
     p = config.clean_dist
     clean_risks = p.weights @ config.loss.values
     best = float(clean_risks.min())
+    # A Dist and a kernel column sum to 1 only within STOCHASTIC_ATOL, and
+    # multinomial refuses probabilities summing past 1 + 1e-12.
+    q = t.matrix @ p.weights
+    q = q / q.sum()
     by_n: dict[int, np.ndarray] = {}
     for n_idx, n in enumerate(config.sample_sizes):
-        excess = np.empty(config.trials)
-        for trial in range(config.trials):
-            ts = _trial_seed(config.seed, n_idx * config.trials + trial)
-            clean = sample(p, n, splitmix64(ts ^ 1))
-            noisy = corrupt(t, clean, splitmix64(ts ^ 2))
-            chosen = erm(noisy, table)
-            excess[trial] = float(clean_risks[config.loss.actions.index(chosen)]) - best
-        by_n[n] = excess
+        cells = range(n_idx * config.trials, (n_idx + 1) * config.trials)
+        chosen = [erm_index(_generator(_trial_seed(config.seed, i)).multinomial(n, q), table) for i in cells]
+        by_n[n] = clean_risks[chosen] - best
     return by_n
 
 
@@ -216,10 +228,10 @@ def _curve_from(config: ExperimentConfig, by_n: dict[int, np.ndarray], sup: floa
 def risk_curve(config: ExperimentConfig) -> RiskCurve:
     """Corrected-loss ERM excess risk versus the PAC-Bayes envelope.
 
-    For each sample size, ``trials`` independent replicates draw a clean
-    sample, corrupt it, run ERM with the corrected loss and score the true
-    excess risk.  The envelope is ||corrected||_inf * sqrt(2 ln|A| / n), the
-    uniform-prior complexity term.
+    For each sample size, ``trials`` independent replicates draw the outcome
+    counts of a corrupted sample, run ERM with the corrected loss on them and
+    score the true excess risk.  The envelope is
+    ||corrected||_inf * sqrt(2 ln|A| / n), the uniform-prior complexity term.
     """
     t = config.kernel()
     table = corrected_loss(pseudoinverse(t), config.loss)

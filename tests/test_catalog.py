@@ -194,3 +194,16 @@ class TestJson:
     def test_missing_parameter(self):
         with pytest.raises(errors.ParseError):
             spec_from_json({"family": "binary_label_noise", "params": {"sigma_neg": 0.1}})
+
+    @pytest.mark.parametrize("family, params, key", [
+        ("symmetric_label_noise", {"sigma": 0.2, "clases": 7}, "clases"),
+        ("binary_label_noise", {"sigma_neg": 0.1, "sigma_pos": 0.2, "classes": 2}, "classes"),
+        ("partial_labels", {"sigma": 0.2, "sigma_pos": 0.1}, "sigma_pos"),
+    ], ids=["misspelt-classes", "classes-on-binary", "extra-probability"])
+    def test_unknown_parameter(self, family, params, key):
+        with pytest.raises(errors.ParseError, match=f'params has unknown key "{key}"'):
+            spec_from_json({"family": family, "params": params})
+
+    def test_known_errors_come_before_unknown_keys(self):
+        with pytest.raises(errors.ParseError, match='"sigma" must be a finite number'):
+            spec_from_json({"family": "partial_labels", "params": {"sigma": "x", "extra": 1}})

@@ -63,6 +63,22 @@ def factorizations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def simlab_calls(monkeypatch):
+    """Counts calls of simlab's sample-level functions and of its stream constructor."""
+    calls = dict.fromkeys(("sample", "corrupt", "erm", "_generator"), 0)
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simlab, name, counting(name, getattr(simlab, name)))
+    return calls
+
+
 class TestAnalyze:
     def test_identity_kernel(self, tmp_path, capsys):
         path = write_json(tmp_path, "k.json", kernel_to_json(identity(Space(["a", "b"]))))
@@ -283,6 +299,38 @@ class TestSimulate:
         report = json.loads(out)
         assert "mean_ratio" in report and out_path.exists()
 
+    @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
+    def test_draws_counts_not_samples(self, mode, tmp_path, capsys, simlab_calls):
+        # one stream per (n, trial) cell, and no outcome drawn one by one
+        config = DOCUMENTS["config"] | {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]},
+                                        "sample_sizes": [10, 20, 40], "trials": 7}
+        path = write_json(tmp_path, "config.json", config)
+        code, _, err = run(capsys, "simulate", "--config", path, "--out", str(tmp_path / "out.csv"),
+                           "--mode", mode)
+        assert code == 0, err
+        assert simlab_calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 3 * 7}
+
+    def test_weights_within_tolerance_of_one(self, tmp_path, capsys):
+        # a Dist may sum to 1 + 5e-10; the draw must not refuse it
+        config = DOCUMENTS["config"] | {
+            "clean": {"space": ["-1", "+1"], "weights": [1 + 5e-10, 0.0]},
+            "corruption": {"family": "binary_label_noise", "params": {"sigma_neg": 0.0, "sigma_pos": 0.0}}}
+        path = write_json(tmp_path, "config.json", config)
+        out_path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "simulate", "--config", path, "--out", str(out_path))
+        assert (code, out, err) == (0, "", "")
+        assert out_path.read_text().split("\n")[1].startswith("10,0.0,0.0,")
+
+    def test_unknown_corruption_parameter_exits_two(self, tmp_path, capsys):
+        config = DOCUMENTS["config"] | {
+            "corruption": {"family": "symmetric_label_noise", "params": {"sigma": 0.2, "clases": 7}}}
+        path = write_json(tmp_path, "config.json", config)
+        code, out, err = run(capsys, "simulate", "--config", path, "--out", str(tmp_path / "out.csv"))
+        assert (code, out) == (2, "")
+        assert err == ('error: symmetric_label_noise params has unknown key "clases"; '
+                       'known: classes, sigma\n')
+        assert not (tmp_path / "out.csv").exists()
+
     def test_non_separable_fast_rate_exits_two(self, tmp_path, capsys, config_file):
         code, _, err = run(capsys, "simulate", "--config", config_file,
                            "--out", str(tmp_path / "x.csv"), "--mode", "fast-rate")
@@ -420,6 +468,7 @@ MALFORMED = {
     "cost-true": ("offers", changed("offers", (1, "cost"), True)),
     "boolean-among-numbers": ("kernel", changed("kernel", ("matrix",), [[True, 0.0], [0.0, 1]])),
     "boolean-weight": ("config", changed("config", ("clean", "weights"), [False, 1.0])),
+    "params-unknown-key": ("config", changed("config", ("corruption", "params", "sigma"), 0.2)),
     "nan-kernel": ("kernel", changed("kernel", ("matrix", 0, 0), float("nan"))),
     # files that json.load cannot decode into a document
     "invalid-utf8": ("kernel", b'\xff\xfe{"from": []}'),
@@ -496,6 +545,7 @@ def test_refused_input_exits_cleanly(case, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(catalog, "build_kernel", no_kernel)
     monkeypatch.setattr(simlab, "sample", no_sample)
+    monkeypatch.setattr(simlab, "_generator", no_sample)  # every draw's stream
     code, out, err = run(capsys, *argv(tmp_path))
     assert code == expected and out == ""
     assert err.startswith("error: " if code == 2 else "numerical failure: ")

@@ -1,12 +1,19 @@
 """Monte-Carlo pipeline: sampling, corruption, ERM, curves, proper-loss fits."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from corruptlab import errors
-from corruptlab.catalog import binary_label_noise, build_kernel, partial_labels
+from corruptlab.catalog import (
+    binary_label_noise,
+    build_kernel,
+    partial_labels,
+    semi_supervised,
+    symmetric_label_noise,
+)
 from corruptlab.kernels import Dist, Kernel, Space, identity, make_dist, point_mass
 from corruptlab.reconstruct import LossTable, corrected_loss, pseudoinverse, zero_one_loss
 from corruptlab.simlab import (
@@ -14,8 +21,10 @@ from corruptlab.simlab import (
     SAMPLE_SIZE_GUARD,
     CanonicalProperLoss,
     ExperimentConfig,
+    _trial_seed,
     corrupt,
     erm,
+    erm_index,
     fastrate_curve,
     fit_proper,
     gradient_check,
@@ -83,15 +92,90 @@ class TestCorrupt:
             corrupt(t, np.array([0, 2]), 1)
 
 
+def chi_square_critical(df):
+    """Upper 1e-3 quantile of chi-square by the Wilson-Hilferty approximation,
+    at most 3.1% above the exact quantile for every df >= 1."""
+    z = 3.090232
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+def chi_square(vectors, n, q):
+    """Pearson's statistic of count vectors against Multinomial(n, q), with
+    its degrees of freedom; cells expected below 5 are pooled into one."""
+    cells = [c for c in itertools.product(range(n + 1), repeat=len(q)) if sum(c) == n]
+    pmf = np.array([math.factorial(n) / math.prod(map(math.factorial, c)) * math.prod(np.power(q, c))
+                    for c in cells])
+    index = {c: i for i, c in enumerate(cells)}
+    observed = np.zeros(len(cells))
+    for v in vectors:
+        observed[index[tuple(int(x) for x in v)]] += 1
+    expected = pmf * len(vectors)
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return float(((observed - expected) ** 2 / expected).sum()), len(expected) - 1
+
+
+#: (corruption, clean weights) whose corrupted counts are checked against
+#: Multinomial(n, T p).
+COUNT_CASES = {
+    "binary": (binary_label_noise(0.05, 0.15), [0.2, 0.8]),
+    "symmetric-3": (symmetric_label_noise(3, 0.2), [0.05, 0.15, 0.8]),
+    "semi-supervised": (semi_supervised(0.6, 0.8), [0.4, 0.6]),
+}
+
+
+class TestCountsLaw:
+    """The counts of sample -> corrupt are Multinomial(n, T p), the law
+    ``risk_curve`` draws each trial's counts from."""
+
+    N, REPLICATES, SEED = 6, 3000, 8101
+
+    def law(self, case):
+        spec, weights = COUNT_CASES[case]
+        t = build_kernel(spec)
+        p = make_dist(t.domain, weights)
+        return t, p, t.matrix @ p.weights
+
+    @pytest.mark.parametrize("case", COUNT_CASES)
+    def test_sample_then_corrupt(self, case):
+        t, p, q = self.law(case)
+        vectors = [np.bincount(corrupt(t, sample(p, self.N, self.SEED + 2 * r), self.SEED + 2 * r + 1),
+                               minlength=len(q)) for r in range(self.REPLICATES)]
+        stat, df = chi_square(vectors, self.N, q)
+        assert stat <= chi_square_critical(df)
+        # the test has power: a law a fifth of the way to uniform is refused
+        stat, df = chi_square(vectors, self.N, 0.8 * q + 0.2 / len(q))
+        assert stat > chi_square_critical(df)
+
+    @pytest.mark.parametrize("case", COUNT_CASES)
+    def test_trial_draw(self, case):
+        _, _, q = self.law(case)
+        vectors = [np.random.Generator(np.random.Philox(key=_trial_seed(self.SEED, r))).multinomial(self.N, q)
+                   for r in range(self.REPLICATES)]
+        stat, df = chi_square(vectors, self.N, q)
+        assert stat <= chi_square_critical(df)
+
+
+def erm_checked(sample_values, loss):
+    """``erm`` on the sample, after checking that ``erm_index`` on the sample's
+    counts picks the same action."""
+    chosen = erm(sample_values, loss)
+    counts = np.bincount(np.asarray(sample_values, dtype=np.int64), minlength=len(loss.outcomes))
+    assert loss.actions[erm_index(counts, loss)] == chosen
+    return chosen
+
+
 class TestErm:
     def test_single_action(self):
         loss = LossTable(Space(["a", "b"]), ["only"], [[0.1], [0.9]])
-        assert erm(np.array([0, 1]), loss) == "only"
+        assert erm_checked(np.array([0, 1]), loss) == "only"
 
     def test_unique_argmin(self):
         space = Space(["a", "b"])
         loss = zero_one_loss(space)
-        assert erm(np.zeros(10, dtype=np.int64), loss) == "a"
+        assert erm_checked(np.zeros(10, dtype=np.int64), loss) == "a"
 
     def test_matches_brute_force_means(self):
         rng = np.random.default_rng(21)
@@ -99,12 +183,12 @@ class TestErm:
         loss = LossTable(space, ["x", "y", "z", "w"], rng.uniform(0, 1, (3, 4)))
         s = rng.integers(0, 3, size=40)
         means = [np.mean([loss.values[z, a] for z in s]) for a in range(4)]
-        assert erm(s, loss) == loss.actions[int(np.argmin(means))]
+        assert erm_checked(s, loss) == loss.actions[int(np.argmin(means))]
 
     def test_tie_goes_to_lowest_index(self):
         space = Space(["a"])
         loss = LossTable(space, ["first", "second"], [[0.5, 0.5]])
-        assert erm(np.array([0]), loss) == "first"
+        assert erm_checked(np.array([0]), loss) == "first"
 
     def test_rounding_does_not_break_an_exact_tie(self):
         # The corrected 0-1 loss of binary noise at sigma = 0.2 is -1/3 and 4/3,
@@ -117,11 +201,13 @@ class TestErm:
         risks = np.array([0.5, 0.5]) @ rounded.values
         assert risks[0] - risks[1] == pytest.approx(3.3e-16, rel=0.01)
         for loss in (rounded, corrected_loss(pseudoinverse(t), zero_one_loss(t.domain))):
-            assert erm(np.array([0, 1]), loss) == "-1"
+            assert erm_checked(np.array([0, 1]), loss) == "-1"
 
     def test_empty_sample(self):
         with pytest.raises(errors.EmptySample):
             erm(np.array([], dtype=np.int64), zero_one_loss(Space(["a", "b"])))
+        with pytest.raises(errors.EmptySample):
+            erm_index(np.zeros(2, dtype=np.int64), zero_one_loss(Space(["a", "b"])))
 
 
 def standard_config(**overrides):
@@ -170,23 +256,23 @@ class TestRiskCurve:
         assert risk_curve(config).to_csv() == risk_curve(config).to_csv()
 
     def test_trials_are_order_independent(self):
-        # any single (n, trial) cell can be reproduced in isolation from its
-        # derived stream, so scheduling order cannot matter
-        from corruptlab.simlab import _trial_seed, splitmix64
-        config = standard_config(sample_sizes=(30,), trials=8)
+        # every (n, trial) cell can be rebuilt in isolation from its derived
+        # stream, so scheduling order cannot matter
+        config = standard_config(sample_sizes=(30, 60), trials=8)
         t = config.kernel()
         table = corrected_loss(pseudoinverse(t), config.loss)
         clean_risks = config.clean_dist.weights @ config.loss.values
-        best = clean_risks.min()
-        expected = []
-        for trial in reversed(range(config.trials)):  # deliberately backwards
-            ts = _trial_seed(config.seed, trial)
-            clean = sample(config.clean_dist, 30, splitmix64(ts ^ 1))
-            noisy = corrupt(t, clean, splitmix64(ts ^ 2))
-            chosen = erm(noisy, table)
-            expected.append(float(clean_risks[config.loss.actions.index(chosen)] - best))
-        mean = float(np.mean(expected))
-        assert risk_curve(config).rows[0].mean_excess_risk == pytest.approx(mean, abs=1e-15)
+        q = t.matrix @ config.clean_dist.weights
+        expected = {n: [] for n in config.sample_sizes}
+        for cell in reversed(range(len(config.sample_sizes) * config.trials)):  # deliberately backwards
+            n = config.sample_sizes[cell // config.trials]
+            stream = np.random.Generator(np.random.Philox(key=_trial_seed(config.seed, cell)))
+            counts = stream.multinomial(n, q / q.sum())
+            expected[n].append(float(clean_risks[erm_index(counts, table)] - clean_risks.min()))
+        rows = risk_curve(config).rows
+        assert [r.n for r in rows] == list(config.sample_sizes)
+        for row in rows:
+            assert row.mean_excess_risk == pytest.approx(float(np.mean(expected[row.n])), abs=1e-15)
 
     def test_not_reconstructible(self):
         with pytest.raises(errors.NotReconstructible):
