@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError, SizeGuardExceeded, UnknownFamily
+from .errors import InvalidParameter, SizeGuardExceeded, UnknownFamily
 from .kernels import PRODUCT_ENTRY_GUARD, Kernel, Space
 from .schema import INT, NUM, OBJECT, STR, fields
 
@@ -198,7 +198,4 @@ def spec_from_json(obj: dict) -> CorruptionSpec:
     # the probabilities are read first, then the optional class count
     values = fields(params, f"{name} params", *((key, NUM) for key in probabilities),
                     optional=(("classes", INT, 3),) if "classes" in names else ())
-    unknown = next((key for key in params if key not in names), None)
-    if unknown is not None:  # a misspelt optional key would read as its default
-        raise ParseError(f'{name} params has unknown key "{unknown}"; known: {", ".join(names)}')
     return make_spec(name, **dict(zip([*probabilities, "classes"], values)))

@@ -5,6 +5,14 @@ merged: the lower-bound view buys effective clean samples (maximize
 sum alpha_i * n_i, an unbounded knapsack) and the upper-bound view prefers
 cheap-per-guarantee sources (ascending cost * ||corrected||_inf^2).  The two
 rankings usually agree but are allowed to differ.
+
+The exact plan costs O(min(capacity, (c_b - 1) * c_max) * offers) for scaled
+costs c_b of the densest offer and c_max of the dearest, whatever the budget:
+some optimal plan holds at most c_b - 1 items other than the densest offer
+(Gilmore and Gomory, "The theory and computation of knapsack functions"), so
+a DP over that width, filled up with the densest offer, finds it.  Plans
+worth the same up to ``PLAN_TIE_RTOL`` are tied, and a tie goes to the plan
+with the most units of the densest offer.
 """
 
 from __future__ import annotations
@@ -21,8 +29,12 @@ from .errors import (
 )
 from .schema import LIST, NUM, RATIONAL, STR, fields, typed
 
-#: Largest integer-scaled knapsack capacity the DP will accept.
+#: Largest integer-scaled budget either plan will accept.
 CAPACITY_GUARD = 10**7
+
+#: Plans whose objectives differ by at most this fraction of the best are
+#: tied; a constant, not an option.
+PLAN_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,13 +78,27 @@ def _density_order(offers: Sequence[SourceOffer]) -> list[SourceOffer]:
     return sorted(offers, key=lambda o: (-(o.alpha / o.unit_cost), o.unit_cost, o.name))
 
 
-def greedy_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPlan:
-    """Buy the densest source until it no longer fits, then the next, etc."""
-    budget = Fraction(budget)
+def _capacity(offers: Sequence[SourceOffer], budget: Fraction) -> tuple[int, int]:
+    """The least common denominator of the costs and the budget, and the
+    budget in those units; a budget past the guard is refused before any
+    count is made, so no count can overflow a float."""
     if budget < 0:
         raise InvalidParameter(f"budget must be >= 0, got {budget}")
     if not offers:
         raise InvalidParameter("need at least one offer")
+    scale = math.lcm(*(o.unit_cost.denominator for o in offers), budget.denominator)
+    capacity = int(budget * scale)
+    if capacity > CAPACITY_GUARD:
+        raise CapacityGuardExceeded(
+            f"scaled capacity {capacity} exceeds guard {CAPACITY_GUARD}"
+        )
+    return scale, capacity
+
+
+def greedy_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPlan:
+    """Buy the densest source until it no longer fits, then the next, etc."""
+    budget = Fraction(budget)
+    _capacity(offers, budget)
     counts: dict[str, int] = {}
     objective = 0.0
     remaining = budget
@@ -89,25 +115,24 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPl
     """Optimal unbounded-knapsack plan by dynamic programming.
 
     Rational costs are scaled to integers via the least common multiple of
-    their denominators; the scaled capacity must stay within the guard.
+    their denominators; the scaled capacity must stay within the guard.  With
+    c_b the scaled cost of the densest offer and c_max the largest, the DP
+    runs over the scaled spends w <= min(capacity, (c_b - 1) * c_max) alone,
+    in O(that width * offers), and the plan is the best DP plan at some w
+    filled up with floor((capacity - w) / c_b) densest units.  Plans within
+    ``PLAN_TIE_RTOL`` of the best are tied, and the tie goes to the plan with
+    the most units of the densest offer.
     """
     budget = Fraction(budget)
-    if budget < 0:
-        raise InvalidParameter(f"budget must be >= 0, got {budget}")
-    if not offers:
-        raise InvalidParameter("need at least one offer")
-    scale = math.lcm(*(o.unit_cost.denominator for o in offers), budget.denominator)
-    capacity = int(budget * scale)
-    if capacity > CAPACITY_GUARD:
-        raise CapacityGuardExceeded(
-            f"scaled capacity {capacity} exceeds guard {CAPACITY_GUARD}"
-        )
+    scale, capacity = _capacity(offers, budget)
     ordered = _density_order(offers)
     int_costs = [int(o.unit_cost * scale) for o in ordered]
+    dense, c_b = ordered[0], int_costs[0]
+    width = min(capacity, (c_b - 1) * max(int_costs))
 
-    best = [0.0] * (capacity + 1)
-    choice = [-1] * (capacity + 1)  # -1: leave a unit of budget unused
-    for w in range(1, capacity + 1):
+    best = [0.0] * (width + 1)
+    choice = [-1] * (width + 1)  # -1: leave a unit of budget unused
+    for w in range(1, width + 1):
         best[w] = best[w - 1]
         for idx, cost in enumerate(int_costs):
             if cost <= w:
@@ -116,9 +141,17 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPl
                     best[w] = candidate
                     choice[w] = idx
 
-    counts: dict[str, int] = {}
-    spend = Fraction(0)
-    w = capacity
+    # densest units bought past w; none when every plan is worth 0, as the DP buys none
+    fill = [(capacity - w) // c_b if dense.alpha > 0.0 else 0 for w in range(width + 1)]
+    totals = [best[w] + dense.alpha * fill[w] for w in range(width + 1)]
+    cut = max(totals) * (1.0 - PLAN_TIE_RTOL)
+    # The first tied w buys the most densest units: a tied plan's other items
+    # and unused budget cost some v <= w, the plan at v is worth as much, and
+    # it fills floor((capacity - v) / c_b) densest units, at least as many.
+    w = next(w for w in range(width + 1) if totals[w] >= cut)
+
+    counts: dict[str, int] = {dense.name: fill[w]} if fill[w] else {}
+    spend = dense.unit_cost * fill[w]
     while w > 0:
         idx = choice[w]
         if idx < 0:

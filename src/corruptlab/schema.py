@@ -1,8 +1,9 @@
 """Typed fields of the JSON wire formats.
 
 Each ``*_from_json`` reads its document through :func:`fields`, which checks
-presence, type and finiteness and raises a one-line :class:`ParseError` naming
-the document and the key.  Range checks stay in the constructors.
+presence, type and finiteness, refuses keys it does not know and raises a
+one-line :class:`ParseError` naming the document and the key.  Range checks
+stay in the constructors.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def typed(value, what: str, kind):
 def fields(obj, what: str, *required, optional=()) -> list:
     """The values of the ``(key, kind)`` pairs of the JSON object ``obj``, in
     order, then those of the ``(key, kind, default)`` triples in ``optional``.
-    An optional key that is missing or null reads as its default."""
+    An optional key that is missing or null reads as its default.  A key that
+    is neither is refused, after every known key has been read."""
     obj = typed(obj, what, OBJECT)
     values = []
     for key, kind in required:
@@ -82,6 +84,10 @@ def fields(obj, what: str, *required, optional=()) -> list:
     for key, kind, default in optional:
         value = obj.get(key)
         values.append(default if value is None else typed(value, f'{what} "{key}"', kind))
+    known = [key for key, *_ in (*required, *optional)]
+    unknown = next((key for key in obj if key not in known), None)
+    if unknown is not None:  # a misspelt optional key would read as its default
+        raise ParseError(f'{what} has unknown key "{unknown}"; known: {", ".join(sorted(known))}')
     return values
 
 

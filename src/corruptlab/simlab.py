@@ -407,6 +407,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     clean, loss, corr, sample_sizes, trials, seed = fields(
         obj, "config", ("clean", OBJECT), ("loss", OBJECT), ("corruption", OBJECT),
         ("sample_sizes", INTS), ("trials", INT), ("seed", INT))
-    corruption = kernel_from_json(corr["kernel"]) if "kernel" in corr else catalog.spec_from_json(corr)
+    corruption = (kernel_from_json(*fields(corr, "corruption", ("kernel", OBJECT))) if "kernel" in corr
+                  else catalog.spec_from_json(corr))
     return ExperimentConfig(dist_from_json(clean), loss_from_json(loss), corruption,
                             sample_sizes, trials, seed)

@@ -246,6 +246,14 @@ class TestPlan:
         code, _, err = run(capsys, "plan", "--offers", path, "--budget", "ten")
         assert code == 2
 
+    def test_unknown_offer_key_exits_two(self, tmp_path, capsys):
+        path = write_json(tmp_path, "offers.json",
+                          [{"name": "B", "alpha": 0.5, "cost": 1, "corected_sup": 9.0}])
+        code, out, err = run(capsys, "plan", "--offers", path, "--budget", "10")
+        assert code == 2 and out == ""
+        assert err == ('error: offer 0 has unknown key "corected_sup"; '
+                       'known: alpha, corrected_sup, cost, name\n')
+
     def test_capacity_guard_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path, "offers.json",
                           [{"name": "A", "alpha": 0.7, "cost": {"num": 1, "den": 10**6}}])
@@ -469,6 +477,10 @@ MALFORMED = {
     "boolean-among-numbers": ("kernel", changed("kernel", ("matrix",), [[True, 0.0], [0.0, 1]])),
     "boolean-weight": ("config", changed("config", ("clean", "weights"), [False, 1.0])),
     "params-unknown-key": ("config", changed("config", ("corruption", "params", "sigma"), 0.2)),
+    "offer-unknown-key": ("offers", changed("offers", (0, "corected_sup"), 9.0)),
+    "mix-unknown-key": ("mix", changed("mix", (0, "corected_sup"), 9.0)),
+    "corruption-kernel-unknown-key": ("config", changed("config", ("corruption",),
+                                                        {"kernel": DOCUMENTS["kernel"], "sigma": 0.2})),
     "nan-kernel": ("kernel", changed("kernel", ("matrix", 0, 0), float("nan"))),
     # files that json.load cannot decode into a document
     "invalid-utf8": ("kernel", b'\xff\xfe{"from": []}'),
@@ -530,6 +542,8 @@ REFUSED = {
     "sample-size-10**400": (3, lambda d: document_argv("config", _sized_config([10, 10**400], 3), d)),
     "trials-10**9": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**9), d)),
     "trials-10**400": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**400), d)),
+    "budget-1e300": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e300"]),
+    "budget-1e400": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e400"]),
 }
 
 

@@ -1,5 +1,6 @@
 """Acquisition planning: greedy and exact knapsack, source rankings."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 
 from corruptlab import errors
 from corruptlab.planner import (
+    CAPACITY_GUARD,
+    AcquisitionPlan,
     SourceOffer,
+    _density_order,
     exact_plan,
     greedy_plan,
     offers_from_json,
@@ -31,6 +35,41 @@ def brute_force_objective(offers, budget):
 
     recurse(0, Fraction(budget), 0.0)
     return best
+
+
+def full_capacity_plan(offers, budget):
+    """The DP over every scaled spend up to the capacity (oracle): densest
+    offer first, a cell changes only on a strict improvement."""
+    budget = Fraction(budget)
+    scale = math.lcm(*(o.unit_cost.denominator for o in offers), budget.denominator)
+    capacity = int(budget * scale)
+    ordered = _density_order(offers)
+    int_costs = [int(o.unit_cost * scale) for o in ordered]
+
+    best = [0.0] * (capacity + 1)
+    choice = [-1] * (capacity + 1)
+    for w in range(1, capacity + 1):
+        best[w] = best[w - 1]
+        for idx, cost in enumerate(int_costs):
+            if cost <= w:
+                candidate = best[w - cost] + ordered[idx].alpha
+                if candidate > best[w]:
+                    best[w] = candidate
+                    choice[w] = idx
+
+    counts = {}
+    spend = Fraction(0)
+    w = capacity
+    while w > 0:
+        idx = choice[w]
+        if idx < 0:
+            w -= 1
+            continue
+        counts[ordered[idx].name] = counts.get(ordered[idx].name, 0) + 1
+        spend += ordered[idx].unit_cost
+        w -= int_costs[idx]
+    objective = sum(o.alpha * counts.get(o.name, 0) for o in ordered)
+    return AcquisitionPlan(counts=counts, objective=objective, spend=spend)
 
 
 def random_offers(rng, max_offers=4, max_cost=7):
@@ -138,6 +177,53 @@ class TestExact:
     def test_capacity_guard(self):
         with pytest.raises(errors.CapacityGuardExceeded):
             exact_plan([SourceOffer("A", 0.5, Fraction(1, 10**6))], 100)
+
+
+class TestExchangeBound:
+    """The DP runs only to W = (c_b - 1) * c_max and fills up with the densest offer."""
+
+    def test_matches_full_capacity_dp(self):
+        rng = np.random.default_rng(433)
+        for _ in range(200):
+            count = int(rng.integers(1, 5))
+            offers = [SourceOffer(f"s{i}", float(rng.uniform(0.05, 1.0)),
+                                  Fraction(int(rng.integers(1, 25)), int(rng.integers(1, 4))))
+                      for i in range(count)]
+            scale = math.lcm(*(o.unit_cost.denominator for o in offers))
+            costs = [int(o.unit_cost * scale) for o in _density_order(offers)]
+            width = (costs[0] - 1) * max(costs)
+            for capacity in {max(width - 1, 0), width, width + 1, 5 * width}:
+                budget = Fraction(capacity, scale)
+                assert exact_plan(offers, budget).to_json() == \
+                    full_capacity_plan(offers, budget).to_json(), (offers, capacity)
+
+    @pytest.mark.parametrize("offers, budget, counts", [
+        # equal densities 0.2, s1 the denser by the cheaper cost; the DP over
+        # every spend returns {s0: 3, s1: 7}, printed as 4.199999999999999
+        ([SourceOffer("s0", 0.7, Fraction(7, 2)), SourceOffer("s1", 0.3, Fraction(3, 2))], 21,
+         {"s1": 14}),
+        # 3 * 0.6 and 2 * 0.3 + 2 * 0.6 are both 1.8; the DP over every spend,
+        # or a tie decided by rounding, returns {s0: 2, s1: 2}
+        ([SourceOffer("s0", 0.3, 3), SourceOffer("s1", 0.6, 4)], Fraction(29, 2), {"s1": 3}),
+    ], ids=["equal-densities", "equal-objectives"])
+    def test_exact_tie_goes_to_the_densest_offer(self, offers, budget, counts):
+        assert exact_plan(offers, budget).counts == counts
+
+    def test_worthless_offers_buy_nothing(self):
+        plan = exact_plan([SourceOffer("A", 0.0, 3), SourceOffer("B", 0.0, 2)], 50)
+        assert plan.counts == {} and plan.objective == 0.0 and plan.spend == 0
+
+    @pytest.mark.parametrize("plan", [greedy_plan, exact_plan])
+    @pytest.mark.parametrize("budget", [CAPACITY_GUARD + 1, 10**300, 10**400],
+                             ids=["guard+1", "10**300", "10**400"])
+    def test_budget_past_the_guard(self, plan, budget):
+        with pytest.raises(errors.CapacityGuardExceeded):
+            plan([SourceOffer("A", 0.5, 1)], budget)
+
+    def test_budget_at_the_guard(self):
+        plan = exact_plan([SourceOffer("A", 0.5, 3), SourceOffer("B", 0.7, 5)], CAPACITY_GUARD)
+        assert plan.counts == {"A": CAPACITY_GUARD // 3}
+        assert plan.spend == CAPACITY_GUARD - 1
 
 
 class TestRankings:
