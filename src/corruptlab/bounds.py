@@ -9,6 +9,7 @@ running the clean experiment with the real-valued effective sample count
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -22,13 +23,15 @@ from .errors import (
     InvalidParameter,
     MissingStatistic,
     SpaceMismatch,
+    _shown,
 )
 from .kernels import Kernel, Dist, kernel_from_json, _freeze
 from .reconstruct import LossTable, Reconstruction
 from .schema import INT, LIST, MATRIX, NAMES, NUM, OBJECT, fields, typed
 
-#: Expectations below this threshold count as zero in Bernstein/compatibility
-#: ratios (the tie boundary between "no excess risk" and "some excess risk").
+#: Risks, expectations and squared differences at or below this count as
+#: zero: in the Bernstein and compatibility ratios (the boundary between "no
+#: excess risk" and "some") and in the fast-rate separability test.
 EXCESS_TOL = 1e-12
 
 
@@ -73,7 +76,7 @@ def _resolve(names: tuple[str, ...], ref: int | str, kind: str) -> int:
         raise IndexOutOfRange(f"unknown {kind} {ref!r}")
     i = int(ref)
     if not 0 <= i < len(names):
-        raise IndexOutOfRange(f"{kind} index {i} out of range [0, {len(names)})")
+        raise IndexOutOfRange(f"{kind} index {_shown(i)} out of range [0, {len(names)})")
     return i
 
 
@@ -177,7 +180,7 @@ class MixedSource:
         if self.count > sys.float_info.max:  # alpha * count must stay a float
             raise InvalidParameter(f"count must be at most {sys.float_info.max!r}")
         if int(self.count) != self.count or self.count < 0:
-            raise InvalidParameter(f"count must be a non-negative integer, got {self.count!r}")
+            raise InvalidParameter(f"count must be a non-negative integer, got {_shown(self.count)}")
         object.__setattr__(self, "count", int(self.count))
         if self.alpha is None and self.kernel is not None:
             object.__setattr__(self, "alpha", divergence.alpha(self.kernel))
@@ -270,20 +273,15 @@ def bernstein_constant(p: Dist, loss: LossTable) -> float:
     """
     if loss.outcomes != p.space:
         raise SpaceMismatch("loss outcomes must match the distribution's space")
-    if len(loss.actions) == 1:
-        return 0.0
     risks = p.weights @ loss.values
     best = int(np.argmin(risks))
     diffs = loss.values - loss.values[:, best:best + 1]
     excess = p.weights @ diffs
     second = p.weights @ diffs**2
-    k = 0.0
-    for a in range(len(loss.actions)):
-        if excess[a] > EXCESS_TOL:
-            k = max(k, float(second[a] / excess[a]))
-        elif second[a] > EXCESS_TOL:
-            return math.inf
-    return k
+    counted = excess > EXCESS_TOL
+    if np.any(~counted & (second > EXCESS_TOL)):
+        return math.inf
+    return float(np.max(second[counted] / excess[counted], initial=0.0))
 
 
 def eta_compatibility(loss: LossTable, t: Kernel, r: Reconstruction) -> float:
@@ -301,20 +299,16 @@ def eta_compatibility(loss: LossTable, t: Kernel, r: Reconstruction) -> float:
         raise SpaceMismatch("reconstruction spaces do not match the corruption")
     Reconstruction(kernel=t, matrix=r.matrix)  # NotReconstructible unless R is a left inverse of t
     corrected = r.matrix.T @ loss.values
-    n_actions = len(loss.actions)
+    support = t.matrix > 0.0
     eta = 0.0
-    for z in range(len(t.domain)):
-        support = t.matrix[:, z] > 0.0
-        for a1 in range(n_actions):
-            for a2 in range(a1 + 1, n_actions):
-                clean_sq = float(loss.values[z, a1] - loss.values[z, a2]) ** 2
-                corr_sq = float(
-                    np.max((corrected[support, a1] - corrected[support, a2]) ** 2)
-                )
-                if clean_sq > EXCESS_TOL:
-                    eta = max(eta, corr_sq / clean_sq)
-                elif corr_sq > EXCESS_TOL:
-                    return math.inf
+    for a1, a2 in itertools.combinations(range(len(loss.actions)), 2):
+        clean_sq = (loss.values[:, a1] - loss.values[:, a2]) ** 2
+        # every column has support, so zeros off it leave each maximum as it is
+        corr_sq = np.where(support, ((corrected[:, a1] - corrected[:, a2]) ** 2)[:, None], 0.0).max(axis=0)
+        counted = clean_sq > EXCESS_TOL
+        if np.any(~counted & (corr_sq > EXCESS_TOL)):
+            return math.inf
+        eta = max(eta, float(np.max(corr_sq[counted] / clean_sq[counted], initial=0.0)))
     return eta
 
 

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter, SizeGuardExceeded, UnknownFamily
+from .errors import InvalidParameter, SizeGuardExceeded, UnknownFamily, _shown
 from .kernels import PRODUCT_ENTRY_GUARD, Kernel, Space
 from .schema import INT, NUM, OBJECT, STR, fields
 
@@ -140,7 +140,7 @@ def _check(name: str, value):
     if name == "classes":
         value = int(value)
         if value < 2:
-            raise InvalidParameter(f"need at least 2 classes, got {value}")
+            raise InvalidParameter(f"need at least 2 classes, got {_shown(value)}")
         if value**2 > PRODUCT_ENTRY_GUARD:  # before the k x k matrix
             raise SizeGuardExceeded(
                 f"more than {math.isqrt(PRODUCT_ENTRY_GUARD)} classes exceed the entry guard")

@@ -15,14 +15,17 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure or tripped guard.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import catalog, divergence, planner
 from .bounds import check_corruption, lecam_replicated, mixed_from_json, problem_from_json, separation
-from .errors import InvalidInput, InvalidParameter, NumericalFailure, ParseError, RankDeficient, SizeGuardExceeded
+from .errors import (CapacityGuardExceeded, InvalidInput, InvalidParameter, NumericalFailure, ParseError,
+                     RankDeficient, SizeGuardExceeded)
 from .kernels import kernel_from_json
 from .reconstruct import corrected_sup_norm, loss_from_json, op_norm_row_sum, pseudoinverse, zero_one_loss
 from .schema import load_json
@@ -126,6 +129,11 @@ def cmd_tables(args) -> int:
 
 def cmd_plan(args) -> int:
     offers = planner.offers_from_json(load_json(args.offers))
+    # The cost scale is at least 1, so a decimal budget above the guard trips it
+    # at any scale; it is refused before Fraction spends seconds on 10**exponent.
+    with contextlib.suppress(InvalidOperation):  # not a decimal: a ratio such as 7/2, or bad input
+        if (decimal := Decimal(args.budget)).is_finite() and decimal > planner.CAPACITY_GUARD:
+            raise CapacityGuardExceeded(f"budget above the capacity guard {planner.CAPACITY_GUARD}")
     try:
         budget = Fraction(args.budget)
     except (ValueError, ZeroDivisionError) as exc:
@@ -145,17 +153,15 @@ def cmd_plan(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = config_from_json(load_json(args.config))
-    if args.mode == "fast-rate":
-        report = fastrate_curve(config)
-        csv = report.curve.to_csv()
-        _emit({
-            "ratios": {str(n): r for n, r in report.ratios},
-            "mean_ratio": report.mean_ratio,
-        })
-    else:
-        csv = risk_curve(config).to_csv()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv)
+    report = fastrate_curve(config) if args.mode == "fast-rate" else None
+    csv = risk_curve(config).to_csv() if report is None else report.curve.to_csv()
+    try:  # before the fast-rate JSON, so a failed write leaves stdout empty
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(csv)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.out}: {exc}") from exc
+    if report is not None:
+        _emit({"ratios": {str(n): r for n, r in report.ratios}, "mean_ratio": report.mean_ratio})
     return 0
 
 

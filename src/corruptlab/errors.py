@@ -7,6 +7,19 @@ numerical failure or a tripped guard.  The CLI exit code (2 vs 3) is read
 from these two bases alone.
 """
 
+import math
+from fractions import Fraction
+
+
+def _shown(x) -> str:
+    """``x`` for a message.  An integer or fraction whose parts reach 10**30 is
+    rounded to a power of ten, since ``str`` slows with the digits and
+    refuses more than 4,300 of them."""
+    q = Fraction(x) if isinstance(x, (int, Fraction)) else None
+    if q is None or max(abs(q.numerator), q.denominator) < 10**30:
+        return str(x)
+    return f"{'-' if q < 0 else ''}~1e{round(math.log10(abs(q.numerator)) - math.log10(q.denominator))}"
+
 
 class CorruptLabError(Exception):
     """Base class for all library errors."""

@@ -26,6 +26,7 @@ from .errors import (
     NotNormalized,
     SizeGuardExceeded,
     SpaceMismatch,
+    _shown,
 )
 from .schema import MATRIX, NAMES, VECTOR, fields
 
@@ -202,14 +203,14 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
     if not ts:
         raise InvalidParameter("parallel_product of no kernels")
     rows = cols = 1
-    for t in ts:
+    for t in ts:  # stop at the first factor past the guard, while the counts are small
         rows *= len(t.codomain)
         cols *= len(t.domain)
-    if rows * cols > PRODUCT_ENTRY_GUARD:
-        raise SizeGuardExceeded(
-            f"product kernel would have {rows}x{cols} entries "
-            f"(guard: {PRODUCT_ENTRY_GUARD})"
-        )
+        if rows * cols > PRODUCT_ENTRY_GUARD:
+            raise SizeGuardExceeded(
+                f"product kernel would have at least {rows}x{cols} entries "
+                f"(guard: {PRODUCT_ENTRY_GUARD})"
+            )
     if len(ts) == 1:
         return ts[0]
     matrix = reduce(np.kron, (t.matrix for t in ts))
@@ -223,7 +224,7 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
 def replicate(t: Kernel, n: int) -> Kernel:
     """The n-fold parallel product of a kernel with itself."""
     if n < 1:
-        raise InvalidParameter(f"replication count must be >= 1, got {n}")
+        raise InvalidParameter(f"replication count must be >= 1, got {_shown(n)}")
     return parallel_product([t] * n)
 
 

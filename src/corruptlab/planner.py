@@ -26,6 +26,7 @@ from .errors import (
     CapacityGuardExceeded,
     InvalidParameter,
     MissingStatistic,
+    _shown,
 )
 from .schema import LIST, NUM, RATIONAL, STR, fields, typed
 
@@ -51,7 +52,7 @@ class SourceOffer:
             raise InvalidParameter(f"alpha must be in [0, 1], got {self.alpha!r}")
         cost = Fraction(self.unit_cost)
         if cost <= 0:
-            raise InvalidParameter(f"unit cost must be positive, got {cost}")
+            raise InvalidParameter(f"unit cost must be positive, got {_shown(cost)}")
         object.__setattr__(self, "unit_cost", cost)
         if self.corrected_sup is not None and self.corrected_sup < 0.0:
             raise InvalidParameter("corrected_sup must be non-negative")
@@ -83,15 +84,13 @@ def _capacity(offers: Sequence[SourceOffer], budget: Fraction) -> tuple[int, int
     budget in those units; a budget past the guard is refused before any
     count is made, so no count can overflow a float."""
     if budget < 0:
-        raise InvalidParameter(f"budget must be >= 0, got {budget}")
+        raise InvalidParameter(f"budget must be >= 0, got {_shown(budget)}")
     if not offers:
         raise InvalidParameter("need at least one offer")
     scale = math.lcm(*(o.unit_cost.denominator for o in offers), budget.denominator)
     capacity = int(budget * scale)
     if capacity > CAPACITY_GUARD:
-        raise CapacityGuardExceeded(
-            f"scaled capacity {capacity} exceeds guard {CAPACITY_GUARD}"
-        )
+        raise CapacityGuardExceeded(f"scaled capacity {_shown(capacity)} exceeds guard {CAPACITY_GUARD}")
     return scale, capacity
 
 

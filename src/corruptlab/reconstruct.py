@@ -29,11 +29,13 @@ RANK_SV_RTOL = 1e-5
 
 @dataclass(frozen=True, eq=False)
 class LossTable:
-    """A loss ell: outcomes x actions -> R as a dense matrix."""
+    """A loss ell: outcomes x actions -> R as a dense matrix, with its sup
+    norm max |ell| computed once."""
 
     outcomes: Space
     actions: tuple[str, ...]
     values: np.ndarray = field(repr=False)
+    sup_norm: float = field(init=False)
 
     def __init__(self, outcomes: Space, actions: Iterable[str], values):
         actions = tuple(str(a) for a in actions)
@@ -50,10 +52,7 @@ class LossTable:
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "values", _freeze(v))
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
+        object.__setattr__(self, "sup_norm", float(np.abs(v).max()))
 
     def column(self, action: str) -> np.ndarray:
         """The curried loss ell_a as a vector over outcomes."""

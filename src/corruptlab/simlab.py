@@ -13,7 +13,9 @@ Corrected ERM reads a corrupted sample only through its outcome counts,
 which follow Multinomial(n, T·p), so each cell draws them in one
 ``multinomial`` call on its stream and costs the same at every n.
 ``sample``, ``corrupt`` and ``erm`` work outcome by outcome; the tests use
-them as the oracle.
+them as the oracle.  ``risk_curve`` and ``fastrate_curve`` share one
+pipeline; the fast-rate mode only adds its two precondition checks and the
+halving ratios.
 
 Excess risk is always scored against the true clean distribution (it is
 available analytically here); this is a validation lab for bound formulas,
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import catalog
-from .bounds import eta_compatibility
+from .bounds import EXCESS_TOL, eta_compatibility
 from .errors import (
     DivergedObjective,
     EmptySample,
@@ -37,15 +39,13 @@ from .errors import (
     PreconditionFailed,
     SizeGuardExceeded,
     UnknownOutcome,
+    _shown,
 )
 from .kernels import Dist, Kernel, Space, dist_from_json, kernel_from_json
-from .reconstruct import LossTable, corrected_loss, loss_from_json, pseudoinverse
+from .reconstruct import LossTable, Reconstruction, corrected_loss, loss_from_json, pseudoinverse
 from .schema import INT, INTS, OBJECT, fields
 
 _MASK64 = (1 << 64) - 1
-
-#: Clean risks below this are treated as exactly zero (separability test).
-EXCESS_ZERO_TOL = 1e-12
 
 #: Empirical risks within this fraction of the loss's sup norm of the
 #: smallest count as tied in ``erm``, so rounding cannot break an exact tie.
@@ -90,7 +90,7 @@ def _as_indices(space: Space, sample: Sequence) -> np.ndarray:
 def sample(p: Dist, n: int, seed: int) -> np.ndarray:
     """Draw n iid outcome indices by inverse CDF over the space's order."""
     if n < 0:
-        raise InvalidParameter(f"sample size must be >= 0, got {n}")
+        raise InvalidParameter(f"sample size must be >= 0, got {_shown(n)}")
     cum = np.cumsum(p.weights)
     u = _generator(seed).random(n)
     return np.minimum(np.searchsorted(cum, u, side="right"), len(p.space) - 1).astype(np.int64)
@@ -193,35 +193,25 @@ class FastRateReport:
     mean_ratio: float
 
 
-def _excess_risks(config: ExperimentConfig, t: Kernel, table: LossTable) -> dict[int, np.ndarray]:
-    """Per sample size, the per-trial true excess risk of corrected ERM."""
+def _curve(config: ExperimentConfig, rec: Reconstruction) -> RiskCurve:
+    """The risk curve of both modes: each sample size's cells are drawn and
+    scored by corrected ERM, then its row is written."""
     p = config.clean_dist
+    table = corrected_loss(rec, config.loss)
     clean_risks = p.weights @ config.loss.values
     best = float(clean_risks.min())
     # A Dist and a kernel column sum to 1 only within STOCHASTIC_ATOL, and
     # multinomial refuses probabilities summing past 1 + 1e-12.
-    q = t.matrix @ p.weights
+    q = rec.kernel.matrix @ p.weights
     q = q / q.sum()
-    by_n: dict[int, np.ndarray] = {}
+    kl = math.log(len(config.loss.actions))
+    rows = []
     for n_idx, n in enumerate(config.sample_sizes):
         cells = range(n_idx * config.trials, (n_idx + 1) * config.trials)
         chosen = [erm_index(_generator(_trial_seed(config.seed, i)).multinomial(n, q), table) for i in cells]
-        by_n[n] = clean_risks[chosen] - best
-    return by_n
-
-
-def _curve_from(config: ExperimentConfig, by_n: dict[int, np.ndarray], sup: float) -> RiskCurve:
-    kl = math.log(len(config.loss.actions))
-    rows = []
-    for n in config.sample_sizes:
-        excess = by_n[n]
+        excess = clean_risks[chosen] - best
         stderr = float(excess.std(ddof=1) / math.sqrt(len(excess))) if len(excess) > 1 else 0.0
-        rows.append(RiskPoint(
-            n=n,
-            mean_excess_risk=float(excess.mean()),
-            std_error=stderr,
-            envelope=sup * math.sqrt(2.0 * kl / n),
-        ))
+        rows.append(RiskPoint(n, float(excess.mean()), stderr, table.sup_norm * math.sqrt(2.0 * kl / n)))
     return RiskCurve(tuple(rows))
 
 
@@ -233,10 +223,7 @@ def risk_curve(config: ExperimentConfig) -> RiskCurve:
     score the true excess risk.  The envelope is
     ||corrected||_inf * sqrt(2 ln|A| / n), the uniform-prior complexity term.
     """
-    t = config.kernel()
-    table = corrected_loss(pseudoinverse(t), config.loss)
-    by_n = _excess_risks(config, t, table)
-    return _curve_from(config, by_n, table.sup_norm)
+    return _curve(config, pseudoinverse(config.kernel()))
 
 
 def fastrate_curve(config: ExperimentConfig) -> FastRateReport:
@@ -246,23 +233,17 @@ def fastrate_curve(config: ExperimentConfig) -> FastRateReport:
     a corruption compatible with the loss (finite eta), the regime where
     corrected ERM keeps a fast rate.
     """
-    p = config.clean_dist
-    if float((p.weights @ config.loss.values).min()) > EXCESS_ZERO_TOL:
+    if float((config.clean_dist.weights @ config.loss.values).min()) > EXCESS_TOL:
         raise PreconditionFailed("clean distribution is not separable for this loss")
-    t = config.kernel()
-    rec = pseudoinverse(t)
-    if math.isinf(eta_compatibility(config.loss, t, rec)):
+    rec = pseudoinverse(config.kernel())
+    if math.isinf(eta_compatibility(config.loss, rec.kernel, rec)):
         raise PreconditionFailed("loss and corruption are not compatible (eta is infinite)")
-    table = corrected_loss(rec, config.loss)
-    by_n = _excess_risks(config, t, table)
-    curve = _curve_from(config, by_n, table.sup_norm)
+    curve = _curve(config, rec)
     means = {r.n: r.mean_excess_risk for r in curve.rows}
-    ratios = []
-    for n in config.sample_sizes:
-        if 2 * n in means and means[n] > 0.0:
-            ratios.append((n, means[2 * n] / means[n]))
+    ratios = tuple((n, means[2 * n] / means[n]) for n in config.sample_sizes
+                   if 2 * n in means and means[n] > 0.0)
     mean_ratio = sum(r for _, r in ratios) / len(ratios) if ratios else 0.0
-    return FastRateReport(curve=curve, ratios=tuple(ratios), mean_ratio=mean_ratio)
+    return FastRateReport(curve=curve, ratios=ratios, mean_ratio=mean_ratio)
 
 
 # -- corrected proper-loss minimization ------------------------------------------

@@ -24,7 +24,7 @@ from corruptlab.bounds import (
 )
 from corruptlab.divergence import alpha
 from corruptlab.kernels import Dist, Kernel, Space, identity, pushforward
-from corruptlab.reconstruct import LossTable, corrected_loss, pseudoinverse, zero_one_loss
+from corruptlab.reconstruct import LossTable, corrected_loss, is_reconstructible, pseudoinverse, zero_one_loss
 
 from helpers import asym_noise, binary_noise, constant_kernel, random_kernel
 
@@ -245,6 +245,64 @@ def brute_force_bernstein(p, loss):
     return worst
 
 
+def bernstein_loop(p, loss):
+    """The action-by-action loop that ``bernstein_constant`` replaced."""
+    if len(loss.actions) == 1:
+        return 0.0
+    risks = p.weights @ loss.values
+    best = int(np.argmin(risks))
+    diffs = loss.values - loss.values[:, best:best + 1]
+    excess = p.weights @ diffs
+    second = p.weights @ diffs**2
+    k = 0.0
+    for a in range(len(loss.actions)):
+        if excess[a] > 1e-12:
+            k = max(k, float(second[a] / excess[a]))
+        elif second[a] > 1e-12:
+            return math.inf
+    return k
+
+
+def eta_loop(loss, t, r):
+    """The entry-by-entry loop over (z, a1, a2) that ``eta_compatibility``
+    replaced; it squares a Python float with ``**``."""
+    corrected = r.matrix.T @ loss.values
+    n_actions = len(loss.actions)
+    eta = 0.0
+    for z in range(len(t.domain)):
+        support = t.matrix[:, z] > 0.0
+        for a1 in range(n_actions):
+            for a2 in range(a1 + 1, n_actions):
+                clean_sq = float(loss.values[z, a1] - loss.values[z, a2]) ** 2
+                corr_sq = float(np.max((corrected[support, a1] - corrected[support, a2]) ** 2))
+                if clean_sq > 1e-12:
+                    eta = max(eta, corr_sq / clean_sq)
+                elif corr_sq > 1e-12:
+                    return math.inf
+    return eta
+
+
+def sparse_columns(rng, rows, cols):
+    """Dirichlet columns with about a third of the entries zeroed, each
+    column keeping at least one positive entry, renormalised."""
+    matrix = rng.dirichlet(np.ones(rows), size=cols).T
+    matrix[rng.random((rows, cols)) < 0.35] = 0.0
+    matrix[rng.integers(rows, size=cols), np.arange(cols)] += 0.5
+    return matrix / matrix.sum(axis=0)
+
+
+def oracle_loss(rng, space, kind):
+    """A loss on ``space``: uniform values, small integers (whose ties make
+    the constants infinite) or a single action."""
+    actions = 1 if kind == "single-action" else int(rng.integers(2, 6))
+    shape = (len(space), actions)
+    values = rng.integers(0, 3, size=shape) if kind == "integer" else rng.uniform(0, 1, size=shape)
+    return LossTable(space, [f"a{i}" for i in range(actions)], values)
+
+
+ORACLE_KINDS = ("uniform", "integer", "single-action")
+
+
 class TestBernstein:
     def test_single_action_vacuous(self):
         space = Space(["a", "b"])
@@ -267,6 +325,24 @@ class TestBernstein:
             fast = bernstein_constant(p, loss)
             slow = brute_force_bernstein(p, loss)
             assert fast == pytest.approx(slow, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_equals_loop_oracle(self, kind):
+        rng = np.random.default_rng([331, ORACLE_KINDS.index(kind)])
+        verdicts = set()
+        for _ in range(1000):
+            space = Space([f"z{i}" for i in range(int(rng.integers(1, 7)))])
+            if kind == "uniform":
+                weights = sparse_columns(rng, len(space), 1)[:, 0]
+            else:  # equal weights on a support let an action tie the best in expectation
+                weights = rng.random(len(space)) < 0.7
+                weights[rng.integers(len(space))] = True
+            p = Dist(space, weights / weights.sum())
+            loss = oracle_loss(rng, space, kind)
+            want = bernstein_loop(p, loss)
+            assert bernstein_constant(p, loss) == want
+            verdicts.add(math.isinf(want))
+        assert verdicts == ({False, True} if kind == "integer" else {False})
 
     def test_noisy_condition_transfers_down(self):
         # corrupted Bernstein constant dominates the clean one
@@ -339,6 +415,27 @@ class TestEtaCompatibility:
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_matches_loop_oracle(self, kind):
+        # The oracle squares with libm pow and numpy multiplies, so a finite
+        # value may differ in its last bit.
+        rng = np.random.default_rng([337, ORACLE_KINDS.index(kind)])
+        verdicts = set()
+        for _ in range(1000):
+            m = int(rng.integers(1, 5))
+            k = int(rng.integers(m, 7))
+            t = Kernel(Space([f"x{i}" for i in range(m)]), Space([f"y{i}" for i in range(k)]),
+                       sparse_columns(rng, k, m))
+            if not is_reconstructible(t):
+                continue
+            r = pseudoinverse(t)
+            loss = oracle_loss(rng, t.domain, kind)
+            got, want = eta_compatibility(loss, t, r), eta_loop(loss, t, r)
+            assert math.isinf(got) == math.isinf(want), (t.matrix, loss.values)
+            assert math.isinf(want) or math.isclose(got, want, rel_tol=1e-15), (got, want)
+            verdicts.add(math.isinf(want))
+        assert verdicts == ({False, True} if kind == "integer" else {False})
 
     def test_mismatched_reconstruction_rejected(self):
         t = binary_noise(0.2)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,16 @@ class TestSimulate:
                        'known: classes, sigma\n')
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_two(self, mode, target, tmp_path, capsys):
+        config = DOCUMENTS["config"] | {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]}}
+        path = write_json(tmp_path, "config.json", config)
+        out = tmp_path / "missing" / "out.csv" if target == "missing-directory" else tmp_path
+        code, stdout, err = run(capsys, "simulate", "--config", path, "--out", str(out), "--mode", mode)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_non_separable_fast_rate_exits_two(self, tmp_path, capsys, config_file):
         code, _, err = run(capsys, "simulate", "--config", config_file,
                            "--out", str(tmp_path / "x.csv"), "--mode", "fast-rate")
@@ -517,6 +528,10 @@ def _tables(grid, classes=3):
     return ["tables", "--family", "symmetric_label_noise", "--grid", grid, "--classes", str(classes)]
 
 
+def _plan(budget):
+    return lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-2], f"--budget={budget}"]
+
+
 def _lecam(role, *extra):
     return lambda d: [*document_argv(role, DOCUMENTS[role], d), *extra]
 
@@ -544,6 +559,9 @@ REFUSED = {
     "trials-10**400": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**400), d)),
     "budget-1e300": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e300"]),
     "budget-1e400": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e400"]),
+    "budget-1e5000": (3, _plan("1e5000")),
+    "budget--1e5000": (2, _plan("-1e5000")),
+    "budget-1e10000000": (3, _plan("1e10000000")),
 }
 
 
@@ -560,7 +578,10 @@ def test_refused_input_exits_cleanly(case, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(catalog, "build_kernel", no_kernel)
     monkeypatch.setattr(simlab, "sample", no_sample)
     monkeypatch.setattr(simlab, "_generator", no_sample)  # every draw's stream
-    code, out, err = run(capsys, *argv(tmp_path))
+    argv = argv(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == expected and out == ""
     assert err.startswith("error: " if code == 2 else "numerical failure: ")
     assert err.count("\n") == 1 and err.endswith("\n")

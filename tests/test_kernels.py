@@ -187,6 +187,12 @@ class TestProducts:
         with pytest.raises(errors.SizeGuardExceeded):
             replicate(t, 4)
 
+    def test_size_guard_message_stays_short(self):
+        # 2**20000 rows: a message with the full count would pass 4,300 digits
+        with pytest.raises(errors.SizeGuardExceeded) as info:
+            replicate(binary_noise(0.2), 20000)
+        assert len(str(info.value)) < 100
+
 
 class TestJson:
     def test_kernel_round_trip(self):

@@ -220,6 +220,18 @@ class TestExchangeBound:
         with pytest.raises(errors.CapacityGuardExceeded):
             plan([SourceOffer("A", 0.5, 1)], budget)
 
+    @pytest.mark.parametrize("plan", [greedy_plan, exact_plan])
+    @pytest.mark.parametrize("budget, error, shown", [
+        (10**5000, errors.CapacityGuardExceeded, "scaled capacity ~1e5000 exceeds"),
+        (-10**5000, errors.InvalidParameter, "got -~1e5000"),
+        (Fraction(-1, 10**5000), errors.InvalidParameter, "got -~1e-5000"),
+        (Fraction(-7, 2), errors.InvalidParameter, "got -7/2"),
+    ], ids=["10**5000", "-10**5000", "-1/10**5000", "-7/2"])
+    def test_messages_show_huge_numbers_by_magnitude(self, plan, budget, error, shown):
+        with pytest.raises(error, match=shown) as info:
+            plan([SourceOffer("A", 0.5, 1)], budget)
+        assert len(str(info.value)) < 100
+
     def test_budget_at_the_guard(self):
         plan = exact_plan([SourceOffer("A", 0.5, 3), SourceOffer("B", 0.7, 5)], CAPACITY_GUARD)
         assert plan.counts == {"A": CAPACITY_GUARD // 3}

@@ -1,0 +1,110 @@
+"""Byte-identity report: run every benchmark job on two source trees and list
+the jobs whose exit code, stdout, stderr or CSV differ.
+
+    python3 tools/byte_report.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are ``src`` directories, each holding a ``corruptlab``
+package.  The inputs of the four workloads of ``benchmark/workloads.py`` are
+built once, at seeds 101 and 202, by a child process that imports OLD_SRC.
+Then each tree runs every job through its own ``cli.main`` in a child process
+of its own, on those same inputs, with ``OPENBLAS_NUM_THREADS=1``.  The
+report gives the job count, the count per exit code of each tree and every
+job that differs; the exit status is 1 when some job differs, else 0.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+import traceback
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+SEEDS = (101, 202)
+FIELDS = ("exit code", "stdout", "stderr", "csv")
+
+
+def _build(directory: str) -> list[dict]:
+    """Every job of every workload at each seed, inputs under ``directory``."""
+    import workloads
+
+    return [{"name": f"{workload}/{seed}/{job.name}", "argv": job.argv}
+            for workload in workloads.WORKLOADS for seed in SEEDS
+            for job in workloads.build(workload, seed, os.path.join(directory, f"{workload}-{seed}"))]
+
+
+def _run(jobs: list[dict]) -> list[tuple]:
+    """(exit code, stdout, stderr, csv bytes or None) of each job, in order."""
+    from corruptlab import cli
+
+    results = []
+    for job in jobs:
+        argv = job["argv"]
+        out = argv[argv.index("--out") + 1] if "--out" in argv else None
+        if out is not None and os.path.exists(out):
+            os.remove(out)  # left by the other tree
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+            except Exception as exc:  # noqa: BLE001 - an escaped exception is an outcome too
+                code = f"uncaught {type(exc).__name__}"
+                traceback.print_exc()
+        csv = Path(out).read_bytes() if out is not None and os.path.isfile(out) else None
+        results.append((code, stdout.getvalue(), stderr.getvalue(), csv))
+    return results
+
+
+def _child(src: str, *args: str) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.abspath(src), str(BENCHMARK)]))
+    subprocess.run([sys.executable, __file__, "--child", *args], env=env, check=True)
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--child"]:
+        task, *paths = argv[1:]
+        if task == "build":
+            Path(paths[1]).write_text(json.dumps(_build(paths[0])))
+        else:
+            Path(paths[1]).write_bytes(pickle.dumps(_run(json.loads(Path(paths[0]).read_text()))))
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().split("\n\n")[1].strip(), file=sys.stderr)
+        return 2
+    trees = {"old": argv[0], "new": argv[1]}
+    with tempfile.TemporaryDirectory(prefix="byte-report-") as work:
+        jobs_file = os.path.join(work, "jobs.json")
+        _child(trees["old"], "build", os.path.join(work, "inputs"), jobs_file)
+        results = {}
+        for tree, src in trees.items():
+            result_file = os.path.join(work, f"{tree}.pickle")
+            _child(src, "run", jobs_file, result_file)
+            results[tree] = pickle.loads(Path(result_file).read_bytes())
+        jobs = json.loads(Path(jobs_file).read_text())
+
+    print(f"{len(jobs)} jobs")
+    for tree, src in trees.items():
+        counts = Counter(str(r[0]) for r in results[tree])
+        print(f"{tree} ({src}): " + ", ".join(f"exit {c}: {n}" for c, n in sorted(counts.items())))
+    differing = 0
+    for job, old, new in zip(jobs, results["old"], results["new"]):
+        fields = [name for name, a, b in zip(FIELDS, old, new) if a != b]
+        if fields:
+            differing += 1
+            print(f"differs: {job['name']}: {', '.join(fields)} (exit {old[0]} -> {new[0]})")
+    print(f"identical: {len(jobs) - differing} of {len(jobs)}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
