@@ -15,11 +15,11 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure or tripped guard.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import functools
 import json
 import math
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DefaultContext, InvalidOperation
 from fractions import Fraction
 
 from . import catalog, divergence, planner
@@ -38,6 +38,9 @@ TABLE_HEADER = (
 
 #: Most points a ``tables --grid`` may hold.
 GRID_POINT_GUARD = 10**5
+
+#: Exponents a decimal ``--budget`` may carry: those of the default decimal context.
+_BUDGET_EXPONENTS = range(DefaultContext.Emin, DefaultContext.Emax + 1)
 
 
 def _emit(obj) -> None:
@@ -127,17 +130,33 @@ def cmd_tables(args) -> int:
     return 0
 
 
+def _budget(text: str) -> Fraction:
+    """``--budget`` as an exact rational.  A decimal is read as a ``Decimal``
+    first, in microseconds at any exponent, so that a budget above the guard,
+    below zero or with an exponent outside the default decimal context is
+    refused before ``Fraction`` spends seconds or more on 10**exponent."""
+    if "/" not in text:  # a ratio such as 7/2 has no exponent
+        bad = (f"bad budget {text!r}: expected a ratio of integers or a decimal with an exponent "
+               f"in [{_BUDGET_EXPONENTS[0]}, {_BUDGET_EXPONENTS[-1]}]")
+        try:
+            decimal = Decimal(text)
+        except InvalidOperation:  # not a number, or an exponent past decimal's own limit
+            raise ParseError(bad) from None
+        if decimal.is_finite() and decimal > planner.CAPACITY_GUARD:  # over the guard at any cost scale
+            raise CapacityGuardExceeded(f"budget above the capacity guard {planner.CAPACITY_GUARD}")
+        if decimal.is_finite() and decimal.as_tuple().exponent not in _BUDGET_EXPONENTS:
+            if decimal < 0:  # planner's message, without the integer behind the power of ten
+                raise InvalidParameter(f"budget must be >= 0, got -~1e{round(decimal.copy_abs().log10())}")
+            raise ParseError(bad)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad budget {text!r}: {exc}") from exc
+
+
 def cmd_plan(args) -> int:
     offers = planner.offers_from_json(load_json(args.offers))
-    # The cost scale is at least 1, so a decimal budget above the guard trips it
-    # at any scale; it is refused before Fraction spends seconds on 10**exponent.
-    with contextlib.suppress(InvalidOperation):  # not a decimal: a ratio such as 7/2, or bad input
-        if (decimal := Decimal(args.budget)).is_finite() and decimal > planner.CAPACITY_GUARD:
-            raise CapacityGuardExceeded(f"budget above the capacity guard {planner.CAPACITY_GUARD}")
-    try:
-        budget = Fraction(args.budget)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad budget {args.budget!r}: {exc}") from exc
+    budget = _budget(args.budget)
     report = {
         "greedy": planner.greedy_plan(offers, budget).to_json(),
         "exact": planner.exact_plan(offers, budget).to_json(),
@@ -192,31 +211,30 @@ def cmd_lecam(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first call and shared by later ones;
+    ``parse_args`` keeps no state on it between calls."""
     parser = argparse.ArgumentParser(prog="corruptlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="contraction and reconstruction statistics of a kernel")
     p.add_argument("--kernel", required=True, help="kernel JSON file")
     p.add_argument("--loss", help="loss JSON file for the corrected sup norm")
-    p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("tables", help="closed-form vs numeric statistics on a parameter grid")
     p.add_argument("--family", required=True, help="corruption family name")
     p.add_argument("--grid", required=True, help='parameter grid "start:end:step"')
     p.add_argument("--classes", type=int, default=3, help="class count for symmetric noise")
-    p.set_defaults(run=cmd_tables)
 
     p = sub.add_parser("plan", help="acquisition plans and source rankings under a budget")
     p.add_argument("--offers", required=True, help="offers JSON file")
     p.add_argument("--budget", required=True, help="budget as a rational, e.g. 10 or 7/2")
-    p.set_defaults(run=cmd_plan)
 
     p = sub.add_parser("simulate", help="Monte-Carlo risk curve to CSV")
     p.add_argument("--config", required=True, help="experiment config JSON file")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--mode", choices=["standard", "fast-rate"], default="standard")
-    p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("lecam", help="two-point lower bounds, plain or corrupted")
     p.add_argument("--problem", required=True, help="decision problem JSON file")
@@ -225,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, default=1.0, help="replication count")
     p.add_argument("--kernel", help="corruption kernel JSON file")
     p.add_argument("--mix", help="mixed corruption JSON file (overrides --n)")
-    p.set_defaults(run=cmd_lecam)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        # looked up per call, so a cmd_* replaced after the parser was built still runs
+        return globals()[f"cmd_{args.command}"](args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

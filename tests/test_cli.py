@@ -1,5 +1,6 @@
 """End-to-end CLI: JSON in, JSON/CSV out, stable bytes, exit codes."""
 
+import argparse
 import json
 import os
 import shutil
@@ -66,8 +67,9 @@ def factorizations(monkeypatch):
 
 @pytest.fixture
 def simlab_calls(monkeypatch):
-    """Counts calls of simlab's sample-level functions and of its stream constructor."""
-    calls = dict.fromkeys(("sample", "corrupt", "erm", "_generator"), 0)
+    """Counts calls of simlab's sample-level functions, of its stream constructor
+    and of its re-keying of a stream."""
+    calls = dict.fromkeys(("sample", "corrupt", "erm", "_generator", "_rekey"), 0)
 
     def counting(name, original):
         def wrapper(*args):
@@ -255,6 +257,14 @@ class TestPlan:
         assert err == ('error: offer 0 has unknown key "corected_sup"; '
                        'known: alpha, corrected_sup, cost, name\n')
 
+    @pytest.mark.parametrize("budget, shown", [("-3", "-3"), ("-0.5", "-1/2"), ("-1e100000", "-~1e100000"),
+                                               ("-1e10000000", "-~1e10000000"), ("-2.5e10000000", "-~1e10000000")])
+    def test_negative_budget_message(self, budget, shown, tmp_path, capsys):
+        # past the decimal context's exponents the budget is never made a Fraction; the words stay
+        path = write_json(tmp_path, "offers.json", DOCUMENTS["offers"])
+        code, out, err = run(capsys, "plan", "--offers", path, f"--budget={budget}")
+        assert (code, out, err) == (2, "", f"error: budget must be >= 0, got {shown}\n")
+
     def test_capacity_guard_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path, "offers.json",
                           [{"name": "A", "alpha": 0.7, "cost": {"num": 1, "den": 10**6}}])
@@ -310,14 +320,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
     def test_draws_counts_not_samples(self, mode, tmp_path, capsys, simlab_calls):
-        # one stream per (n, trial) cell, and no outcome drawn one by one
+        # one generator per curve, re-keyed once per (n, trial) cell, and no outcome drawn one by one
         config = DOCUMENTS["config"] | {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]},
                                         "sample_sizes": [10, 20, 40], "trials": 7}
         path = write_json(tmp_path, "config.json", config)
         code, _, err = run(capsys, "simulate", "--config", path, "--out", str(tmp_path / "out.csv"),
                            "--mode", mode)
         assert code == 0, err
-        assert simlab_calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 3 * 7}
+        assert simlab_calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": 3 * 7}
 
     def test_weights_within_tolerance_of_one(self, tmp_path, capsys):
         # a Dist may sum to 1 + 5e-10; the draw must not refuse it
@@ -562,6 +572,9 @@ REFUSED = {
     "budget-1e5000": (3, _plan("1e5000")),
     "budget--1e5000": (2, _plan("-1e5000")),
     "budget-1e10000000": (3, _plan("1e10000000")),
+    "budget--1e10000000": (2, _plan("-1e10000000")),
+    "budget-1e-10000000": (2, _plan("1e-10000000")),
+    "budget-1e99999999999999999999999": (2, _plan("1e99999999999999999999999")),
 }
 
 
@@ -617,6 +630,53 @@ def test_exit_code_follows_error_type(name, capsys, monkeypatch):
     assert code == EXIT_CODES[name] and out == ""
     assert err == ("error: detail\n" if code == 2 else "numerical failure: detail\n")
 
+
+def child_env():
+    """The environment of a child process that imports this corruptlab."""
+    src = str(Path(corruptlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def main_in_child(argv):
+    """Exit code, stdout and stderr of `argv` run by `main` in a new process."""
+    proc = subprocess.run([sys.executable, "-m", "corruptlab.cli", *argv], capture_output=True, text=True,
+                          env=child_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    kernel = write_json(tmp_path, "kernel.json", DOCUMENTS["kernel"])
+    calls = [["analyze"], ["analyze", "--kernel", kernel], ["plan", "--budget", "1"]]
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    seen, parsers_built = [], []
+    for argv in calls:
+        built.clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+        parsers_built.append(len(built))
+    assert parsers_built[1:] == [0, 0]  # the first call builds one unless an earlier test did
+    assert [code for code, _, _ in seen] == [2, 0, 2]
+    assert seen == [main_in_child(argv) for argv in calls]
+
+
+def test_command_looked_up_at_each_call(tmp_path, capsys, monkeypatch):
+    kernel = write_json(tmp_path, "kernel.json", DOCUMENTS["kernel"])
+    assert run(capsys, "analyze", "--kernel", kernel)[0] == 0  # the parser exists from here on
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: 7)
+    assert run(capsys, "analyze", "--kernel", kernel) == (7, "", "")
+
+
 @pytest.mark.parametrize("role", DOCUMENTS)
 def test_valid_documents_exit_zero(role, tmp_path, capsys):
     path = write_json(tmp_path, f"{role}.json", DOCUMENTS[role])
@@ -651,10 +711,8 @@ def test_console_script_installed(tmp_path, capsys):
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["corruptlab"]
     module, _, func = target.partition(":")
     argv, expected = analyze_in_process(tmp_path, capsys)
-    src = str(Path(corruptlab.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _WRAPPER, module, func, *argv],
-                          capture_output=True, env=dict(os.environ, PYTHONPATH=pythonpath))
+                          capture_output=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["alpha"] == 1.0
     assert proc.stdout == expected

@@ -21,6 +21,8 @@ from corruptlab.simlab import (
     SAMPLE_SIZE_GUARD,
     CanonicalProperLoss,
     ExperimentConfig,
+    _generator,
+    _rekey,
     _trial_seed,
     corrupt,
     erm,
@@ -292,6 +294,37 @@ class TestRiskCurve:
             se = values.std(ddof=1) / math.sqrt(n)
             target = float(p.weights @ config.loss.values[:, a])
             assert abs(values.mean() - target) <= 3 * se + 1e-12
+
+
+#: Draws that leave a Philox generator mid-buffer or holding half of a 64-bit word.
+LEFTOVER_DRAWS = {
+    "none": lambda rng: None,
+    "one-double": lambda rng: rng.random(),
+    "three-doubles": lambda rng: rng.random(3),
+    "one-uint32": lambda rng: rng.integers(0, 2**32 - 1, dtype=np.uint32),
+}
+
+
+class TestRekey:
+    @pytest.mark.parametrize("leftover", LEFTOVER_DRAWS)
+    def test_rekeyed_stream_matches_a_new_generator(self, leftover):
+        # n * p on both sides of 30, where numpy's binomial switches algorithm
+        cases = [(n, np.asarray(q)) for q in ([0.5, 0.5], [0.02, 0.18, 0.8], [0.001, 0.3, 0.699])
+                 for n in (1, 59, 61, 1400, 1600, 10**6)]
+        rng = _generator(7)
+        fresh = rng.bit_generator.state
+        before = set()  # (buffer position, pending 32-bit half) at each re-keying
+        for i in range(200):
+            key = _trial_seed(2024, i)
+            n, q = cases[i % len(cases)]
+            LEFTOVER_DRAWS[leftover](rng)
+            state = rng.bit_generator.state
+            before.add((state["buffer_pos"], state["has_uint32"]))
+            got = _rekey(rng, fresh, key).multinomial(n, q, size=2)
+            expected = np.random.Generator(np.random.Philox(key=key)).multinomial(n, q, size=2)
+            np.testing.assert_array_equal(got, expected)
+        assert len({pos for pos, _ in before}) > 1
+        assert {half for _, half in before} == {1 if leftover == "one-uint32" else 0}
 
 
 class TestFastRate:

@@ -7,9 +7,12 @@ OLD_SRC and NEW_SRC are ``src`` directories, each holding a ``corruptlab``
 package.  The inputs of the four workloads of ``benchmark/workloads.py`` are
 built once, at seeds 101 and 202, by a child process that imports OLD_SRC.
 Then each tree runs every job through its own ``cli.main`` in a child process
-of its own, on those same inputs, with ``OPENBLAS_NUM_THREADS=1``.  The
-report gives the job count, the count per exit code of each tree and every
-job that differs; the exit status is 1 when some job differs, else 0.
+of its own, on those same inputs, with ``OPENBLAS_NUM_THREADS=1``, and then
+runs them all again in reverse order in that same process, so that state one
+call leaves for the next shows.  The report gives the job count, the count
+per exit code of each tree, every job that differs between the trees and
+every job whose two passes differ within a tree; the exit status is 1 when
+some job differs, else 0.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def _build(directory: str) -> list[dict]:
             for job in workloads.build(workload, seed, os.path.join(directory, f"{workload}-{seed}"))]
 
 
-def _run(jobs: list[dict]) -> list[tuple]:
+def _pass(jobs: list[dict]) -> list[tuple]:
     """(exit code, stdout, stderr, csv bytes or None) of each job, in order."""
     from corruptlab import cli
 
@@ -64,6 +67,11 @@ def _run(jobs: list[dict]) -> list[tuple]:
     return results
 
 
+def _fields(a: tuple, b: tuple) -> list[str]:
+    """The fields in which two results of one job differ."""
+    return [name for name, x, y in zip(FIELDS, a, b) if x != y]
+
+
 def _child(src: str, *args: str) -> None:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([os.path.abspath(src), str(BENCHMARK)]))
@@ -76,7 +84,9 @@ def main(argv: list[str]) -> int:
         if task == "build":
             Path(paths[1]).write_text(json.dumps(_build(paths[0])))
         else:
-            Path(paths[1]).write_bytes(pickle.dumps(_run(json.loads(Path(paths[0]).read_text()))))
+            jobs = json.loads(Path(paths[0]).read_text())
+            passes = (_pass(jobs), _pass(jobs[::-1])[::-1])
+            Path(paths[1]).write_bytes(pickle.dumps(passes))
         return 0
     if len(argv) != 2:
         print(__doc__.strip().split("\n\n")[1].strip(), file=sys.stderr)
@@ -94,16 +104,23 @@ def main(argv: list[str]) -> int:
 
     print(f"{len(jobs)} jobs")
     for tree, src in trees.items():
-        counts = Counter(str(r[0]) for r in results[tree])
+        counts = Counter(str(r[0]) for r in results[tree][0])
         print(f"{tree} ({src}): " + ", ".join(f"exit {c}: {n}" for c, n in sorted(counts.items())))
     differing = 0
-    for job, old, new in zip(jobs, results["old"], results["new"]):
-        fields = [name for name, a, b in zip(FIELDS, old, new) if a != b]
-        if fields:
+    for job, old, new in zip(jobs, results["old"][0], results["new"][0]):
+        if fields := _fields(old, new):
             differing += 1
             print(f"differs: {job['name']}: {', '.join(fields)} (exit {old[0]} -> {new[0]})")
     print(f"identical: {len(jobs) - differing} of {len(jobs)}")
-    return 1 if differing else 0
+    unrepeated = 0
+    for tree in trees:
+        for job, first, second in zip(jobs, *results[tree]):
+            if fields := _fields(first, second):
+                unrepeated += 1
+                print(f"differs between passes: {tree}: {job['name']}: {', '.join(fields)} "
+                      f"(exit {first[0]} -> {second[0]})")
+    print(f"repeated by the second pass: {2 * len(jobs) - unrepeated} of {2 * len(jobs)}")
+    return 1 if differing or unrepeated else 0
 
 
 if __name__ == "__main__":
