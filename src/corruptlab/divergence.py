@@ -105,22 +105,76 @@ def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
     return total
 
 
+#: Slabs of at least this many entries are screened first.  A cost crossover,
+#: not a knob: below it the screen's fixed cost exceeds the reductions it
+#: saves, and no result depends on it.
+_SCREEN_ENTRIES = 4096
+
+
+def _exact_extremes(rows: np.ndarray, col: np.ndarray) -> tuple[float, float]:
+    """(max total variation, min overlap) of ``col`` against each row."""
+    return (0.5 * float(np.abs(rows - col).sum(axis=1).max()),
+            float(np.minimum(rows, col).sum(axis=1).min()))
+
+
 def _pair_extremes(t: Kernel) -> tuple[float, float]:
     """(max total variation, min overlap) over all column pairs, in one pass.
 
     Column i meets every later column in one slab, so each step holds
-    O(m k) memory.  The two must add up to 1 within 1e-9; a disagreement
-    signals a numeric bug and raises :class:`InternalInconsistency`.  A
-    single column gives (0.0, 1.0): nothing to distinguish.
+    O(m k) memory.  For columns a and b with sums s_a and s_b, in exact
+    arithmetic,
+
+        sum max(a, b) = (s_a + s_b)/2 + TV(a, b),
+        sum min(a, b) = (s_a + s_b)/2 - TV(a, b).
+
+    So the score u = sum max(a, b) - (s_a + s_b)/2 is TV, and a pair can have
+    the least overlap only if its TV is within 2 max|s - 1| of the largest.
+    A slab of at least ``_SCREEN_ENTRIES`` entries is screened with that one
+    reduction.  The cut, the largest u or exact TV seen so far minus a slack,
+    only rises, and only the rows at or above it reach the exact reductions
+    of :func:`_exact_extremes`.  A row below the cut holds neither extreme or
+    ties it, and each row is summed on its own, so the result is bit for bit
+    that of the exact reductions on every pair.
+
+    The slack is 2 max|s - 1| plus twice the rounding error of the computed
+    s, of u and of both exact sums.  Every summand is non-negative, so with
+    eps = 2**-52 a k-term sum errs by at most (k eps/2)(1 + O(k eps)) times
+    its value, which is at most 2 max s: s by (k + 1) eps/2 max s; u, a sum
+    of maxima less two halved sums, by (3k + 4) eps/2 max s; each exact TV
+    and overlap by (k + 1) eps/2 max s.  Twice their total, (6k + 7) eps
+    max s, is under the 8 (k + 2) eps max s used.
+
+    Slabs below ``_SCREEN_ENTRIES`` run the exact reductions on every row:
+    on tiny kernels, which ``tables`` meets at every grid point, the screen
+    costs more than it saves.  The two extremes must add up to 1 within
+    1e-9; a disagreement signals a numeric bug and raises
+    :class:`InternalInconsistency`.  A single column gives (0.0, 1.0):
+    nothing to distinguish.
     """
     cols = np.ascontiguousarray(t.matrix.T)
-    if len(cols) == 1:
+    m, k = cols.shape
+    if m == 1:
         return 0.0, 1.0
     worst, best = 0.0, math.inf  # an overlap may exceed 1 by rounding
+    if (m - 1) * k >= _SCREEN_ENTRIES:  # slabs shrink, so the first is the largest
+        sums = cols.sum(axis=1)
+        half = 0.5 * sums
+        rounding = 8 * (k + 2) * np.finfo(float).eps * float(sums.max())
+        slack = 2.0 * float(np.abs(sums - 1.0).max()) + rounding
+        buf, score = np.empty_like(cols[1:]), np.empty(m - 1)
+        cut = -math.inf
     for i, col in enumerate(cols[:-1]):
         rest = cols[i + 1:]
-        worst = max(worst, 0.5 * float(np.abs(rest - col).sum(axis=1).max()))
-        best = min(best, float(np.minimum(rest, col).sum(axis=1).min()))
+        if rest.size >= _SCREEN_ENTRIES:
+            u = np.sum(np.maximum(rest, col, out=buf[:len(rest)]), axis=1, out=score[:len(rest)])
+            u -= half[i + 1:]
+            u -= half[i]
+            cut = max(cut, float(u.max()) - slack, worst - slack)
+            rest = rest[u >= cut]
+            if not len(rest):
+                continue
+        tv, overlap = _exact_extremes(rest, col)
+        worst, best = max(worst, tv), min(best, overlap)
     if abs((1.0 - best) - worst) > ALPHA_CONSISTENCY_ATOL:
         raise InternalInconsistency(
             f"alpha formulas disagree: 1-lambda={1.0 - best!r}, max column V={worst!r}"

@@ -127,7 +127,9 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPl
     ordered = _density_order(offers)
     int_costs = [int(o.unit_cost * scale) for o in ordered]
     dense, c_b = ordered[0], int_costs[0]
-    width = min(capacity, (c_b - 1) * max(int_costs))
+    # c_max >= c_b, so below c_b the width is the capacity, without a product
+    # of two integers as long as the scale, which may run to a million digits
+    width = capacity if capacity < c_b else min(capacity, (c_b - 1) * max(int_costs))
 
     best = [0.0] * (width + 1)
     choice = [-1] * (width + 1)  # -1: leave a unit of budget unused

@@ -265,6 +265,15 @@ class TestPlan:
         code, out, err = run(capsys, "plan", "--offers", path, f"--budget={budget}")
         assert (code, out, err) == (2, "", f"error: budget must be >= 0, got {shown}\n")
 
+    def test_tiny_budget_is_fast(self, tmp_path, capsys):
+        # scale is a multiple of 10**999999, so the scaled capacity is 1: below every scaled cost
+        path = write_json(tmp_path, "offers.json", DOCUMENTS["offers"])
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "plan", "--offers", path, "--budget", "1e-999999")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == run(capsys, "plan", "--offers", path, "--budget", "1e-5")[:2]
+        assert code == 0 and elapsed < 1.0
+
     def test_capacity_guard_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path, "offers.json",
                           [{"name": "A", "alpha": 0.7, "cost": {"num": 1, "den": 10**6}}])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corruptlab import divergence, errors
+from corruptlab import catalog, divergence, errors
 from corruptlab.divergence import (
     KL,
     VARIATIONAL,
@@ -17,7 +17,9 @@ from corruptlab.divergence import (
     sdpi_check,
     variational,
 )
-from corruptlab.kernels import Dist, Kernel, Space, compose, identity, make_dist, point_mass, replicate
+from corruptlab.kernels import (
+    STOCHASTIC_ATOL, Dist, Kernel, Space, compose, identity, make_dist, point_mass, replicate,
+)
 
 from helpers import asym_noise, binary_noise, constant_kernel, random_dist, random_kernel
 
@@ -214,12 +216,24 @@ def dirichlet_kernels(draw):
     return t
 
 
+def with_columns(matrix):
+    matrix = np.asarray(matrix, dtype=float)
+    return Kernel(Space([f"x{i}" for i in range(matrix.shape[1])]),
+                  Space([f"y{i}" for i in range(matrix.shape[0])]), matrix)
+
+
 class TestOnePassMatchesPairLoops:
-    """alpha and lambda_coeff come from one vectorised pass; they must equal,
-    bit for bit, what the two loops over the column pairs gave."""
+    """alpha and lambda_coeff come from one pass; they must equal, bit for
+    bit, what the two loops over the column pairs gave, both at today's slab
+    size and with every slab screened, so that only the rows that can hold
+    an extreme reach the exact reductions."""
 
     def check(self, t):
-        assert alpha(t) == alpha_loop(t) and lambda_coeff(t) == lambda_loop(t)
+        expected = (alpha_loop(t), lambda_loop(t))
+        for screen_entries in (divergence._SCREEN_ENTRIES, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(divergence, "_SCREEN_ENTRIES", screen_entries)
+                assert (alpha(t), lambda_coeff(t)) == expected
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(dirichlet_kernels())
@@ -251,10 +265,76 @@ class TestOnePassMatchesPairLoops:
     def test_cross_check_still_raises(self, monkeypatch):
         monkeypatch.setattr(divergence, "ALPHA_CONSISTENCY_ATOL", -1.0)
         t = binary_noise(0.2)
-        with pytest.raises(errors.InternalInconsistency):
-            alpha(t)
-        with pytest.raises(errors.InternalInconsistency):
-            lambda_coeff(t)
+        for screen_entries in (divergence._SCREEN_ENTRIES, 1):
+            monkeypatch.setattr(divergence, "_SCREEN_ENTRIES", screen_entries)
+            with pytest.raises(errors.InternalInconsistency):
+                alpha(t)
+            with pytest.raises(errors.InternalInconsistency):
+                lambda_coeff(t)
+
+    def test_eighths_give_exact_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            m, k = rng.integers(2, 25), rng.integers(1, 9)
+            self.check(with_columns(rng.multinomial(8, np.ones(k) / k, size=m).T / 8))
+
+    def test_column_sums_off_one(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            t = random_kernel(rng, rng.integers(2, 25), rng.integers(1, 20))
+            off = rng.uniform(-0.9, 0.9, size=len(t.domain)) * STOCHASTIC_ATOL
+            self.check(with_columns(t.matrix * (1.0 + off)))
+
+    def test_permuted_columns_tie_up_to_rounding(self):
+        # equal in exact arithmetic, so the rounding of each sum orders the pairs
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            base = rng.dirichlet(np.ones(rng.integers(3, 30)))
+            columns = [rng.permutation(base) for _ in range(rng.integers(3, 12))]
+            self.check(with_columns(np.stack(columns, axis=1)))
+
+    def test_near_tie_top_score_holds_neither_extreme(self):
+        t = with_columns([
+            [0.49999999978581977, 0.49999999979948334, 0.20000000009725769, 0.20000000003881357],
+            [0.29999999987149184, 0.29999999987969, 0.5000000002431442, 0.5000000000970339],
+            [0.19999999991432793, 0.19999999991979334, 0.3000000001458865, 0.30000000005822036],
+        ])
+        cols = t.matrix.T
+        half = 0.5 * cols.sum(axis=1)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        score = {(i, j): (np.maximum(cols[i], cols[j]).sum() - half[j]) - half[i] for i, j in pairs}
+        tv = {(i, j): 0.5 * np.abs(cols[i] - cols[j]).sum() for i, j in pairs}
+        overlap = {(i, j): np.minimum(cols[i], cols[j]).sum() for i, j in pairs}
+        top = max(pairs, key=score.get)
+        assert tv[top] < max(tv.values()) and overlap[top] > min(overlap.values())
+        self.check(t)
+
+
+class TestScreenWork:
+    """The exact reductions run on the rows that survive the screen, counted
+    through the helper that computes them."""
+
+    @pytest.fixture
+    def exact_rows(self, monkeypatch):
+        rows = []
+        exact = divergence._exact_extremes
+
+        def counting(rest, col):
+            rows.append(len(rest))
+            return exact(rest, col)
+
+        monkeypatch.setattr(divergence, "_exact_extremes", counting)
+        return rows
+
+    def test_512_columns_screened(self, exact_rows):
+        alpha(replicate(catalog.build_kernel(catalog.binary_label_noise(0.1, 0.2)), 9))
+        assert sum(exact_rows) < 0.01 * (512 * 511 // 2)
+
+    def test_small_slabs_run_every_pair(self, exact_rows):
+        t = replicate(binary_noise(0.2), 5)
+        assert (t.matrix.shape[1] - 1) * t.matrix.shape[0] < divergence._SCREEN_ENTRIES
+        lambda_coeff(t)
+        assert sum(exact_rows) == 32 * 31 // 2
 
 
 class TestStrongDataProcessing:
