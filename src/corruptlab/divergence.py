@@ -105,10 +105,9 @@ def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
     return total
 
 
-#: Slabs of at least this many entries are screened first.  A cost crossover,
-#: not a knob: below it the screen's fixed cost exceeds the reductions it
-#: saves, and no result depends on it.
-_SCREEN_ENTRIES = 4096
+#: Slabs of at least this many entries are screened first.  A measured cost
+#: crossover (see :func:`_pair_extremes`), not a knob: no result depends on it.
+_SCREEN_ENTRIES = 2048
 
 
 def _exact_extremes(rows: np.ndarray, col: np.ndarray) -> tuple[float, float]:
@@ -144,12 +143,22 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     and overlap by (k + 1) eps/2 max s.  Twice their total, (6k + 7) eps
     max s, is under the 8 (k + 2) eps max s used.
 
-    Slabs below ``_SCREEN_ENTRIES`` run the exact reductions on every row:
-    on tiny kernels, which ``tables`` meets at every grid point, the screen
-    costs more than it saves.  The two extremes must add up to 1 within
-    1e-9; a disagreement signals a numeric bug and raises
-    :class:`InternalInconsistency`.  A single column gives (0.0, 1.0):
-    nothing to distinguish.
+    Slabs below ``_SCREEN_ENTRIES`` run the exact reductions on every row,
+    because there the screen's fixed cost of some nine numpy calls outweighs
+    the reductions it saves.  Per pass, unscreened against every slab
+    screened (2-core Intel Xeon, numpy 2.4, one BLAS thread, best of 21
+    runs): a random 7x7 kernel 86 against 109 us, a 32-column binary product
+    0.55 against 0.70 ms, a 64-column one 1.42 against 1.10 ms, an 81-column
+    3-class symmetric product, whose columns each tie exactly with 16 others,
+    1.97 against 2.39 ms, a 512-column binary product 254 against 93 ms.
+    Slabs of 992 entries (32 columns) lose and slabs of 4032 (64 columns)
+    gain unless rich in exact ties, so the threshold lies between them, at
+    2048; the kernels of ``tables``, ``lecam`` and small ``analyze`` calls
+    stay below it.
+
+    The two extremes must add up to 1 within 1e-9; a disagreement signals a
+    numeric bug and raises :class:`InternalInconsistency`.  A single column
+    gives (0.0, 1.0): nothing to distinguish.
     """
     cols = np.ascontiguousarray(t.matrix.T)
     m, k = cols.shape
@@ -166,7 +175,7 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     for i, col in enumerate(cols[:-1]):
         rest = cols[i + 1:]
         if rest.size >= _SCREEN_ENTRIES:
-            u = np.sum(np.maximum(rest, col, out=buf[:len(rest)]), axis=1, out=score[:len(rest)])
+            u = np.add.reduce(np.maximum(rest, col, out=buf[:len(rest)]), axis=1, out=score[:len(rest)])
             u -= half[i + 1:]
             u -= half[i]
             cut = max(cut, float(u.max()) - slack, worst - slack)

@@ -1,6 +1,7 @@
 """Acquisition planning: greedy and exact knapsack, source rankings."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,23 @@ class TestExchangeBound:
     ], ids=["equal-densities", "equal-objectives"])
     def test_exact_tie_goes_to_the_densest_offer(self, offers, budget, counts):
         assert exact_plan(offers, budget).counts == counts
+
+    def test_tiny_budget_multiplies_no_scaled_costs(self):
+        # 1/10**400000 scales the costs to 400,000 digits and the capacity to 1,
+        # below every scaled cost: the width is the capacity, so the plan takes
+        # far less than the product of two scaled costs that the bound would need
+        offers = [SourceOffer("A", 0.5, Fraction(1, 12)), SourceOffer("B", 0.7, Fraction(5, 12))]
+        budget = Fraction(1, 10**400000)
+        scale = math.lcm(12, budget.denominator)
+        costs = [int(o.unit_cost * scale) for o in offers]
+        start = time.perf_counter()
+        costs[0] * costs[1]
+        product_s = time.perf_counter() - start
+        start = time.perf_counter()
+        plan = exact_plan(offers, budget)
+        plan_s = time.perf_counter() - start
+        assert plan.counts == {} and plan.spend == 0
+        assert plan_s < product_s / 4, (plan_s, product_s)
 
     def test_worthless_offers_buy_nothing(self):
         plan = exact_plan([SourceOffer("A", 0.0, 3), SourceOffer("B", 0.0, 2)], 50)
