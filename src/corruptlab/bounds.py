@@ -26,7 +26,7 @@ from .errors import (
     _shown,
 )
 from .kernels import Kernel, Dist, kernel_from_json, _freeze
-from .reconstruct import LossTable, Reconstruction
+from .reconstruct import LossTable, Reconstruction, check_loss
 from .schema import INT, LIST, MATRIX, NAMES, NUM, OBJECT, fields, typed
 
 #: Risks, expectations and squared differences at or below this count as
@@ -293,8 +293,7 @@ def eta_compatibility(loss: LossTable, t: Kernel, r: Reconstruction) -> float:
     produce from z.  Pairs whose clean losses tie while the corrected ones do
     not force eta to infinity (the condition cannot hold).
     """
-    if loss.outcomes != t.domain:
-        raise SpaceMismatch("loss outcomes must match the corruption's domain")
+    check_loss(t, loss)
     if r.kernel.domain != t.domain or r.kernel.codomain != t.codomain:
         raise SpaceMismatch("reconstruction spaces do not match the corruption")
     Reconstruction(kernel=t, matrix=r.matrix)  # NotReconstructible unless R is a left inverse of t

@@ -27,7 +27,8 @@ from .bounds import check_corruption, lecam_replicated, mixed_from_json, problem
 from .errors import (CapacityGuardExceeded, InvalidInput, InvalidParameter, NumericalFailure, ParseError,
                      RankDeficient, SizeGuardExceeded)
 from .kernels import kernel_from_json
-from .reconstruct import corrected_sup_norm, loss_from_json, op_norm_row_sum, pseudoinverse, zero_one_loss
+from .reconstruct import (check_loss, corrected_sup_norm, loss_from_json, op_norm_row_sum, pseudoinverse,
+                          zero_one_loss)
 from .schema import load_json
 from .simlab import config_from_json, fastrate_curve, risk_curve
 
@@ -97,6 +98,7 @@ def cmd_analyze(args) -> int:
     report["row_norm"] = None if rec is None else op_norm_row_sum(rec)
     if args.loss is not None:
         loss = loss_from_json(load_json(args.loss))
+        check_loss(kernel, loss)  # also when there is no reconstruction to correct it with
         report["corrected_sup"] = None if rec is None else corrected_sup_norm(rec, loss)
     _emit(report)
     return 0
@@ -185,6 +187,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lecam(args) -> int:
+    if args.kernel is not None and args.mix is not None:
+        raise InvalidParameter("give --kernel or --mix, not both")
     if not 0.0 <= args.n < math.inf:  # printed even when --mix overrides it
         raise InvalidParameter(f"--n must be finite and >= 0, got {args.n!r}")
     problem = problem_from_json(load_json(args.problem))

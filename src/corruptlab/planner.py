@@ -6,6 +6,12 @@ sum alpha_i * n_i, an unbounded knapsack) and the upper-bound view prefers
 cheap-per-guarantee sources (ascending cost * ||corrected||_inf^2).  The two
 rankings usually agree but are allowed to differ.
 
+Both plans count in one integer unit, 1/scale for scale the least common
+multiple of the costs' denominators.  The budget is read in that unit and
+rounded down, which loses no plan, since every cost is a whole number of
+units, and the guard applies to the budget's exact value in that unit; so
+the way a budget is written never sizes the DP.
+
 The exact plan costs O(min(capacity, (c_b - 1) * c_max) * offers) for scaled
 costs c_b of the densest offer and c_max of the dearest, whatever the budget:
 some optimal plan holds at most c_b - 1 items other than the densest offer
@@ -18,6 +24,7 @@ with the most units of the densest offer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +37,7 @@ from .errors import (
 )
 from .schema import LIST, NUM, RATIONAL, STR, fields, typed
 
-#: Largest integer-scaled budget either plan will accept.
+#: Largest budget, in units of 1/scale, either plan will accept.
 CAPACITY_GUARD = 10**7
 
 #: Plans whose objectives differ by at most this fraction of the best are
@@ -51,11 +58,12 @@ class SourceOffer:
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidParameter(f"alpha must be in [0, 1], got {self.alpha!r}")
         cost = Fraction(self.unit_cost)
-        if cost <= 0:
-            raise InvalidParameter(f"unit cost must be positive, got {_shown(cost)}")
+        if not 0 < cost <= sys.float_info.max or float(cost) == 0.0:  # the ranking keys use it as a double
+            raise InvalidParameter(f"unit cost must be positive and within a double's range, got {_shown(cost)}")
         object.__setattr__(self, "unit_cost", cost)
-        if self.corrected_sup is not None and self.corrected_sup < 0.0:
-            raise InvalidParameter("corrected_sup must be non-negative")
+        sup = self.corrected_sup
+        if sup is not None and not 0.0 <= sup <= math.sqrt(sys.float_info.max):  # the upper key squares it
+            raise InvalidParameter(f"corrected_sup must be >= 0 with a finite square as a double, got {_shown(sup)}")
 
 
 @dataclass(frozen=True)
@@ -79,63 +87,62 @@ def _density_order(offers: Sequence[SourceOffer]) -> list[SourceOffer]:
     return sorted(offers, key=lambda o: (-(o.alpha / o.unit_cost), o.unit_cost, o.name))
 
 
-def _capacity(offers: Sequence[SourceOffer], budget: Fraction) -> tuple[int, int]:
-    """The least common denominator of the costs and the budget, and the
-    budget in those units; a budget past the guard is refused before any
-    count is made, so no count can overflow a float."""
+def _scaled(offers: Sequence[SourceOffer], budget: Fraction) -> tuple[list[SourceOffer], list[int], int, int]:
+    """The offers densest first, their costs in units of 1/scale for scale the
+    least common multiple of the costs' denominators, the budget in those
+    units rounded down, and scale.  A budget whose exact value in those units
+    is past the guard is refused before any count is made, so no count can
+    overflow a float; the budget's own denominator never enters the scale."""
     if budget < 0:
         raise InvalidParameter(f"budget must be >= 0, got {_shown(budget)}")
     if not offers:
         raise InvalidParameter("need at least one offer")
-    scale = math.lcm(*(o.unit_cost.denominator for o in offers), budget.denominator)
-    capacity = int(budget * scale)
-    if capacity > CAPACITY_GUARD:
-        raise CapacityGuardExceeded(f"scaled capacity {_shown(capacity)} exceeds guard {CAPACITY_GUARD}")
-    return scale, capacity
+    ordered = _density_order(offers)
+    scale = math.lcm(*(o.unit_cost.denominator for o in ordered))
+    if budget.numerator * scale > CAPACITY_GUARD * budget.denominator:
+        raise CapacityGuardExceeded(f"scaled capacity {_shown(budget * scale)} exceeds guard {CAPACITY_GUARD}")
+    costs = [o.unit_cost.numerator * (scale // o.unit_cost.denominator) for o in ordered]
+    return ordered, costs, budget.numerator * scale // budget.denominator, scale
 
 
 def greedy_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPlan:
     """Buy the densest source until it no longer fits, then the next, etc."""
-    budget = Fraction(budget)
-    _capacity(offers, budget)
+    ordered, costs, capacity, scale = _scaled(offers, Fraction(budget))
     counts: dict[str, int] = {}
     objective = 0.0
-    remaining = budget
-    for offer in _density_order(offers):
-        n = int(remaining // offer.unit_cost)
+    remaining = capacity
+    for offer, cost in zip(ordered, costs):
+        n = remaining // cost
         if n > 0:
             counts[offer.name] = counts.get(offer.name, 0) + n
             objective += offer.alpha * n
-            remaining -= offer.unit_cost * n
-    return AcquisitionPlan(counts=counts, objective=objective, spend=budget - remaining)
+            remaining -= cost * n
+    return AcquisitionPlan(counts=counts, objective=objective, spend=Fraction(capacity - remaining, scale))
 
 
 def exact_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPlan:
     """Optimal unbounded-knapsack plan by dynamic programming.
 
-    Rational costs are scaled to integers via the least common multiple of
-    their denominators; the scaled capacity must stay within the guard.  With
-    c_b the scaled cost of the densest offer and c_max the largest, the DP
-    runs over the scaled spends w <= min(capacity, (c_b - 1) * c_max) alone,
-    in O(that width * offers), and the plan is the best DP plan at some w
-    filled up with floor((capacity - w) / c_b) densest units.  Plans within
-    ``PLAN_TIE_RTOL`` of the best are tied, and the tie goes to the plan with
-    the most units of the densest offer.
+    Rational costs are scaled to integers by the least common multiple of
+    their denominators, and the budget is read in those units and rounded
+    down, which loses no plan, as every cost is a whole number of units;
+    the budget's exact value in those units must stay within the guard.
+    With c_b the scaled cost of the densest offer and c_max the largest, the
+    DP runs over the scaled spends w <= min(capacity, (c_b - 1) * c_max)
+    alone, in O(that width * offers), and the plan is the best DP plan at
+    some w filled up with floor((capacity - w) / c_b) densest units.  Plans
+    within ``PLAN_TIE_RTOL`` of the best are tied, and the tie goes to the
+    plan with the most units of the densest offer.
     """
-    budget = Fraction(budget)
-    scale, capacity = _capacity(offers, budget)
-    ordered = _density_order(offers)
-    int_costs = [int(o.unit_cost * scale) for o in ordered]
-    dense, c_b = ordered[0], int_costs[0]
-    # c_max >= c_b, so below c_b the width is the capacity, without a product
-    # of two integers as long as the scale, which may run to a million digits
-    width = capacity if capacity < c_b else min(capacity, (c_b - 1) * max(int_costs))
+    ordered, costs, capacity, scale = _scaled(offers, Fraction(budget))
+    dense, c_b = ordered[0], costs[0]
+    width = min(capacity, (c_b - 1) * max(costs))
 
     best = [0.0] * (width + 1)
     choice = [-1] * (width + 1)  # -1: leave a unit of budget unused
     for w in range(1, width + 1):
         best[w] = best[w - 1]
-        for idx, cost in enumerate(int_costs):
+        for idx, cost in enumerate(costs):
             if cost <= w:
                 candidate = best[w - cost] + ordered[idx].alpha
                 if candidate > best[w]:
@@ -152,17 +159,17 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPl
     w = next(w for w in range(width + 1) if totals[w] >= cut)
 
     counts: dict[str, int] = {dense.name: fill[w]} if fill[w] else {}
-    spend = dense.unit_cost * fill[w]
+    used = c_b * fill[w]
     while w > 0:
         idx = choice[w]
         if idx < 0:
             w -= 1
             continue
         counts[ordered[idx].name] = counts.get(ordered[idx].name, 0) + 1
-        spend += ordered[idx].unit_cost
-        w -= int_costs[idx]
+        used += costs[idx]
+        w -= costs[idx]
     objective = sum(o.alpha * counts.get(o.name, 0) for o in ordered)
-    return AcquisitionPlan(counts=counts, objective=objective, spend=spend)
+    return AcquisitionPlan(counts=counts, objective=objective, spend=Fraction(used, scale))
 
 
 def rank_sources_lower(offers: Sequence[SourceOffer]) -> list[str]:

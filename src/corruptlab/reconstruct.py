@@ -128,13 +128,18 @@ def pseudoinverse(t: Kernel) -> Reconstruction:
     return Reconstruction(kernel=t, matrix=(vt.T / s) @ u.T)
 
 
+def check_loss(t: Kernel, loss: LossTable) -> None:
+    """Raise SpaceMismatch unless the loss is over the kernel's clean outcomes."""
+    if loss.outcomes != t.domain:
+        raise SpaceMismatch("loss outcomes must match the corruption's domain")
+
+
 def corrected_loss(r: Reconstruction, loss: LossTable) -> LossTable:
     """Transfer a loss to the corrupted space: corrected_a = R* ell_a.
 
     The result satisfies <P, ell_a> = <T(P), corrected_a> for all P.
     """
-    if loss.outcomes != r.kernel.domain:
-        raise SpaceMismatch("loss outcomes must match the corruption's domain")
+    check_loss(r.kernel, loss)
     return LossTable(r.kernel.codomain, loss.actions, r.matrix.T @ loss.values)
 
 

@@ -111,6 +111,14 @@ class TestAnalyze:
         assert report["reconstructible"] is False
         assert report["row_norm"] is None and report["corrected_sup"] is None
 
+    @pytest.mark.parametrize("matrix", [[[0.9, 0.2], [0.1, 0.8]], [[0.5, 0.5], [0.5, 0.5]]],
+                             ids=["reconstructible", "not-reconstructible"])
+    def test_loss_on_other_outcomes_exits_two(self, matrix, tmp_path, capsys):
+        kpath = write_json(tmp_path, "k.json", {"from": ["p", "q"], "to": ["x", "y"], "matrix": matrix})
+        lpath = write_json(tmp_path, "l.json", loss_to_json(zero_one_loss(Space(["p", "q", "r"]))))
+        code, out, err = run(capsys, "analyze", "--kernel", kpath, "--loss", lpath)
+        assert (code, out) == (2, "") and "loss outcomes" in err
+
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -266,13 +274,23 @@ class TestPlan:
         assert (code, out, err) == (2, "", f"error: budget must be >= 0, got {shown}\n")
 
     def test_tiny_budget_is_fast(self, tmp_path, capsys):
-        # scale is a multiple of 10**999999, so the scaled capacity is 1: below every scaled cost
+        # 1e-999999 is 0 in the costs' unit; reading the budget is the only work that grows with its digits
         path = write_json(tmp_path, "offers.json", DOCUMENTS["offers"])
         start = time.perf_counter()
         code, out, _ = run(capsys, "plan", "--offers", path, "--budget", "1e-999999")
         elapsed = time.perf_counter() - start
         assert (code, out) == run(capsys, "plan", "--offers", path, "--budget", "1e-5")[:2]
         assert code == 0 and elapsed < 1.0
+
+    @pytest.mark.parametrize("budget, rounded", [("10.000001", "10"), ("12.3456789", "12"), ("999.99999", "999")])
+    def test_budget_digits_past_the_costs_unit(self, budget, rounded, tmp_path, capsys):
+        # the budget is read in the costs' unit and rounded down; scaled by its own
+        # denominator it would pass the capacity guard
+        path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": 3},
+                                                    {"name": "B", "alpha": 0.7, "cost": 5}])
+        code, out, err = run(capsys, "plan", "--offers", path, "--budget", budget)
+        assert (code, out, err) == run(capsys, "plan", "--offers", path, "--budget", rounded)
+        assert code == 0
 
     def test_capacity_guard_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path, "offers.json",
@@ -555,6 +573,11 @@ def _lecam(role, *extra):
     return lambda d: [*document_argv(role, DOCUMENTS[role], d), *extra]
 
 
+def _one_offer(**changes):
+    offer = {"name": "A", "alpha": 0.5, "cost": 1} | changes
+    return lambda d: [*document_argv("offers", [offer], d)[:-2], "--budget=0"]
+
+
 #: (exit code, argv for a directory).  Counts past a float's range and sizes
 #: past a guard; each used to hang, raise out of `main` or print non-JSON.
 REFUSED = {
@@ -563,6 +586,8 @@ REFUSED = {
     "n-negative-with-mix": (2, _lecam("mix", "--n", "-1")),
     "n-nan-with-kernel": (2, lambda d: [*_lecam("problem", "--n", "nan")(d),
                                          "--kernel", str(d / "valid-kernel.json")]),
+    "kernel-with-mix": (2, lambda d: [*_lecam("problem", "--kernel", str(d / "valid-kernel.json"))(d),
+                                      "--mix", str(d / "absent-mix.json")]),
     "mix-count-10**400": (2, lambda d: document_argv("mix", changed("mix", (0, "count"), 10**400), d)),
     "mix-effective-count-inf": (2, lambda d: document_argv("mix", [{"count": 10**308, "alpha": 1.0}] * 2, d)),
     "config-classes-10**400": (3, lambda d: document_argv("config", _symmetric_config(10**400), d)),
@@ -584,6 +609,9 @@ REFUSED = {
     "budget--1e10000000": (2, _plan("-1e10000000")),
     "budget-1e-10000000": (2, _plan("1e-10000000")),
     "budget-1e99999999999999999999999": (2, _plan("1e99999999999999999999999")),
+    "cost-1/10**400": (2, _one_offer(cost={"num": 1, "den": 10**400})),
+    "cost-10**400": (2, _one_offer(cost=10**400)),
+    "corrected-sup-1e200": (2, _one_offer(corrected_sup=1e200)),
 }
 
 

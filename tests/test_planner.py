@@ -73,6 +73,21 @@ def full_capacity_plan(offers, budget):
     return AcquisitionPlan(counts=counts, objective=objective, spend=spend)
 
 
+def fraction_greedy_plan(offers, budget):
+    """The greedy plan counted in fractions of the budget (oracle)."""
+    budget = Fraction(budget)
+    counts = {}
+    objective = 0.0
+    remaining = budget
+    for offer in _density_order(offers):
+        n = int(remaining // offer.unit_cost)
+        if n > 0:
+            counts[offer.name] = counts.get(offer.name, 0) + n
+            objective += offer.alpha * n
+            remaining -= offer.unit_cost * n
+    return AcquisitionPlan(counts=counts, objective=objective, spend=budget - remaining)
+
+
 def random_offers(rng, max_offers=4, max_cost=7):
     count = int(rng.integers(1, max_offers + 1))
     return [
@@ -198,6 +213,38 @@ class TestExchangeBound:
                 assert exact_plan(offers, budget).to_json() == \
                     full_capacity_plan(offers, budget).to_json(), (offers, capacity)
 
+    @pytest.mark.parametrize("den", [7, 10, 1000])
+    def test_budget_denominator_outside_the_costs_unit(self, den):
+        # the plans read the budget in the costs' unit, rounded down; the oracles
+        # count in the finer unit that also divides the budget, and in fractions
+        rng = np.random.default_rng(439 + den)
+        for _ in range(30):
+            count = int(rng.integers(1, 5))
+            offers = [SourceOffer(f"s{i}", float(rng.uniform(0.05, 1.0)),
+                                  Fraction(int(rng.integers(1, 25)), int(rng.integers(1, 4))))
+                      for i in range(count)]
+            budget = Fraction(int(rng.integers(0, 2000)), den)
+            assert exact_plan(offers, budget).to_json() == \
+                full_capacity_plan(offers, budget).to_json(), (offers, budget)
+            assert greedy_plan(offers, budget).to_json() == \
+                fraction_greedy_plan(offers, budget).to_json(), (offers, budget)
+
+    def test_budget_digits_do_not_size_the_dp(self):
+        # 99.9999 in the costs' unit is 99, the same 10-cell DP; a unit that divided
+        # the budget would fill 999,999 cells
+        offers = [SourceOffer("A", 0.5, 3), SourceOffer("B", 0.7, 5)]
+
+        def best_of_7(budget):
+            times = []
+            for _ in range(7):
+                start = time.perf_counter()
+                exact_plan(offers, budget)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert exact_plan(offers, Fraction("99.9999")) == exact_plan(offers, 99)
+        assert best_of_7(Fraction("99.9999")) < 10 * best_of_7(99)
+
     @pytest.mark.parametrize("offers, budget, counts", [
         # equal densities 0.2, s1 the denser by the cheaper cost; the DP over
         # every spend returns {s0: 3, s1: 7}, printed as 4.199999999999999
@@ -211,9 +258,9 @@ class TestExchangeBound:
         assert exact_plan(offers, budget).counts == counts
 
     def test_tiny_budget_multiplies_no_scaled_costs(self):
-        # 1/10**400000 scales the costs to 400,000 digits and the capacity to 1,
-        # below every scaled cost: the width is the capacity, so the plan takes
-        # far less than the product of two scaled costs that the bound would need
+        # 1/10**400000 is 0 in the costs' own unit, 1/12, so the plan takes far
+        # less than one product of two costs scaled to the budget's 400,000-digit
+        # denominator, which a unit that divided the budget would need
         offers = [SourceOffer("A", 0.5, Fraction(1, 12)), SourceOffer("B", 0.7, Fraction(5, 12))]
         budget = Fraction(1, 10**400000)
         scale = math.lcm(12, budget.denominator)
@@ -244,7 +291,8 @@ class TestExchangeBound:
         (-10**5000, errors.InvalidParameter, "got -~1e5000"),
         (Fraction(-1, 10**5000), errors.InvalidParameter, "got -~1e-5000"),
         (Fraction(-7, 2), errors.InvalidParameter, "got -7/2"),
-    ], ids=["10**5000", "-10**5000", "-1/10**5000", "-7/2"])
+        (Fraction(2 * CAPACITY_GUARD + 1, 2), errors.CapacityGuardExceeded, "scaled capacity 20000001/2 exceeds"),
+    ], ids=["10**5000", "-10**5000", "-1/10**5000", "-7/2", "guard+1/2"])
     def test_messages_show_huge_numbers_by_magnitude(self, plan, budget, error, shown):
         with pytest.raises(error, match=shown) as info:
             plan([SourceOffer("A", 0.5, 1)], budget)
