@@ -117,7 +117,9 @@ def lecam_replicated(
 
     ``n`` may be any finite non-negative real; corrupted variants pass
     effective counts alpha * n.  The clamp at zero drops the vacuous negative
-    branch; pass ``clamped=False`` to see the raw value.
+    branch; pass ``clamped=False`` to see the raw value, which only this
+    function gives (``lecam_bound``, ``lecam_corrupted`` and ``lecam_mixed``
+    always clamp).
     """
     if not 0.0 <= n < math.inf:
         raise InvalidParameter(f"replication count must be finite and >= 0, got {n!r}")
@@ -133,10 +135,9 @@ def lecam_bound(
     problem: DecisionProblem,
     theta1: int | str,
     theta2: int | str,
-    clamped: bool = True,
 ) -> float:
     """Single-observation two-point lower bound: rho * (1 - V) / 4."""
-    return lecam_replicated(problem, theta1, theta2, 1.0, clamped=clamped)
+    return lecam_replicated(problem, theta1, theta2, 1.0)
 
 
 def check_corruption(problem: DecisionProblem, *kernels: Kernel | None) -> None:
@@ -152,14 +153,13 @@ def lecam_corrupted(
     theta1: int | str,
     theta2: int | str,
     n: float,
-    clamped: bool = True,
 ) -> float:
     """Lower bound after corrupting each replicate by ``t``.
 
     Identical to ``lecam_replicated`` at the effective count alpha(t) * n.
     """
     check_corruption(problem, t)
-    return lecam_replicated(problem, theta1, theta2, divergence.alpha(t) * n, clamped=clamped)
+    return lecam_replicated(problem, theta1, theta2, divergence.alpha(t) * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,11 +231,10 @@ def lecam_mixed(
     mix: MixedCorruption,
     theta1: int | str,
     theta2: int | str,
-    clamped: bool = True,
 ) -> float:
     """Lower bound for a mixed data set via its effective clean count."""
     check_corruption(problem, *(s.kernel for s in mix.sources))
-    return lecam_replicated(problem, theta1, theta2, mix.effective_count(), clamped=clamped)
+    return lecam_replicated(problem, theta1, theta2, mix.effective_count())
 
 
 def pacbayes_upper(

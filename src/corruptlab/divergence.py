@@ -44,13 +44,13 @@ class FGenerator:
         if self.f(1.0) != 0.0:
             raise InvalidParameter(f"generator {self.name!r} has f(1) = {self.f(1.0)!r}, need 0")
 
-    def is_midpoint_convex(self, grid: np.ndarray, atol: float = 1e-12) -> bool:
-        """Check f((s+t)/2) <= (f(s)+f(t))/2 on all grid pairs."""
+    def is_midpoint_convex(self, grid: np.ndarray) -> bool:
+        """Check f((s+t)/2) <= (f(s)+f(t))/2 + 1e-12 on all grid pairs."""
         vals = {float(t): self.f(float(t)) for t in grid}
         for s in grid:
             for t in grid:
                 mid = self.f((float(s) + float(t)) / 2.0)
-                if mid > (vals[float(s)] + vals[float(t)]) / 2.0 + atol:
+                if mid > (vals[float(s)] + vals[float(t)]) / 2.0 + 1e-12:
                     return False
         return True
 

@@ -10,7 +10,10 @@ Both plans count in one integer unit, 1/scale for scale the least common
 multiple of the costs' denominators.  The budget is read in that unit and
 rounded down, which loses no plan, since every cost is a whole number of
 units, and the guard applies to the budget's exact value in that unit; so
-the way a budget is written never sizes the DP.
+the way a budget is written never sizes the DP.  Each plan counts units per
+offer, densest offer first, and one assembler turns those counts into the
+plan, its objective and its spend.  Plans and rankings name an offer only by
+its name, so offers must have distinct names.
 
 The exact plan costs O(min(capacity, (c_b - 1) * c_max) * offers) for scaled
 costs c_b of the densest offer and c_max of the dearest, whatever the budget:
@@ -90,13 +93,18 @@ def _density_order(offers: Sequence[SourceOffer]) -> list[SourceOffer]:
 def _scaled(offers: Sequence[SourceOffer], budget: Fraction) -> tuple[list[SourceOffer], list[int], int, int]:
     """The offers densest first, their costs in units of 1/scale for scale the
     least common multiple of the costs' denominators, the budget in those
-    units rounded down, and scale.  A budget whose exact value in those units
-    is past the guard is refused before any count is made, so no count can
-    overflow a float; the budget's own denominator never enters the scale."""
+    units rounded down, and scale.  Offers sharing a name are refused, and so
+    is a budget whose exact value in those units is past the guard, before
+    any count is made, so no count can overflow a float; the budget's own
+    denominator never enters the scale."""
     if budget < 0:
         raise InvalidParameter(f"budget must be >= 0, got {_shown(budget)}")
     if not offers:
         raise InvalidParameter("need at least one offer")
+    names = sorted(o.name for o in offers)
+    for a, b in zip(names, names[1:]):
+        if a == b:
+            raise InvalidParameter(f"offer name {a!r} appears more than once")
     ordered = _density_order(offers)
     scale = math.lcm(*(o.unit_cost.denominator for o in ordered))
     if budget.numerator * scale > CAPACITY_GUARD * budget.denominator:
@@ -105,19 +113,23 @@ def _scaled(offers: Sequence[SourceOffer], budget: Fraction) -> tuple[list[Sourc
     return ordered, costs, budget.numerator * scale // budget.denominator, scale
 
 
+def _plan(ordered: list[SourceOffer], costs: list[int], counts: list[int], scale: int) -> AcquisitionPlan:
+    """The plan buying ``counts[i]`` units of ``ordered[i]`` at scaled cost
+    ``costs[i]``: the offers bought, sum alpha_i * n_i in density order and
+    sum c_i * n_i / scale."""
+    return AcquisitionPlan(counts={o.name: n for o, n in zip(ordered, counts) if n},
+                           objective=sum(o.alpha * n for o, n in zip(ordered, counts)),
+                           spend=Fraction(sum(c * n for c, n in zip(costs, counts)), scale))
+
+
 def greedy_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPlan:
     """Buy the densest source until it no longer fits, then the next, etc."""
-    ordered, costs, capacity, scale = _scaled(offers, Fraction(budget))
-    counts: dict[str, int] = {}
-    objective = 0.0
-    remaining = capacity
-    for offer, cost in zip(ordered, costs):
-        n = remaining // cost
-        if n > 0:
-            counts[offer.name] = counts.get(offer.name, 0) + n
-            objective += offer.alpha * n
-            remaining -= cost * n
-    return AcquisitionPlan(counts=counts, objective=objective, spend=Fraction(capacity - remaining, scale))
+    ordered, costs, remaining, scale = _scaled(offers, Fraction(budget))
+    counts = []
+    for cost in costs:
+        counts.append(remaining // cost)
+        remaining %= cost
+    return _plan(ordered, costs, counts, scale)
 
 
 def exact_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPlan:
@@ -158,18 +170,13 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPl
     # it fills floor((capacity - v) / c_b) densest units, at least as many.
     w = next(w for w in range(width + 1) if totals[w] >= cut)
 
-    counts: dict[str, int] = {dense.name: fill[w]} if fill[w] else {}
-    used = c_b * fill[w]
+    counts = [fill[w]] + [0] * (len(ordered) - 1)
     while w > 0:
         idx = choice[w]
-        if idx < 0:
-            w -= 1
-            continue
-        counts[ordered[idx].name] = counts.get(ordered[idx].name, 0) + 1
-        used += costs[idx]
-        w -= costs[idx]
-    objective = sum(o.alpha * counts.get(o.name, 0) for o in ordered)
-    return AcquisitionPlan(counts=counts, objective=objective, spend=Fraction(used, scale))
+        if idx >= 0:
+            counts[idx] += 1
+        w -= costs[idx] if idx >= 0 else 1
+    return _plan(ordered, costs, counts, scale)
 
 
 def rank_sources_lower(offers: Sequence[SourceOffer]) -> list[str]:

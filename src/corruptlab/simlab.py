@@ -58,8 +58,9 @@ ERM_TIE_RTOL = 1e-12
 #: Largest sample size a config may ask for.
 SAMPLE_SIZE_GUARD = 10**7
 
-#: Most clean draws a config may ask for over all trials and sample sizes.
-DRAW_GUARD = 10**8
+#: Most cells, trials times sample sizes, a config may ask for; each cell is
+#: one multinomial draw and one ERM, about 15 microseconds.
+CELL_GUARD = 10**6
 
 
 def splitmix64(x: int) -> int:
@@ -163,8 +164,8 @@ class ExperimentConfig:
             raise InvalidParameter("loss outcomes must match the clean distribution")
         if sizes[-1] > SAMPLE_SIZE_GUARD:  # checked before anything is drawn
             raise SizeGuardExceeded(f"a sample size above {SAMPLE_SIZE_GUARD} exceeds the size guard")
-        if self.trials * sum(sizes) > DRAW_GUARD:
-            raise SizeGuardExceeded(f"trials times the summed sample sizes exceed {DRAW_GUARD} draws")
+        if self.trials * len(sizes) > CELL_GUARD:
+            raise SizeGuardExceeded(f"trials times the number of sample sizes exceed {CELL_GUARD} cells")
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
@@ -278,16 +279,14 @@ class CanonicalProperLoss:
     psi: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
 
-    def loss(self, z: int, v: np.ndarray) -> float:
-        return float(v[z]) + self.psi(v)
-
-    def midpoint_convex(self, dim: int, trials: int, seed: int,
-                        scale: float = 3.0, atol: float = 1e-9) -> bool:
+    def midpoint_convex(self, dim: int, trials: int, seed: int) -> bool:
+        """Check psi((v1+v2)/2) <= (psi(v1)+psi(v2))/2 + 1e-9 on ``trials``
+        seeded pairs of N(0, 3^2) vectors of length ``dim``."""
         rng = _generator(seed)
         for _ in range(trials):
-            v1 = rng.normal(0.0, scale, dim)
-            v2 = rng.normal(0.0, scale, dim)
-            if self.psi(0.5 * (v1 + v2)) > 0.5 * (self.psi(v1) + self.psi(v2)) + atol:
+            v1 = rng.normal(0.0, 3.0, dim)
+            v2 = rng.normal(0.0, 3.0, dim)
+            if self.psi(0.5 * (v1 + v2)) > 0.5 * (self.psi(v1) + self.psi(v2)) + 1e-9:
                 return False
         return True
 
@@ -369,22 +368,12 @@ def fit_proper(
     return FitResult(link=v, objective=current)
 
 
-def gradient_check(
-    psi: CanonicalProperLoss,
-    t: Kernel,
-    at: np.ndarray,
-    weights: np.ndarray | None = None,
-    h: float = 1e-5,
-) -> float:
-    """Central-difference check of the corrected objective's gradient.
-
-    ``weights`` is a distribution over corrupted outcomes (uniform by
-    default).  Returns the worst coordinate-wise relative error.
-    """
-    rec = pseudoinverse(t)
-    if weights is None:
-        weights = np.full(len(t.codomain), 1.0 / len(t.codomain))
-    linear = rec.matrix @ np.asarray(weights, dtype=np.float64)
+def gradient_check(psi: CanonicalProperLoss, t: Kernel, at: np.ndarray) -> float:
+    """Central-difference check, with step 1e-5, of the gradient of the
+    corrected objective at uniform corrupted-outcome frequencies.  Returns the
+    worst coordinate-wise relative error."""
+    h = 1e-5
+    linear = pseudoinverse(t).matrix @ np.full(len(t.codomain), 1.0 / len(t.codomain))
     at = np.asarray(at, dtype=np.float64)
 
     def g(x: np.ndarray) -> float:

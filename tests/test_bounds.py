@@ -203,6 +203,13 @@ class TestPacBayes:
                                MixedSource(count=0, alpha=0.2, corrected_sup=9.0)])
         assert pacbayes_mixed(mix, 0.7) == pacbayes_upper(1.5, 100, 0.7)
 
+    def test_mixed_high_probability_form(self):
+        mix = MixedCorruption([MixedSource(count=50, alpha=1.0, corrected_sup=1.0),
+                               MixedSource(count=30, alpha=0.5, corrected_sup=2.0)])
+        expected = pacbayes_upper(mix.mixing_constant(), mix.total, 0.4, delta=0.05)
+        assert pacbayes_mixed(mix, 0.4, delta=0.05) == expected
+        assert expected > pacbayes_mixed(mix, 0.4)
+
     def test_mixed_constant(self):
         mix = MixedCorruption([MixedSource(count=50, alpha=1.0, corrected_sup=1.0),
                                MixedSource(count=50, alpha=0.5, corrected_sup=2.0)])

@@ -292,6 +292,13 @@ class TestPlan:
         assert (code, out, err) == run(capsys, "plan", "--offers", path, "--budget", rounded)
         assert code == 0
 
+    def test_repeated_offer_name_exits_two(self, tmp_path, capsys):
+        # plans and rankings name an offer only by its name
+        path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": 1},
+                                                    {"name": "A", "alpha": 0.9, "cost": 2}])
+        code, out, err = run(capsys, "plan", "--offers", path, "--budget", "4")
+        assert (code, out, err) == (2, "", "error: offer name 'A' appears more than once\n")
+
     def test_capacity_guard_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path, "offers.json",
                           [{"name": "A", "alpha": 0.7, "cost": {"num": 1, "den": 10**6}}])
@@ -355,6 +362,14 @@ class TestSimulate:
                            "--mode", mode)
         assert code == 0, err
         assert simlab_calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": 3 * 7}
+
+    def test_guard_bounds_cells_not_draws(self, tmp_path, capsys):
+        # 11 cells of 10^7 draws each, 1.1e8 draws in all: one multinomial call per cell
+        path = write_json(tmp_path, "config.json", _sized_config([10**7], 11))
+        out_path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "simulate", "--config", path, "--out", str(out_path))
+        assert (code, out, err) == (0, "", "")
+        assert out_path.read_text().split("\n")[1].startswith("10000000,")
 
     def test_weights_within_tolerance_of_one(self, tmp_path, capsys):
         # a Dist may sum to 1 + 5e-10; the draw must not refuse it
@@ -601,6 +616,7 @@ REFUSED = {
     "sample-size-10**400": (3, lambda d: document_argv("config", _sized_config([10, 10**400], 3), d)),
     "trials-10**9": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**9), d)),
     "trials-10**400": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**400), d)),
+    "cells-10**6+1": (3, lambda d: document_argv("config", _sized_config([10], 10**6 + 1), d)),
     "budget-1e300": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e300"]),
     "budget-1e400": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e400"]),
     "budget-1e5000": (3, _plan("1e5000")),

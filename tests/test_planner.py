@@ -355,6 +355,14 @@ class TestValidationAndJson:
         assert offers[0].unit_cost == 3 and offers[1].unit_cost == Fraction(1, 2)
         assert offers[1].corrected_sup is None
 
+    @pytest.mark.parametrize("first, second", [(greedy_plan, exact_plan), (exact_plan, greedy_plan)],
+                             ids=["greedy-first", "exact-first"])
+    def test_repeated_names_are_refused(self, first, second):
+        offers = [SourceOffer("A", 0.5, 1), SourceOffer("B", 0.6, 1), SourceOffer("A", 0.9, 2)]
+        for plan in (first, second):
+            with pytest.raises(errors.InvalidParameter, match="'A'"):
+                plan(offers, 4)
+
     def test_offers_schema_errors(self):
         with pytest.raises(errors.ParseError):
             offers_from_json([{"name": "A", "alpha": 0.9}])

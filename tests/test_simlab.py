@@ -17,7 +17,7 @@ from corruptlab.catalog import (
 from corruptlab.kernels import Dist, Kernel, Space, identity, make_dist, point_mass
 from corruptlab.reconstruct import LossTable, corrected_loss, pseudoinverse, zero_one_loss
 from corruptlab.simlab import (
-    DRAW_GUARD,
+    CELL_GUARD,
     SAMPLE_SIZE_GUARD,
     CanonicalProperLoss,
     ExperimentConfig,
@@ -479,14 +479,14 @@ class TestConfigValidation:
             standard_config(loss=zero_one_loss(Space(["x", "y"])))
 
     def test_guards_allow_the_scaling_series(self):
-        # sizes 10^4..10^6 with 50 trials: 5.55e7 draws; nothing is drawn here
+        # sizes 10^4..10^6 with 50 trials: 150 cells; nothing is drawn here
         config = standard_config(sample_sizes=(10**4, 10**5, 10**6), trials=50)
         assert config.sample_sizes[-1] == 10**6
-        standard_config(sample_sizes=(SAMPLE_SIZE_GUARD,), trials=DRAW_GUARD // SAMPLE_SIZE_GUARD)
+        standard_config(sample_sizes=(10, SAMPLE_SIZE_GUARD), trials=CELL_GUARD // 2)
 
     @pytest.mark.parametrize("sizes, trials", [((SAMPLE_SIZE_GUARD + 1,), 1),
-                                               ((SAMPLE_SIZE_GUARD,), DRAW_GUARD // SAMPLE_SIZE_GUARD + 1)],
-                             ids=["size", "draws"])
+                                               ((10, SAMPLE_SIZE_GUARD), CELL_GUARD // 2 + 1)],
+                             ids=["size", "cells"])
     def test_size_guards(self, sizes, trials):
         with pytest.raises(errors.SizeGuardExceeded):
             standard_config(sample_sizes=sizes, trials=trials)
