@@ -132,11 +132,14 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _budget(text: str) -> Fraction:
+def _budget(text: str, scale: int) -> Fraction:
     """``--budget`` as an exact rational.  A decimal is read as a ``Decimal``
     first, in microseconds at any exponent, so that a budget above the guard,
     below zero or with an exponent outside the default decimal context is
-    refused before ``Fraction`` spends seconds or more on 10**exponent."""
+    refused before ``Fraction`` spends seconds or more on 10**exponent.  A
+    decimal in [0, 1/scale), for ``scale`` the costs' least common
+    denominator, reads as 0: the plans see the budget only in units of
+    1/scale, rounded down, so it plans as 0 does."""
     if "/" not in text:  # a ratio such as 7/2 has no exponent
         bad = (f"bad budget {text!r}: expected a ratio of integers or a decimal with an exponent "
                f"in [{_BUDGET_EXPONENTS[0]}, {_BUDGET_EXPONENTS[-1]}]")
@@ -150,6 +153,8 @@ def _budget(text: str) -> Fraction:
             if decimal < 0:  # planner's message, without the integer behind the power of ten
                 raise InvalidParameter(f"budget must be >= 0, got -~1e{round(decimal.copy_abs().log10())}")
             raise ParseError(bad)
+        if decimal.is_finite() and decimal >= 0 and decimal.adjusted() < -scale.bit_length():
+            return Fraction(0)  # decimal < 10**(adjusted + 1) <= 10**-bit_length < 1/scale
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -158,7 +163,7 @@ def _budget(text: str) -> Fraction:
 
 def cmd_plan(args) -> int:
     offers = planner.offers_from_json(load_json(args.offers))
-    budget = _budget(args.budget)
+    budget = _budget(args.budget, planner.cost_scale(offers))
     report = {
         "greedy": planner.greedy_plan(offers, budget).to_json(),
         "exact": planner.exact_plan(offers, budget).to_json(),

@@ -10,6 +10,7 @@ the tightest factor that works in a strong data processing inequality for
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -109,6 +110,10 @@ def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
 #: crossover (see :func:`_pair_extremes`), not a knob: no result depends on it.
 _SCREEN_ENTRIES = 2048
 
+#: Kernels of more rows are never screened: the float32 error bound of
+#: :func:`_pair_extremes` needs (k - 1) 2**-24 <= 1/4.
+_SCREEN_ROWS = 2**22
+
 
 def _exact_extremes(rows: np.ndarray, col: np.ndarray) -> tuple[float, float]:
     """(max total variation, min overlap) of ``col`` against each row."""
@@ -116,8 +121,15 @@ def _exact_extremes(rows: np.ndarray, col: np.ndarray) -> tuple[float, float]:
             float(np.minimum(rows, col).sum(axis=1).min()))
 
 
+@functools.lru_cache(maxsize=1)
 def _pair_extremes(t: Kernel) -> tuple[float, float]:
     """(max total variation, min overlap) over all column pairs, in one pass.
+
+    The result for the last kernel is kept, so ``alpha`` and then
+    ``lambda_coeff`` on one kernel, as ``analyze`` calls them, cost one pass.
+    A :class:`Kernel` is compared by identity and holds a read-only matrix
+    of its own, so the kept result cannot go stale; an exception is never
+    kept.
 
     Column i meets every later column in one slab, so each step holds
     O(m k) memory.  For columns a and b with sums s_a and s_b, in exact
@@ -129,32 +141,49 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     So the score u = sum max(a, b) - (s_a + s_b)/2 is TV, and a pair can have
     the least overlap only if its TV is within 2 max|s - 1| of the largest.
     A slab of at least ``_SCREEN_ENTRIES`` entries is screened with that one
-    reduction.  The cut, the largest u or exact TV seen so far minus a slack,
-    only rises, and only the rows at or above it reach the exact reductions
-    of :func:`_exact_extremes`.  A row below the cut holds neither extreme or
-    ties it, and each row is summed on its own, so the result is bit for bit
-    that of the exact reductions on every pair.
+    reduction, taken over float32 copies of the columns made once per pass;
+    s stays float64.  The cut, the largest u or exact TV seen so far minus a
+    slack, only rises, and only the rows at or above it reach the exact
+    float64 reductions of :func:`_exact_extremes`.  A row below the cut holds
+    neither extreme or ties it, and each row is summed on its own, so the
+    result is bit for bit that of the exact reductions on every pair.
 
-    The slack is 2 max|s - 1| plus twice the rounding error of the computed
-    s, of u and of both exact sums.  Every summand is non-negative, so with
-    eps = 2**-52 a k-term sum errs by at most (k eps/2)(1 + O(k eps)) times
-    its value, which is at most 2 max s: s by (k + 1) eps/2 max s; u, a sum
-    of maxima less two halved sums, by (3k + 4) eps/2 max s; each exact TV
-    and overlap by (k + 1) eps/2 max s.  Twice their total, (6k + 7) eps
-    max s, is under the 8 (k + 2) eps max s used.
+    The slack is 2 max|s - 1| plus twice the error of the computed s, of u
+    and of both exact sums.  Every summand is non-negative, so a k-term sum
+    at unit roundoff r errs, in any order, by at most (k - 1) r / (1 - (k - 1)
+    r) times its value, which is at most 2 M for M = max s.  Let e = 2**-53
+    and f = 2**-24 be the unit roundoffs of float64 and float32, and
+    eps32 = 2 f.  Then s errs by (k - 1) e M, each exact TV and overlap by
+    (k + 1) e M, and u, as follows, for k <= ``_SCREEN_ROWS``, where
+    (k - 1) f <= 1/4:
+
+    - casting an entry to float32 moves it by at most f times its value
+      plus 2**-126, which covers gradual underflow and flush-to-zero alike,
+      and max(a, b) moves by no more than its arguments: 2 f M + k 2**-126
+      over the row;
+    - the float32 sum of the maxima: (4/3)(k - 1) f (1 + f) 2 M, plus
+      (k - 1) 2**-126 if subnormal partial sums are flushed, plus under
+      1/3 of the cast's k 2**-126;
+    - the halved float64 sums (k - 1) e M, and the two float64
+      subtractions 6 e M.
+
+    So u errs by less than (3/2)(k + 1) eps32 M + (7/3) k 2**-126, and twice
+    the total of all four is under the 8 (k + 2) eps32 M + k 2**-123 used.
+    Taller kernels run the exact reductions on every row; there the slack
+    would pass 4 M anyway.
 
     Slabs below ``_SCREEN_ENTRIES`` run the exact reductions on every row,
-    because there the screen's fixed cost of some nine numpy calls outweighs
+    because there the screen's fixed cost of some ten numpy calls outweighs
     the reductions it saves.  Per pass, unscreened against every slab
-    screened (2-core Intel Xeon, numpy 2.4, one BLAS thread, best of 21
-    runs): a random 7x7 kernel 86 against 109 us, a 32-column binary product
-    0.55 against 0.70 ms, a 64-column one 1.42 against 1.10 ms, an 81-column
+    screened (2-core Intel Xeon, numpy 2.4, one BLAS thread, best of 51
+    runs): a random 7x7 kernel 52 against 69 us, a 32-column binary product
+    0.32 against 0.41 ms, a 64-column one 0.85 against 0.67 ms, an 81-column
     3-class symmetric product, whose columns each tie exactly with 16 others,
-    1.97 against 2.39 ms, a 512-column binary product 254 against 93 ms.
-    Slabs of 992 entries (32 columns) lose and slabs of 4032 (64 columns)
-    gain unless rich in exact ties, so the threshold lies between them, at
-    2048; the kernels of ``tables``, ``lecam`` and small ``analyze`` calls
-    stay below it.
+    1.31 against 1.52 ms.  Slabs of 992 entries (32 columns) lose and slabs
+    of 4032 (64 columns) gain unless rich in exact ties, so the threshold
+    lies between them, at 2048; the kernels of ``tables``, ``lecam`` and
+    small ``analyze`` calls stay below it.  A 512-column binary product takes
+    64 ms, against 115 ms with a float64 screen.
 
     The two extremes must add up to 1 within 1e-9; a disagreement signals a
     numeric bug and raises :class:`InternalInconsistency`.  A single column
@@ -165,18 +194,21 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     if m == 1:
         return 0.0, 1.0
     worst, best = 0.0, math.inf  # an overlap may exceed 1 by rounding
-    if (m - 1) * k >= _SCREEN_ENTRIES:  # slabs shrink, so the first is the largest
+    screened = _SCREEN_ENTRIES if k <= _SCREEN_ROWS else math.inf
+    if (m - 1) * k >= screened:  # slabs shrink, so the first is the largest
+        cols32 = cols.astype(np.float32)
         sums = cols.sum(axis=1)
         half = 0.5 * sums
-        rounding = 8 * (k + 2) * np.finfo(float).eps * float(sums.max())
+        rounding = 8 * (k + 2) * float(np.finfo(np.float32).eps) * float(sums.max()) + k * 2.0**-123
         slack = 2.0 * float(np.abs(sums - 1.0).max()) + rounding
-        buf, score = np.empty_like(cols[1:]), np.empty(m - 1)
+        buf, total, score = np.empty_like(cols32[1:]), np.empty(m - 1, np.float32), np.empty(m - 1)
         cut = -math.inf
     for i, col in enumerate(cols[:-1]):
         rest = cols[i + 1:]
-        if rest.size >= _SCREEN_ENTRIES:
-            u = np.add.reduce(np.maximum(rest, col, out=buf[:len(rest)]), axis=1, out=score[:len(rest)])
-            u -= half[i + 1:]
+        if rest.size >= screened:
+            n = len(rest)
+            np.add.reduce(np.maximum(cols32[i + 1:], cols32[i], out=buf[:n]), axis=1, out=total[:n])
+            u = np.subtract(total[:n], half[i + 1:], out=score[:n])
             u -= half[i]
             cut = max(cut, float(u.max()) - slack, worst - slack)
             rest = rest[u >= cut]
@@ -192,13 +224,15 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
 
 
 def lambda_coeff(t: Kernel) -> float:
-    """Minimal column overlap: min over column pairs of sum_k min(T_ki, T_kj)."""
+    """Minimal column overlap: min over column pairs of sum_k min(T_ki, T_kj).
+    Computed once per kernel, together with ``alpha``."""
     return _pair_extremes(t)[1]
 
 
 def alpha(t: Kernel) -> float:
     """Contraction coefficient: the maximum variational divergence between
-    two columns, equal to 1 - lambda(T) (both come from one pass)."""
+    two columns, equal to 1 - lambda(T).  Both come from one pass, run once
+    per kernel: the second of the two calls reads the kept result."""
     return _pair_extremes(t)[0]
 
 

@@ -42,6 +42,8 @@ PRODUCT_SEP = "⊗"
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
+    if not a.flags.owndata:  # a view: the array it views could still be written
+        a = a.copy(order="K")
     a.setflags(write=False)
     return a
 

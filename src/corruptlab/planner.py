@@ -90,6 +90,12 @@ def _density_order(offers: Sequence[SourceOffer]) -> list[SourceOffer]:
     return sorted(offers, key=lambda o: (-(o.alpha / o.unit_cost), o.unit_cost, o.name))
 
 
+def cost_scale(offers: Sequence[SourceOffer]) -> int:
+    """The least common multiple of the costs' denominators: both plans count
+    in units of 1/cost_scale."""
+    return math.lcm(*(o.unit_cost.denominator for o in offers))
+
+
 def _scaled(offers: Sequence[SourceOffer], budget: Fraction) -> tuple[list[SourceOffer], list[int], int, int]:
     """The offers densest first, their costs in units of 1/scale for scale the
     least common multiple of the costs' denominators, the budget in those
@@ -106,7 +112,7 @@ def _scaled(offers: Sequence[SourceOffer], budget: Fraction) -> tuple[list[Sourc
         if a == b:
             raise InvalidParameter(f"offer name {a!r} appears more than once")
     ordered = _density_order(offers)
-    scale = math.lcm(*(o.unit_cost.denominator for o in ordered))
+    scale = cost_scale(ordered)
     if budget.numerator * scale > CAPACITY_GUARD * budget.denominator:
         raise CapacityGuardExceeded(f"scaled capacity {_shown(budget * scale)} exceeds guard {CAPACITY_GUARD}")
     costs = [o.unit_cost.numerator * (scale // o.unit_cost.denominator) for o in ordered]

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,32 @@ class TestPlan:
         elapsed = time.perf_counter() - start
         assert (code, out) == run(capsys, "plan", "--offers", path, "--budget", "1e-5")[:2]
         assert code == 0 and elapsed < 1.0
+
+    def test_tiny_budget_builds_no_power_of_its_exponent(self, tmp_path, capsys):
+        # below one unit of the costs, 1/12, a decimal plans as 0 in far less time
+        # than Fraction takes to build its denominator 10**999999
+        path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
+                                                    {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}])
+        start = time.perf_counter()
+        Fraction("1e-999999")
+        fraction_s = time.perf_counter() - start
+        for budget in ("1e-999999", "0e-999999", "12e-999990"):
+            start = time.perf_counter()
+            result = run(capsys, "plan", "--offers", path, "--budget", budget)
+            plan_s = time.perf_counter() - start
+            assert result == run(capsys, "plan", "--offers", path, "--budget", "0")
+            assert plan_s < fraction_s / 4, (budget, plan_s, fraction_s)
+
+    @pytest.mark.parametrize("budget", ["1e-5", "0.00001", "0.08", "0.0833", "0.08333333333333334", "0.084",
+                                        "0.25", "25e-2", "1e-1", "-0.0", "0e-50", "3.5"])
+    def test_decimal_budget_plans_as_its_ratio(self, budget, tmp_path, capsys):
+        # a ratio skips the decimal reading, so the two agree also near one unit, 1/12
+        path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
+                                                    {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}])
+        ratio = Fraction(budget)
+        result = run(capsys, "plan", "--offers", path, "--budget", budget)
+        assert result == run(capsys, "plan", "--offers", path, "--budget", f"{ratio.numerator}/{ratio.denominator}")
+        assert result[0] == 0
 
     @pytest.mark.parametrize("budget, rounded", [("10.000001", "10"), ("12.3456789", "12"), ("999.99999", "999")])
     def test_budget_digits_past_the_costs_unit(self, budget, rounded, tmp_path, capsys):

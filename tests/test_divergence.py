@@ -1,5 +1,6 @@
 """Divergences, contraction coefficients and the strong data processing bound."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corruptlab import catalog, divergence, errors
+from corruptlab.cli import main
 from corruptlab.divergence import (
     KL,
     VARIATIONAL,
@@ -18,7 +20,8 @@ from corruptlab.divergence import (
     variational,
 )
 from corruptlab.kernels import (
-    STOCHASTIC_ATOL, Dist, Kernel, Space, compose, identity, make_dist, point_mass, replicate,
+    STOCHASTIC_ATOL, Dist, Kernel, Space, compose, identity, kernel_to_json, make_dist, point_mass,
+    replicate,
 )
 
 from helpers import asym_noise, binary_noise, constant_kernel, random_dist, random_kernel
@@ -225,12 +228,13 @@ def with_columns(matrix):
 class TestOnePassMatchesPairLoops:
     """alpha and lambda_coeff come from one pass; they must equal, bit for
     bit, what the two loops over the column pairs gave, both at today's slab
-    size and with every slab screened, so that only the rows that can hold
-    an extreme reach the exact reductions."""
+    size and with every slab screened in float32, so that only the rows that
+    can hold an extreme reach the exact reductions."""
 
     def check(self, t):
         expected = (alpha_loop(t), lambda_loop(t))
         for screen_entries in (divergence._SCREEN_ENTRIES, 1):
+            divergence._pair_extremes.cache_clear()  # else this setting reads the last one's result
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(divergence, "_SCREEN_ENTRIES", screen_entries)
                 assert (alpha(t), lambda_coeff(t)) == expected
@@ -274,16 +278,51 @@ class TestOnePassMatchesPairLoops:
 
     def test_eighths_give_exact_ties(self):
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            m, k = rng.integers(2, 25), rng.integers(1, 9)
-            self.check(with_columns(rng.multinomial(8, np.ones(k) / k, size=m).T / 8))
+        for count, m_max, k_max in ((100, 25, 9), (20, 60, 40)):  # the larger also reach today's slab size
+            for _ in range(count):
+                m, k = rng.integers(2, m_max), rng.integers(1, k_max)
+                self.check(with_columns(rng.multinomial(8, np.ones(k) / k, size=m).T / 8))
 
     def test_column_sums_off_one(self):
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            t = random_kernel(rng, rng.integers(2, 25), rng.integers(1, 20))
-            off = rng.uniform(-0.9, 0.9, size=len(t.domain)) * STOCHASTIC_ATOL
-            self.check(with_columns(t.matrix * (1.0 + off)))
+        for count, m_max, k_max, off_max in ((100, 25, 20, 0.9), (20, 60, 60, 1.0)):
+            for _ in range(count):
+                t = random_kernel(rng, rng.integers(2, m_max), rng.integers(1, k_max))
+                off = rng.uniform(-off_max, off_max, size=len(t.domain)) * STOCHASTIC_ATOL
+                self.check(with_columns(t.matrix * (1.0 + off)))
+
+    @pytest.mark.parametrize("tiny", [1e-39, 1e-310, 5e-324],
+                             ids=["float32-subnormal", "float64-subnormal", "least-double"])
+    def test_tiny_entries(self, tiny):
+        # 1e-39 is subnormal in float32; 1e-310 and 5e-324 round to 0 there
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            m, k = rng.integers(2, 20), rng.integers(2, 12)
+            matrix = rng.dirichlet(np.ones(k), size=m).T
+            matrix[rng.random((k, m)) < 0.5] = tiny
+            matrix[0] = 0.0
+            matrix[0] = 1.0 - matrix.sum(axis=0)  # leaves the tiny entries as they are
+            self.check(with_columns(matrix))
+        # columns that differ only in tiny entries
+        self.check(with_columns([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.0, tiny, 2 * tiny]]))
+        self.check(with_columns([[1.0, 1.0, 1.0, 1.0], [tiny, 0.0, tiny, 0.0], [0.0, tiny, tiny, 0.0]]))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_tall_kernel(self, m):
+        rng = np.random.default_rng(m)
+        t = random_kernel(rng, m, 20_000)
+        assert (m - 1) * t.matrix.shape[0] >= divergence._SCREEN_ENTRIES
+        self.check(t)
+        near = t.matrix[:, :1] * (1.0 + 1e-7 * rng.uniform(-1, 1, size=t.matrix.shape))  # TVs below the slack
+        self.check(with_columns(near / near.sum(axis=0)))
+
+    def test_columns_equal_in_float32(self):
+        # TVs that differ below float32's resolution are told apart by the exact sums
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            base = rng.dirichlet(np.ones(rng.integers(2, 40)))
+            columns = base[:, None] * (1.0 + 1e-9 * rng.uniform(-1, 1, size=(len(base), rng.integers(2, 30))))
+            self.check(with_columns(columns / columns.sum(axis=0)))
 
     def test_permuted_columns_tie_up_to_rounding(self):
         # equal in exact arithmetic, so the rounding of each sum orders the pairs
@@ -310,21 +349,24 @@ class TestOnePassMatchesPairLoops:
         self.check(t)
 
 
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """Rows that reach the exact reductions, counted through the helper that
+    computes them; no pass result is kept from before the test."""
+    rows = []
+    exact = divergence._exact_extremes
+
+    def counting(rest, col):
+        rows.append(len(rest))
+        return exact(rest, col)
+
+    monkeypatch.setattr(divergence, "_exact_extremes", counting)
+    divergence._pair_extremes.cache_clear()
+    return rows
+
+
 class TestScreenWork:
-    """The exact reductions run on the rows that survive the screen, counted
-    through the helper that computes them."""
-
-    @pytest.fixture
-    def exact_rows(self, monkeypatch):
-        rows = []
-        exact = divergence._exact_extremes
-
-        def counting(rest, col):
-            rows.append(len(rest))
-            return exact(rest, col)
-
-        monkeypatch.setattr(divergence, "_exact_extremes", counting)
-        return rows
+    """The exact reductions run on the rows that survive the screen."""
 
     def test_512_columns_screened(self, exact_rows):
         alpha(replicate(catalog.build_kernel(catalog.binary_label_noise(0.1, 0.2)), 9))
@@ -335,6 +377,50 @@ class TestScreenWork:
         assert (t.matrix.shape[1] - 1) * t.matrix.shape[0] < divergence._SCREEN_ENTRIES
         lambda_coeff(t)
         assert sum(exact_rows) == 32 * 31 // 2
+
+    def test_tall_kernels_run_every_pair(self, exact_rows, monkeypatch):
+        t = replicate(binary_noise(0.2), 6)
+        monkeypatch.setattr(divergence, "_SCREEN_ROWS", t.matrix.shape[0] - 1)
+        alpha(t)
+        assert sum(exact_rows) == 64 * 63 // 2
+
+
+class TestOnePassPerKernel:
+    """The pass's result is kept for the last kernel, by identity."""
+
+    def test_alpha_then_lambda_run_one_pass(self, exact_rows):
+        t = replicate(binary_noise(0.2), 5)
+        assert (alpha(t), lambda_coeff(t)) == (alpha_loop(t), lambda_loop(t))
+        assert sum(exact_rows) == 32 * 31 // 2
+
+    def test_analyze_runs_one_pass_per_kernel(self, exact_rows, tmp_path, capsys):
+        for t in (replicate(binary_noise(0.2), 5), replicate(asym_noise(0.1, 0.3), 5)):
+            exact_rows.clear()
+            path = tmp_path / "kernel.json"
+            path.write_text(json.dumps(kernel_to_json(t)))
+            assert main(["analyze", "--kernel", str(path)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert (report["alpha"], report["lambda"]) == (alpha_loop(t), lambda_loop(t))
+            assert sum(exact_rows) == 32 * 31 // 2
+
+    def test_alternating_kernels_get_their_own_values(self, exact_rows):
+        a, b = binary_noise(0.2), asym_noise(0.1, 0.3)
+        twin = Kernel(a.domain, a.codomain, a.matrix.copy())  # equal matrix, another kernel
+        calls = [(alpha, a), (lambda_coeff, b), (alpha, a), (lambda_coeff, twin), (alpha, b), (alpha, twin),
+                 (lambda_coeff, twin), (lambda_coeff, a), (alpha, a)]
+        loop = {alpha: alpha_loop, lambda_coeff: lambda_loop}
+        for fn, t in calls:
+            assert fn(t) == loop[fn](t)
+        # one pass of one pair per change of kernel object, none for a repeat
+        assert exact_rows == [1] * 7
+
+    def test_failed_cross_check_raises_again(self, exact_rows, monkeypatch):
+        monkeypatch.setattr(divergence, "ALPHA_CONSISTENCY_ATOL", -1.0)
+        t = binary_noise(0.2)
+        for fn in (alpha, alpha, lambda_coeff):
+            with pytest.raises(errors.InternalInconsistency):
+                fn(t)
+        assert exact_rows == [1] * 3
 
 
 class TestStrongDataProcessing:

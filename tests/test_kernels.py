@@ -80,6 +80,14 @@ class TestKernelValidation:
         with pytest.raises(ValueError):
             t.matrix[0, 0] = 2.0
 
+    def test_view_of_a_writable_array_is_copied(self):
+        # kernels are compared by identity, so their matrix must not change after validation
+        base = np.array([[0.9, 0.2], [0.1, 0.8]])
+        t = Kernel(Space(["a", "b"]), Space(["a", "b"]), base.T.T)
+        p = Dist(t.codomain, base[:, 0])
+        base[:] = [[2.0, -1.0], [-1.0, 2.0]]
+        assert t.matrix.tolist() == [[0.9, 0.2], [0.1, 0.8]] and p.weights.tolist() == [0.9, 0.1]
+
 
 class TestCompose:
     def test_identity_neutral(self):
