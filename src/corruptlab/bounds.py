@@ -25,7 +25,7 @@ from .errors import (
     SpaceMismatch,
     _shown,
 )
-from .kernels import Kernel, Dist, kernel_from_json, _freeze
+from .kernels import Dist, Kernel, Space, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, check_loss
 from .schema import INT, LIST, MATRIX, NAMES, NUM, OBJECT, fields, typed
 
@@ -37,7 +37,13 @@ EXCESS_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DecisionProblem:
-    """A loss over hypotheses x actions plus an experiment kernel."""
+    """A loss over hypotheses x actions plus an experiment kernel.
+
+    The hypotheses, actions and loss are checked and frozen as a
+    :class:`LossTable` over the hypothesis space, whose labels, actions and
+    values the problem keeps; the one rule of its own is that the
+    experiment's domain lists the hypotheses in order.
+    """
 
     thetas: tuple[str, ...]
     actions: tuple[str, ...]
@@ -45,22 +51,12 @@ class DecisionProblem:
     experiment: Kernel = field(repr=False)
 
     def __post_init__(self):
-        thetas = tuple(str(t) for t in self.thetas)
-        actions = tuple(str(a) for a in self.actions)
-        loss = np.asarray(self.loss, dtype=np.float64)
-        if not thetas or not actions:
-            raise InvalidParameter("need at least one hypothesis and one action")
-        if loss.shape != (len(thetas), len(actions)):
-            raise InvalidParameter(
-                f"loss has shape {loss.shape}, expected ({len(thetas)}, {len(actions)})"
-            )
-        if not np.all(np.isfinite(loss)):
-            raise InvalidParameter("loss entries must be finite")
-        if self.experiment.domain.labels != thetas:
+        table = LossTable(Space(self.thetas), self.actions, self.loss)
+        if self.experiment.domain != table.outcomes:
             raise SpaceMismatch("experiment domain must list the hypotheses in order")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "loss", _freeze(loss))
+        object.__setattr__(self, "thetas", table.outcomes.labels)
+        object.__setattr__(self, "actions", table.actions)
+        object.__setattr__(self, "loss", table.values)
 
     def theta_index(self, ref: int | str) -> int:
         return _resolve(self.thetas, ref, "hypothesis")
@@ -283,19 +279,18 @@ def bernstein_constant(p: Dist, loss: LossTable) -> float:
     return float(np.max(second[counted] / excess[counted], initial=0.0))
 
 
-def eta_compatibility(loss: LossTable, t: Kernel, r: Reconstruction) -> float:
-    """Distribution-free compatibility constant between a loss and a corruption.
+def eta_compatibility(loss: LossTable, r: Reconstruction) -> float:
+    """Distribution-free compatibility constant between a loss and the
+    corruption T = ``r.kernel`` that the reconstruction R inverts.
 
     Returns the smallest eta such that, for every clean outcome z and action
     pair, the corrected-loss difference squared stays within
-    eta * (clean difference)^2 at every corrupted outcome the kernel can
-    produce from z.  Pairs whose clean losses tie while the corrected ones do
-    not force eta to infinity (the condition cannot hold).
+    eta * (clean difference)^2 at every corrupted outcome T can produce from
+    z.  Pairs whose clean losses tie while the corrected ones do not force
+    eta to infinity (the condition cannot hold).
     """
+    t = r.kernel
     check_loss(t, loss)
-    if r.kernel.domain != t.domain or r.kernel.codomain != t.codomain:
-        raise SpaceMismatch("reconstruction spaces do not match the corruption")
-    Reconstruction(kernel=t, matrix=r.matrix)  # NotReconstructible unless R is a left inverse of t
     corrected = r.matrix.T @ loss.values
     support = t.matrix > 0.0
     eta = 0.0

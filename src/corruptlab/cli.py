@@ -135,8 +135,9 @@ def cmd_tables(args) -> int:
 def _budget(text: str, scale: int) -> Fraction:
     """``--budget`` as an exact rational.  A decimal is read as a ``Decimal``
     first, in microseconds at any exponent, so that a budget above the guard,
-    below zero or with an exponent outside the default decimal context is
-    refused before ``Fraction`` spends seconds or more on 10**exponent.  A
+    below zero with a magnitude below 1e-30 or at least 1e30, or with an
+    exponent outside the default decimal context is refused before
+    ``Fraction`` spends seconds or more on 10**exponent.  A
     decimal in [0, 1/scale), for ``scale`` the costs' least common
     denominator, reads as 0: the plans see the budget only in units of
     1/scale, rounded down, so it plans as 0 does."""
@@ -149,9 +150,12 @@ def _budget(text: str, scale: int) -> Fraction:
             raise ParseError(bad) from None
         if decimal.is_finite() and decimal > planner.CAPACITY_GUARD:  # over the guard at any cost scale
             raise CapacityGuardExceeded(f"budget above the capacity guard {planner.CAPACITY_GUARD}")
-        if decimal.is_finite() and decimal.as_tuple().exponent not in _BUDGET_EXPONENTS:
-            if decimal < 0:  # planner's message, without the integer behind the power of ten
-                raise InvalidParameter(f"budget must be >= 0, got -~1e{round(decimal.copy_abs().log10())}")
+        out_of_range = decimal.is_finite() and decimal.as_tuple().exponent not in _BUDGET_EXPONENTS
+        if decimal.is_finite() and decimal < 0 and (out_of_range or not -31 < decimal.adjusted() < 30):
+            # planner's message, without the integer behind the power of ten: below 1e-30 or
+            # from 1e30 on, a part of the reduced fraction reaches 10**30, where _shown prints this
+            raise InvalidParameter(f"budget must be >= 0, got -~1e{round(decimal.copy_abs().log10())}")
+        if out_of_range:
             raise ParseError(bad)
         if decimal.is_finite() and decimal >= 0 and decimal.adjusted() < -scale.bit_length():
             return Fraction(0)  # decimal < 10**(adjusted + 1) <= 10**-bit_length < 1/scale

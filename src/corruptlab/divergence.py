@@ -182,8 +182,7 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     1.31 against 1.52 ms.  Slabs of 992 entries (32 columns) lose and slabs
     of 4032 (64 columns) gain unless rich in exact ties, so the threshold
     lies between them, at 2048; the kernels of ``tables``, ``lecam`` and
-    small ``analyze`` calls stay below it.  A 512-column binary product takes
-    64 ms, against 115 ms with a float64 screen.
+    small ``analyze`` calls stay below it.
 
     The two extremes must add up to 1 within 1e-9; a disagreement signals a
     numeric bug and raises :class:`InternalInconsistency`.  A single column

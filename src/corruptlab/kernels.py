@@ -6,8 +6,10 @@ given input x_j.  Composition is matrix multiplication, parallel combination
 is the Kronecker product, and the adjoint (transpose) pulls functions on Y
 back to functions on X.
 
-All values are immutable after construction and every operation is a pure
-function, so they are safe to share across threads.
+All values are immutable after construction: each keeps its own read-only
+copy of the numbers it was given, so a caller who later writes to the array
+passed in changes nothing.  Every operation is a pure function, so values
+are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -40,10 +42,9 @@ PRODUCT_ENTRY_GUARD = 10**6
 PRODUCT_SEP = "⊗"
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if not a.flags.owndata:  # a view: the array it views could still be written
-        a = a.copy(order="K")
+def _freeze(a) -> np.ndarray:
+    """A read-only float64 copy of ``a``, which no caller holds."""
+    a = np.array(a, dtype=np.float64)
     a.setflags(write=False)
     return a
 
@@ -83,14 +84,14 @@ class Dist:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _freeze(self.weights)
         if w.shape != (len(self.space),):
             raise LengthMismatch(f"{w.shape} weights for {len(self.space)} outcomes")
         if np.any(w < 0):
             raise NegativeWeight("distribution weights must be non-negative")
         if not abs(float(w.sum()) - 1.0) <= STOCHASTIC_ATOL:
             raise NotNormalized(f"weights sum to {float(w.sum())!r}, not 1")
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "weights", w)
 
     def __getitem__(self, name: str) -> float:
         return float(self.weights[self.space.index(name)])
@@ -109,7 +110,7 @@ class Kernel:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = _freeze(self.matrix)
         if m.shape != (len(self.codomain), len(self.domain)):
             raise LengthMismatch(
                 f"kernel matrix has shape {m.shape}, expected "
@@ -124,7 +125,7 @@ class Kernel:
         if np.any(bad):
             j = int(np.argmax(bad))
             raise NotNormalized(f"column {j} sums to {sums[j]!r}, not 1")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
 
     def column(self, j: int) -> Dist:
         """The output distribution for the j-th domain outcome."""

@@ -41,7 +41,7 @@ class LossTable:
         actions = tuple(str(a) for a in actions)
         if not actions:
             raise LengthMismatch("a loss table needs at least one action")
-        v = np.asarray(values, dtype=np.float64)
+        v = _freeze(values)
         if v.shape != (len(outcomes), len(actions)):
             raise LengthMismatch(
                 f"loss values have shape {v.shape}, expected "
@@ -51,7 +51,7 @@ class LossTable:
             raise InvalidParameter("loss entries must be finite")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "sup_norm", float(np.abs(v).max()))
 
     def column(self, action: str) -> np.ndarray:
@@ -102,7 +102,7 @@ class Reconstruction:
     residual: float = field(init=False)
 
     def __post_init__(self):
-        r = np.asarray(self.matrix, dtype=np.float64)
+        r = _freeze(self.matrix)
         m, k = len(self.kernel.domain), len(self.kernel.codomain)
         if r.shape != (m, k):
             raise LengthMismatch(f"reconstruction has shape {r.shape}, expected ({m}, {k})")
@@ -111,7 +111,7 @@ class Reconstruction:
             raise NotReconstructible(
                 f"matrix is not a left inverse: residual {residual:.3e} > {RESIDUAL_ATOL:.0e}"
             )
-        object.__setattr__(self, "matrix", _freeze(r))
+        object.__setattr__(self, "matrix", r)
         object.__setattr__(self, "residual", residual)
 
     def to_json(self) -> dict:

@@ -255,7 +255,7 @@ def fastrate_curve(config: ExperimentConfig) -> FastRateReport:
     if float((config.clean_dist.weights @ config.loss.values).min()) > EXCESS_TOL:
         raise PreconditionFailed("clean distribution is not separable for this loss")
     rec = pseudoinverse(config.kernel())
-    if math.isinf(eta_compatibility(config.loss, rec.kernel, rec)):
+    if math.isinf(eta_compatibility(config.loss, rec)):
         raise PreconditionFailed("loss and corruption are not compatible (eta is infinite)")
     curve = _curve(config, rec)
     means = {r.n: r.mean_excess_risk for r in curve.rows}

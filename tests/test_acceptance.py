@@ -386,7 +386,7 @@ def test_criterion_12_fast_rate_signature():
     # compatibility constant matches the closed form for binary label noise
     s_neg = s_pos = 0.2
     t = asym_noise(s_neg, s_pos)
-    eta = eta_compatibility(zero_one_loss(t.domain), t, pseudoinverse(t))
+    eta = eta_compatibility(zero_one_loss(t.domain), pseudoinverse(t))
     closed = max(((1 + s_neg - s_pos) / (1 - s_neg - s_pos)) ** 2,
                  ((1 + s_pos - s_neg) / (1 - s_neg - s_pos)) ** 2)
     corrected = corrected_loss(pseudoinverse(t), zero_one_loss(t.domain))

@@ -284,18 +284,23 @@ class TestPlan:
         assert code == 0 and elapsed < 1.0
 
     def test_tiny_budget_builds_no_power_of_its_exponent(self, tmp_path, capsys):
-        # below one unit of the costs, 1/12, a decimal plans as 0 in far less time
-        # than Fraction takes to build its denominator 10**999999
+        # below one unit of the costs, 1/12, a decimal plans as 0, and below -1e-30 it is
+        # refused with the planner's message, in far less time than Fraction takes to
+        # build its denominator 10**999999
         path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
                                                     {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}])
         start = time.perf_counter()
         Fraction("1e-999999")
         fraction_s = time.perf_counter() - start
-        for budget in ("1e-999999", "0e-999999", "12e-999990"):
+        zero = run(capsys, "plan", "--offers", path, "--budget", "0")
+        refused = "error: budget must be >= 0, got -~1e{}\n"
+        for budget, expected in {"1e-999999": zero, "0e-999999": zero, "12e-999990": zero,
+                                 "-1e-999999": (2, "", refused.format(-999999)),
+                                 "-12e-999990": (2, "", refused.format(-999989))}.items():
             start = time.perf_counter()
-            result = run(capsys, "plan", "--offers", path, "--budget", budget)
+            result = run(capsys, "plan", "--offers", path, f"--budget={budget}")
             plan_s = time.perf_counter() - start
-            assert result == run(capsys, "plan", "--offers", path, "--budget", "0")
+            assert result == expected
             assert plan_s < fraction_s / 4, (budget, plan_s, fraction_s)
 
     @pytest.mark.parametrize("budget", ["1e-5", "0.00001", "0.08", "0.0833", "0.08333333333333334", "0.084",
@@ -620,9 +625,34 @@ def _one_offer(**changes):
     return lambda d: [*document_argv("offers", [offer], d)[:-2], "--budget=0"]
 
 
-#: (exit code, argv for a directory).  Counts past a float's range and sizes
-#: past a guard; each used to hang, raise out of `main` or print non-JSON.
+#: Malformed decision problems and the message each is refused with: the
+#: hypotheses, actions and loss are checked as a LossTable's, by `Space` and
+#: `LossTable`, and only the order of the hypotheses by the problem itself.
+BAD_PROBLEMS = {
+    "problem-no-hypotheses": ({"thetas": []}, "a space needs at least one outcome"),
+    "problem-no-actions": ({"actions": []}, "a loss table needs at least one action"),
+    "problem-loss-shape": ({"loss": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]},
+                           "loss values have shape (2, 3), expected (2, 2)"),
+    "problem-repeated-hypothesis": ({"thetas": ["t0", "t0"]}, "duplicate outcome names in ('t0', 't0')"),
+    "problem-hypotheses-out-of-order": ({"thetas": ["t1", "t0"]},
+                                        "experiment domain must list the hypotheses in order"),
+}
+
+
+def _bad_problem(case):
+    return lambda d: document_argv("problem", DOCUMENTS["problem"] | BAD_PROBLEMS[case][0], d)
+
+
+@pytest.mark.parametrize("case", BAD_PROBLEMS)
+def test_malformed_problem_message(case, tmp_path, capsys):
+    assert run(capsys, *_bad_problem(case)(tmp_path)) == (2, "", f"error: {BAD_PROBLEMS[case][1]}\n")
+
+
+#: (exit code, argv for a directory).  Malformed decision problems, counts
+#: past a float's range and sizes past a guard; each of the latter used to
+#: hang, raise out of `main` or print non-JSON.
 REFUSED = {
+    **{case: (2, _bad_problem(case)) for case in BAD_PROBLEMS},
     "n-inf": (2, _lecam("problem", "--n", "inf")),
     "n-inf-with-mix": (2, _lecam("mix", "--n", "inf")),
     "n-negative-with-mix": (2, _lecam("mix", "--n", "-1")),
@@ -650,6 +680,7 @@ REFUSED = {
     "budget--1e5000": (2, _plan("-1e5000")),
     "budget-1e10000000": (3, _plan("1e10000000")),
     "budget--1e10000000": (2, _plan("-1e10000000")),
+    "budget--1e999999": (2, _plan("-1e999999")),
     "budget-1e-10000000": (2, _plan("1e-10000000")),
     "budget-1e99999999999999999999999": (2, _plan("1e99999999999999999999999")),
     "cost-1/10**400": (2, _one_offer(cost={"num": 1, "den": 10**400})),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corruptlab import errors
+from corruptlab.divergence import alpha, lambda_coeff
 from corruptlab.kernels import (
     Dist,
     Kernel,
@@ -24,6 +25,7 @@ from corruptlab.kernels import (
     pushforward,
     replicate,
 )
+from corruptlab.reconstruct import LossTable, Reconstruction
 
 
 from helpers import binary_noise, constant_kernel, random_kernel
@@ -87,6 +89,25 @@ class TestKernelValidation:
         p = Dist(t.codomain, base[:, 0])
         base[:] = [[2.0, -1.0], [-1.0, 2.0]]
         assert t.matrix.tolist() == [[0.9, 0.2], [0.1, 0.8]] and p.weights.tolist() == [0.9, 0.1]
+
+    def test_every_value_keeps_its_own_copy(self):
+        # the caller's arrays stay theirs: writable, and writing to them changes no value
+        space = Space(["a", "b"])
+        numbers = {"matrix": [[0.9, 0.2], [0.1, 0.8]], "weights": [0.3, 0.7], "loss": [[0.0, 1.0], [1.0, 0.0]],
+                   "inverse": np.linalg.inv([[0.9, 0.2], [0.1, 0.8]]).tolist()}
+        given = {name: np.array(x) for name, x in numbers.items()}
+        t = Kernel(space, space, given["matrix"])
+        values = {"matrix": t, "weights": Dist(space, given["weights"]),
+                  "loss": LossTable(space, ["x", "y"], given["loss"]),
+                  "inverse": Reconstruction(kernel=t, matrix=given["inverse"])}
+        for name, a in given.items():
+            assert a.flags.writeable, name
+            a[:] = 0.5
+        kept = {"matrix": t.matrix, "weights": values["weights"].weights, "loss": values["loss"].values,
+                "inverse": values["inverse"].matrix}
+        assert {name: a.tolist() for name, a in kept.items()} == numbers
+        fresh = Kernel(space, space, numbers["matrix"])
+        assert (alpha(t), lambda_coeff(t)) == (alpha(fresh), lambda_coeff(fresh))
 
 
 class TestCompose:

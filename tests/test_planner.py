@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,24 @@ class TestExchangeBound:
 
         assert exact_plan(offers, Fraction("99.9999")) == exact_plan(offers, 99)
         assert best_of_7(Fraction("99.9999")) < 10 * best_of_7(99)
+
+    def test_dp_memory_stops_growing_at_the_width(self):
+        # costs 13 (the densest), 97 and 101 give W = 12 * 101 = 1,212 cells; a DP
+        # over the whole capacity of 10**7 would hold tens of MB
+        offers = [SourceOffer("A", 0.9, 13), SourceOffer("B", 0.5, 97), SourceOffer("C", 0.6, 101)]
+        width = (13 - 1) * 101
+
+        def peak(budget):
+            tracemalloc.start()
+            try:
+                exact_plan(offers, budget)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        at_width = peak(width)
+        for budget in (10 * width, 10**3 * width, CAPACITY_GUARD):
+            assert peak(budget) <= 2 * at_width, (budget, peak(budget), at_width)
 
     @pytest.mark.parametrize("offers, budget, counts", [
         # equal densities 0.2, s1 the denser by the cheaper cost; the DP over

@@ -5,11 +5,12 @@ the jobs whose exit code, stdout, stderr or CSV differ.
 
 OLD_SRC and NEW_SRC are ``src`` directories, each holding a ``corruptlab``
 package.  The inputs of the four workloads of ``benchmark/workloads.py`` are
-built once, at seeds 101 and 202, by a child process that imports OLD_SRC.
-Then each tree runs every job through its own ``cli.main`` in a child process
-of its own, on those same inputs, with ``OPENBLAS_NUM_THREADS=1``, and then
-runs them all again in reverse order in that same process, so that state one
-call leaves for the next shows.  The report gives the job count, the count
+built once, at seeds 101 and 202, by a child process that imports OLD_SRC,
+together with those of a fixed list of edge-case jobs (``EDGE_JOBS``) that no
+benchmark job reaches.  Then each tree runs every job through its own
+``cli.main`` in a child process of its own, on those same inputs, with
+``OPENBLAS_NUM_THREADS=1``, and then runs them all again in reverse order in
+that same process, so that state one call leaves for the next shows.  The report gives the job count, the count
 per exit code of each tree, every job that differs between the trees and
 every job whose two passes differ within a tree; the exit status is 1 when
 some job differs, else 0.
@@ -33,14 +34,60 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 SEEDS = (101, 202)
 FIELDS = ("exit code", "stdout", "stderr", "csv")
 
+_KERNEL = {"from": ["-1", "+1"], "to": ["-1", "+1"], "matrix": [[0.8, 0.3], [0.2, 0.7]]}
+_LOSS = {"outcomes": ["-1", "+1"], "actions": ["-1", "+1"], "values": [[0.0, 1.0], [1.0, 0.0]]}
+_PROBLEM = {"thetas": ["t0", "t1"], "actions": ["a0", "a1"], "loss": [[0.0, 1.0], [1.0, 0.0]],
+            "experiment": _KERNEL | {"from": ["t0", "t1"]}}
+
+#: The input documents of the edge-case jobs, by file name.
+EDGE_DOCUMENTS = {
+    "offers.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
+                    {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}],
+    "problem.json": _PROBLEM,
+    "no-hypotheses.json": _PROBLEM | {"thetas": []},
+    "no-actions.json": _PROBLEM | {"actions": []},
+    "loss-shape.json": _PROBLEM | {"loss": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]},
+    "repeated-hypothesis.json": _PROBLEM | {"thetas": ["t0", "t0"]},
+    "hypotheses-out-of-order.json": _PROBLEM | {"thetas": ["t1", "t0"]},
+    "foreign-kernel.json": _KERNEL | {"from": ["a", "b"]},
+    "fast-rate.json": {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]}, "loss": _LOSS,
+                       "corruption": {"family": "binary_label_noise",
+                                      "params": {"sigma_neg": 0.2, "sigma_pos": 0.3}},
+                       "sample_sizes": [25, 50], "trials": 25, "seed": 7},
+}
+
+_LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
+
+#: Edge-case jobs by name: argv with each input document named by its file
+#: name.  Decimal budgets far from 1, malformed decision problems, an infinite
+#: count, a corruption foreign to the experiment and a fast-rate simulation.
+EDGE_JOBS = {
+    **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
+       for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan")},
+    **{f"lecam-{name}": (*_LECAM, f"{name}.json")
+       for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
+                    "hypotheses-out-of-order")},
+    "lecam-n-inf": (*_LECAM, "problem.json", "--n", "inf"),
+    "lecam-foreign-kernel": (*_LECAM, "problem.json", "--kernel", "foreign-kernel.json"),
+    "simulate-fast-rate": ("simulate", "--config", "fast-rate.json", "--out", "fast-rate.csv",
+                           "--mode", "fast-rate"),
+}
+
 
 def _build(directory: str) -> list[dict]:
-    """Every job of every workload at each seed, inputs under ``directory``."""
+    """Every job of every workload at each seed, then every edge-case job,
+    inputs under ``directory``."""
     import workloads
 
+    edge = Path(directory, "edge")
+    edge.mkdir(parents=True)
+    for name, document in EDGE_DOCUMENTS.items():
+        (edge / name).write_text(json.dumps(document))
     return [{"name": f"{workload}/{seed}/{job.name}", "argv": job.argv}
             for workload in workloads.WORKLOADS for seed in SEEDS
-            for job in workloads.build(workload, seed, os.path.join(directory, f"{workload}-{seed}"))]
+            for job in workloads.build(workload, seed, os.path.join(directory, f"{workload}-{seed}"))] + [
+        {"name": f"edge/{name}", "argv": [str(edge / a) if a.endswith((".json", ".csv")) else a for a in argv]}
+        for name, argv in EDGE_JOBS.items()]
 
 
 def _pass(jobs: list[dict]) -> list[tuple]:
