@@ -25,9 +25,9 @@ from .errors import (
     SpaceMismatch,
     _shown,
 )
-from .kernels import Dist, Kernel, Space, kernel_from_json
+from .kernels import KERNEL, Dist, Kernel, Space, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, check_loss
-from .schema import INT, LIST, MATRIX, NAMES, NUM, OBJECT, fields, typed
+from .schema import INT, LIST, NUM, OBJECT, fields, maybe, read_fields, typed
 
 #: Risks, expectations and squared differences at or below this count as
 #: zero: in the Bernstein and compatibility ratios (the boundary between "no
@@ -51,6 +51,7 @@ class DecisionProblem:
     experiment: Kernel = field(repr=False)
 
     def __post_init__(self):
+        read_fields(self, "problem", experiment=KERNEL)
         table = LossTable(Space(self.thetas), self.actions, self.loss)
         if self.experiment.domain != table.outcomes:
             raise SpaceMismatch("experiment domain must list the hypotheses in order")
@@ -70,7 +71,7 @@ def _resolve(names: tuple[str, ...], ref: int | str, kind: str) -> int:
         if ref in names:
             return names.index(ref)
         raise IndexOutOfRange(f"unknown {kind} {ref!r}")
-    i = int(ref)
+    i = typed(ref, f"{kind} index", INT)
     if not 0 <= i < len(names):
         raise IndexOutOfRange(f"{kind} index {_shown(i)} out of range [0, {len(names)})")
     return i
@@ -97,11 +98,6 @@ def separation(problem: DecisionProblem, theta1: int | str, theta2: int | str) -
     return float((r1 + r2).min())
 
 
-def _experiment_v(problem: DecisionProblem, i: int, j: int) -> float:
-    e = problem.experiment
-    return divergence.variational(e.column(i), e.column(j))
-
-
 def lecam_replicated(
     problem: DecisionProblem,
     theta1: int | str,
@@ -122,7 +118,7 @@ def lecam_replicated(
     i = problem.theta_index(theta1)
     j = problem.theta_index(theta2)
     rho = separation(problem, i, j)
-    v = _experiment_v(problem, i, j)
+    v = divergence.variational(problem.experiment.column(i), problem.experiment.column(j))
     value = rho * (0.25 - 0.25 * n * v)
     return max(0.0, value) if clamped else value
 
@@ -173,11 +169,9 @@ class MixedSource:
     corrected_sup: float | None = None
 
     def __post_init__(self):
-        if self.count > sys.float_info.max:  # alpha * count must stay a float
-            raise InvalidParameter(f"count must be at most {sys.float_info.max!r}")
-        if int(self.count) != self.count or self.count < 0:
-            raise InvalidParameter(f"count must be a non-negative integer, got {_shown(self.count)}")
-        object.__setattr__(self, "count", int(self.count))
+        read_fields(self, "mixed source", count=INT, kernel=maybe(KERNEL), alpha=maybe(NUM), corrected_sup=maybe(NUM))
+        if not 0 <= self.count <= sys.float_info.max:  # alpha * count must stay a float
+            raise InvalidParameter(f"count must be in [0, {sys.float_info.max!r}], got {_shown(self.count)}")
         if self.alpha is None and self.kernel is not None:
             object.__setattr__(self, "alpha", divergence.alpha(self.kernel))
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
@@ -204,22 +198,16 @@ class MixedCorruption:
 
     def effective_count(self) -> float:
         """sum_i alpha_i * n_i, the clean-sample equivalent of the mix."""
-        total = 0.0
-        for s in self.sources:
-            if s.alpha is None:
-                raise MissingStatistic("source lacks alpha (and has no kernel)")
-            total += s.alpha * s.count
-        return total
+        if any(s.alpha is None for s in self.sources):
+            raise MissingStatistic("source lacks alpha (and has no kernel)")
+        return sum(s.alpha * s.count for s in self.sources)
 
     def mixing_constant(self) -> float:
         """sqrt(sum_i r_i ||corrected_i||_inf^2) with r_i = n_i / n."""
+        if any(s.corrected_sup is None for s in self.sources):
+            raise MissingStatistic("source lacks corrected_sup")
         n = self.total
-        acc = 0.0
-        for s in self.sources:
-            if s.corrected_sup is None:
-                raise MissingStatistic("source lacks corrected_sup")
-            acc += (s.count / n) * s.corrected_sup**2
-        return math.sqrt(acc)
+        return math.sqrt(sum((s.count / n) * s.corrected_sup**2 for s in self.sources))
 
 
 def lecam_mixed(
@@ -318,9 +306,8 @@ def fastrate_gamma(beta: float, sup_norm: float) -> float:
 # -- JSON wire formats -----------------------------------------------------------
 
 def problem_from_json(obj: dict) -> DecisionProblem:
-    thetas, actions, loss, experiment = fields(
-        obj, "problem", ("thetas", NAMES), ("actions", NAMES), ("loss", MATRIX),
-        ("experiment", OBJECT))
+    thetas, actions, loss, experiment = fields(obj, "problem", "thetas", "actions", "loss",
+                                               ("experiment", OBJECT))
     return DecisionProblem(thetas=thetas, actions=actions, loss=loss,
                            experiment=kernel_from_json(experiment))
 
@@ -328,8 +315,8 @@ def problem_from_json(obj: dict) -> DecisionProblem:
 def mixed_from_json(obj: list) -> MixedCorruption:
     sources = []
     for i, entry in enumerate(typed(obj, "mixed corruption", LIST)):
-        count, kernel, alpha, corrected_sup = fields(entry, f"mixed source {i}", ("count", INT), optional=(
-            ("kernel", OBJECT, None), ("alpha", NUM, None), ("corrected_sup", NUM, None)))
+        count, kernel, alpha, corrected_sup = fields(entry, f"mixed source {i}", "count", optional=(
+            ("kernel", OBJECT, None), ("alpha", None), ("corrected_sup", None)))
         kernel = kernel_from_json(kernel) if kernel is not None else None
         sources.append(MixedSource(count, kernel, alpha, corrected_sup))
     return MixedCorruption(sources)

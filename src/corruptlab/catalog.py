@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameter, SizeGuardExceeded, UnknownFamily, _shown
 from .kernels import PRODUCT_ENTRY_GUARD, Kernel, Space
-from .schema import INT, NUM, OBJECT, STR, fields
+from .schema import INT, NUM, OBJECT, STR, fields, typed
 
 BINARY = "binary_label_noise"
 SYMMETRIC = "symmetric_label_noise"
@@ -129,7 +129,7 @@ FAMILIES = {
 
 def family(name: str) -> Family:
     try:
-        return FAMILIES[name]
+        return FAMILIES[typed(name, 'corruption "family"', STR)]
     except KeyError:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(sorted(FAMILIES))}") from None
 
@@ -138,14 +138,14 @@ def _check(name: str, value):
     """``classes`` is a count of at least 2 under the entry guard; every other
     parameter is a probability."""
     if name == "classes":
-        value = int(value)
+        value = typed(value, name, INT)
         if value < 2:
             raise InvalidParameter(f"need at least 2 classes, got {_shown(value)}")
         if value**2 > PRODUCT_ENTRY_GUARD:  # before the k x k matrix
             raise SizeGuardExceeded(
                 f"more than {math.isqrt(PRODUCT_ENTRY_GUARD)} classes exceed the entry guard")
         return value
-    value = float(value)
+    value = typed(value, name, NUM)
     if not 0.0 <= value <= 1.0:
         raise InvalidParameter(f"{name} must be in [0, 1], got {value!r}")
     return value
@@ -192,10 +192,10 @@ def spec_to_json(spec: CorruptionSpec) -> dict:
 
 
 def spec_from_json(obj: dict) -> CorruptionSpec:
-    name, params = fields(obj, "corruption", ("family", STR), optional=(("params", OBJECT, {}),))
+    name, params = fields(obj, "corruption", "family", optional=(("params", OBJECT, {}),))
     names = family(name).params
     probabilities = [key for key in names if key != "classes"]
     # the probabilities are read first, then the optional class count
-    values = fields(params, f"{name} params", *((key, NUM) for key in probabilities),
-                    optional=(("classes", INT, 3),) if "classes" in names else ())
+    values = fields(params, f"{name} params", *probabilities,
+                    optional=(("classes", 3),) if "classes" in names else ())
     return make_spec(name, **dict(zip([*probabilities, "classes"], values)))

@@ -79,28 +79,26 @@ def _theta_ref(text: str):
         return text
 
 
-def _reconstruction(kernel):
-    """The kernel's pseudoinverse, or None when its columns are dependent."""
+def _statistics(kernel, loss=None) -> tuple:
+    """``alpha`` of a kernel, the row norm of its pseudoinverse and the sup
+    norm of ``loss`` corrected by it (None without a loss); both norms are
+    None when the kernel's columns are dependent."""
     try:
-        return pseudoinverse(kernel)
+        rec = pseudoinverse(kernel)
     except RankDeficient:
-        return None
+        return divergence.alpha(kernel), None, None
+    return divergence.alpha(kernel), op_norm_row_sum(rec), None if loss is None else corrected_sup_norm(rec, loss)
 
 
 def cmd_analyze(args) -> int:
     kernel = kernel_from_json(load_json(args.kernel))
-    report = {
-        "alpha": divergence.alpha(kernel),
-        "lambda": divergence.lambda_coeff(kernel),
-    }
-    rec = _reconstruction(kernel)
-    report["reconstructible"] = rec is not None
-    report["row_norm"] = None if rec is None else op_norm_row_sum(rec)
-    if args.loss is not None:
-        loss = loss_from_json(load_json(args.loss))
+    loss = None if args.loss is None else loss_from_json(load_json(args.loss))
+    if loss is not None:
         check_loss(kernel, loss)  # also when there is no reconstruction to correct it with
-        report["corrected_sup"] = None if rec is None else corrected_sup_norm(rec, loss)
-    _emit(report)
+    alpha, row_norm, corrected_sup = _statistics(kernel, loss)
+    report = {"alpha": alpha, "lambda": divergence.lambda_coeff(kernel),
+              "reconstructible": row_norm is not None, "row_norm": row_norm}
+    _emit(report if loss is None else report | {"corrected_sup": corrected_sup})
     return 0
 
 
@@ -116,17 +114,14 @@ def cmd_tables(args) -> int:
         spec = catalog.make_spec(args.family, **params)
         kernel = catalog.build_kernel(spec)
         closed = catalog.closed_form_stats(spec)
-        numeric = [divergence.alpha(kernel), None, None]
-        rec = _reconstruction(kernel)
-        if rec is not None:
-            numeric[1:] = op_norm_row_sum(rec), corrected_sup_norm(rec, zero_one_loss(kernel.domain))
+        numeric = _statistics(kernel, zero_one_loss(kernel.domain))
         cells = list(zip((closed.alpha, closed.row_norm, closed.corrected01_norm), numeric))
         diffs = [abs(c - n) for c, n in cells if c is not None and n is not None]
         lines.append(",".join([
             repr(float(sigma)),
             *(_cell(value) for cell in cells for value in cell),
             _cell(max(diffs) if diffs else None),
-            "" if rec is not None else "non-reconstructible",
+            "" if numeric[1] is not None else "non-reconstructible",
         ]))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidParameter, SpaceMismatch
-from .kernels import Dist, Kernel, pushforward
+from .kernels import KERNEL, Dist, Kernel, pushforward
+from .schema import typed
 
 #: Agreement tolerance between the two alpha formulas before we flag a bug.
 ALPHA_CONSISTENCY_ATOL = 1e-9
@@ -225,14 +226,14 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
 def lambda_coeff(t: Kernel) -> float:
     """Minimal column overlap: min over column pairs of sum_k min(T_ki, T_kj).
     Computed once per kernel, together with ``alpha``."""
-    return _pair_extremes(t)[1]
+    return _pair_extremes(typed(t, "kernel", KERNEL))[1]  # checked first: an array is no key of the kept result
 
 
 def alpha(t: Kernel) -> float:
     """Contraction coefficient: the maximum variational divergence between
     two columns, equal to 1 - lambda(T).  Both come from one pass, run once
     per kernel: the second of the two calls reads the kept result."""
-    return _pair_extremes(t)[0]
+    return _pair_extremes(typed(t, "kernel", KERNEL))[0]
 
 
 @dataclass(frozen=True)

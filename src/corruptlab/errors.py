@@ -61,7 +61,9 @@ class RankDeficient(NotReconstructible):
 
 
 class InvalidParameter(InvalidInput):
-    """A scalar argument is outside its documented domain."""
+    """A field or argument has the wrong type (a string or boolean for a
+    number, a ragged or non-finite array, a float for a count) or a scalar
+    outside its documented domain."""
 
 
 class IndexOutOfRange(InvalidInput):
@@ -89,7 +91,10 @@ class UnknownFamily(InvalidInput):
 
 
 class ParseError(InvalidInput):
-    """A JSON document does not match the expected schema."""
+    """A JSON document, a command-line argument or a file does not have the
+    expected shape: not JSON, a missing or unknown key, an object or list
+    where another is expected.  A value of the wrong type inside a
+    well-shaped document is an :class:`InvalidParameter`."""
 
 
 # -- numerical failure / guards -----------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     SpaceMismatch,
     _shown,
 )
-from .schema import MATRIX, NAMES, VECTOR, fields
+from .schema import INT, NAMES, _need, fields, instance_of, read_fields, typed
 
 #: Absolute tolerance on "sums to one" checks at construction time.
 STOCHASTIC_ATOL = 1e-9
@@ -42,11 +42,30 @@ PRODUCT_ENTRY_GUARD = 10**6
 PRODUCT_SEP = "⊗"
 
 
-def _freeze(a) -> np.ndarray:
-    """A read-only float64 copy of ``a``, which no caller holds."""
-    a = np.array(a, dtype=np.float64)
+def _array(values, ndim: int) -> np.ndarray:
+    a = np.asarray(values)  # numpy refuses ragged rows with a ValueError too
+    _need(a.ndim == ndim and a.dtype.kind in "iuf" and bool(np.isfinite(a).all()), a)
+    if not isinstance(values, np.ndarray):
+        entries = itertools.chain.from_iterable(values) if ndim == 2 else values
+        _need(not {bool, np.bool_} & set(map(type, entries)), a)
+    a = a.astype(np.float64, copy=not isinstance(values, (list, tuple)))
     a.setflags(write=False)
     return a
+
+
+_ARRAYS = {1: (InvalidParameter, "a list of finite numbers", lambda v: _array(v, 1)),
+           2: (InvalidParameter, "a list of equal-length rows of finite numbers", lambda v: _array(v, 2))}
+
+
+def _freeze(values, what: str, ndim: int) -> np.ndarray:
+    """``values``, ``ndim``-dimensional, as a read-only float64 array that no
+    caller holds.  The one reader of every array a value keeps: a list is
+    converted once and anything else, an array included, copied.  Ragged
+    rows, strings, nulls, booleans and non-finite entries are refused with a
+    one-line :class:`InvalidParameter` that ``what`` begins.  A boolean array
+    has a dtype of its own, but numpy reads a boolean among numbers as 0 or
+    1, so the entries of anything but an array have their types looked at."""
+    return typed(values, what, _ARRAYS[ndim])
 
 
 @dataclass(frozen=True)
@@ -55,8 +74,8 @@ class Space:
 
     labels: tuple[str, ...]
 
-    def __init__(self, labels: Iterable[str]):
-        labels = tuple(str(x) for x in labels)
+    def __init__(self, labels: Sequence[str]):
+        labels = typed(labels, 'space "labels"', NAMES)
         if not labels:
             raise LengthMismatch("a space needs at least one outcome")
         if len(set(labels)) != len(labels):
@@ -76,6 +95,10 @@ class Space:
         return iter(self.labels)
 
 
+#: The kind of a :class:`Space` field.
+SPACE = instance_of(Space)
+
+
 @dataclass(frozen=True, eq=False)
 class Dist:
     """A probability vector over a named finite space."""
@@ -84,10 +107,11 @@ class Dist:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = _freeze(self.weights)
+        read_fields(self, "distribution", space=SPACE)
+        w = _freeze(self.weights, 'distribution "weights"', 1)
         if w.shape != (len(self.space),):
             raise LengthMismatch(f"{w.shape} weights for {len(self.space)} outcomes")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise NegativeWeight("distribution weights must be non-negative")
         if not abs(float(w.sum()) - 1.0) <= STOCHASTIC_ATOL:
             raise NotNormalized(f"weights sum to {float(w.sum())!r}, not 1")
@@ -110,19 +134,15 @@ class Kernel:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = _freeze(self.matrix)
-        if m.shape != (len(self.codomain), len(self.domain)):
-            raise LengthMismatch(
-                f"kernel matrix has shape {m.shape}, expected "
-                f"({len(self.codomain)}, {len(self.domain)})"
-            )
-        if not np.isfinite(m).all():
-            raise InvalidParameter("kernel entries must be finite")
-        if np.any(m < 0):
+        read_fields(self, "kernel", domain=SPACE, codomain=SPACE)
+        m = _freeze(self.matrix, 'kernel "matrix"', 2)
+        if m.shape != (shape := (len(self.codomain), len(self.domain))):
+            raise LengthMismatch(f"kernel matrix has shape {m.shape}, expected {shape}")
+        if (m < 0).any():
             raise NegativeWeight("kernel entries must be non-negative")
         sums = m.sum(axis=0)
         bad = np.abs(sums - 1.0) > STOCHASTIC_ATOL
-        if np.any(bad):
+        if bad.any():
             j = int(np.argmax(bad))
             raise NotNormalized(f"column {j} sums to {sums[j]!r}, not 1")
         object.__setattr__(self, "matrix", m)
@@ -130,6 +150,10 @@ class Kernel:
     def column(self, j: int) -> Dist:
         """The output distribution for the j-th domain outcome."""
         return Dist(self.codomain, self.matrix[:, j])
+
+
+#: The kind of a :class:`Kernel` field.
+KERNEL = instance_of(Kernel)
 
 
 def make_dist(space: Space, weights: Sequence[float]) -> Dist:
@@ -193,7 +217,7 @@ def pullback(t: Kernel, f: Sequence[float]) -> np.ndarray:
 def product_space(spaces: Sequence[Space]) -> Space:
     """Cartesian product with deterministic names ``a⊗b⊗...``."""
     combos = itertools.product(*(s.labels for s in spaces))
-    return Space(PRODUCT_SEP.join(c) for c in combos)
+    return Space([PRODUCT_SEP.join(c) for c in combos])
 
 
 def parallel_product(ts: Sequence[Kernel]) -> Kernel:
@@ -226,6 +250,7 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
 
 def replicate(t: Kernel, n: int) -> Kernel:
     """The n-fold parallel product of a kernel with itself."""
+    n = typed(n, "replication count", INT)
     if n < 1:
         raise InvalidParameter(f"replication count must be >= 1, got {_shown(n)}")
     return parallel_product([t] * n)
@@ -242,7 +267,7 @@ def kernel_to_json(t: Kernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> Kernel:
-    domain, codomain, matrix = fields(obj, "kernel", ("from", NAMES), ("to", NAMES), ("matrix", MATRIX))
+    domain, codomain, matrix = fields(obj, "kernel", "from", "to", "matrix")
     return Kernel(Space(domain), Space(codomain), matrix)
 
 
@@ -251,5 +276,5 @@ def dist_to_json(p: Dist) -> dict:
 
 
 def dist_from_json(obj: dict) -> Dist:
-    space, weights = fields(obj, "distribution", ("space", NAMES), ("weights", VECTOR))
+    space, weights = fields(obj, "distribution", "space", "weights")
     return Dist(Space(space), weights)

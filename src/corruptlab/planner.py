@@ -27,6 +27,7 @@ with the most units of the densest offer.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,16 @@ from .errors import (
     MissingStatistic,
     _shown,
 )
-from .schema import LIST, NUM, RATIONAL, STR, fields, typed
+from .schema import INT, LIST, NUM, RATIONAL, STR, fields, maybe, read_fields, typed
+
+
+def _exact(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(INT[2](v) if isinstance(v, numbers.Integral) else NUM[2](v))
+
+
+#: The kind of a cost or budget: a Fraction as it is, any other integer or
+#: finite real as its exact value.
+EXACT = (InvalidParameter, "an integer, a Fraction or a finite number", _exact)
 
 #: Largest budget, in units of 1/scale, either plan will accept.
 CAPACITY_GUARD = 10**7
@@ -58,12 +68,12 @@ class SourceOffer:
     corrected_sup: float | None = None
 
     def __post_init__(self):
+        read_fields(self, "offer", name=STR, alpha=NUM, unit_cost=EXACT, corrected_sup=maybe(NUM))
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidParameter(f"alpha must be in [0, 1], got {self.alpha!r}")
-        cost = Fraction(self.unit_cost)
+        cost = self.unit_cost
         if not 0 < cost <= sys.float_info.max or float(cost) == 0.0:  # the ranking keys use it as a double
             raise InvalidParameter(f"unit cost must be positive and within a double's range, got {_shown(cost)}")
-        object.__setattr__(self, "unit_cost", cost)
         sup = self.corrected_sup
         if sup is not None and not 0.0 <= sup <= math.sqrt(sys.float_info.max):  # the upper key squares it
             raise InvalidParameter(f"corrected_sup must be >= 0 with a finite square as a double, got {_shown(sup)}")
@@ -96,13 +106,14 @@ def cost_scale(offers: Sequence[SourceOffer]) -> int:
     return math.lcm(*(o.unit_cost.denominator for o in offers))
 
 
-def _scaled(offers: Sequence[SourceOffer], budget: Fraction) -> tuple[list[SourceOffer], list[int], int, int]:
+def _scaled(offers: Sequence[SourceOffer], budget) -> tuple[list[SourceOffer], list[int], int, int]:
     """The offers densest first, their costs in units of 1/scale for scale the
     least common multiple of the costs' denominators, the budget in those
     units rounded down, and scale.  Offers sharing a name are refused, and so
     is a budget whose exact value in those units is past the guard, before
     any count is made, so no count can overflow a float; the budget's own
     denominator never enters the scale."""
+    budget = typed(budget, "budget", EXACT)
     if budget < 0:
         raise InvalidParameter(f"budget must be >= 0, got {_shown(budget)}")
     if not offers:
@@ -130,7 +141,7 @@ def _plan(ordered: list[SourceOffer], costs: list[int], counts: list[int], scale
 
 def greedy_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPlan:
     """Buy the densest source until it no longer fits, then the next, etc."""
-    ordered, costs, remaining, scale = _scaled(offers, Fraction(budget))
+    ordered, costs, remaining, scale = _scaled(offers, budget)
     counts = []
     for cost in costs:
         counts.append(remaining // cost)
@@ -152,7 +163,7 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPl
     within ``PLAN_TIE_RTOL`` of the best are tied, and the tie goes to the
     plan with the most units of the densest offer.
     """
-    ordered, costs, capacity, scale = _scaled(offers, Fraction(budget))
+    ordered, costs, capacity, scale = _scaled(offers, budget)
     dense, c_b = ordered[0], costs[0]
     width = min(capacity, (c_b - 1) * max(costs))
 
@@ -202,7 +213,7 @@ def rank_sources_upper(offers: Sequence[SourceOffer]) -> list[str]:
 
 def offers_from_json(obj: list) -> list[SourceOffer]:
     return [
-        SourceOffer(*fields(entry, f"offer {i}", ("name", STR), ("alpha", NUM), ("cost", RATIONAL),
-                            optional=(("corrected_sup", NUM, None),)))
+        SourceOffer(*fields(entry, f"offer {i}", "name", "alpha", ("cost", RATIONAL),
+                            optional=(("corrected_sup", None),)))
         for i, entry in enumerate(typed(obj, "offers", LIST))
     ]

@@ -10,14 +10,14 @@ be negative even when ell is not; nothing here clamps them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from . import divergence
-from .errors import InvalidParameter, LengthMismatch, NotReconstructible, RankDeficient, SpaceMismatch
-from .kernels import Kernel, Space, _freeze
-from .schema import MATRIX, NAMES, fields
+from .errors import LengthMismatch, NotReconstructible, RankDeficient, SpaceMismatch
+from .kernels import KERNEL, SPACE, Kernel, Space, _freeze
+from .schema import NAMES, fields, read_fields, typed
 
 #: Left-inverse residual allowed before a Reconstruction is rejected.
 RESIDUAL_ATOL = 1e-9
@@ -37,18 +37,14 @@ class LossTable:
     values: np.ndarray = field(repr=False)
     sup_norm: float = field(init=False)
 
-    def __init__(self, outcomes: Space, actions: Iterable[str], values):
-        actions = tuple(str(a) for a in actions)
+    def __init__(self, outcomes: Space, actions: Sequence[str], values):
+        typed(outcomes, 'loss "outcomes"', SPACE)
+        actions = typed(actions, 'loss "actions"', NAMES)
         if not actions:
             raise LengthMismatch("a loss table needs at least one action")
-        v = _freeze(values)
-        if v.shape != (len(outcomes), len(actions)):
-            raise LengthMismatch(
-                f"loss values have shape {v.shape}, expected "
-                f"({len(outcomes)}, {len(actions)})"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvalidParameter("loss entries must be finite")
+        v = _freeze(values, 'loss "values"', 2)
+        if v.shape != (shape := (len(outcomes), len(actions))):
+            raise LengthMismatch(f"loss values have shape {v.shape}, expected {shape}")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "values", v)
@@ -102,7 +98,8 @@ class Reconstruction:
     residual: float = field(init=False)
 
     def __post_init__(self):
-        r = _freeze(self.matrix)
+        read_fields(self, "reconstruction", kernel=KERNEL)
+        r = _freeze(self.matrix, 'reconstruction "matrix"', 2)
         m, k = len(self.kernel.domain), len(self.kernel.codomain)
         if r.shape != (m, k):
             raise LengthMismatch(f"reconstruction has shape {r.shape}, expected ({m}, {k})")
@@ -185,6 +182,5 @@ def loss_to_json(loss: LossTable) -> dict:
 
 
 def loss_from_json(obj: dict) -> LossTable:
-    outcomes, actions, values = fields(
-        obj, "loss", ("outcomes", NAMES), ("actions", NAMES), ("values", MATRIX))
+    outcomes, actions, values = fields(obj, "loss", "outcomes", "actions", "values")
     return LossTable(Space(outcomes), actions, values)

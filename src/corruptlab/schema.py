@@ -1,21 +1,31 @@
-"""Typed fields of the JSON wire formats.
+"""Field kinds, which every value type reads its fields with, and the shape
+of the JSON wire formats.
 
-Each ``*_from_json`` reads its document through :func:`fields`, which checks
-presence, type and finiteness, refuses keys it does not know and raises a
-one-line :class:`ParseError` naming the document and the key.  Range checks
-stay in the constructors.
+A field kind is the error class that refuses a value, a description for the
+message and a reader.  The value kinds (``STR``, ``INT``, ``NUM``,
+``NAMES``, ``INTS``, :func:`instance_of` and :func:`maybe`) are how each
+value type reads its own fields, through :func:`read_fields` or
+:func:`typed`, the same way whether it is built in Python or from a
+document: a wrong type is refused with a one-line :class:`InvalidParameter`.
+Range checks stay in the value types.
+
+Each ``*_from_json`` reads only a document's shape through :func:`fields`:
+objects, non-empty lists, required and unknown keys and the ``{num, den}``
+cost form, each refused with a one-line :class:`ParseError` that names the
+document and the key.  Every other field is passed on as it is to the value
+type that owns it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidParameter, ParseError
 
 
 def _need(ok: bool, value):
@@ -24,18 +34,10 @@ def _need(ok: bool, value):
     return value
 
 
-def _array(v, ndim: int) -> np.ndarray:
-    # One conversion for the whole array: strings, nulls, ragged rows and a
-    # list of booleans alone give a dtype other than integer or float.
-    a = np.asarray(v)
-    _need(a.ndim == ndim and a.dtype.kind in "iuf" and bool(np.isfinite(a).all()), a)
-    # numpy reads a boolean among numbers as 0 or 1, so look at the entries' types.
-    _need(bool not in set(map(type, itertools.chain.from_iterable(v) if ndim == 2 else v)), a)
-    return a.astype(np.float64, copy=False)
-
-
-def _list_of(ok):
-    return lambda v: tuple(_need(isinstance(v, list) and all(map(ok, v)), v))
+def _list_of(read):
+    """A reader of any sequence but a string, each entry read by ``read``."""
+    return lambda v: tuple(map(read, _need(type(v) in (list, tuple) or isinstance(v, (Sequence, np.ndarray))
+                                           and not isinstance(v, (str, bytes)), v)))
 
 
 def _rational(v) -> Fraction:
@@ -47,44 +49,71 @@ def _rational(v) -> Fraction:
     return Fraction(num, den)
 
 
-#: Field kinds: a description for messages, and a reader that returns the
-#: parsed value or raises ValueError (OverflowError for a huge integer).
-#: JSON gives exact types, so ``type(v) is int`` also turns booleans away.
-STR = ("a string", lambda v: _need(isinstance(v, str), v))
-INT = ("an integer", lambda v: _need(type(v) is int, v))
-NUM = ("a finite number", lambda v: float(_need(type(v) in (int, float) and math.isfinite(v), v)))
-NAMES = ("a list of strings", _list_of(lambda x: isinstance(x, str)))
-INTS = ("a list of integers", _list_of(lambda x: type(x) is int))
-VECTOR = ("a list of finite numbers", lambda v: _array(v, 1))
-MATRIX = ("a list of equal-length rows of finite numbers", lambda v: _array(v, 2))
-OBJECT = ("an object", lambda v: _need(isinstance(v, dict), v))
-LIST = ("a non-empty list", lambda v: _need(isinstance(v, list) and len(v) > 0, v))
-RATIONAL = ('an integer or {"num": integer, "den": integer}', _rational)
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, Fraction, np.integer, np.floating)
+
+#: Field kinds: the error class that refuses a value, a description for its
+#: message, and a reader that returns the value read or raises ValueError
+#: (OverflowError for an integer past a double's range).  Python and numpy
+#: integers count as integers and, like their reals, as numbers; booleans,
+#: ``np.bool_`` included, as neither; a Fraction is a number too.
+STR = (InvalidParameter, "a string", lambda v: _need(isinstance(v, str), v))
+INT = (InvalidParameter, "an integer", lambda v: int(_need(isinstance(v, _INTEGERS) and not isinstance(v, bool), v)))
+NUM = (InvalidParameter, "a finite number",
+       lambda v: float(_need(isinstance(v, _REALS) and not isinstance(v, bool) and math.isfinite(v), v)))
+NAMES = (InvalidParameter, "a list of strings", _list_of(STR[2]))
+INTS = (InvalidParameter, "a list of integers", _list_of(INT[2]))
+OBJECT = (ParseError, "an object", lambda v: _need(isinstance(v, dict), v))
+LIST = (ParseError, "a non-empty list", lambda v: _need(isinstance(v, list) and len(v) > 0, v))
+RATIONAL = (ParseError, 'an integer or {"num": integer, "den": integer}', _rational)
+
+
+def instance_of(*classes: type):
+    """The kind of an instance of one of ``classes``."""
+    return (InvalidParameter, "a " + " or ".join(c.__name__ for c in classes),
+            lambda v: _need(isinstance(v, classes), v))
+
+
+def maybe(kind):
+    """``kind``, or None."""
+    return (kind[0], f"{kind[1]} or None", lambda v: None if v is None else kind[2](v))
+
+
+def read_fields(value, what: str, **kinds) -> None:
+    """Set each field of the frozen dataclass ``value`` named in ``kinds`` to
+    itself read as its kind, in order; ``what`` names ``value`` in messages."""
+    for name, kind in kinds.items():
+        object.__setattr__(value, name, typed(getattr(value, name), f'{what} "{name}"', kind))
 
 
 def typed(value, what: str, kind):
     """``value`` read as ``kind``; ``what`` names it in the error message."""
     try:
-        return kind[1](value)
+        return kind[2](value)
     except (ValueError, OverflowError):
-        raise ParseError(f"{what} must be {kind[0]}") from None
+        raise kind[0](f"{what} must be {kind[1]}") from None
 
 
 def fields(obj, what: str, *required, optional=()) -> list:
-    """The values of the ``(key, kind)`` pairs of the JSON object ``obj``, in
-    order, then those of the ``(key, kind, default)`` triples in ``optional``.
-    An optional key that is missing or null reads as its default.  A key that
-    is neither is refused, after every known key has been read."""
+    """The values of the keys ``required`` of the JSON object ``obj``, in
+    order, then those of the ``(key, default)`` pairs in ``optional``.  A key
+    is passed on as it is, or read as ``kind`` when given as ``(key, kind)``
+    or ``(key, kind, default)``.  An optional key that is missing or null
+    reads as its default.  A key that is neither is refused, after every
+    known key has been read."""
     obj = typed(obj, what, OBJECT)
+
+    def read(key, *kind):
+        return typed(obj[key], f'{what} "{key}"', *kind) if kind else obj[key]
+
     values = []
-    for key, kind in required:
+    for key, *kind in ((k,) if isinstance(k, str) else k for k in required):
         if key not in obj:
             raise ParseError(f'{what} needs key "{key}"')
-        values.append(typed(obj[key], f'{what} "{key}"', kind))
-    for key, kind, default in optional:
-        value = obj.get(key)
-        values.append(default if value is None else typed(value, f'{what} "{key}"', kind))
-    known = [key for key, *_ in (*required, *optional)]
+        values.append(read(key, *kind))
+    for key, *kind, default in optional:
+        values.append(default if obj.get(key) is None else read(key, *kind))
+    known = [k if isinstance(k, str) else k[0] for k in (*required, *optional)]
     unknown = next((key for key in obj if key not in known), None)
     if unknown is not None:  # a misspelt optional key would read as its default
         raise ParseError(f'{what} has unknown key "{unknown}"; known: {", ".join(sorted(known))}')

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .kernels import Dist, Kernel, Space, dist_from_json, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, corrected_loss, loss_from_json, pseudoinverse
-from .schema import INT, INTS, OBJECT, fields
+from .schema import INT, INTS, OBJECT, fields, instance_of, read_fields
 
 _MASK64 = (1 << 64) - 1
 
@@ -153,7 +153,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sample_sizes)
+        read_fields(self, "config", clean_dist=instance_of(Dist), loss=instance_of(LossTable),
+                    corruption=instance_of(catalog.CorruptionSpec, Kernel), sample_sizes=INTS, trials=INT, seed=INT)
+        sizes = self.sample_sizes
         if not sizes or any(n < 1 for n in sizes):
             raise InvalidParameter("sample sizes must be positive")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -166,9 +168,6 @@ class ExperimentConfig:
             raise SizeGuardExceeded(f"a sample size above {SAMPLE_SIZE_GUARD} exceeds the size guard")
         if self.trials * len(sizes) > CELL_GUARD:
             raise SizeGuardExceeded(f"trials times the number of sample sizes exceed {CELL_GUARD} cells")
-        object.__setattr__(self, "sample_sizes", sizes)
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
 
     def kernel(self) -> Kernel:
         if isinstance(self.corruption, Kernel):
@@ -393,8 +392,7 @@ def gradient_check(psi: CanonicalProperLoss, t: Kernel, at: np.ndarray) -> float
 
 def config_from_json(obj: dict) -> ExperimentConfig:
     clean, loss, corr, sample_sizes, trials, seed = fields(
-        obj, "config", ("clean", OBJECT), ("loss", OBJECT), ("corruption", OBJECT),
-        ("sample_sizes", INTS), ("trials", INT), ("seed", INT))
+        obj, "config", ("clean", OBJECT), ("loss", OBJECT), ("corruption", OBJECT), "sample_sizes", "trials", "seed")
     corruption = (kernel_from_json(*fields(corr, "corruption", ("kernel", OBJECT))) if "kernel" in corr
                   else catalog.spec_from_json(corr))
     return ExperimentConfig(dist_from_json(clean), loss_from_json(loss), corruption,

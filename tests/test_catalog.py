@@ -204,6 +204,11 @@ class TestJson:
         with pytest.raises(errors.ParseError, match=f'params has unknown key "{key}"'):
             spec_from_json({"family": family, "params": params})
 
-    def test_known_errors_come_before_unknown_keys(self):
-        with pytest.raises(errors.ParseError, match='"sigma" must be a finite number'):
+    def test_unknown_keys_come_before_value_errors(self):
+        # the document's shape is read first; the value of "sigma" only by the catalog's validator
+        with pytest.raises(errors.ParseError) as caught:
             spec_from_json({"family": "partial_labels", "params": {"sigma": "x", "extra": 1}})
+        assert str(caught.value) == 'partial_labels params has unknown key "extra"; known: sigma'
+        with pytest.raises(errors.InvalidParameter) as caught:
+            spec_from_json({"family": "partial_labels", "params": {"sigma": "x"}})
+        assert str(caught.value) == "sigma must be a finite number"

@@ -1,0 +1,187 @@
+"""Each value type reads its own fields: a bad value called from Python ends in
+one InvalidInput line, as it does from a document, and never in a bare numpy
+or Python error or a silent misreading."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from corruptlab import (  # noqa: E402
+    DecisionProblem,
+    Dist,
+    ExperimentConfig,
+    Kernel,
+    LossTable,
+    MixedSource,
+    Reconstruction,
+    SourceOffer,
+    Space,
+    alpha,
+    binary_label_noise,
+    exact_plan,
+    greedy_plan,
+    lambda_coeff,
+    partial_labels,
+    regret,
+    replicate,
+    semi_supervised,
+    symmetric_label_noise,
+    zero_one_loss,
+)
+from corruptlab.errors import InvalidInput  # noqa: E402
+
+from helpers import binary_noise  # noqa: E402
+from test_fuzz import _SCALARS  # noqa: E402
+
+S = Space(["-1", "+1"])
+T = binary_noise(0.2)
+PROBLEM = dict(thetas=["-1", "+1"], actions=["a0", "a1"], loss=[[0.0, 1.0], [1.0, 0.0]], experiment=T)
+CONFIG = dict(clean_dist=Dist(S, [0.3, 0.7]), loss=zero_one_loss(S), corruption=binary_label_noise(0.2, 0.3),
+              sample_sizes=(10, 20), trials=3, seed=5)
+OFFERS = [SourceOffer("A", 0.5, 3), SourceOffer("B", 0.7, 5)]
+
+
+#: Library calls that must raise an InvalidInput subclass with a one-line
+#: message.  The ``silent-`` cases were read as something else before.
+LIBRARY_REFUSED = {
+    "kernel-ragged": lambda: Kernel(S, S, [[1.0, 0.0], [0.0]]),
+    "loss-ragged": lambda: LossTable(S, ["a0", "a1"], [[0.0, 1.0], [1.0]]),
+    "reconstruction-ragged": lambda: Reconstruction(T, [[1.0, 0.0], [0.0]]),
+    "problem-ragged": lambda: DecisionProblem(**PROBLEM | {"loss": [[0.0, 1.0], [1.0]]}),
+    "kernel-strings": lambda: Kernel(S, S, [["a", "b"], ["c", "d"]]),
+    "dist-strings": lambda: Dist(S, ["x", "y"]),
+    "dist-null": lambda: Dist(S, [None, 1.0]),
+    "kernel-nan": lambda: Kernel(S, S, [[float("nan"), 0.0], [1.0, 1.0]]),
+    "loss-inf": lambda: LossTable(S, ["a0"], [[float("inf")], [0.0]]),
+    "offer-alpha-string": lambda: SourceOffer("A", "0.5", 1),
+    "offer-cost-nan": lambda: SourceOffer("A", 0.5, float("nan")),
+    "silent-offer-cost-string": lambda: SourceOffer("A", 0.5, "1/3"),
+    "silent-offer-name-number": lambda: SourceOffer(3, 0.5, 1),
+    "binary-none": lambda: binary_label_noise(None, 0.2),
+    "config-seed-string": lambda: ExperimentConfig(**CONFIG | {"seed": "5"}),
+    "exact-budget-inf": lambda: exact_plan(OFFERS, float("inf")),
+    "greedy-budget-inf": lambda: greedy_plan(OFFERS, float("inf")),
+    "exact-budget-nan": lambda: exact_plan(OFFERS, float("nan")),
+    "greedy-budget-string": lambda: greedy_plan(OFFERS, "10"),
+    "alpha-ndarray": lambda: alpha(np.eye(2)),
+    "lambda-ndarray": lambda: lambda_coeff(np.eye(2)),
+    "replicate-2.5": lambda: replicate(T, 2.5),
+    "silent-regret-index-1.5": lambda: regret(DecisionProblem(**PROBLEM), 1.5, 0),
+    "problem-experiment-matrix": lambda: DecisionProblem(**PROBLEM | {"experiment": T.matrix}),
+    "config-clean-weights": lambda: ExperimentConfig(**CONFIG | {"clean_dist": [0.3, 0.7]}),
+    "silent-symmetric-2.5-classes": lambda: symmetric_label_noise(2.5, 0.1),
+    "silent-symmetric-string-classes": lambda: symmetric_label_noise("3", 0.1),
+    "silent-binary-string-sigma": lambda: binary_label_noise("0.1", 0.2),
+    "silent-config-trials-2.5": lambda: ExperimentConfig(**CONFIG | {"trials": 2.5}),
+    "silent-config-sample-sizes-string": lambda: ExperimentConfig(**CONFIG | {"sample_sizes": "12"}),
+    "silent-space-string": lambda: Space("ab"),
+    "silent-space-numbers": lambda: Space([1, 2]),
+    "silent-kernel-numeric-strings": lambda: Kernel(S, S, [["0.8", "0.3"], ["0.2", "0.7"]]),
+    "silent-dist-booleans": lambda: Dist(S, [True, False]),
+    "silent-dist-numpy-booleans": lambda: Dist(S, [np.True_, 0.0]),
+    "silent-kernel-boolean-array": lambda: Kernel(S, S, np.eye(2, dtype=bool)),
+    "silent-mixed-source-true": lambda: MixedSource(True, alpha=0.5),
+    "silent-replicate-true": lambda: replicate(T, True),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_REFUSED)
+def test_library_refusal_is_one_line(case):
+    with pytest.raises(InvalidInput) as caught:
+        LIBRARY_REFUSED[case]()
+    message = str(caught.value)
+    assert message and "\n" not in message
+
+
+#: Each value type with the keyword arguments of a valid value.
+CONSTRUCTORS = {
+    "Space": (Space, dict(labels=["-1", "+1"])),
+    "Dist": (Dist, dict(space=S, weights=[0.3, 0.7])),
+    "Kernel": (Kernel, dict(domain=S, codomain=S, matrix=[[0.8, 0.3], [0.2, 0.7]])),
+    "LossTable": (LossTable, dict(outcomes=S, actions=["a0", "a1"], values=[[0.0, 1.0], [1.0, 0.0]])),
+    "Reconstruction": (Reconstruction, dict(kernel=Kernel(S, S, np.eye(2)), matrix=[[1.0, 0.0], [0.0, 1.0]])),
+    "DecisionProblem": (DecisionProblem, PROBLEM),
+    "SourceOffer": (SourceOffer, dict(name="A", alpha=0.5, unit_cost=Fraction(3, 2), corrected_sup=1.0)),
+    "MixedSource": (MixedSource, dict(count=10, kernel=T, alpha=0.5, corrected_sup=1.0)),
+    "ExperimentConfig": (ExperimentConfig, CONFIG),
+    "binary_label_noise": (binary_label_noise, dict(sigma_neg=0.1, sigma_pos=0.2)),
+    "symmetric_label_noise": (symmetric_label_noise, dict(classes=3, sigma=0.1)),
+    "semi_supervised": (semi_supervised, dict(sigma_neg=0.5, sigma_pos=0.6)),
+    "partial_labels": (partial_labels, dict(sigma=0.2)),
+}
+
+FIELDS = [(name, key) for name, (_, valid) in CONSTRUCTORS.items() for key in valid]
+
+#: The array fields, each with a valid value.
+ARRAYS = {
+    "Dist": ("weights", [0.3, 0.7]),
+    "Kernel": ("matrix", [[0.8, 0.3], [0.2, 0.7]]),
+    "LossTable": ("values", [[0.0, 1.0], [1.0, 0.0]]),
+    "Reconstruction": ("matrix", [[1.0, 0.0], [0.0, 1.0]]),
+    "DecisionProblem": ("loss", [[0.0, 1.0], [1.0, 0.0]]),
+}
+
+
+def _builds_or_refuses(constructor, changes):
+    make, valid = CONSTRUCTORS[constructor]
+    try:
+        make(**valid | changes)
+    except InvalidInput as exc:
+        assert str(exc) and "\n" not in str(exc)
+
+
+@pytest.mark.parametrize("name, key", FIELDS, ids=[f"{n}.{k}" for n, k in FIELDS])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(value=_SCALARS)
+def test_any_scalar_in_any_field_builds_or_is_refused(name, key, value):
+    _builds_or_refuses(name, {key: value})
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(value=_SCALARS, data=st.data())
+def test_any_scalar_in_any_entry_builds_or_is_refused(name, value, data):
+    key, array = ARRAYS[name]
+    entries = np.asarray(array, dtype=object)
+    entries.flat[data.draw(st.integers(0, entries.size - 1))] = value
+    _builds_or_refuses(name, {key: entries.tolist()})
+
+
+class TestNumpyScalars:
+    """numpy integers and reals are read as Python ones; numpy booleans are refused."""
+
+    def test_catalog_parameters(self):
+        assert binary_label_noise(np.float64(0.1), np.float32(0.5)) == binary_label_noise(0.1, 0.5)
+        assert symmetric_label_noise(np.int64(3), np.float64(0.1)) == symmetric_label_noise(3, 0.1)
+        assert all(type(v) is float for _, v in binary_label_noise(*np.array([0.1, 0.2])).params)
+
+    def test_config_counts(self):
+        config = ExperimentConfig(**CONFIG | {"sample_sizes": np.array([10, 20]), "trials": np.int64(3),
+                                              "seed": np.uint64(5)})
+        assert config.sample_sizes == (10, 20) and config.trials == 3 and config.seed == 5
+        assert all(type(n) is int for n in (*config.sample_sizes, config.trials, config.seed))
+
+    def test_offers_sources_and_budgets(self):
+        offer = SourceOffer("A", np.float64(0.5), np.int64(3), np.float64(1.0))
+        assert offer == SourceOffer("A", 0.5, 3, 1.0) and type(offer.alpha) is float
+        assert exact_plan([offer], np.int64(10)) == exact_plan([offer], 10)
+        assert greedy_plan([offer], np.float64(10.5)) == greedy_plan([offer], Fraction(21, 2))
+        source = MixedSource(np.int64(5), alpha=np.float64(0.5))
+        assert (source.count, source.alpha) == (5, 0.5) and type(source.count) is int
+
+    def test_arrays_counts_and_indices(self):
+        assert np.array_equal(Dist(S, np.array([0.25, 0.75], dtype=np.float32)).weights, [0.25, 0.75])
+        assert np.array_equal(Kernel(S, S, np.eye(2, dtype=np.int64)).matrix, np.eye(2))
+        assert replicate(T, np.int64(2)).matrix.shape == (4, 4)
+        assert regret(DecisionProblem(**PROBLEM), np.int64(0), np.int64(1)) == 1.0
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_booleans_are_no_numbers(self, flag):
+        with pytest.raises(InvalidInput):
+            binary_label_noise(flag, 0.2)
+        with pytest.raises(InvalidInput):
+            ExperimentConfig(**CONFIG | {"trials": flag})

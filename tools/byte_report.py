@@ -12,8 +12,9 @@ benchmark job reaches.  Then each tree runs every job through its own
 ``OPENBLAS_NUM_THREADS=1``, and then runs them all again in reverse order in
 that same process, so that state one call leaves for the next shows.  The report gives the job count, the count
 per exit code of each tree, every job that differs between the trees and
-every job whose two passes differ within a tree; the exit status is 1 when
-some job differs, else 0.
+every job whose two passes differ within a tree, with the old and the new
+stderr of each job whose stderr differs; the exit status is 1 when some job
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ _KERNEL = {"from": ["-1", "+1"], "to": ["-1", "+1"], "matrix": [[0.8, 0.3], [0.2
 _LOSS = {"outcomes": ["-1", "+1"], "actions": ["-1", "+1"], "values": [[0.0, 1.0], [1.0, 0.0]]}
 _PROBLEM = {"thetas": ["t0", "t1"], "actions": ["a0", "a1"], "loss": [[0.0, 1.0], [1.0, 0.0]],
             "experiment": _KERNEL | {"from": ["t0", "t1"]}}
+_FAST_RATE = {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]}, "loss": _LOSS,
+              "corruption": {"family": "binary_label_noise", "params": {"sigma_neg": 0.2, "sigma_pos": 0.3}},
+              "sample_sizes": [25, 50], "trials": 25, "seed": 7}
 
 #: The input documents of the edge-case jobs, by file name.
 EDGE_DOCUMENTS = {
@@ -50,17 +54,24 @@ EDGE_DOCUMENTS = {
     "repeated-hypothesis.json": _PROBLEM | {"thetas": ["t0", "t0"]},
     "hypotheses-out-of-order.json": _PROBLEM | {"thetas": ["t1", "t0"]},
     "foreign-kernel.json": _KERNEL | {"from": ["a", "b"]},
-    "fast-rate.json": {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]}, "loss": _LOSS,
-                       "corruption": {"family": "binary_label_noise",
-                                      "params": {"sigma_neg": 0.2, "sigma_pos": 0.3}},
-                       "sample_sizes": [25, 50], "trials": 25, "seed": 7},
+    "fast-rate.json": _FAST_RATE,
+    "bool-matrix.json": _KERNEL | {"matrix": [[True, False], [False, True]]},
+    "ragged-matrix.json": _KERNEL | {"matrix": [[0.8, 0.3], [0.2]]},
+    "string-weight.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": ["0.5", 0.5]}},
+    "fractional-trials.json": _FAST_RATE | {"trials": 2.5},
+    "mix-alpha-string.json": [{"count": 10, "alpha": "0.7"}],
+    "sigma-string-and-unknown-key.json": _FAST_RATE | {"corruption": {
+        "family": "binary_label_noise", "params": {"sigma_neg": "x", "sigma_pos": 0.3, "extra": 1}}},
 }
 
 _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 
 #: Edge-case jobs by name: argv with each input document named by its file
 #: name.  Decimal budgets far from 1, malformed decision problems, an infinite
-#: count, a corruption foreign to the experiment and a fast-rate simulation.
+#: count, a corruption foreign to the experiment, a fast-rate simulation, and
+#: documents whose bad values only the value types refuse: a boolean and a
+#: ragged kernel matrix, a string weight, a fractional trial count, a string
+#: alpha in a mix, and a bad parameter next to an unknown key.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan")},
@@ -71,6 +82,10 @@ EDGE_JOBS = {
     "lecam-foreign-kernel": (*_LECAM, "problem.json", "--kernel", "foreign-kernel.json"),
     "simulate-fast-rate": ("simulate", "--config", "fast-rate.json", "--out", "fast-rate.csv",
                            "--mode", "fast-rate"),
+    **{f"analyze-{name}": ("analyze", "--kernel", f"{name}.json") for name in ("bool-matrix", "ragged-matrix")},
+    **{f"simulate-{name}": ("simulate", "--config", f"{name}.json", "--out", "malformed.csv")
+       for name in ("string-weight", "fractional-trials", "sigma-string-and-unknown-key")},
+    "lecam-mix-alpha-string": (*_LECAM, "problem.json", "--mix", "mix-alpha-string.json"),
 }
 
 
@@ -158,6 +173,8 @@ def main(argv: list[str]) -> int:
         if fields := _fields(old, new):
             differing += 1
             print(f"differs: {job['name']}: {', '.join(fields)} (exit {old[0]} -> {new[0]})")
+            if "stderr" in fields:
+                print(f"  stderr: {old[2]!r} -> {new[2]!r}")
     print(f"identical: {len(jobs) - differing} of {len(jobs)}")
     unrepeated = 0
     for tree in trees:
