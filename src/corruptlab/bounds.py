@@ -27,7 +27,7 @@ from .errors import (
 )
 from .kernels import KERNEL, Dist, Kernel, Space, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, check_loss
-from .schema import INT, LIST, NUM, OBJECT, fields, maybe, read_fields, typed
+from .schema import INT, LIST, NUM, OBJECT, fields, instance_of, list_of, maybe, read_fields, typed
 
 #: Risks, expectations and squared differences at or below this count as
 #: zero: in the Bernstein and compatibility ratios (the boundary between "no
@@ -113,8 +113,9 @@ def lecam_replicated(
     function gives (``lecam_bound``, ``lecam_corrupted`` and ``lecam_mixed``
     always clamp).
     """
-    if not 0.0 <= n < math.inf:
-        raise InvalidParameter(f"replication count must be finite and >= 0, got {n!r}")
+    n = typed(n, "replication count", NUM)
+    if n < 0.0:
+        raise InvalidParameter(f"replication count must be >= 0, got {n!r}")
     i = problem.theta_index(theta1)
     j = problem.theta_index(theta2)
     rho = separation(problem, i, j)
@@ -151,7 +152,7 @@ def lecam_corrupted(
     Identical to ``lecam_replicated`` at the effective count alpha(t) * n.
     """
     check_corruption(problem, t)
-    return lecam_replicated(problem, theta1, theta2, divergence.alpha(t) * n)
+    return lecam_replicated(problem, theta1, theta2, divergence.alpha(t) * typed(n, "replication count", NUM))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +186,8 @@ class MixedCorruption:
     sources: tuple[MixedSource, ...]
 
     def __init__(self, sources: Sequence[MixedSource]):
-        sources = tuple(sources)
+        sources = typed(sources, "mixed corruption sources",
+                        list_of(instance_of(MixedSource), "a list of MixedSource"))
         if not sources:
             raise InvalidParameter("a mixed corruption needs at least one source")
         if sum(s.count for s in sources) < 1:
@@ -229,8 +231,10 @@ def pacbayes_upper(
     ``delta`` switches to the high-probability form by adding log(1/delta)
     to the divergence budget.
     """
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n!r}")
+    corrected_sup, kl = typed(corrected_sup, "corrected_sup", NUM), typed(kl, "kl", NUM)
+    n, delta = typed(n, "n", INT), typed(delta, "delta", maybe(NUM))
+    if not 1 <= n <= sys.float_info.max:  # kl / n must stay a float
+        raise InvalidParameter(f"n must be in [1, {sys.float_info.max!r}], got {_shown(n)}")
     if kl < 0.0:
         raise InvalidParameter(f"kl must be >= 0, got {kl!r}")
     if corrected_sup < 0.0:
@@ -296,6 +300,7 @@ def eta_compatibility(loss: LossTable, r: Reconstruction) -> float:
 def fastrate_gamma(beta: float, sup_norm: float) -> float:
     """gamma = (e^beta - 1 - beta) / (beta * ||ell||_inf), the curvature
     factor in the fast-rate PAC-Bayes bound."""
+    beta, sup_norm = typed(beta, "beta", NUM), typed(sup_norm, "sup_norm", NUM)
     if beta <= 0.0:
         raise InvalidParameter(f"beta must be > 0, got {beta!r}")
     if sup_norm <= 0.0:

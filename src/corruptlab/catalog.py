@@ -27,8 +27,25 @@ PARTIAL = "partial_labels"
 
 @dataclass(frozen=True, eq=True)
 class CorruptionSpec:
+    """A family and its parameters, as (name, value) pairs in the family's
+    order.  However it is built, the family must be known, each of its
+    parameters given once and none other, and each value valid; they are
+    checked in the family's order."""
+
     family: str
     params: tuple[tuple[str, float], ...]
+
+    def __post_init__(self):
+        names = family(self.family).params
+        try:
+            given = dict(self.params)
+            repeated = len(given) != len(self.params)
+        except (TypeError, ValueError):  # not a sized sequence of (name, value) pairs
+            given, repeated = {}, True
+        if repeated or given.keys() != set(names):
+            raise InvalidParameter(f"{self.family} takes the parameters {', '.join(names)}, "
+                                   "each once, as (name, value) pairs")
+        object.__setattr__(self, "params", tuple((key, _check(key, given[key])) for key in names))
 
 
 @dataclass(frozen=True)
@@ -152,8 +169,8 @@ def _check(name: str, value):
 
 
 def make_spec(name: str, **params) -> CorruptionSpec:
-    """The spec of family ``name``; each parameter is checked in spec order."""
-    return CorruptionSpec(name, tuple((key, _check(key, params[key])) for key in family(name).params))
+    """The spec of family ``name`` with the parameters ``params``."""
+    return CorruptionSpec(name, tuple(params.items()))
 
 
 def binary_label_noise(sigma_neg: float, sigma_pos: float) -> CorruptionSpec:

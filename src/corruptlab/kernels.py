@@ -30,7 +30,7 @@ from .errors import (
     SpaceMismatch,
     _shown,
 )
-from .schema import INT, NAMES, _need, fields, instance_of, read_fields, typed
+from .schema import INT, NAMES, _need, fields, instance_of, list_of, read_fields, typed
 
 #: Absolute tolerance on "sums to one" checks at construction time.
 STOCHASTIC_ATOL = 1e-9
@@ -226,7 +226,7 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
     The matrix is the Kronecker product of the factors, taken in order, so
     the first factor varies slowest in the product-space outcome order.
     """
-    ts = list(ts)
+    ts = typed(ts, "parallel_product factors", list_of(KERNEL, "a list of kernels"))
     if not ts:
         raise InvalidParameter("parallel_product of no kernels")
     rows = cols = 1

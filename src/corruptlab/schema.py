@@ -3,8 +3,9 @@ of the JSON wire formats.
 
 A field kind is the error class that refuses a value, a description for the
 message and a reader.  The value kinds (``STR``, ``INT``, ``NUM``,
-``NAMES``, ``INTS``, :func:`instance_of` and :func:`maybe`) are how each
-value type reads its own fields, through :func:`read_fields` or
+``NAMES``, ``INTS``, :func:`instance_of`, :func:`maybe` and
+:func:`list_of`) are how each value type reads its own fields, and each
+function its own scalar arguments, through :func:`read_fields` or
 :func:`typed`, the same way whether it is built in Python or from a
 document: a wrong type is refused with a one-line :class:`InvalidParameter`.
 Range checks stay in the value types.
@@ -34,10 +35,12 @@ def _need(ok: bool, value):
     return value
 
 
-def _list_of(read):
-    """A reader of any sequence but a string, each entry read by ``read``."""
-    return lambda v: tuple(map(read, _need(type(v) in (list, tuple) or isinstance(v, (Sequence, np.ndarray))
-                                           and not isinstance(v, (str, bytes)), v)))
+def list_of(kind, description: str):
+    """The kind of any sequence but a string, read as a tuple of its entries
+    each read as ``kind``; ``description`` describes it in messages."""
+    read = kind[2]
+    return (kind[0], description, lambda v: tuple(map(read, _need(
+        type(v) in (list, tuple) or isinstance(v, (Sequence, np.ndarray)) and not isinstance(v, (str, bytes)), v))))
 
 
 def _rational(v) -> Fraction:
@@ -61,8 +64,8 @@ STR = (InvalidParameter, "a string", lambda v: _need(isinstance(v, str), v))
 INT = (InvalidParameter, "an integer", lambda v: int(_need(isinstance(v, _INTEGERS) and not isinstance(v, bool), v)))
 NUM = (InvalidParameter, "a finite number",
        lambda v: float(_need(isinstance(v, _REALS) and not isinstance(v, bool) and math.isfinite(v), v)))
-NAMES = (InvalidParameter, "a list of strings", _list_of(STR[2]))
-INTS = (InvalidParameter, "a list of integers", _list_of(INT[2]))
+NAMES = list_of(STR, "a list of strings")
+INTS = list_of(INT, "a list of integers")
 OBJECT = (ParseError, "an object", lambda v: _need(isinstance(v, dict), v))
 LIST = (ParseError, "a non-empty list", lambda v: _need(isinstance(v, list) and len(v) > 0, v))
 RATIONAL = (ParseError, 'an integer or {"num": integer, "den": integer}', _rational)

@@ -68,9 +68,9 @@ def factorizations(monkeypatch):
 
 @pytest.fixture
 def simlab_calls(monkeypatch):
-    """Counts calls of simlab's sample-level functions, of its stream constructor
-    and of its re-keying of a stream."""
-    calls = dict.fromkeys(("sample", "corrupt", "erm", "_generator", "_rekey"), 0)
+    """Counts calls of simlab's sample-level functions, of its stream constructor,
+    of its re-keying of a stream and of its scoring pass."""
+    calls = dict.fromkeys(("sample", "corrupt", "erm", "_generator", "_rekey", "erm_indices"), 0)
 
     def counting(name, original):
         def wrapper(*args):
@@ -384,16 +384,29 @@ class TestSimulate:
         report = json.loads(out)
         assert "mean_ratio" in report and out_path.exists()
 
-    @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
-    def test_draws_counts_not_samples(self, mode, tmp_path, capsys, simlab_calls):
-        # one generator per curve, re-keyed once per (n, trial) cell, and no outcome drawn one by one
+    def simulate_counting(self, mode, sizes, trials, tmp_path, capsys, simlab_calls):
         config = DOCUMENTS["config"] | {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]},
-                                        "sample_sizes": [10, 20, 40], "trials": 7}
+                                        "sample_sizes": sizes, "trials": trials}
         path = write_json(tmp_path, "config.json", config)
         code, _, err = run(capsys, "simulate", "--config", path, "--out", str(tmp_path / "out.csv"),
                            "--mode", mode)
         assert code == 0, err
-        assert simlab_calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": 3 * 7}
+        return simlab_calls
+
+    @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
+    def test_draws_counts_not_samples(self, mode, tmp_path, capsys, simlab_calls):
+        # one generator per curve, re-keyed once per (n, trial) cell, no outcome drawn one by one,
+        # and one scoring pass per sample size
+        calls = self.simulate_counting(mode, [10, 20, 40], 7, tmp_path, capsys, simlab_calls)
+        assert calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": 3 * 7, "erm_indices": 3}
+
+    @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
+    def test_scores_once_per_chunk(self, mode, tmp_path, capsys, simlab_calls):
+        # a sample size of more cells than SCORE_CHUNK_ENTRIES allows at 2 outcomes and 2 actions
+        # is drawn and scored in two passes
+        trials = simlab.SCORE_CHUNK_ENTRIES // 2 + 1
+        calls = self.simulate_counting(mode, [10], trials, tmp_path, capsys, simlab_calls)
+        assert calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": trials, "erm_indices": 2}
 
     def test_guard_bounds_cells_not_draws(self, tmp_path, capsys):
         # 11 cells of 10^7 draws each, 1.1e8 draws in all: one multinomial call per cell

@@ -1,5 +1,6 @@
 """Monte-Carlo pipeline: sampling, corruption, ERM, curves, proper-loss fits."""
 
+import hashlib
 import itertools
 import math
 
@@ -16,23 +17,30 @@ from corruptlab.catalog import (
 )
 from corruptlab.kernels import Dist, Kernel, Space, identity, make_dist, point_mass
 from corruptlab.reconstruct import LossTable, corrected_loss, pseudoinverse, zero_one_loss
+from corruptlab import simlab
 from corruptlab.simlab import (
     CELL_GUARD,
+    ERM_TIE_RTOL,
     SAMPLE_SIZE_GUARD,
+    SCORE_CHUNK_ENTRIES,
     CanonicalProperLoss,
     ExperimentConfig,
+    RiskCurve,
+    RiskPoint,
     _generator,
     _rekey,
     _trial_seed,
+    _trial_seeds,
     corrupt,
     erm,
-    erm_index,
+    erm_indices,
     fastrate_curve,
     fit_proper,
     gradient_check,
     log_loss,
     risk_curve,
     sample,
+    splitmix64,
 )
 
 from helpers import binary_noise, constant_kernel
@@ -160,9 +168,30 @@ class TestCountsLaw:
         assert stat <= chi_square_critical(df)
 
 
+def erm_index(counts, loss):
+    """The oracle of ``erm_indices``: one row of counts scored on its own, by
+    a vector-matrix product and a scan for the first risk within the tie cut."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum()
+    if total == 0:
+        raise errors.EmptySample("empirical risk minimization needs at least one observation")
+    risks = ((counts / total) @ loss.values).tolist()
+    cut = min(risks) + ERM_TIE_RTOL * loss.sup_norm
+    return next(a for a, r in enumerate(risks) if r <= cut)
+
+
+def splitmix64_int(x):
+    """The oracle of ``splitmix64``: one step of the mixer in Python integers."""
+    mask = (1 << 64) - 1
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+    return (z ^ (z >> 31)) & mask
+
+
 def erm_checked(sample_values, loss):
-    """``erm`` on the sample, after checking that ``erm_index`` on the sample's
-    counts picks the same action."""
+    """``erm`` on the sample, after checking that the oracle ``erm_index`` on
+    the sample's counts picks the same action."""
     chosen = erm(sample_values, loss)
     counts = np.bincount(np.asarray(sample_values, dtype=np.int64), minlength=len(loss.outcomes))
     assert loss.actions[erm_index(counts, loss)] == chosen
@@ -209,7 +238,103 @@ class TestErm:
         with pytest.raises(errors.EmptySample):
             erm(np.array([], dtype=np.int64), zero_one_loss(Space(["a", "b"])))
         with pytest.raises(errors.EmptySample):
-            erm_index(np.zeros(2, dtype=np.int64), zero_one_loss(Space(["a", "b"])))
+            erm_indices([[1, 0], [0, 0]], zero_one_loss(Space(["a", "b"])))
+
+
+def scored_by_both(counts, loss):
+    """``erm_indices`` on the rows of ``counts``, after checking that the
+    oracle picks the same action on every row."""
+    chosen = erm_indices(counts, loss)
+    assert chosen.tolist() == [erm_index(row, loss) for row in counts]
+    return chosen.tolist()
+
+
+class TestErmIndices:
+    """One array pass picks the action the per-row oracle picks, on every row."""
+
+    def test_matches_per_row_oracle_on_random_rows(self):
+        rng = np.random.default_rng(1717)
+        rows = 0
+        for case in range(48):
+            k, actions = (int(v) for v in rng.integers(2, 65, size=2))
+            space = Space([str(i) for i in range(k)])
+            values = (rng.uniform(-1.0, 2.0, (k, actions)) if case % 3 == 0 else
+                      rng.integers(0, 3, (k, actions)) if case % 3 == 1 else  # exact ties are common
+                      rng.choice([-1 / 3, 4 / 3], (k, actions)))  # as a corrected 0-1 loss
+            loss = LossTable(space, [f"a{j}" for j in range(actions)], values)
+            counts = rng.multinomial(int(rng.integers(1, 40)), rng.dirichlet(np.ones(k)), size=2100)
+            scored_by_both(counts, loss)
+            rows += len(counts)
+        assert rows >= 10**5
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        # the README's binary sigma = 0.2 sample [0, 1]: both corrected risks are 1/2
+        t = binary_noise(0.2)
+        loss = corrected_loss(pseudoinverse(t), zero_one_loss(t.domain))
+        assert scored_by_both([[1, 1], [5, 5], [1, 0], [0, 1], [7, 7]], loss) == [0, 0, 0, 1, 0]
+        three = LossTable(Space(["a", "b", "c"]), ["x", "y", "z"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert scored_by_both([[2, 2, 2], [1, 3, 3], [3, 1, 3], [4, 4, 1]], three) == [0, 1, 0, 0]
+
+    @pytest.mark.parametrize("side, expected", [(-1, 0), (0, 0), (1, 1)], ids=["below", "at", "above"])
+    def test_one_ulp_either_side_of_the_tie_cut(self, side, expected):
+        # action 0's risk is the cut or one ulp off it, action 1's the minimum 1.0 and
+        # the sup norm 2.0; each row's frequencies are 1 or 1/2, so every risk is exact
+        cut = 1.0 + ERM_TIE_RTOL * 2.0
+        risk = {-1: np.nextafter(cut, 0.0), 0: cut, 1: np.nextafter(cut, 3.0)}[side]
+        loss = LossTable(Space(["a", "b"]), ["x", "y", "z"], [[risk, 1.0, 2.0], [risk, 1.0, 2.0]])
+        assert scored_by_both([[1, 0], [0, 1], [1, 1], [4, 4]], loss) == [expected] * 4
+
+
+class TestSplitmix:
+    """All cell keys come from one vectorised splitmix64, equal to the mixer
+    in Python integers."""
+
+    #: sha256 of the keys of cells 0..2000, in decimal joined by commas.
+    DIGESTS = {0: "65a4fd769a873b1102c6768776ed59997eef674299fec8970336e3c75b8ef745",
+               2**64 - 1: "e7dfba78c303593e631f8a36dfcaec4a7b91cd41ba371f53bc8daebe2f3a2d15"}
+
+    @pytest.mark.parametrize("seed", DIGESTS)
+    def test_cell_keys_match_the_reference(self, seed):
+        keys = _trial_seeds(seed, range(2001))
+        assert keys == [seed ^ splitmix64_int(i) for i in range(2001)]
+        assert hashlib.sha256(",".join(map(str, keys)).encode()).hexdigest() == self.DIGESTS[seed]
+        assert [_trial_seed(seed, i) for i in (0, 1, 2000)] == [keys[0], keys[1], keys[2000]]
+
+    def test_published_values_and_wrapping(self):
+        # the first two outputs of a splitmix64 generator seeded with 0
+        assert splitmix64([0, 0x9E3779B97F4A7C15]).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        near = [2**64 - 1, 2**63, 2**64 - 0x9E3779B97F4A7C15]
+        assert splitmix64(near).tolist() == [splitmix64_int(x) for x in near]
+
+    def test_a_single_integer_wraps_without_warning(self):
+        with np.errstate(over="raise"):
+            assert splitmix64(2**64 - 1).tolist() == [splitmix64_int(2**64 - 1)]
+
+
+class TestScoringPasses:
+    def test_size_spanning_several_passes_matches_per_cell_oracle(self, monkeypatch):
+        spec = symmetric_label_noise(64, 0.3)
+        t = build_kernel(spec)
+        config = ExperimentConfig(Dist(t.domain, np.random.default_rng(5).dirichlet(np.ones(64))),
+                                  zero_one_loss(t.domain), spec, (20, 40), 2 * SCORE_CHUNK_ENTRIES // 64 + 5, 31)
+        passes = []
+        monkeypatch.setattr(simlab, "erm_indices", lambda counts, loss: passes.append(len(counts))
+                            or erm_indices(counts, loss))
+        curve = risk_curve(config)
+        per_pass = SCORE_CHUNK_ENTRIES // 64
+        assert passes == [per_pass, per_pass, 5] * 2
+        table = corrected_loss(pseudoinverse(t), config.loss)
+        clean_risks = config.clean_dist.weights @ config.loss.values
+        q = t.matrix @ config.clean_dist.weights
+        rows = []
+        for n_idx, n in enumerate(config.sample_sizes):
+            cells = range(n_idx * config.trials, (n_idx + 1) * config.trials)
+            chosen = [erm_index(np.random.Generator(np.random.Philox(key=_trial_seed(config.seed, i)))
+                                .multinomial(n, q / q.sum()), table) for i in cells]
+            excess = clean_risks[chosen] - clean_risks.min()
+            rows.append(RiskPoint(n, float(excess.mean()), float(excess.std(ddof=1) / math.sqrt(len(excess))),
+                                  table.sup_norm * math.sqrt(2.0 * math.log(64) / n)))
+        assert curve == RiskCurve(tuple(rows))
 
 
 def standard_config(**overrides):

@@ -3,6 +3,7 @@ one InvalidInput line, as it does from a document, and never in a bare numpy
 or Python error or a silent misreading."""
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from corruptlab import (  # noqa: E402
+    CorruptionSpec,
     DecisionProblem,
     Dist,
     ExperimentConfig,
     Kernel,
     LossTable,
+    MixedCorruption,
     MixedSource,
     Reconstruction,
     SourceOffer,
@@ -23,15 +26,23 @@ from corruptlab import (  # noqa: E402
     alpha,
     binary_label_noise,
     exact_plan,
+    fastrate_gamma,
     greedy_plan,
     lambda_coeff,
+    lecam_corrupted,
+    lecam_replicated,
+    pacbayes_upper,
+    parallel_product,
     partial_labels,
     regret,
     replicate,
+    sample,
     semi_supervised,
     symmetric_label_noise,
     zero_one_loss,
 )
+from corruptlab.catalog import make_spec  # noqa: E402
+from corruptlab.simlab import erm_indices  # noqa: E402
 from corruptlab.errors import InvalidInput  # noqa: E402
 
 from helpers import binary_noise  # noqa: E402
@@ -43,6 +54,8 @@ PROBLEM = dict(thetas=["-1", "+1"], actions=["a0", "a1"], loss=[[0.0, 1.0], [1.0
 CONFIG = dict(clean_dist=Dist(S, [0.3, 0.7]), loss=zero_one_loss(S), corruption=binary_label_noise(0.2, 0.3),
               sample_sizes=(10, 20), trials=3, seed=5)
 OFFERS = [SourceOffer("A", 0.5, 3), SourceOffer("B", 0.7, 5)]
+P = Dist(S, [0.3, 0.7])
+SPEC = (("sigma_neg", 0.1), ("sigma_pos", 0.2))
 
 
 #: Library calls that must raise an InvalidInput subclass with a one-line
@@ -86,6 +99,25 @@ LIBRARY_REFUSED = {
     "silent-kernel-boolean-array": lambda: Kernel(S, S, np.eye(2, dtype=bool)),
     "silent-mixed-source-true": lambda: MixedSource(True, alpha=0.5),
     "silent-replicate-true": lambda: replicate(T, True),
+    "sample-size-string": lambda: sample(P, "3", 1),
+    "sample-size-2.5": lambda: sample(P, 2.5, 1),
+    "sample-seed-string": lambda: sample(P, 3, "1"),
+    "pacbayes-n-string": lambda: pacbayes_upper(1.0, "5", 1.0),
+    "pacbayes-n-past-a-double": lambda: pacbayes_upper(1.0, 10**400, 1.0),
+    "fastrate-gamma-beta-string": lambda: fastrate_gamma("1", 1.0),
+    "lecam-n-string": lambda: lecam_replicated(DecisionProblem(**PROBLEM), 0, 1, "5"),
+    "lecam-corrupted-n-string": lambda: lecam_corrupted(DecisionProblem(**PROBLEM), T, 0, 1, "5"),
+    "mixed-corruption-int": lambda: MixedCorruption(5),
+    "mixed-corruption-int-source": lambda: MixedCorruption([1]),
+    "parallel-product-array": lambda: parallel_product([np.eye(2)]),
+    "make-spec-missing-parameter": lambda: make_spec("binary_label_noise"),
+    "silent-make-spec-unknown-parameter": lambda: make_spec("binary_label_noise", **dict(SPEC), extra=1),
+    "spec-string-sigma": lambda: CorruptionSpec("binary_label_noise", (("sigma_neg", "x"), ("sigma_pos", 0.2))),
+    "spec-repeated-parameter": lambda: CorruptionSpec("binary_label_noise", SPEC + (("sigma_neg", 0.3),)),
+    "spec-params-not-pairs": lambda: CorruptionSpec("binary_label_noise", (0.1, 0.2)),
+    "erm-counts-too-long": lambda: erm_indices([[1, 2, 3]], LossTable(S, ["a0"], [[0.0], [1.0]])),
+    "erm-counts-one-row": lambda: erm_indices([1, 2], LossTable(S, ["a0"], [[0.0], [1.0]])),
+    "config-bad-spec": lambda: ExperimentConfig(**CONFIG | {"corruption": CorruptionSpec("partial_labels", SPEC)}),
 }
 
 
@@ -97,7 +129,8 @@ def test_library_refusal_is_one_line(case):
     assert message and "\n" not in message
 
 
-#: Each value type with the keyword arguments of a valid value.
+#: Each value type with the keyword arguments of a valid value, and each
+#: function that reads scalar or sequence arguments with those of a valid call.
 CONSTRUCTORS = {
     "Space": (Space, dict(labels=["-1", "+1"])),
     "Dist": (Dist, dict(space=S, weights=[0.3, 0.7])),
@@ -112,6 +145,13 @@ CONSTRUCTORS = {
     "symmetric_label_noise": (symmetric_label_noise, dict(classes=3, sigma=0.1)),
     "semi_supervised": (semi_supervised, dict(sigma_neg=0.5, sigma_pos=0.6)),
     "partial_labels": (partial_labels, dict(sigma=0.2)),
+    "CorruptionSpec": (CorruptionSpec, dict(family="binary_label_noise", params=SPEC)),
+    "MixedCorruption": (MixedCorruption, dict(sources=[MixedSource(10, alpha=0.5)])),
+    "parallel_product": (parallel_product, dict(ts=[T, T])),
+    "sample": (partial(sample, P), dict(n=3, seed=1)),
+    "pacbayes_upper": (pacbayes_upper, dict(corrected_sup=1.0, n=5, kl=1.0, delta=0.1)),
+    "fastrate_gamma": (fastrate_gamma, dict(beta=1.0, sup_norm=1.0)),
+    "lecam_replicated": (partial(lecam_replicated, DecisionProblem(**PROBLEM), 0, 1), dict(n=5.0)),
 }
 
 FIELDS = [(name, key) for name, (_, valid) in CONSTRUCTORS.items() for key in valid]

@@ -62,16 +62,23 @@ EDGE_DOCUMENTS = {
     "mix-alpha-string.json": [{"count": 10, "alpha": "0.7"}],
     "sigma-string-and-unknown-key.json": _FAST_RATE | {"corruption": {
         "family": "binary_label_noise", "params": {"sigma_neg": "x", "sigma_pos": 0.3, "extra": 1}}},
+    "ties.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": [0.5, 0.5]},
+                               "corruption": {"family": "binary_label_noise",
+                                              "params": {"sigma_neg": 0.2, "sigma_pos": 0.2}},
+                               "sample_sizes": [2, 4, 6, 8], "trials": 2000, "seed": 11},
 }
 
 _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 
 #: Edge-case jobs by name: argv with each input document named by its file
 #: name.  Decimal budgets far from 1, malformed decision problems, an infinite
-#: count, a corruption foreign to the experiment, a fast-rate simulation, and
-#: documents whose bad values only the value types refuse: a boolean and a
-#: ragged kernel matrix, a string weight, a fractional trial count, a string
-#: alpha in a mix, and a bad parameter next to an unknown key.
+#: count, a corruption foreign to the experiment, a fast-rate simulation, a
+#: simulation whose cells often tie exactly (binary noise at sigma = 0.2 on
+#: balanced labels: equal counts give both actions a corrected risk of 1/2, so
+#: the tie rule picks the action), and documents whose bad values only the
+#: value types refuse: a boolean and a ragged kernel matrix, a string weight,
+#: a fractional trial count, a string alpha in a mix, and a bad parameter next
+#: to an unknown key.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan")},
@@ -82,6 +89,7 @@ EDGE_JOBS = {
     "lecam-foreign-kernel": (*_LECAM, "problem.json", "--kernel", "foreign-kernel.json"),
     "simulate-fast-rate": ("simulate", "--config", "fast-rate.json", "--out", "fast-rate.csv",
                            "--mode", "fast-rate"),
+    "simulate-ties": ("simulate", "--config", "ties.json", "--out", "ties.csv"),
     **{f"analyze-{name}": ("analyze", "--kernel", f"{name}.json") for name in ("bool-matrix", "ragged-matrix")},
     **{f"simulate-{name}": ("simulate", "--config", f"{name}.json", "--out", "malformed.csv")
        for name in ("string-weight", "fractional-trials", "sigma-string-and-unknown-key")},
