@@ -27,7 +27,7 @@ from .errors import (
 )
 from .kernels import KERNEL, Dist, Kernel, Space, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, check_loss
-from .schema import INT, LIST, NUM, OBJECT, fields, instance_of, list_of, maybe, read_fields, typed
+from .schema import INT, LIST, NUM, OBJECT, PROBABILITY, fields, instance_of, list_of, maybe, read_fields, typed, within
 
 #: Risks, expectations and squared differences at or below this count as
 #: zero: in the Bernstein and compatibility ratios (the boundary between "no
@@ -66,6 +66,10 @@ class DecisionProblem:
         return _resolve(self.actions, ref, "action")
 
 
+#: The kind of a :class:`DecisionProblem` argument.
+PROBLEM = instance_of(DecisionProblem)
+
+
 def _resolve(names: tuple[str, ...], ref: int | str, kind: str) -> int:
     if isinstance(ref, str):
         if ref in names:
@@ -79,6 +83,7 @@ def _resolve(names: tuple[str, ...], ref: int | str, kind: str) -> int:
 
 def regret(problem: DecisionProblem, theta: int | str, action: int | str) -> float:
     """Loss of an action relative to the best action for that hypothesis."""
+    problem = typed(problem, "problem", PROBLEM)
     i = problem.theta_index(theta)
     j = problem.action_index(action)
     row = problem.loss[i]
@@ -91,6 +96,7 @@ def separation(problem: DecisionProblem, theta1: int | str, theta2: int | str) -
     Small separation means one action serves both hypotheses; large
     separation makes them worth distinguishing.
     """
+    problem = typed(problem, "problem", PROBLEM)
     i = problem.theta_index(theta1)
     j = problem.theta_index(theta2)
     r1 = problem.loss[i] - problem.loss[i].min()
@@ -113,9 +119,7 @@ def lecam_replicated(
     function gives (``lecam_bound``, ``lecam_corrupted`` and ``lecam_mixed``
     always clamp).
     """
-    n = typed(n, "replication count", NUM)
-    if n < 0.0:
-        raise InvalidParameter(f"replication count must be >= 0, got {n!r}")
+    problem, n = typed(problem, "problem", PROBLEM), typed(n, "replication count", within(NUM, 0))
     i = problem.theta_index(theta1)
     j = problem.theta_index(theta2)
     rho = separation(problem, i, j)
@@ -151,7 +155,7 @@ def lecam_corrupted(
 
     Identical to ``lecam_replicated`` at the effective count alpha(t) * n.
     """
-    check_corruption(problem, t)
+    check_corruption(typed(problem, "problem", PROBLEM), typed(t, "t", KERNEL))
     return lecam_replicated(problem, theta1, theta2, divergence.alpha(t) * typed(n, "replication count", NUM))
 
 
@@ -170,15 +174,10 @@ class MixedSource:
     corrected_sup: float | None = None
 
     def __post_init__(self):
-        read_fields(self, "mixed source", count=INT, kernel=maybe(KERNEL), alpha=maybe(NUM), corrected_sup=maybe(NUM))
-        if not 0 <= self.count <= sys.float_info.max:  # alpha * count must stay a float
-            raise InvalidParameter(f"count must be in [0, {sys.float_info.max!r}], got {_shown(self.count)}")
+        read_fields(self, "mixed source", count=within(INT, 0, sys.float_info.max),  # alpha * count stays a float
+                    kernel=maybe(KERNEL), alpha=maybe(PROBABILITY), corrected_sup=maybe(within(NUM, 0)))
         if self.alpha is None and self.kernel is not None:
             object.__setattr__(self, "alpha", divergence.alpha(self.kernel))
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise InvalidParameter(f"alpha must be in [0, 1], got {self.alpha!r}")
-        if self.corrected_sup is not None and self.corrected_sup < 0.0:
-            raise InvalidParameter("corrected_sup must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +218,8 @@ def lecam_mixed(
     theta2: int | str,
 ) -> float:
     """Lower bound for a mixed data set via its effective clean count."""
-    check_corruption(problem, *(s.kernel for s in mix.sources))
+    mix = typed(mix, "mix", instance_of(MixedCorruption))
+    check_corruption(typed(problem, "problem", PROBLEM), *(s.kernel for s in mix.sources))
     return lecam_replicated(problem, theta1, theta2, mix.effective_count())
 
 
@@ -231,14 +231,9 @@ def pacbayes_upper(
     ``delta`` switches to the high-probability form by adding log(1/delta)
     to the divergence budget.
     """
-    corrected_sup, kl = typed(corrected_sup, "corrected_sup", NUM), typed(kl, "kl", NUM)
-    n, delta = typed(n, "n", INT), typed(delta, "delta", maybe(NUM))
-    if not 1 <= n <= sys.float_info.max:  # kl / n must stay a float
-        raise InvalidParameter(f"n must be in [1, {sys.float_info.max!r}], got {_shown(n)}")
-    if kl < 0.0:
-        raise InvalidParameter(f"kl must be >= 0, got {kl!r}")
-    if corrected_sup < 0.0:
-        raise InvalidParameter("corrected_sup must be >= 0")
+    corrected_sup, kl = typed(corrected_sup, "corrected_sup", within(NUM, 0)), typed(kl, "kl", within(NUM, 0))
+    n = typed(n, "n", within(INT, 1, sys.float_info.max))  # kl / n stays a float
+    delta = typed(delta, "delta", maybe(NUM))
     if delta is not None:
         if not 0.0 < delta < 1.0:
             raise InvalidParameter(f"delta must be in (0, 1), got {delta!r}")

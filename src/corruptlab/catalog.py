@@ -15,9 +15,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter, SizeGuardExceeded, UnknownFamily, _shown
+from .errors import InvalidParameter, SizeGuardExceeded, UnknownFamily
 from .kernels import PRODUCT_ENTRY_GUARD, Kernel, Space
-from .schema import INT, NUM, OBJECT, STR, fields, typed
+from .schema import INT, OBJECT, PROBABILITY, STR, fields, typed, within
 
 BINARY = "binary_label_noise"
 SYMMETRIC = "symmetric_label_noise"
@@ -154,17 +154,11 @@ def family(name: str) -> Family:
 def _check(name: str, value):
     """``classes`` is a count of at least 2 under the entry guard; every other
     parameter is a probability."""
-    if name == "classes":
-        value = typed(value, name, INT)
-        if value < 2:
-            raise InvalidParameter(f"need at least 2 classes, got {_shown(value)}")
-        if value**2 > PRODUCT_ENTRY_GUARD:  # before the k x k matrix
-            raise SizeGuardExceeded(
-                f"more than {math.isqrt(PRODUCT_ENTRY_GUARD)} classes exceed the entry guard")
-        return value
-    value = typed(value, name, NUM)
-    if not 0.0 <= value <= 1.0:
-        raise InvalidParameter(f"{name} must be in [0, 1], got {value!r}")
+    if name != "classes":
+        return typed(value, name, PROBABILITY)
+    value = typed(value, name, within(INT, 2))
+    if value**2 > PRODUCT_ENTRY_GUARD:  # before the k x k matrix
+        raise SizeGuardExceeded(f"more than {math.isqrt(PRODUCT_ENTRY_GUARD)} classes exceed the entry guard")
     return value
 
 

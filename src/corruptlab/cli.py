@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from . import catalog, divergence, planner
 from .bounds import check_corruption, lecam_replicated, mixed_from_json, problem_from_json, separation
-from .errors import (CapacityGuardExceeded, InvalidInput, InvalidParameter, NumericalFailure, ParseError,
-                     RankDeficient, SizeGuardExceeded)
+from .errors import InvalidInput, InvalidParameter, NumericalFailure, ParseError, RankDeficient, SizeGuardExceeded
 from .kernels import kernel_from_json
 from .reconstruct import (check_loss, corrected_sup_norm, loss_from_json, op_norm_row_sum, pseudoinverse,
                           zero_one_loss)
@@ -40,7 +39,8 @@ TABLE_HEADER = (
 #: Most points a ``tables --grid`` may hold.
 GRID_POINT_GUARD = 10**5
 
-#: Exponents a decimal ``--budget`` may carry: those of the default decimal context.
+#: Exponents a decimal ``--budget`` in [0, ``CAPACITY_GUARD``] may carry: those
+#: of the default decimal context.
 _BUDGET_EXPONENTS = range(DefaultContext.Emin, DefaultContext.Emax + 1)
 
 
@@ -127,42 +127,31 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _budget(text: str, scale: int) -> Fraction:
-    """``--budget`` as an exact rational.  A decimal is read as a ``Decimal``
-    first, in microseconds at any exponent, so that a budget above the guard,
-    below zero with a magnitude below 1e-30 or at least 1e30, or with an
-    exponent outside the default decimal context is refused before
-    ``Fraction`` spends seconds or more on 10**exponent.  A
-    decimal in [0, 1/scale), for ``scale`` the costs' least common
-    denominator, reads as 0: the plans see the budget only in units of
-    1/scale, rounded down, so it plans as 0 does."""
-    if "/" not in text:  # a ratio such as 7/2 has no exponent
-        bad = (f"bad budget {text!r}: expected a ratio of integers or a decimal with an exponent "
-               f"in [{_BUDGET_EXPONENTS[0]}, {_BUDGET_EXPONENTS[-1]}]")
+def _budget(text: str) -> Fraction | Decimal:
+    """``--budget`` as an exact number: a ratio of integers as a ``Fraction``
+    and a decimal as a ``Decimal``, which the planner scales in exact decimal
+    arithmetic, so no exponent builds a power of ten.  A decimal that is not
+    finite is refused, and so is one in [0, ``CAPACITY_GUARD``] whose exponent
+    lies outside the default decimal context."""
+    if "/" in text:  # a ratio such as 7/2 has no exponent
         try:
-            decimal = Decimal(text)
-        except InvalidOperation:  # not a number, or an exponent past decimal's own limit
-            raise ParseError(bad) from None
-        if decimal.is_finite() and decimal > planner.CAPACITY_GUARD:  # over the guard at any cost scale
-            raise CapacityGuardExceeded(f"budget above the capacity guard {planner.CAPACITY_GUARD}")
-        out_of_range = decimal.is_finite() and decimal.as_tuple().exponent not in _BUDGET_EXPONENTS
-        if decimal.is_finite() and decimal < 0 and (out_of_range or not -31 < decimal.adjusted() < 30):
-            # planner's message, without the integer behind the power of ten: below 1e-30 or
-            # from 1e30 on, a part of the reduced fraction reaches 10**30, where _shown prints this
-            raise InvalidParameter(f"budget must be >= 0, got -~1e{round(decimal.copy_abs().log10())}")
-        if out_of_range:
-            raise ParseError(bad)
-        if decimal.is_finite() and decimal >= 0 and decimal.adjusted() < -scale.bit_length():
-            return Fraction(0)  # decimal < 10**(adjusted + 1) <= 10**-bit_length < 1/scale
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad budget {text!r}: {exc}") from exc
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad budget {text!r}: {exc}") from exc
+        budget = Decimal(text)
+    except InvalidOperation:  # not a number, or an exponent past decimal's own limit
+        budget = Decimal("NaN")
+    if not budget.is_finite() or (0 <= budget <= planner.CAPACITY_GUARD
+                                  and budget.as_tuple().exponent not in _BUDGET_EXPONENTS):
+        raise ParseError(f"bad budget {text!r}: expected a ratio of integers or a decimal with an exponent "
+                         f"in [{_BUDGET_EXPONENTS[0]}, {_BUDGET_EXPONENTS[-1]}]")
+    return budget
 
 
 def cmd_plan(args) -> int:
     offers = planner.offers_from_json(load_json(args.offers))
-    budget = _budget(args.budget, planner.cost_scale(offers))
+    budget = _budget(args.budget)
     report = {
         "greedy": planner.greedy_plan(offers, budget).to_json(),
         "exact": planner.exact_plan(offers, budget).to_json(),

@@ -8,17 +8,27 @@ from these two bases alone.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 
 def _shown(x) -> str:
-    """``x`` for a message.  An integer or fraction whose parts reach 10**30 is
-    rounded to a power of ten, since ``str`` slows with the digits and
-    refuses more than 4,300 of them."""
+    """``x`` for a message.  An integer or fraction with a part reaching 10**30,
+    and a decimal of magnitude below 1e-30 or from 1e30 on, or with digits
+    past 1e-100, is shown by its first digit, truncated, and its power of ten:
+    ``str`` slows with the digits and refuses more than 4,300 of them, and a
+    decimal's fraction builds 10**-exponent."""
+    if isinstance(x, Decimal) and x.is_finite() and -31 < x.adjusted() < 30 and x.as_tuple().exponent > -100:
+        x = Fraction(x)
+    if isinstance(x, Decimal) and x.is_finite():
+        return f"{'-' if x < 0 else ''}~{x.as_tuple().digits[0]}e{x.adjusted()}"
     q = Fraction(x) if isinstance(x, (int, Fraction)) else None
     if q is None or max(abs(q.numerator), q.denominator) < 10**30:
         return str(x)
-    return f"{'-' if q < 0 else ''}~1e{round(math.log10(abs(q.numerator)) - math.log10(q.denominator))}"
+    n, d = abs(q.numerator), q.denominator
+    e = math.floor(math.log10(n) - math.log10(d)) - 1  # the float may be one off either way
+    top = str(n * 10**max(-e, 0) // (d * 10**max(e, 0)))  # so |q| / 10**e has 1 to 3 digits
+    return f"{'-' if q < 0 else ''}~{top[0]}e{e + len(top) - 1}"
 
 
 class CorruptLabError(Exception):

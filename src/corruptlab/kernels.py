@@ -28,9 +28,8 @@ from .errors import (
     NotNormalized,
     SizeGuardExceeded,
     SpaceMismatch,
-    _shown,
 )
-from .schema import INT, NAMES, _need, fields, instance_of, list_of, read_fields, typed
+from .schema import INT, NAMES, _need, fields, instance_of, list_of, read_fields, typed, within
 
 #: Absolute tolerance on "sums to one" checks at construction time.
 STOCHASTIC_ATOL = 1e-9
@@ -250,10 +249,7 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
 
 def replicate(t: Kernel, n: int) -> Kernel:
     """The n-fold parallel product of a kernel with itself."""
-    n = typed(n, "replication count", INT)
-    if n < 1:
-        raise InvalidParameter(f"replication count must be >= 1, got {_shown(n)}")
-    return parallel_product([t] * n)
+    return parallel_product([t] * typed(n, "replication count", within(INT, 1)))
 
 
 # -- JSON wire formats ---------------------------------------------------------

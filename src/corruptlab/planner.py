@@ -10,9 +10,10 @@ Both plans count in one integer unit, 1/scale for scale the least common
 multiple of the costs' denominators.  The budget is read in that unit and
 rounded down, which loses no plan, since every cost is a whole number of
 units, and the guard applies to the budget's exact value in that unit; so
-the way a budget is written never sizes the DP.  Each plan counts units per
-offer, densest offer first, and one assembler turns those counts into the
-plan, its objective and its spend.  Plans and rankings name an offer only by
+the way a budget is written never sizes the DP.  A ``Decimal`` budget is
+scaled in exact decimal arithmetic, so its exponent never builds a power of
+ten.  Each plan counts units per offer, densest offer first, and one
+assembler turns those counts into the plan, its objective and its spend.  Plans and rankings name an offer only by
 its name, so offers must have distinct names.
 
 The exact plan costs O(min(capacity, (c_b - 1) * c_max) * offers) for scaled
@@ -30,6 +31,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,16 +41,20 @@ from .errors import (
     MissingStatistic,
     _shown,
 )
-from .schema import INT, LIST, NUM, RATIONAL, STR, fields, maybe, read_fields, typed
+from .schema import INT, LIST, NUM, PROBABILITY, RATIONAL, STR, fields, maybe, read_fields, typed, within
 
 
 def _exact(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(INT[2](v) if isinstance(v, numbers.Integral) else NUM[2](v))
 
 
-#: The kind of a cost or budget: a Fraction as it is, any other integer or
-#: finite real as its exact value.
+#: The kind of a cost: a Fraction as it is, any other integer or finite real
+#: as its exact value.
 EXACT = (InvalidParameter, "an integer, a Fraction or a finite number", _exact)
+
+#: The kind of a budget: at least 0, and a finite Decimal as it is, since a
+#: Fraction of one builds 10**exponent, else read as ``EXACT``.
+BUDGET = within((*EXACT[:2], lambda v: v if isinstance(v, Decimal) and v.is_finite() else _exact(v)), 0)
 
 #: Largest budget, in units of 1/scale, either plan will accept.
 CAPACITY_GUARD = 10**7
@@ -68,15 +74,11 @@ class SourceOffer:
     corrected_sup: float | None = None
 
     def __post_init__(self):
-        read_fields(self, "offer", name=STR, alpha=NUM, unit_cost=EXACT, corrected_sup=maybe(NUM))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidParameter(f"alpha must be in [0, 1], got {self.alpha!r}")
+        read_fields(self, "offer", name=STR, alpha=PROBABILITY, unit_cost=EXACT,
+                    corrected_sup=maybe(within(NUM, 0, math.sqrt(sys.float_info.max))))  # the upper key squares it
         cost = self.unit_cost
         if not 0 < cost <= sys.float_info.max or float(cost) == 0.0:  # the ranking keys use it as a double
             raise InvalidParameter(f"unit cost must be positive and within a double's range, got {_shown(cost)}")
-        sup = self.corrected_sup
-        if sup is not None and not 0.0 <= sup <= math.sqrt(sys.float_info.max):  # the upper key squares it
-            raise InvalidParameter(f"corrected_sup must be >= 0 with a finite square as a double, got {_shown(sup)}")
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,6 @@ def _density_order(offers: Sequence[SourceOffer]) -> list[SourceOffer]:
     return sorted(offers, key=lambda o: (-(o.alpha / o.unit_cost), o.unit_cost, o.name))
 
 
-def cost_scale(offers: Sequence[SourceOffer]) -> int:
-    """The least common multiple of the costs' denominators: both plans count
-    in units of 1/cost_scale."""
-    return math.lcm(*(o.unit_cost.denominator for o in offers))
-
-
 def _scaled(offers: Sequence[SourceOffer], budget) -> tuple[list[SourceOffer], list[int], int, int]:
     """The offers densest first, their costs in units of 1/scale for scale the
     least common multiple of the costs' denominators, the budget in those
@@ -113,9 +109,7 @@ def _scaled(offers: Sequence[SourceOffer], budget) -> tuple[list[SourceOffer], l
     is a budget whose exact value in those units is past the guard, before
     any count is made, so no count can overflow a float; the budget's own
     denominator never enters the scale."""
-    budget = typed(budget, "budget", EXACT)
-    if budget < 0:
-        raise InvalidParameter(f"budget must be >= 0, got {_shown(budget)}")
+    budget = typed(budget, "budget", BUDGET)
     if not offers:
         raise InvalidParameter("need at least one offer")
     names = sorted(o.name for o in offers)
@@ -123,11 +117,13 @@ def _scaled(offers: Sequence[SourceOffer], budget) -> tuple[list[SourceOffer], l
         if a == b:
             raise InvalidParameter(f"offer name {a!r} appears more than once")
     ordered = _density_order(offers)
-    scale = cost_scale(ordered)
-    if budget.numerator * scale > CAPACITY_GUARD * budget.denominator:
-        raise CapacityGuardExceeded(f"scaled capacity {_shown(budget * scale)} exceeds guard {CAPACITY_GUARD}")
+    scale = math.lcm(*(o.unit_cost.denominator for o in ordered))
+    with localcontext(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[]):
+        capacity = budget * scale  # exact; a Decimal past Emax is infinite
+    if capacity > CAPACITY_GUARD:
+        raise CapacityGuardExceeded(f"scaled capacity {_shown(capacity)} exceeds guard {CAPACITY_GUARD}")
     costs = [o.unit_cost.numerator * (scale // o.unit_cost.denominator) for o in ordered]
-    return ordered, costs, budget.numerator * scale // budget.denominator, scale
+    return ordered, costs, math.floor(capacity), scale
 
 
 def _plan(ordered: list[SourceOffer], costs: list[int], counts: list[int], scale: int) -> AcquisitionPlan:
@@ -139,7 +135,7 @@ def _plan(ordered: list[SourceOffer], costs: list[int], counts: list[int], scale
                            spend=Fraction(sum(c * n for c, n in zip(costs, counts)), scale))
 
 
-def greedy_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPlan:
+def greedy_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> AcquisitionPlan:
     """Buy the densest source until it no longer fits, then the next, etc."""
     ordered, costs, remaining, scale = _scaled(offers, budget)
     counts = []
@@ -149,7 +145,7 @@ def greedy_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionP
     return _plan(ordered, costs, counts, scale)
 
 
-def exact_plan(offers: Sequence[SourceOffer], budget: Fraction) -> AcquisitionPlan:
+def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> AcquisitionPlan:
     """Optimal unbounded-knapsack plan by dynamic programming.
 
     Rational costs are scaled to integers by the least common multiple of

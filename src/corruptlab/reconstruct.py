@@ -50,14 +50,6 @@ class LossTable:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "sup_norm", float(np.abs(v).max()))
 
-    def column(self, action: str) -> np.ndarray:
-        """The curried loss ell_a as a vector over outcomes."""
-        try:
-            j = self.actions.index(action)
-        except ValueError:
-            raise SpaceMismatch(f"{action!r} is not an action of this table") from None
-        return self.values[:, j]
-
 
 def zero_one_loss(space: Space) -> LossTable:
     """0-1 loss with one action per outcome, in outcome order."""

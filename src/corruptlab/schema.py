@@ -3,12 +3,13 @@ of the JSON wire formats.
 
 A field kind is the error class that refuses a value, a description for the
 message and a reader.  The value kinds (``STR``, ``INT``, ``NUM``,
-``NAMES``, ``INTS``, :func:`instance_of`, :func:`maybe` and
-:func:`list_of`) are how each value type reads its own fields, and each
-function its own scalar arguments, through :func:`read_fields` or
-:func:`typed`, the same way whether it is built in Python or from a
-document: a wrong type is refused with a one-line :class:`InvalidParameter`.
-Range checks stay in the value types.
+``PROBABILITY``, ``NAMES``, :func:`instance_of`, :func:`maybe`,
+:func:`list_of` and :func:`within`) are how each value type reads its own
+fields, and each function its own scalar arguments, through
+:func:`read_fields` or :func:`typed`, the same way whether it is built in
+Python or from a document.  A closed range is part of a field's kind, so a
+wrong type and a value outside the range are both refused there, once, with
+a one-line :class:`InvalidParameter`.
 
 Each ``*_from_json`` reads only a document's shape through :func:`fields`:
 objects, non-empty lists, required and unknown keys and the ``{num, den}``
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError
+from .errors import InvalidParameter, ParseError, _shown
 
 
 def _need(ok: bool, value):
@@ -65,7 +66,6 @@ INT = (InvalidParameter, "an integer", lambda v: int(_need(isinstance(v, _INTEGE
 NUM = (InvalidParameter, "a finite number",
        lambda v: float(_need(isinstance(v, _REALS) and not isinstance(v, bool) and math.isfinite(v), v)))
 NAMES = list_of(STR, "a list of strings")
-INTS = list_of(INT, "a list of integers")
 OBJECT = (ParseError, "an object", lambda v: _need(isinstance(v, dict), v))
 LIST = (ParseError, "a non-empty list", lambda v: _need(isinstance(v, list) and len(v) > 0, v))
 RATIONAL = (ParseError, 'an integer or {"num": integer, "den": integer}', _rational)
@@ -75,6 +75,28 @@ def instance_of(*classes: type):
     """The kind of an instance of one of ``classes``."""
     return (InvalidParameter, "a " + " or ".join(c.__name__ for c in classes),
             lambda v: _need(isinstance(v, classes), v))
+
+
+class _OutOfRange(ValueError):
+    """A value of the right type outside its kind's range; :func:`typed` words it."""
+
+
+def within(kind, low, high=math.inf):
+    """``kind`` with its values in [low, high]; a value of the right type
+    outside is refused as ``must be in [low, high], got <value>``, or
+    ``must be >= low`` when ``high`` is infinite."""
+    read = kind[2]
+
+    def reader(v):
+        v = read(v)
+        if not low <= v <= high:
+            rule = f">= {_shown(low)}" if high == math.inf else f"in [{_shown(low)}, {_shown(high)}]"
+            raise _OutOfRange(f"{rule}, got {_shown(v)}")
+        return v
+    return (kind[0], kind[1], reader)
+
+
+PROBABILITY = within(NUM, 0, 1)
 
 
 def maybe(kind):
@@ -93,6 +115,8 @@ def typed(value, what: str, kind):
     """``value`` read as ``kind``; ``what`` names it in the error message."""
     try:
         return kind[2](value)
+    except _OutOfRange as exc:
+        raise kind[0](f"{what} must be {exc}") from None
     except (ValueError, OverflowError):
         raise kind[0](f"{what} must be {kind[1]}") from None
 

@@ -47,11 +47,10 @@ from .errors import (
     PreconditionFailed,
     SizeGuardExceeded,
     UnknownOutcome,
-    _shown,
 )
-from .kernels import Dist, Kernel, Space, dist_from_json, kernel_from_json
+from .kernels import KERNEL, Dist, Kernel, Space, dist_from_json, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, corrected_loss, loss_from_json, pseudoinverse
-from .schema import INT, INTS, OBJECT, fields, instance_of, read_fields, typed
+from .schema import INT, OBJECT, fields, instance_of, list_of, read_fields, typed, within
 
 _MASK64 = (1 << 64) - 1
 
@@ -107,8 +106,8 @@ def _trial_seeds(seed: int, cells: range) -> list[int]:
     return (np.uint64(seed & _MASK64) ^ splitmix64(np.arange(cells.start, cells.stop, dtype=np.uint64))).tolist()
 
 
-def _trial_seed(seed: int, trial_index: int) -> int:
-    return _trial_seeds(seed, range(trial_index, trial_index + 1))[0]
+#: The kind of a :class:`LossTable` argument.
+LOSS = instance_of(LossTable)
 
 
 def _as_indices(space: Space, sample: Sequence) -> np.ndarray:
@@ -126,9 +125,7 @@ def _as_indices(space: Space, sample: Sequence) -> np.ndarray:
 
 def sample(p: Dist, n: int, seed: int) -> np.ndarray:
     """Draw n iid outcome indices by inverse CDF over the space's order."""
-    n = typed(n, "sample size", INT)
-    if n < 0:
-        raise InvalidParameter(f"sample size must be >= 0, got {_shown(n)}")
+    p, n = typed(p, "p", instance_of(Dist)), typed(n, "sample size", within(INT, 0))
     cum = np.cumsum(p.weights)
     u = _generator(seed).random(n)
     return np.minimum(np.searchsorted(cum, u, side="right"), len(p.space) - 1).astype(np.int64)
@@ -136,6 +133,7 @@ def sample(p: Dist, n: int, seed: int) -> np.ndarray:
 
 def corrupt(t: Kernel, clean: Sequence, seed: int) -> np.ndarray:
     """Independently push each clean outcome through the corruption kernel."""
+    t = typed(t, "t", KERNEL)
     idx = _as_indices(t.domain, clean)
     cum = np.cumsum(t.matrix, axis=0)
     u = _generator(seed).random(idx.shape[0])
@@ -151,7 +149,7 @@ def erm_indices(counts, loss: LossTable) -> np.ndarray:
     minimizing average loss over those outcome counts.  Risks within
     ``ERM_TIE_RTOL`` times the loss's sup norm of a row's minimum are tied,
     and ties go to the lowest action index."""
-    counts = np.asarray(counts)
+    counts, loss = np.asarray(counts), typed(loss, "loss", LOSS)
     if counts.ndim != 2 or counts.shape[1] != len(loss.outcomes):
         raise LengthMismatch(f"counts of shape {counts.shape} for {len(loss.outcomes)} outcomes")
     totals = counts.sum(axis=1, keepdims=True)
@@ -163,7 +161,7 @@ def erm_indices(counts, loss: LossTable) -> np.ndarray:
 
 def erm(sample_values: Sequence, loss: LossTable) -> str:
     """The action minimizing average loss on the sample (see ``erm_indices``)."""
-    idx = _as_indices(loss.outcomes, sample_values)
+    idx = _as_indices(typed(loss, "loss", LOSS).outcomes, sample_values)
     return loss.actions[erm_indices([np.bincount(idx, minlength=len(loss.outcomes))], loss)[0]]
 
 
@@ -177,15 +175,14 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        read_fields(self, "config", clean_dist=instance_of(Dist), loss=instance_of(LossTable),
-                    corruption=instance_of(catalog.CorruptionSpec, Kernel), sample_sizes=INTS, trials=INT, seed=INT)
+        read_fields(self, "config", clean_dist=instance_of(Dist), loss=LOSS,
+                    corruption=instance_of(catalog.CorruptionSpec, Kernel),
+                    sample_sizes=list_of(within(INT, 1), "a list of integers"), trials=within(INT, 1), seed=INT)
         sizes = self.sample_sizes
-        if not sizes or any(n < 1 for n in sizes):
+        if not sizes:
             raise InvalidParameter("sample sizes must be positive")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InvalidParameter("sample sizes must be strictly increasing")
-        if self.trials < 1:
-            raise InvalidParameter("need at least one trial")
         if self.loss.outcomes != self.clean_dist.space:
             raise InvalidParameter("loss outcomes must match the clean distribution")
         if sizes[-1] > SAMPLE_SIZE_GUARD:  # checked before anything is drawn

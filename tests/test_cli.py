@@ -267,12 +267,25 @@ class TestPlan:
                        'known: alpha, corrected_sup, cost, name\n')
 
     @pytest.mark.parametrize("budget, shown", [("-3", "-3"), ("-0.5", "-1/2"), ("-1e100000", "-~1e100000"),
-                                               ("-1e10000000", "-~1e10000000"), ("-2.5e10000000", "-~1e10000000")])
+                                               ("-1e10000000", "-~1e10000000"), ("-2.5e10000000", "-~2e10000000")])
     def test_negative_budget_message(self, budget, shown, tmp_path, capsys):
         # past the decimal context's exponents the budget is never made a Fraction; the words stay
         path = write_json(tmp_path, "offers.json", DOCUMENTS["offers"])
         code, out, err = run(capsys, "plan", "--offers", path, f"--budget={budget}")
         assert (code, out, err) == (2, "", f"error: budget must be >= 0, got {shown}\n")
+
+    @pytest.mark.parametrize("budget, err", [
+        ("1e999999999999999999", "numerical failure: scaled capacity Infinity exceeds guard 10000000"),
+        ("-1e999999999999999999", "error: budget must be >= 0, got -~1e999999999999999999"),
+        ("1/0", "error: bad budget '1/0': Fraction(1, 0)"),
+        ("inf", "error: bad budget 'inf': expected a ratio of integers or a decimal with an exponent "
+                "in [-999999, 999999]"),
+    ])
+    def test_budget_refusal_message(self, budget, err, tmp_path, capsys):
+        # in units of 1/12, 1e999999999999999999 is past the largest exponent a Decimal can hold
+        path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
+                                                    {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}])
+        assert run(capsys, "plan", "--offers", path, f"--budget={budget}")[1:] == ("", err + "\n")
 
     def test_tiny_budget_is_fast(self, tmp_path, capsys):
         # 1e-999999 is 0 in the costs' unit; reading the budget is the only work that grows with its digits
@@ -696,6 +709,14 @@ REFUSED = {
     "budget--1e999999": (2, _plan("-1e999999")),
     "budget-1e-10000000": (2, _plan("1e-10000000")),
     "budget-1e99999999999999999999999": (2, _plan("1e99999999999999999999999")),
+    "budget-1e999999999999999999": (3, _plan("1e999999999999999999")),
+    "budget--1e999999999999999999": (2, _plan("-1e999999999999999999")),
+    "budget-1/0": (2, _plan("1/0")),
+    "budget-inf": (2, _plan("inf")),
+    "grid-non-numeric": (2, lambda d: _tables("0:x:0.1")),
+    "grid-step-0": (2, lambda d: _tables("0:1:0")),
+    "kernel-file-missing": (2, lambda d: ["analyze", "--kernel", str(d / "absent-kernel.json")]),
+    "cost-den-0": (2, _one_offer(cost={"num": 1, "den": 0})),
     "cost-1/10**400": (2, _one_offer(cost={"num": 1, "den": 10**400})),
     "cost-10**400": (2, _one_offer(cost=10**400)),
     "corrected-sup-1e200": (2, _one_offer(corrected_sup=1e200)),

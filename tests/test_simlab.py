@@ -29,7 +29,6 @@ from corruptlab.simlab import (
     RiskPoint,
     _generator,
     _rekey,
-    _trial_seed,
     _trial_seeds,
     corrupt,
     erm,
@@ -44,6 +43,11 @@ from corruptlab.simlab import (
 )
 
 from helpers import binary_noise, constant_kernel
+
+
+def _trial_seed(seed, trial_index):
+    """The stream key of one cell, as the curves derive it."""
+    return _trial_seeds(seed, range(trial_index, trial_index + 1))[0]
 
 
 def softmax_neg(v):

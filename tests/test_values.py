@@ -2,6 +2,9 @@
 one InvalidInput line, as it does from a document, and never in a bare numpy
 or Python error or a silent misreading."""
 
+import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -25,6 +28,7 @@ from corruptlab import (  # noqa: E402
     Space,
     alpha,
     binary_label_noise,
+    corrupt,
     exact_plan,
     fastrate_gamma,
     greedy_plan,
@@ -38,12 +42,15 @@ from corruptlab import (  # noqa: E402
     replicate,
     sample,
     semi_supervised,
+    separation,
     symmetric_label_noise,
     zero_one_loss,
 )
 from corruptlab.catalog import make_spec  # noqa: E402
-from corruptlab.simlab import erm_indices  # noqa: E402
-from corruptlab.errors import InvalidInput  # noqa: E402
+from corruptlab.bounds import lecam_mixed  # noqa: E402
+from corruptlab.schema import INT, RATIONAL, typed, within  # noqa: E402
+from corruptlab.simlab import erm, erm_indices  # noqa: E402
+from corruptlab.errors import CapacityGuardExceeded, InvalidInput, InvalidParameter, ParseError  # noqa: E402
 
 from helpers import binary_noise  # noqa: E402
 from test_fuzz import _SCALARS  # noqa: E402
@@ -118,6 +125,23 @@ LIBRARY_REFUSED = {
     "erm-counts-too-long": lambda: erm_indices([[1, 2, 3]], LossTable(S, ["a0"], [[0.0], [1.0]])),
     "erm-counts-one-row": lambda: erm_indices([1, 2], LossTable(S, ["a0"], [[0.0], [1.0]])),
     "config-bad-spec": lambda: ExperimentConfig(**CONFIG | {"corruption": CorruptionSpec("partial_labels", SPEC)}),
+    "sample-list-for-dist": lambda: sample([0.5, 0.5], 3, 1),
+    "corrupt-array-for-kernel": lambda: corrupt(np.eye(2), [0, 1], 1),
+    "erm-string-for-loss": lambda: erm([0, 1], "x"),
+    "erm-indices-string-for-loss": lambda: erm_indices([[1, 2]], "x"),
+    "lecam-int-for-problem": lambda: lecam_replicated(5, 0, 1, 1.0),
+    "lecam-corrupted-array-for-kernel": lambda: lecam_corrupted(DecisionProblem(**PROBLEM), np.eye(2), 0, 1, 1.0),
+    "lecam-mixed-list-for-mix": lambda: lecam_mixed(DecisionProblem(**PROBLEM), [MixedSource(5, alpha=0.5)], 0, 1),
+    "regret-int-for-problem": lambda: regret(5, 0, 0),
+    "separation-none-for-problem": lambda: separation(None, 0, 1),
+    "offer-cost-decimal": lambda: SourceOffer("A", 0.5, Decimal("0.5")),
+    "kernel-matrix-shape": lambda: Kernel(S, S, [[1.0, 0.0]]),
+    "mixed-corruption-empty": lambda: MixedCorruption([]),
+    "mixed-corruption-zero-counts": lambda: MixedCorruption([MixedSource(0, alpha=0.5)] * 2),
+    "effective-count-no-alpha": lambda: MixedCorruption([MixedSource(5)]).effective_count(),
+    "parallel-product-empty": lambda: parallel_product([]),
+    "replicate-0": lambda: replicate(T, 0),
+    "plan-no-offers": lambda: exact_plan([], 1),
 }
 
 
@@ -225,3 +249,89 @@ class TestNumpyScalars:
             binary_label_noise(flag, 0.2)
         with pytest.raises(InvalidInput):
             ExperimentConfig(**CONFIG | {"trials": flag})
+
+
+MAX = sys.float_info.max
+BELOW_0 = math.nextafter(0.0, -1.0)
+
+#: Each closed range a field kind carries: a call of one value, the bound, the
+#: value one step past it and the name the message gives the field.
+RANGES = {
+    "sigma-low": (lambda v: binary_label_noise(v, 0.2), 0.0, BELOW_0, "sigma_neg"),
+    "sigma-high": (lambda v: binary_label_noise(0.1, v), 1.0, math.nextafter(1.0, 2.0), "sigma_pos"),
+    "classes": (lambda v: symmetric_label_noise(v, 0.1), 2, 1, "classes"),
+    "source-count-low": (lambda v: MixedSource(v, alpha=0.5), 0, -1, 'mixed source "count"'),
+    "source-count-high": (lambda v: MixedSource(v, alpha=0.5), int(MAX), int(MAX) + 1, 'mixed source "count"'),
+    "source-alpha-low": (lambda v: MixedSource(5, alpha=v), 0.0, BELOW_0, 'mixed source "alpha"'),
+    "source-alpha-high": (lambda v: MixedSource(5, alpha=v), 1.0, math.nextafter(1.0, 2.0), 'mixed source "alpha"'),
+    "source-corrected-sup": (lambda v: MixedSource(5, alpha=0.5, corrected_sup=v), 0.0, BELOW_0,
+                             'mixed source "corrected_sup"'),
+    "pacbayes-n-low": (lambda v: pacbayes_upper(1.0, v, 1.0), 1, 0, "n"),
+    "pacbayes-n-high": (lambda v: pacbayes_upper(1.0, v, 1.0), int(MAX), int(MAX) + 1, "n"),
+    "pacbayes-kl": (lambda v: pacbayes_upper(1.0, 5, v), 0.0, BELOW_0, "kl"),
+    "pacbayes-corrected-sup": (lambda v: pacbayes_upper(v, 5, 1.0), 0.0, BELOW_0, "corrected_sup"),
+    "lecam-n": (lambda v: lecam_replicated(DecisionProblem(**PROBLEM), 0, 1, v), 0.0, BELOW_0, "replication count"),
+    "offer-alpha-low": (lambda v: SourceOffer("A", v, 1), 0.0, BELOW_0, 'offer "alpha"'),
+    "offer-alpha-high": (lambda v: SourceOffer("A", v, 1), 1.0, math.nextafter(1.0, 2.0), 'offer "alpha"'),
+    "offer-corrected-sup-low": (lambda v: SourceOffer("A", 0.5, 1, v), 0.0, BELOW_0, 'offer "corrected_sup"'),
+    "offer-corrected-sup-high": (lambda v: SourceOffer("A", 0.5, 1, v), math.sqrt(MAX),
+                                 math.nextafter(math.sqrt(MAX), math.inf), 'offer "corrected_sup"'),
+    "sample-n": (lambda v: sample(P, v, 1), 0, -1, "sample size"),
+    "config-trials": (lambda v: ExperimentConfig(**CONFIG | {"trials": v}), 1, 0, 'config "trials"'),
+    "config-sample-size": (lambda v: ExperimentConfig(**CONFIG | {"sample_sizes": (v, 20)}), 1, 0,
+                           'config "sample_sizes"'),
+    "replicate-n": (lambda v: replicate(T, v), 1, 0, "replication count"),
+    "exact-budget": (lambda v: exact_plan(OFFERS, v), 0.0, BELOW_0, "budget"),
+    "greedy-budget": (lambda v: greedy_plan(OFFERS, v), 0.0, BELOW_0, "budget"),
+}
+
+
+@pytest.mark.parametrize("case", RANGES)
+def test_range_bound_is_accepted_and_one_step_past_refused(case):
+    call, bound, past, field = RANGES[case]
+    call(bound)
+    with pytest.raises(InvalidParameter) as caught:
+        call(past)
+    assert str(caught.value).startswith(f"{field} must be ")
+
+
+class TestWithin:
+    def test_messages(self):
+        with pytest.raises(InvalidParameter, match=r'^offer "alpha" must be in \[0, 1\], got 1.5$'):
+            SourceOffer("A", 1.5, 1)
+        with pytest.raises(InvalidParameter, match=r"^replication count must be >= 1, got 0$"):
+            replicate(T, 0)
+        with pytest.raises(InvalidParameter, match=r"^n must be in \[1, 1.7976931348623157e\+308\], got ~2e308$"):
+            pacbayes_upper(1.0, 2 * 10**308, 1.0)
+
+    def test_keeps_the_kind(self):
+        with pytest.raises(InvalidParameter, match="^x must be an integer$"):
+            typed(2.5, "x", within(INT, 0, 3))
+        with pytest.raises(ParseError, match=r'^x must be an integer or \{"num": integer, "den": integer\}$'):
+            typed("1", "x", within(RATIONAL, 1))
+        with pytest.raises(ParseError, match=r"^x must be >= 1, got 1/2$"):
+            typed({"num": 1, "den": 2}, "x", within(RATIONAL, 1))
+        assert typed(3, "x", within(INT, 0, 3)) == 3
+
+
+class TestDecimalBudget:
+    OFFERS = [SourceOffer("A", 0.5, Fraction(1, 12)), SourceOffer("B", 0.7, Fraction(5, 12))]
+
+    @pytest.mark.parametrize("plan", [exact_plan, greedy_plan])
+    def test_plans_as_its_fraction(self, plan):
+        assert plan(self.OFFERS, Decimal("2.5")) == plan(self.OFFERS, Fraction(5, 2))
+        assert plan(self.OFFERS, Decimal("-0.0")) == plan(self.OFFERS, 0)
+
+    def test_exponents_build_no_power_of_ten(self):
+        assert exact_plan(self.OFFERS, Decimal("1e-999999999")) == exact_plan(self.OFFERS, 0)
+        with pytest.raises(InvalidParameter, match="^budget must be >= 0, got -~1e-999999999$"):
+            exact_plan(self.OFFERS, Decimal("-1e-999999999"))
+        with pytest.raises(CapacityGuardExceeded, match="^scaled capacity ~1e401 exceeds guard"):
+            exact_plan(self.OFFERS, Decimal("1e400"))
+        with pytest.raises(CapacityGuardExceeded, match="^scaled capacity Infinity exceeds guard"):
+            exact_plan(self.OFFERS, Decimal("1e999999999999999999"))
+
+    @pytest.mark.parametrize("budget", [Decimal("NaN"), Decimal("Infinity"), Decimal("sNaN")])
+    def test_non_finite_is_refused(self, budget):
+        with pytest.raises(InvalidParameter, match="^budget must be an integer, a Fraction or a finite number$"):
+            exact_plan(self.OFFERS, budget)

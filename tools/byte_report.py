@@ -62,6 +62,11 @@ EDGE_DOCUMENTS = {
     "mix-alpha-string.json": [{"count": 10, "alpha": "0.7"}],
     "sigma-string-and-unknown-key.json": _FAST_RATE | {"corruption": {
         "family": "binary_label_noise", "params": {"sigma_neg": "x", "sigma_pos": 0.3, "extra": 1}}},
+    "alpha-1.5-offer.json": [{"name": "A", "alpha": 1.5, "cost": 1}],
+    "zero-trials.json": _FAST_RATE | {"trials": 0},
+    "one-class.json": _FAST_RATE | {"corruption": {"family": "symmetric_label_noise",
+                                                   "params": {"sigma": 0.2, "classes": 1}}},
+    "mix-negative-count.json": [{"count": -1, "alpha": 0.7}],
     "ties.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": [0.5, 0.5]},
                                "corruption": {"family": "binary_label_noise",
                                               "params": {"sigma_neg": 0.2, "sigma_pos": 0.2}},
@@ -78,10 +83,13 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: the tie rule picks the action), and documents whose bad values only the
 #: value types refuse: a boolean and a ragged kernel matrix, a string weight,
 #: a fractional trial count, a string alpha in a mix, and a bad parameter next
-#: to an unknown key.
+#: to an unknown key; and one value just outside each kind of range: an offer's
+#: alpha of 1.5, no trials, one class and a negative count in a mix.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
-       for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan")},
+       for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan", "1e999999999999999999",
+                      "-1e999999999999999999", "1/0", "-1e-40")},
+    "plan-alpha-1.5": ("plan", "--offers", "alpha-1.5-offer.json", "--budget", "1"),
     **{f"lecam-{name}": (*_LECAM, f"{name}.json")
        for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
                     "hypotheses-out-of-order")},
@@ -92,8 +100,10 @@ EDGE_JOBS = {
     "simulate-ties": ("simulate", "--config", "ties.json", "--out", "ties.csv"),
     **{f"analyze-{name}": ("analyze", "--kernel", f"{name}.json") for name in ("bool-matrix", "ragged-matrix")},
     **{f"simulate-{name}": ("simulate", "--config", f"{name}.json", "--out", "malformed.csv")
-       for name in ("string-weight", "fractional-trials", "sigma-string-and-unknown-key")},
-    "lecam-mix-alpha-string": (*_LECAM, "problem.json", "--mix", "mix-alpha-string.json"),
+       for name in ("string-weight", "fractional-trials", "sigma-string-and-unknown-key", "zero-trials",
+                    "one-class")},
+    **{f"lecam-{name}": (*_LECAM, "problem.json", "--mix", f"{name}.json")
+       for name in ("mix-alpha-string", "mix-negative-count")},
 }
 
 
