@@ -27,12 +27,18 @@ from .errors import (
 )
 from .kernels import KERNEL, Dist, Kernel, Space, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, check_loss
-from .schema import INT, LIST, NUM, OBJECT, PROBABILITY, fields, instance_of, list_of, maybe, read_fields, typed, within
+from .schema import (INT, LIST, NONNEGATIVE, NUM, OBJECT, PROBABILITY, fields, instance_of, list_of, maybe, read_fields,
+                     typed, within)
 
 #: Risks, expectations and squared differences at or below this count as
 #: zero: in the Bernstein and compatibility ratios (the boundary between "no
 #: excess risk" and "some") and in the fast-rate separability test.
 EXCESS_TOL = 1e-12
+
+#: A mixed source's count, and PAC-Bayes's n: at most a double's largest
+#: value, so alpha * count and kl / n stay floats.
+_SOURCE_COUNT = within(INT, 0, sys.float_info.max)
+_PACBAYES_N = within(INT, 1, sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +125,7 @@ def lecam_replicated(
     function gives (``lecam_bound``, ``lecam_corrupted`` and ``lecam_mixed``
     always clamp).
     """
-    problem, n = typed(problem, "problem", PROBLEM), typed(n, "replication count", within(NUM, 0))
+    problem, n = typed(problem, "problem", PROBLEM), typed(n, "replication count", NONNEGATIVE)
     i = problem.theta_index(theta1)
     j = problem.theta_index(theta2)
     rho = separation(problem, i, j)
@@ -174,8 +180,8 @@ class MixedSource:
     corrected_sup: float | None = None
 
     def __post_init__(self):
-        read_fields(self, "mixed source", count=within(INT, 0, sys.float_info.max),  # alpha * count stays a float
-                    kernel=maybe(KERNEL), alpha=maybe(PROBABILITY), corrected_sup=maybe(within(NUM, 0)))
+        read_fields(self, "mixed source", count=_SOURCE_COUNT,
+                    kernel=maybe(KERNEL), alpha=maybe(PROBABILITY), corrected_sup=maybe(NONNEGATIVE))
         if self.alpha is None and self.kernel is not None:
             object.__setattr__(self, "alpha", divergence.alpha(self.kernel))
 
@@ -231,9 +237,8 @@ def pacbayes_upper(
     ``delta`` switches to the high-probability form by adding log(1/delta)
     to the divergence budget.
     """
-    corrected_sup, kl = typed(corrected_sup, "corrected_sup", within(NUM, 0)), typed(kl, "kl", within(NUM, 0))
-    n = typed(n, "n", within(INT, 1, sys.float_info.max))  # kl / n stays a float
-    delta = typed(delta, "delta", maybe(NUM))
+    corrected_sup, kl = typed(corrected_sup, "corrected_sup", NONNEGATIVE), typed(kl, "kl", NONNEGATIVE)
+    n, delta = typed(n, "n", _PACBAYES_N), typed(delta, "delta", maybe(NUM))
     if delta is not None:
         if not 0.0 < delta < 1.0:
             raise InvalidParameter(f"delta must be in (0, 1), got {delta!r}")

@@ -24,6 +24,9 @@ SYMMETRIC = "symmetric_label_noise"
 SEMI_SUPERVISED = "semi_supervised"
 PARTIAL = "partial_labels"
 
+#: The kind of ``classes``: a count of at least 2.
+_CLASSES = within(INT, 2)
+
 
 @dataclass(frozen=True, eq=True)
 class CorruptionSpec:
@@ -156,7 +159,7 @@ def _check(name: str, value):
     parameter is a probability."""
     if name != "classes":
         return typed(value, name, PROBABILITY)
-    value = typed(value, name, within(INT, 2))
+    value = typed(value, name, _CLASSES)
     if value**2 > PRODUCT_ENTRY_GUARD:  # before the k x k matrix
         raise SizeGuardExceeded(f"more than {math.isqrt(PRODUCT_ENTRY_GUARD)} classes exceed the entry guard")
     return value

@@ -14,14 +14,17 @@ from fractions import Fraction
 
 def _shown(x) -> str:
     """``x`` for a message.  An integer or fraction with a part reaching 10**30,
-    and a decimal of magnitude below 1e-30 or from 1e30 on, or with digits
-    past 1e-100, is shown by its first digit, truncated, and its power of ten:
-    ``str`` slows with the digits and refuses more than 4,300 of them, and a
-    decimal's fraction builds 10**-exponent."""
-    if isinstance(x, Decimal) and x.is_finite() and -31 < x.adjusted() < 30 and x.as_tuple().exponent > -100:
-        x = Fraction(x)
+    and a decimal of magnitude below 1e-30 or from 1e30 on, or with nonzero
+    digits past 1e-100, is shown by its first digit, truncated, and its power
+    of ten: ``str`` slows with the digits and refuses more than 4,300 of them,
+    and a decimal's fraction builds 10**-exponent.  A decimal's trailing zeros
+    are dropped first, so 0.5 and 0.50 are shown alike."""
     if isinstance(x, Decimal) and x.is_finite():
-        return f"{'-' if x < 0 else ''}~{x.as_tuple().digits[0]}e{x.adjusted()}"
+        sign, digits, exponent = x.as_tuple()
+        zeros = len(digits) - len(bytes(digits).rstrip(b"\0"))
+        if not (-31 < x.adjusted() < 30 and exponent + zeros > -100):
+            return f"{'-' if x < 0 else ''}~{digits[0]}e{x.adjusted()}"
+        x = Fraction(Decimal((sign, digits[:len(digits) - zeros], exponent + zeros)))  # exact
     q = Fraction(x) if isinstance(x, (int, Fraction)) else None
     if q is None or max(abs(q.numerator), q.denominator) < 10**30:
         return str(x)

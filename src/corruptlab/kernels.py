@@ -29,7 +29,7 @@ from .errors import (
     SizeGuardExceeded,
     SpaceMismatch,
 )
-from .schema import INT, NAMES, _need, fields, instance_of, list_of, read_fields, typed, within
+from .schema import NAMES, POSITIVE_COUNT, _need, fields, instance_of, list_of, read_fields, typed
 
 #: Absolute tolerance on "sums to one" checks at construction time.
 STOCHASTIC_ATOL = 1e-9
@@ -249,7 +249,7 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
 
 def replicate(t: Kernel, n: int) -> Kernel:
     """The n-fold parallel product of a kernel with itself."""
-    return parallel_product([t] * typed(n, "replication count", within(INT, 1)))
+    return parallel_product([t] * typed(n, "replication count", POSITIVE_COUNT))
 
 
 # -- JSON wire formats ---------------------------------------------------------

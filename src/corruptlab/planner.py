@@ -31,7 +31,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -56,6 +56,10 @@ EXACT = (InvalidParameter, "an integer, a Fraction or a finite number", _exact)
 #: Fraction of one builds 10**exponent, else read as ``EXACT``.
 BUDGET = within((*EXACT[:2], lambda v: v if isinstance(v, Decimal) and v.is_finite() else _exact(v)), 0)
 
+#: The kind of an offer's ``corrected_sup``: at most the root of a double's
+#: largest value, since the upper key squares it.
+_CORRECTED_SUP = maybe(within(NUM, 0, math.sqrt(sys.float_info.max)))
+
 #: Largest budget, in units of 1/scale, either plan will accept.
 CAPACITY_GUARD = 10**7
 
@@ -74,8 +78,7 @@ class SourceOffer:
     corrected_sup: float | None = None
 
     def __post_init__(self):
-        read_fields(self, "offer", name=STR, alpha=PROBABILITY, unit_cost=EXACT,
-                    corrected_sup=maybe(within(NUM, 0, math.sqrt(sys.float_info.max))))  # the upper key squares it
+        read_fields(self, "offer", name=STR, alpha=PROBABILITY, unit_cost=EXACT, corrected_sup=_CORRECTED_SUP)
         cost = self.unit_cost
         if not 0 < cost <= sys.float_info.max or float(cost) == 0.0:  # the ranking keys use it as a double
             raise InvalidParameter(f"unit cost must be positive and within a double's range, got {_shown(cost)}")
@@ -118,7 +121,7 @@ def _scaled(offers: Sequence[SourceOffer], budget) -> tuple[list[SourceOffer], l
             raise InvalidParameter(f"offer name {a!r} appears more than once")
     ordered = _density_order(offers)
     scale = math.lcm(*(o.unit_cost.denominator for o in ordered))
-    with localcontext(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[]):
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
         capacity = budget * scale  # exact; a Decimal past Emax is infinite
     if capacity > CAPACITY_GUARD:
         raise CapacityGuardExceeded(f"scaled capacity {_shown(capacity)} exceeds guard {CAPACITY_GUARD}")

@@ -3,13 +3,13 @@ of the JSON wire formats.
 
 A field kind is the error class that refuses a value, a description for the
 message and a reader.  The value kinds (``STR``, ``INT``, ``NUM``,
-``PROBABILITY``, ``NAMES``, :func:`instance_of`, :func:`maybe`,
-:func:`list_of` and :func:`within`) are how each value type reads its own
-fields, and each function its own scalar arguments, through
-:func:`read_fields` or :func:`typed`, the same way whether it is built in
-Python or from a document.  A closed range is part of a field's kind, so a
-wrong type and a value outside the range are both refused there, once, with
-a one-line :class:`InvalidParameter`.
+``PROBABILITY``, ``NONNEGATIVE``, ``COUNT``, ``POSITIVE_COUNT``, ``NAMES``,
+:func:`instance_of`, :func:`maybe`, :func:`list_of` and :func:`within`) are
+how each value type reads its own fields, and each function its own
+scalar arguments, through :func:`read_fields` or :func:`typed`, the same
+way whether it is built in Python or from a document.  A closed range is
+part of a field's kind, so a wrong type and a value outside the range are
+both refused there, once, with a one-line :class:`InvalidParameter`.
 
 Each ``*_from_json`` reads only a document's shape through :func:`fields`:
 objects, non-empty lists, required and unknown keys and the ``{num, den}``
@@ -97,6 +97,9 @@ def within(kind, low, high=math.inf):
 
 
 PROBABILITY = within(NUM, 0, 1)
+NONNEGATIVE = within(NUM, 0)
+COUNT = within(INT, 0)
+POSITIVE_COUNT = within(INT, 1)
 
 
 def maybe(kind):

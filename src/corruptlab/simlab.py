@@ -50,7 +50,7 @@ from .errors import (
 )
 from .kernels import KERNEL, Dist, Kernel, Space, dist_from_json, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, corrected_loss, loss_from_json, pseudoinverse
-from .schema import INT, OBJECT, fields, instance_of, list_of, read_fields, typed, within
+from .schema import COUNT, INT, OBJECT, POSITIVE_COUNT, fields, instance_of, list_of, read_fields, typed
 
 _MASK64 = (1 << 64) - 1
 
@@ -125,7 +125,7 @@ def _as_indices(space: Space, sample: Sequence) -> np.ndarray:
 
 def sample(p: Dist, n: int, seed: int) -> np.ndarray:
     """Draw n iid outcome indices by inverse CDF over the space's order."""
-    p, n = typed(p, "p", instance_of(Dist)), typed(n, "sample size", within(INT, 0))
+    p, n = typed(p, "p", instance_of(Dist)), typed(n, "sample size", COUNT)
     cum = np.cumsum(p.weights)
     u = _generator(seed).random(n)
     return np.minimum(np.searchsorted(cum, u, side="right"), len(p.space) - 1).astype(np.int64)
@@ -177,7 +177,7 @@ class ExperimentConfig:
     def __post_init__(self):
         read_fields(self, "config", clean_dist=instance_of(Dist), loss=LOSS,
                     corruption=instance_of(catalog.CorruptionSpec, Kernel),
-                    sample_sizes=list_of(within(INT, 1), "a list of integers"), trials=within(INT, 1), seed=INT)
+                    sample_sizes=list_of(POSITIVE_COUNT, "a list of integers"), trials=POSITIVE_COUNT, seed=INT)
         sizes = self.sample_sizes
         if not sizes:
             raise InvalidParameter("sample sizes must be positive")

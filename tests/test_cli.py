@@ -266,8 +266,9 @@ class TestPlan:
         assert err == ('error: offer 0 has unknown key "corected_sup"; '
                        'known: alpha, corrected_sup, cost, name\n')
 
-    @pytest.mark.parametrize("budget, shown", [("-3", "-3"), ("-0.5", "-1/2"), ("-1e100000", "-~1e100000"),
-                                               ("-1e10000000", "-~1e10000000"), ("-2.5e10000000", "-~2e10000000")])
+    @pytest.mark.parametrize("budget, shown", [("-3", "-3"), ("-0.5", "-1/2"), ("-0.5" + "0" * 100, "-1/2"),
+                                               ("-1e100000", "-~1e100000"), ("-1e10000000", "-~1e10000000"),
+                                               ("-2.5e10000000", "-~2e10000000")])
     def test_negative_budget_message(self, budget, shown, tmp_path, capsys):
         # past the decimal context's exponents the budget is never made a Fraction; the words stay
         path = write_json(tmp_path, "offers.json", DOCUMENTS["offers"])

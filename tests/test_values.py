@@ -331,6 +331,12 @@ class TestDecimalBudget:
         with pytest.raises(CapacityGuardExceeded, match="^scaled capacity Infinity exceeds guard"):
             exact_plan(self.OFFERS, Decimal("1e999999999999999999"))
 
+    @pytest.mark.parametrize("zeros", [0, 1, 100, 999_990])
+    def test_trailing_zeros_leave_the_message(self, zeros):
+        # the digits are counted without them, and no power of ten is built for them
+        with pytest.raises(InvalidParameter, match="^budget must be >= 0, got -1/2$"):
+            exact_plan(self.OFFERS, Decimal("-0.5" + "0" * zeros))
+
     @pytest.mark.parametrize("budget", [Decimal("NaN"), Decimal("Infinity"), Decimal("sNaN")])
     def test_non_finite_is_refused(self, budget):
         with pytest.raises(InvalidParameter, match="^budget must be an integer, a Fraction or a finite number$"):
