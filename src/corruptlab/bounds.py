@@ -13,7 +13,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -190,14 +189,12 @@ class MixedSource:
 class MixedCorruption:
     sources: tuple[MixedSource, ...]
 
-    def __init__(self, sources: Sequence[MixedSource]):
-        sources = typed(sources, "mixed corruption sources",
-                        list_of(instance_of(MixedSource), "a list of MixedSource"))
-        if not sources:
+    def __post_init__(self):
+        read_fields(self, "mixed corruption", sources=list_of(instance_of(MixedSource), "a list of MixedSource"))
+        if not self.sources:
             raise InvalidParameter("a mixed corruption needs at least one source")
-        if sum(s.count for s in sources) < 1:
+        if self.total < 1:
             raise InvalidParameter("total sample count must be at least 1")
-        object.__setattr__(self, "sources", sources)
 
     @property
     def total(self) -> int:

@@ -7,9 +7,10 @@ is the Kronecker product, and the adjoint (transpose) pulls functions on Y
 back to functions on X.
 
 All values are immutable after construction: each keeps its own read-only
-copy of the numbers it was given, so a caller who later writes to the array
-passed in changes nothing.  Every operation is a pure function, so values
-are safe to share across threads.
+copy of the numbers it was given, read by ``schema``'s array kinds like its
+other fields, so a caller who later writes to the array passed in changes
+nothing.  Every operation is a pure function, so values are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     SizeGuardExceeded,
     SpaceMismatch,
 )
-from .schema import NAMES, POSITIVE_COUNT, _need, fields, instance_of, list_of, read_fields, typed
+from .schema import MATRIX, NAMES, POSITIVE_COUNT, VECTOR, fields, instance_of, list_of, read_fields, typed
 
 #: Absolute tolerance on "sums to one" checks at construction time.
 STOCHASTIC_ATOL = 1e-9
@@ -41,45 +42,18 @@ PRODUCT_ENTRY_GUARD = 10**6
 PRODUCT_SEP = "⊗"
 
 
-def _array(values, ndim: int) -> np.ndarray:
-    a = np.asarray(values)  # numpy refuses ragged rows with a ValueError too
-    _need(a.ndim == ndim and a.dtype.kind in "iuf" and bool(np.isfinite(a).all()), a)
-    if not isinstance(values, np.ndarray):
-        entries = itertools.chain.from_iterable(values) if ndim == 2 else values
-        _need(not {bool, np.bool_} & set(map(type, entries)), a)
-    a = a.astype(np.float64, copy=not isinstance(values, (list, tuple)))
-    a.setflags(write=False)
-    return a
-
-
-_ARRAYS = {1: (InvalidParameter, "a list of finite numbers", lambda v: _array(v, 1)),
-           2: (InvalidParameter, "a list of equal-length rows of finite numbers", lambda v: _array(v, 2))}
-
-
-def _freeze(values, what: str, ndim: int) -> np.ndarray:
-    """``values``, ``ndim``-dimensional, as a read-only float64 array that no
-    caller holds.  The one reader of every array a value keeps: a list is
-    converted once and anything else, an array included, copied.  Ragged
-    rows, strings, nulls, booleans and non-finite entries are refused with a
-    one-line :class:`InvalidParameter` that ``what`` begins.  A boolean array
-    has a dtype of its own, but numpy reads a boolean among numbers as 0 or
-    1, so the entries of anything but an array have their types looked at."""
-    return typed(values, what, _ARRAYS[ndim])
-
-
 @dataclass(frozen=True)
 class Space:
     """An ordered finite set of distinct outcome names."""
 
     labels: tuple[str, ...]
 
-    def __init__(self, labels: Sequence[str]):
-        labels = typed(labels, 'space "labels"', NAMES)
-        if not labels:
+    def __post_init__(self):
+        read_fields(self, "space", labels=NAMES)
+        if not self.labels:
             raise LengthMismatch("a space needs at least one outcome")
-        if len(set(labels)) != len(labels):
-            raise InvalidParameter(f"duplicate outcome names in {labels!r}")
-        object.__setattr__(self, "labels", labels)
+        if len(set(self.labels)) != len(self.labels):
+            raise InvalidParameter(f"duplicate outcome names in {self.labels!r}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -106,15 +80,14 @@ class Dist:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        read_fields(self, "distribution", space=SPACE)
-        w = _freeze(self.weights, 'distribution "weights"', 1)
+        read_fields(self, "distribution", space=SPACE, weights=VECTOR)
+        w = self.weights
         if w.shape != (len(self.space),):
             raise LengthMismatch(f"{w.shape} weights for {len(self.space)} outcomes")
         if (w < 0).any():
             raise NegativeWeight("distribution weights must be non-negative")
         if not abs(float(w.sum()) - 1.0) <= STOCHASTIC_ATOL:
             raise NotNormalized(f"weights sum to {float(w.sum())!r}, not 1")
-        object.__setattr__(self, "weights", w)
 
     def __getitem__(self, name: str) -> float:
         return float(self.weights[self.space.index(name)])
@@ -133,8 +106,8 @@ class Kernel:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        read_fields(self, "kernel", domain=SPACE, codomain=SPACE)
-        m = _freeze(self.matrix, 'kernel "matrix"', 2)
+        read_fields(self, "kernel", domain=SPACE, codomain=SPACE, matrix=MATRIX)
+        m = self.matrix
         if m.shape != (shape := (len(self.codomain), len(self.domain))):
             raise LengthMismatch(f"kernel matrix has shape {m.shape}, expected {shape}")
         if (m < 0).any():
@@ -144,7 +117,6 @@ class Kernel:
         if bad.any():
             j = int(np.argmax(bad))
             raise NotNormalized(f"column {j} sums to {sums[j]!r}, not 1")
-        object.__setattr__(self, "matrix", m)
 
     def column(self, j: int) -> Dist:
         """The output distribution for the j-th domain outcome."""
@@ -219,6 +191,20 @@ def product_space(spaces: Sequence[Space]) -> Space:
     return Space([PRODUCT_SEP.join(c) for c in combos])
 
 
+def _check_entries(shapes) -> None:
+    """Raise SizeGuardExceeded at the first of the factor ``shapes``, (rows,
+    cols) pairs, whose product with those before it is past the guard."""
+    rows = cols = 1
+    for r, c in shapes:  # stop at the first factor past the guard, while the counts are small
+        rows *= r
+        cols *= c
+        if rows * cols > PRODUCT_ENTRY_GUARD:
+            raise SizeGuardExceeded(
+                f"product kernel would have at least {rows}x{cols} entries "
+                f"(guard: {PRODUCT_ENTRY_GUARD})"
+            )
+
+
 def parallel_product(ts: Sequence[Kernel]) -> Kernel:
     """Run kernels in parallel on the product of their domains.
 
@@ -228,15 +214,7 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
     ts = typed(ts, "parallel_product factors", list_of(KERNEL, "a list of kernels"))
     if not ts:
         raise InvalidParameter("parallel_product of no kernels")
-    rows = cols = 1
-    for t in ts:  # stop at the first factor past the guard, while the counts are small
-        rows *= len(t.codomain)
-        cols *= len(t.domain)
-        if rows * cols > PRODUCT_ENTRY_GUARD:
-            raise SizeGuardExceeded(
-                f"product kernel would have at least {rows}x{cols} entries "
-                f"(guard: {PRODUCT_ENTRY_GUARD})"
-            )
+    _check_entries((len(t.codomain), len(t.domain)) for t in ts)
     if len(ts) == 1:
         return ts[0]
     matrix = reduce(np.kron, (t.matrix for t in ts))
@@ -249,7 +227,10 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
 
 def replicate(t: Kernel, n: int) -> Kernel:
     """The n-fold parallel product of a kernel with itself."""
-    return parallel_product([t] * typed(n, "replication count", POSITIVE_COUNT))
+    n = typed(n, "replication count", POSITIVE_COUNT)
+    if isinstance(t, Kernel) and t.matrix.size > 1:  # before n factors are listed; 1x1 never trips the guard
+        _check_entries(itertools.repeat((len(t.codomain), len(t.domain)), n))
+    return parallel_product([t] * n)
 
 
 # -- JSON wire formats ---------------------------------------------------------

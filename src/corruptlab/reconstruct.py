@@ -10,14 +10,13 @@ be negative even when ell is not; nothing here clamps them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import divergence
 from .errors import LengthMismatch, NotReconstructible, RankDeficient, SpaceMismatch
-from .kernels import KERNEL, SPACE, Kernel, Space, _freeze
-from .schema import NAMES, fields, read_fields, typed
+from .kernels import KERNEL, SPACE, Kernel, Space
+from .schema import MATRIX, NAMES, fields, read_fields
 
 #: Left-inverse residual allowed before a Reconstruction is rejected.
 RESIDUAL_ATOL = 1e-9
@@ -37,18 +36,14 @@ class LossTable:
     values: np.ndarray = field(repr=False)
     sup_norm: float = field(init=False)
 
-    def __init__(self, outcomes: Space, actions: Sequence[str], values):
-        typed(outcomes, 'loss "outcomes"', SPACE)
-        actions = typed(actions, 'loss "actions"', NAMES)
-        if not actions:
+    def __post_init__(self):
+        read_fields(self, "loss", outcomes=SPACE, actions=NAMES)
+        if not self.actions:
             raise LengthMismatch("a loss table needs at least one action")
-        v = _freeze(values, 'loss "values"', 2)
-        if v.shape != (shape := (len(outcomes), len(actions))):
-            raise LengthMismatch(f"loss values have shape {v.shape}, expected {shape}")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "sup_norm", float(np.abs(v).max()))
+        read_fields(self, "loss", values=MATRIX)
+        if self.values.shape != (shape := (len(self.outcomes), len(self.actions))):
+            raise LengthMismatch(f"loss values have shape {self.values.shape}, expected {shape}")
+        object.__setattr__(self, "sup_norm", float(np.abs(self.values).max()))
 
 
 def zero_one_loss(space: Space) -> LossTable:
@@ -90,8 +85,8 @@ class Reconstruction:
     residual: float = field(init=False)
 
     def __post_init__(self):
-        read_fields(self, "reconstruction", kernel=KERNEL)
-        r = _freeze(self.matrix, 'reconstruction "matrix"', 2)
+        read_fields(self, "reconstruction", kernel=KERNEL, matrix=MATRIX)
+        r = self.matrix
         m, k = len(self.kernel.domain), len(self.kernel.codomain)
         if r.shape != (m, k):
             raise LengthMismatch(f"reconstruction has shape {r.shape}, expected ({m}, {k})")
@@ -100,7 +95,6 @@ class Reconstruction:
             raise NotReconstructible(
                 f"matrix is not a left inverse: residual {residual:.3e} > {RESIDUAL_ATOL:.0e}"
             )
-        object.__setattr__(self, "matrix", r)
         object.__setattr__(self, "residual", residual)
 
     def to_json(self) -> dict:

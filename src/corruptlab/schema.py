@@ -4,12 +4,13 @@ of the JSON wire formats.
 A field kind is the error class that refuses a value, a description for the
 message and a reader.  The value kinds (``STR``, ``INT``, ``NUM``,
 ``PROBABILITY``, ``NONNEGATIVE``, ``COUNT``, ``POSITIVE_COUNT``, ``NAMES``,
-:func:`instance_of`, :func:`maybe`, :func:`list_of` and :func:`within`) are
-how each value type reads its own fields, and each function its own
-scalar arguments, through :func:`read_fields` or :func:`typed`, the same
-way whether it is built in Python or from a document.  A closed range is
-part of a field's kind, so a wrong type and a value outside the range are
-both refused there, once, with a one-line :class:`InvalidParameter`.
+the arrays ``VECTOR`` and ``MATRIX``, :func:`instance_of`, :func:`maybe`,
+:func:`list_of` and :func:`within`) are how each value type reads its own
+fields, and each function its own scalar arguments, through
+:func:`read_fields` or :func:`typed`, the same way whether it is built in
+Python or from a document.  A closed range is part of a field's kind, so a
+wrong type and a value outside the range are both refused there, once, with
+a one-line :class:`InvalidParameter`.
 
 Each ``*_from_json`` reads only a document's shape through :func:`fields`:
 objects, non-empty lists, required and unknown keys and the ``{num, den}``
@@ -20,6 +21,7 @@ type that owns it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -69,6 +71,28 @@ NAMES = list_of(STR, "a list of strings")
 OBJECT = (ParseError, "an object", lambda v: _need(isinstance(v, dict), v))
 LIST = (ParseError, "a non-empty list", lambda v: _need(isinstance(v, list) and len(v) > 0, v))
 RATIONAL = (ParseError, 'an integer or {"num": integer, "den": integer}', _rational)
+
+
+def _array(values, ndim: int) -> np.ndarray:
+    a = np.asarray(values)  # numpy refuses ragged rows with a ValueError too
+    _need(a.ndim == ndim and a.dtype.kind in "iuf" and bool(np.isfinite(a).all()), a)
+    if not isinstance(values, np.ndarray):
+        entries = itertools.chain.from_iterable(values) if ndim == 2 else values
+        _need(not {bool, np.bool_} & set(map(type, entries)), a)
+    a = a.astype(np.float64, copy=not isinstance(values, (list, tuple)))
+    a.setflags(write=False)
+    return a
+
+
+#: The array kinds: a read-only float64 array, 1- or 2-dimensional, that no
+#: caller holds.  The one reader of every array a value keeps: a list is
+#: converted once and anything else, an array included, copied.  Ragged
+#: rows, strings, nulls, booleans and non-finite entries are refused.  A
+#: boolean array has a dtype of its own, but numpy reads a boolean among
+#: numbers as 0 or 1, so the entries of anything but an array have their
+#: types looked at.
+VECTOR = (InvalidParameter, "a list of finite numbers", lambda v: _array(v, 1))
+MATRIX = (InvalidParameter, "a list of equal-length rows of finite numbers", lambda v: _array(v, 2))
 
 
 def instance_of(*classes: type):

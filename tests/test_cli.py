@@ -279,11 +279,14 @@ class TestPlan:
         ("1e999999999999999999", "numerical failure: scaled capacity Infinity exceeds guard 10000000"),
         ("-1e999999999999999999", "error: budget must be >= 0, got -~1e999999999999999999"),
         ("1/0", "error: bad budget '1/0': Fraction(1, 0)"),
-        ("inf", "error: bad budget 'inf': expected a ratio of integers or a decimal with an exponent "
-                "in [-999999, 999999]"),
+        ("inf", "error: bad budget 'inf': expected a ratio of integers or a finite decimal"),
+        ("nan", "error: bad budget 'nan': expected a ratio of integers or a finite decimal"),
+        ("1e99999999999999999999999", "error: bad budget '1e99999999999999999999999': expected a ratio of "
+                                      "integers or a finite decimal"),
     ])
     def test_budget_refusal_message(self, budget, err, tmp_path, capsys):
-        # in units of 1/12, 1e999999999999999999 is past the largest exponent a Decimal can hold
+        # in units of 1/12, 1e999999999999999999 is past the largest exponent a Decimal can hold;
+        # 1e99999999999999999999999 is past the largest a Decimal can read
         path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
                                                     {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}])
         assert run(capsys, "plan", "--offers", path, f"--budget={budget}")[1:] == ("", err + "\n")
@@ -298,9 +301,9 @@ class TestPlan:
         assert code == 0 and elapsed < 1.0
 
     def test_tiny_budget_builds_no_power_of_its_exponent(self, tmp_path, capsys):
-        # below one unit of the costs, 1/12, a decimal plans as 0, and below -1e-30 it is
-        # refused with the planner's message, in far less time than Fraction takes to
-        # build its denominator 10**999999
+        # below one unit of the costs, 1/12, a decimal plans as 0, at any exponent, and below
+        # -1e-30 it is refused with the planner's message, in far less time than Fraction
+        # takes to build its denominator 10**999999
         path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
                                                     {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}])
         start = time.perf_counter()
@@ -308,7 +311,8 @@ class TestPlan:
         fraction_s = time.perf_counter() - start
         zero = run(capsys, "plan", "--offers", path, "--budget", "0")
         refused = "error: budget must be >= 0, got -~1e{}\n"
-        for budget, expected in {"1e-999999": zero, "0e-999999": zero, "12e-999990": zero,
+        for budget, expected in {"1e-999999": zero, "0e-999999": zero, "12e-999990": zero, "1e-10000000": zero,
+                                 "1e-999999999999999999": zero,
                                  "-1e-999999": (2, "", refused.format(-999999)),
                                  "-12e-999990": (2, "", refused.format(-999989))}.items():
             start = time.perf_counter()
@@ -545,6 +549,10 @@ class TestLecam:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "output space" in err and err.count("\n") == 1
 
+    def test_negative_n_message(self, capsys, coin_problem_file):
+        assert run(capsys, "lecam", "--problem", coin_problem_file, "--theta1", "0", "--theta2", "1",
+                   "--n", "-1") == (2, "", "error: --n must be >= 0, got -1.0\n")
+
     def test_bad_theta_exits_two(self, capsys, coin_problem_file):
         code, _, err = run(capsys, "lecam", "--problem", coin_problem_file,
                            "--theta1", "0.5", "--theta2", "0.6")
@@ -708,7 +716,6 @@ REFUSED = {
     "budget-1e10000000": (3, _plan("1e10000000")),
     "budget--1e10000000": (2, _plan("-1e10000000")),
     "budget--1e999999": (2, _plan("-1e999999")),
-    "budget-1e-10000000": (2, _plan("1e-10000000")),
     "budget-1e99999999999999999999999": (2, _plan("1e99999999999999999999999")),
     "budget-1e999999999999999999": (3, _plan("1e999999999999999999")),
     "budget--1e999999999999999999": (2, _plan("-1e999999999999999999")),

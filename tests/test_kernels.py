@@ -222,6 +222,11 @@ class TestProducts:
             replicate(binary_noise(0.2), 20000)
         assert len(str(info.value)) < 100
 
+    def test_replicate_checks_the_guard_before_listing_factors(self):
+        # a list of 2**62 factors would not fit in memory
+        with pytest.raises(errors.SizeGuardExceeded):
+            replicate(binary_noise(0.2), 2**62)
+
 
 class TestJson:
     def test_kernel_round_trip(self):

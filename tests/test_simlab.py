@@ -603,6 +603,10 @@ class TestConfigValidation:
         with pytest.raises(errors.InvalidParameter):
             standard_config(trials=0)
 
+    def test_needs_a_sample_size(self):
+        with pytest.raises(errors.InvalidParameter, match="^a config needs at least one sample size$"):
+            standard_config(sample_sizes=())
+
     def test_loss_space_must_match(self):
         with pytest.raises(errors.InvalidParameter):
             standard_config(loss=zero_one_loss(Space(["x", "y"])))

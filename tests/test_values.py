@@ -295,6 +295,11 @@ def test_range_bound_is_accepted_and_one_step_past_refused(case):
     assert str(caught.value).startswith(f"{field} must be ")
 
 
+def test_mixed_corruption_names_its_field():
+    with pytest.raises(InvalidParameter, match='^mixed corruption "sources" must be a list of MixedSource$'):
+        MixedCorruption(5)
+
+
 class TestWithin:
     def test_messages(self):
         with pytest.raises(InvalidParameter, match=r'^offer "alpha" must be in \[0, 1\], got 1.5$'):

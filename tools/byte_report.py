@@ -67,6 +67,7 @@ EDGE_DOCUMENTS = {
     "one-class.json": _FAST_RATE | {"corruption": {"family": "symmetric_label_noise",
                                                    "params": {"sigma": 0.2, "classes": 1}}},
     "mix-negative-count.json": [{"count": -1, "alpha": 0.7}],
+    "no-sample-sizes.json": _FAST_RATE | {"sample_sizes": []},
     "ties.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": [0.5, 0.5]},
                                "corruption": {"family": "binary_label_noise",
                                               "params": {"sigma_neg": 0.2, "sigma_pos": 0.2}},
@@ -83,17 +84,19 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: the tie rule picks the action), and documents whose bad values only the
 #: value types refuse: a boolean and a ragged kernel matrix, a string weight,
 #: a fractional trial count, a string alpha in a mix, and a bad parameter next
-#: to an unknown key; and one value just outside each kind of range: an offer's
-#: alpha of 1.5, no trials, one class and a negative count in a mix.
+#: to an unknown key; one value just outside each kind of range: an offer's
+#: alpha of 1.5, no trials, one class, a negative count in a mix and a
+#: negative ``--n``; and a config with no sample sizes.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan", "1e999999999999999999",
-                      "-1e999999999999999999", "1/0", "-1e-40")},
+                      "-1e999999999999999999", "1/0", "-1e-40", "inf", "1e99999999999999999999999")},
     "plan-alpha-1.5": ("plan", "--offers", "alpha-1.5-offer.json", "--budget", "1"),
     **{f"lecam-{name}": (*_LECAM, f"{name}.json")
        for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
                     "hypotheses-out-of-order")},
     "lecam-n-inf": (*_LECAM, "problem.json", "--n", "inf"),
+    "lecam-n--1": (*_LECAM, "problem.json", "--n", "-1"),
     "lecam-foreign-kernel": (*_LECAM, "problem.json", "--kernel", "foreign-kernel.json"),
     "simulate-fast-rate": ("simulate", "--config", "fast-rate.json", "--out", "fast-rate.csv",
                            "--mode", "fast-rate"),
@@ -101,7 +104,7 @@ EDGE_JOBS = {
     **{f"analyze-{name}": ("analyze", "--kernel", f"{name}.json") for name in ("bool-matrix", "ragged-matrix")},
     **{f"simulate-{name}": ("simulate", "--config", f"{name}.json", "--out", "malformed.csv")
        for name in ("string-weight", "fractional-trials", "sigma-string-and-unknown-key", "zero-trials",
-                    "one-class")},
+                    "one-class", "no-sample-sizes")},
     **{f"lecam-{name}": (*_LECAM, "problem.json", "--mix", f"{name}.json")
        for name in ("mix-alpha-string", "mix-negative-count")},
 }
