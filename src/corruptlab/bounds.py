@@ -26,8 +26,8 @@ from .errors import (
 )
 from .kernels import KERNEL, Dist, Kernel, Space, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, check_loss
-from .schema import (INT, LIST, NONNEGATIVE, NUM, OBJECT, PROBABILITY, fields, instance_of, list_of, maybe, read_fields,
-                     typed, within)
+from .schema import (INT, LIST, NONNEGATIVE, NUM, OBJECT, POSITIVE, PROBABILITY, fields, instance_of, list_of, maybe,
+                     read_fields, typed, within)
 
 #: Risks, expectations and squared differences at or below this count as
 #: zero: in the Bernstein and compatibility ratios (the boundary between "no
@@ -38,6 +38,10 @@ EXCESS_TOL = 1e-12
 #: value, so alpha * count and kl / n stay floats.
 _SOURCE_COUNT = within(INT, 0, sys.float_info.max)
 _PACBAYES_N = within(INT, 1, sys.float_info.max)
+
+#: The fast-rate curvature: positive, and at most the log of a double's
+#: largest value, so e**beta stays a float.
+_BETA = within(NUM, 0, math.log(sys.float_info.max), "(]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +195,6 @@ class MixedCorruption:
 
     def __post_init__(self):
         read_fields(self, "mixed corruption", sources=list_of(instance_of(MixedSource), "a list of MixedSource"))
-        if not self.sources:
-            raise InvalidParameter("a mixed corruption needs at least one source")
         if self.total < 1:
             raise InvalidParameter("total sample count must be at least 1")
 
@@ -210,8 +212,8 @@ class MixedCorruption:
         """sqrt(sum_i r_i ||corrected_i||_inf^2) with r_i = n_i / n."""
         if any(s.corrected_sup is None for s in self.sources):
             raise MissingStatistic("source lacks corrected_sup")
-        n = self.total
-        return math.sqrt(sum((s.count / n) * s.corrected_sup**2 for s in self.sources))
+        n = self.total  # as the norm of the sqrt(r_i) * sup_i, so no square overflows
+        return math.hypot(*(math.sqrt(s.count / n) * s.corrected_sup for s in self.sources))
 
 
 def lecam_mixed(
@@ -235,11 +237,9 @@ def pacbayes_upper(
     to the divergence budget.
     """
     corrected_sup, kl = typed(corrected_sup, "corrected_sup", NONNEGATIVE), typed(kl, "kl", NONNEGATIVE)
-    n, delta = typed(n, "n", _PACBAYES_N), typed(delta, "delta", maybe(NUM))
+    n, delta = typed(n, "n", _PACBAYES_N), typed(delta, "delta", maybe(within(NUM, 0, 1, "()")))
     if delta is not None:
-        if not 0.0 < delta < 1.0:
-            raise InvalidParameter(f"delta must be in (0, 1), got {delta!r}")
-        kl = kl + math.log(1.0 / delta)
+        kl = kl - math.log(delta)  # 1 / delta overflows for a subnormal delta
     return corrected_sup * math.sqrt(2.0 * kl / n)
 
 
@@ -297,12 +297,8 @@ def eta_compatibility(loss: LossTable, r: Reconstruction) -> float:
 def fastrate_gamma(beta: float, sup_norm: float) -> float:
     """gamma = (e^beta - 1 - beta) / (beta * ||ell||_inf), the curvature
     factor in the fast-rate PAC-Bayes bound."""
-    beta, sup_norm = typed(beta, "beta", NUM), typed(sup_norm, "sup_norm", NUM)
-    if beta <= 0.0:
-        raise InvalidParameter(f"beta must be > 0, got {beta!r}")
-    if sup_norm <= 0.0:
-        raise InvalidParameter(f"sup_norm must be > 0, got {sup_norm!r}")
-    return (math.expm1(beta) - beta) / (beta * sup_norm)
+    beta, sup_norm = typed(beta, "beta", _BETA), typed(sup_norm, "sup_norm", POSITIVE)
+    return (math.expm1(beta) - beta) / beta / sup_norm  # beta * sup_norm may underflow to 0
 
 
 # -- JSON wire formats -----------------------------------------------------------

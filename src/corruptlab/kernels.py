@@ -29,6 +29,7 @@ from .errors import (
     NotNormalized,
     SizeGuardExceeded,
     SpaceMismatch,
+    _shown,
 )
 from .schema import MATRIX, NAMES, POSITIVE_COUNT, VECTOR, fields, instance_of, list_of, read_fields, typed
 
@@ -50,8 +51,6 @@ class Space:
 
     def __post_init__(self):
         read_fields(self, "space", labels=NAMES)
-        if not self.labels:
-            raise LengthMismatch("a space needs at least one outcome")
         if len(set(self.labels)) != len(self.labels):
             raise InvalidParameter(f"duplicate outcome names in {self.labels!r}")
 
@@ -191,20 +190,6 @@ def product_space(spaces: Sequence[Space]) -> Space:
     return Space([PRODUCT_SEP.join(c) for c in combos])
 
 
-def _check_entries(shapes) -> None:
-    """Raise SizeGuardExceeded at the first of the factor ``shapes``, (rows,
-    cols) pairs, whose product with those before it is past the guard."""
-    rows = cols = 1
-    for r, c in shapes:  # stop at the first factor past the guard, while the counts are small
-        rows *= r
-        cols *= c
-        if rows * cols > PRODUCT_ENTRY_GUARD:
-            raise SizeGuardExceeded(
-                f"product kernel would have at least {rows}x{cols} entries "
-                f"(guard: {PRODUCT_ENTRY_GUARD})"
-            )
-
-
 def parallel_product(ts: Sequence[Kernel]) -> Kernel:
     """Run kernels in parallel on the product of their domains.
 
@@ -212,9 +197,15 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
     the first factor varies slowest in the product-space outcome order.
     """
     ts = typed(ts, "parallel_product factors", list_of(KERNEL, "a list of kernels"))
-    if not ts:
-        raise InvalidParameter("parallel_product of no kernels")
-    _check_entries((len(t.codomain), len(t.domain)) for t in ts)
+    rows = cols = 1
+    for t in ts:  # stop at the first factor past the guard, while the counts are small
+        rows *= len(t.codomain)
+        cols *= len(t.domain)
+        if rows * cols > PRODUCT_ENTRY_GUARD:
+            raise SizeGuardExceeded(
+                f"product kernel would have at least {rows}x{cols} entries "
+                f"(guard: {PRODUCT_ENTRY_GUARD})"
+            )
     if len(ts) == 1:
         return ts[0]
     matrix = reduce(np.kron, (t.matrix for t in ts))
@@ -226,10 +217,15 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
 
 
 def replicate(t: Kernel, n: int) -> Kernel:
-    """The n-fold parallel product of a kernel with itself."""
+    """The n-fold parallel product of a kernel with itself.
+
+    A count past log2 of the guard is refused before any factor is listed,
+    whatever the kernel: a kernel of two or more entries has at least 2**n
+    of them, and a 1x1 kernel gains nothing but a longer outcome name.
+    """
     n = typed(n, "replication count", POSITIVE_COUNT)
-    if isinstance(t, Kernel) and t.matrix.size > 1:  # before n factors are listed; 1x1 never trips the guard
-        _check_entries(itertools.repeat((len(t.codomain), len(t.domain)), n))
+    if n >= (bound := PRODUCT_ENTRY_GUARD.bit_length()):
+        raise SizeGuardExceeded(f"replication count {_shown(n)} is past {bound - 1} (guard: {PRODUCT_ENTRY_GUARD})")
     return parallel_product([t] * n)
 
 

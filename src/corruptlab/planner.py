@@ -41,7 +41,8 @@ from .errors import (
     MissingStatistic,
     _shown,
 )
-from .schema import INT, LIST, NUM, PROBABILITY, RATIONAL, STR, fields, maybe, read_fields, typed, within
+from .schema import (INT, LIST, NUM, PROBABILITY, RATIONAL, STR, fields, instance_of, list_of, maybe, read_fields,
+                     typed, within)
 
 
 def _exact(v) -> Fraction:
@@ -51,6 +52,12 @@ def _exact(v) -> Fraction:
 #: The kind of a cost: a Fraction as it is, any other integer or finite real
 #: as its exact value.
 EXACT = (InvalidParameter, "an integer, a Fraction or a finite number", _exact)
+
+#: The kind of a unit cost: positive, nonzero as a double and at most a
+#: double's largest value, since the ranking keys use it as a double.  A
+#: Fraction rounds to 0.0 exactly when it is at most 2**-1075, half the least
+#: subnormal (that tie rounds to the even 0.0), so the range opens there.
+_UNIT_COST = within(EXACT, Fraction(1, 2**1075), sys.float_info.max, "(]")
 
 #: The kind of a budget: at least 0, and a finite Decimal as it is, since a
 #: Fraction of one builds 10**exponent, else read as ``EXACT``.
@@ -78,10 +85,11 @@ class SourceOffer:
     corrected_sup: float | None = None
 
     def __post_init__(self):
-        read_fields(self, "offer", name=STR, alpha=PROBABILITY, unit_cost=EXACT, corrected_sup=_CORRECTED_SUP)
-        cost = self.unit_cost
-        if not 0 < cost <= sys.float_info.max or float(cost) == 0.0:  # the ranking keys use it as a double
-            raise InvalidParameter(f"unit cost must be positive and within a double's range, got {_shown(cost)}")
+        read_fields(self, "offer", name=STR, alpha=PROBABILITY, unit_cost=_UNIT_COST, corrected_sup=_CORRECTED_SUP)
+
+
+#: The kind of a list of offers.
+OFFERS = list_of(instance_of(SourceOffer), "a list of SourceOffer")
 
 
 @dataclass(frozen=True)
@@ -112,9 +120,7 @@ def _scaled(offers: Sequence[SourceOffer], budget) -> tuple[list[SourceOffer], l
     is a budget whose exact value in those units is past the guard, before
     any count is made, so no count can overflow a float; the budget's own
     denominator never enters the scale."""
-    budget = typed(budget, "budget", BUDGET)
-    if not offers:
-        raise InvalidParameter("need at least one offer")
+    budget, offers = typed(budget, "budget", BUDGET), typed(offers, "offers", OFFERS)
     names = sorted(o.name for o in offers)
     for a, b in zip(names, names[1:]):
         if a == b:
@@ -197,11 +203,12 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
 
 def rank_sources_lower(offers: Sequence[SourceOffer]) -> list[str]:
     """Source names by decreasing alpha / cost (the knapsack greedy key)."""
-    return [o.name for o in _density_order(offers)]
+    return [o.name for o in _density_order(typed(offers, "offers", OFFERS))]
 
 
 def rank_sources_upper(offers: Sequence[SourceOffer]) -> list[str]:
     """Source names by increasing cost * ||corrected||_inf^2."""
+    offers = typed(offers, "offers", OFFERS)
     for o in offers:
         if o.corrected_sup is None:
             raise MissingStatistic(f"offer {o.name!r} has no corrected_sup")

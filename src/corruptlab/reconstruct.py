@@ -37,10 +37,7 @@ class LossTable:
     sup_norm: float = field(init=False)
 
     def __post_init__(self):
-        read_fields(self, "loss", outcomes=SPACE, actions=NAMES)
-        if not self.actions:
-            raise LengthMismatch("a loss table needs at least one action")
-        read_fields(self, "loss", values=MATRIX)
+        read_fields(self, "loss", outcomes=SPACE, actions=NAMES, values=MATRIX)
         if self.values.shape != (shape := (len(self.outcomes), len(self.actions))):
             raise LengthMismatch(f"loss values have shape {self.values.shape}, expected {shape}")
         object.__setattr__(self, "sup_norm", float(np.abs(self.values).max()))

@@ -3,14 +3,16 @@ of the JSON wire formats.
 
 A field kind is the error class that refuses a value, a description for the
 message and a reader.  The value kinds (``STR``, ``INT``, ``NUM``,
-``PROBABILITY``, ``NONNEGATIVE``, ``COUNT``, ``POSITIVE_COUNT``, ``NAMES``,
-the arrays ``VECTOR`` and ``MATRIX``, :func:`instance_of`, :func:`maybe`,
-:func:`list_of` and :func:`within`) are how each value type reads its own
-fields, and each function its own scalar arguments, through
-:func:`read_fields` or :func:`typed`, the same way whether it is built in
-Python or from a document.  A closed range is part of a field's kind, so a
-wrong type and a value outside the range are both refused there, once, with
-a one-line :class:`InvalidParameter`.
+``PROBABILITY``, ``NONNEGATIVE``, ``POSITIVE``, ``COUNT``,
+``POSITIVE_COUNT``, ``NAMES``, the arrays ``VECTOR`` and ``MATRIX``,
+:func:`instance_of`, :func:`maybe`, :func:`list_of` and :func:`within`) are
+how each value type reads its own fields, and each function its own scalar
+arguments, through :func:`read_fields` or :func:`typed`, the same way
+whether it is built in Python or from a document.  A range, each end open or
+closed, is part of a field's kind, and so is a list's being non-empty: every
+:func:`list_of` kind refuses an empty sequence.  So a wrong type and a value
+outside the range are both refused there, once, with a one-line
+:class:`InvalidParameter`.
 
 Each ``*_from_json`` reads only a document's shape through :func:`fields`:
 objects, non-empty lists, required and unknown keys and the ``{num, den}``
@@ -38,12 +40,24 @@ def _need(ok: bool, value):
     return value
 
 
+class _OutOfRange(ValueError):
+    """A value of the right type outside its kind's range; :func:`typed` words it."""
+
+
 def list_of(kind, description: str):
-    """The kind of any sequence but a string, read as a tuple of its entries
-    each read as ``kind``; ``description`` describes it in messages."""
+    """The kind of any sequence but a string, or an array of at least one
+    dimension, read as a tuple of its entries each read as ``kind``;
+    ``description`` describes it in messages, and an empty one is refused as
+    ``must be non-empty``."""
     read = kind[2]
-    return (kind[0], description, lambda v: tuple(map(read, _need(
-        type(v) in (list, tuple) or isinstance(v, (Sequence, np.ndarray)) and not isinstance(v, (str, bytes)), v))))
+
+    def reader(v):
+        _need(type(v) in (list, tuple) or isinstance(v, Sequence) and not isinstance(v, (str, bytes))
+              or isinstance(v, np.ndarray) and v.ndim > 0, v)
+        if not len(v):
+            raise _OutOfRange("non-empty")
+        return tuple(map(read, v))
+    return (kind[0], description, reader)
 
 
 def _rational(v) -> Fraction:
@@ -101,20 +115,20 @@ def instance_of(*classes: type):
             lambda v: _need(isinstance(v, classes), v))
 
 
-class _OutOfRange(ValueError):
-    """A value of the right type outside its kind's range; :func:`typed` words it."""
-
-
-def within(kind, low, high=math.inf):
-    """``kind`` with its values in [low, high]; a value of the right type
-    outside is refused as ``must be in [low, high], got <value>``, or
-    ``must be >= low`` when ``high`` is infinite."""
+def within(kind, low, high=math.inf, ends="[]"):
+    """``kind`` with its values between ``low`` and ``high``, each end closed
+    or open as ``ends`` writes it in interval notation (``"(]"``: above low,
+    at most high).  A value of the right type outside is refused as ``must be
+    in [low, high], got <value>``, or as ``must be >= low`` (``> low``) when
+    ``high`` is infinite."""
     read = kind[2]
+    opened = tuple(end for end, bracket in ((low, ends[0]), (high, ends[1])) if bracket in "()")
+    rule = (f"{'>' if ends[0] == '(' else '>='} {_shown(low)}" if high == math.inf
+            else f"in {ends[0]}{_shown(low)}, {_shown(high)}{ends[1]}")
 
     def reader(v):
         v = read(v)
-        if not low <= v <= high:
-            rule = f">= {_shown(low)}" if high == math.inf else f"in [{_shown(low)}, {_shown(high)}]"
+        if not low <= v <= high or v in opened:
             raise _OutOfRange(f"{rule}, got {_shown(v)}")
         return v
     return (kind[0], kind[1], reader)
@@ -122,6 +136,7 @@ def within(kind, low, high=math.inf):
 
 PROBABILITY = within(NUM, 0, 1)
 NONNEGATIVE = within(NUM, 0)
+POSITIVE = within(NUM, 0, ends="()")
 COUNT = within(INT, 0)
 POSITIVE_COUNT = within(INT, 1)
 

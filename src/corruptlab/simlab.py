@@ -179,8 +179,6 @@ class ExperimentConfig:
                     corruption=instance_of(catalog.CorruptionSpec, Kernel),
                     sample_sizes=list_of(POSITIVE_COUNT, "a list of integers"), trials=POSITIVE_COUNT, seed=INT)
         sizes = self.sample_sizes
-        if not sizes:
-            raise InvalidParameter("a config needs at least one sample size")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InvalidParameter("sample sizes must be strictly increasing")
         if self.loss.outcomes != self.clean_dist.space:

@@ -215,6 +215,17 @@ class TestPacBayes:
                                MixedSource(count=50, alpha=0.5, corrected_sup=2.0)])
         assert mix.mixing_constant() == pytest.approx(math.sqrt(2.5), abs=1e-12)
 
+    def test_mixed_constant_squares_past_a_double(self):
+        one = MixedCorruption([MixedSource(count=1, alpha=0.5, corrected_sup=1e200)])
+        assert one.mixing_constant() == 1e200
+        two = MixedCorruption([MixedSource(count=1, alpha=0.5, corrected_sup=1e200)] * 2)
+        assert two.mixing_constant() == pytest.approx(1e200, rel=1e-15)
+
+    def test_subnormal_delta(self):
+        # log(1 / 5e-324) overflows in 1 / delta; 5e-324 is 2**-1074
+        assert pacbayes_upper(1.0, 1, 0.0, delta=5e-324) == pytest.approx(math.sqrt(2 * 1074 * math.log(2)),
+                                                                          rel=1e-15)
+
     def test_mixed_equal_sups_collapse(self):
         mix = MixedCorruption([MixedSource(count=30, alpha=0.9, corrected_sup=0.7),
                                MixedSource(count=70, alpha=0.2, corrected_sup=0.7)])

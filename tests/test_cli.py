@@ -664,8 +664,8 @@ def _one_offer(**changes):
 #: hypotheses, actions and loss are checked as a LossTable's, by `Space` and
 #: `LossTable`, and only the order of the hypotheses by the problem itself.
 BAD_PROBLEMS = {
-    "problem-no-hypotheses": ({"thetas": []}, "a space needs at least one outcome"),
-    "problem-no-actions": ({"actions": []}, "a loss table needs at least one action"),
+    "problem-no-hypotheses": ({"thetas": []}, 'space "labels" must be non-empty'),
+    "problem-no-actions": ({"actions": []}, 'loss "actions" must be non-empty'),
     "problem-loss-shape": ({"loss": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]},
                            "loss values have shape (2, 3), expected (2, 2)"),
     "problem-repeated-hypothesis": ({"thetas": ["t0", "t0"]}, "duplicate outcome names in ('t0', 't0')"),

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from corruptlab import errors
+from corruptlab import errors, kernels
 from corruptlab.divergence import alpha, lambda_coeff
 from corruptlab.kernels import (
     Dist,
@@ -226,6 +226,19 @@ class TestProducts:
         # a list of 2**62 factors would not fit in memory
         with pytest.raises(errors.SizeGuardExceeded):
             replicate(binary_noise(0.2), 2**62)
+
+    def test_replicate_of_one_entry_stops_at_the_bound(self, monkeypatch):
+        # past 19 = log2 of the guard, any kernel of two entries is past it
+        one = identity(Space(["a"]))
+        assert replicate(one, 19).domain.labels == ("⊗".join("a" * 19),)
+
+        def no_factors(ts):
+            raise AssertionError(f"{len(ts)} factors listed")
+
+        monkeypatch.setattr(kernels, "parallel_product", no_factors)
+        for n in (20, 10**5, 2**62):
+            with pytest.raises(errors.SizeGuardExceeded, match=f"^replication count {n} is past 19 "):
+                replicate(one, n)
 
 
 class TestJson:

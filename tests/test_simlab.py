@@ -604,7 +604,7 @@ class TestConfigValidation:
             standard_config(trials=0)
 
     def test_needs_a_sample_size(self):
-        with pytest.raises(errors.InvalidParameter, match="^a config needs at least one sample size$"):
+        with pytest.raises(errors.InvalidParameter, match='^config "sample_sizes" must be non-empty$'):
             standard_config(sample_sizes=())
 
     def test_loss_space_must_match(self):

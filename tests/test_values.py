@@ -38,6 +38,8 @@ from corruptlab import (  # noqa: E402
     pacbayes_upper,
     parallel_product,
     partial_labels,
+    rank_sources_lower,
+    rank_sources_upper,
     regret,
     replicate,
     sample,
@@ -48,7 +50,7 @@ from corruptlab import (  # noqa: E402
 )
 from corruptlab.catalog import make_spec  # noqa: E402
 from corruptlab.bounds import lecam_mixed  # noqa: E402
-from corruptlab.schema import INT, RATIONAL, typed, within  # noqa: E402
+from corruptlab.schema import INT, NUM, RATIONAL, typed, within  # noqa: E402
 from corruptlab.simlab import erm, erm_indices  # noqa: E402
 from corruptlab.errors import CapacityGuardExceeded, InvalidInput, InvalidParameter, ParseError  # noqa: E402
 
@@ -112,6 +114,7 @@ LIBRARY_REFUSED = {
     "pacbayes-n-string": lambda: pacbayes_upper(1.0, "5", 1.0),
     "pacbayes-n-past-a-double": lambda: pacbayes_upper(1.0, 10**400, 1.0),
     "fastrate-gamma-beta-string": lambda: fastrate_gamma("1", 1.0),
+    "fastrate-gamma-beta-1000": lambda: fastrate_gamma(1000, 1.0),
     "lecam-n-string": lambda: lecam_replicated(DecisionProblem(**PROBLEM), 0, 1, "5"),
     "lecam-corrupted-n-string": lambda: lecam_corrupted(DecisionProblem(**PROBLEM), T, 0, 1, "5"),
     "mixed-corruption-int": lambda: MixedCorruption(5),
@@ -142,6 +145,11 @@ LIBRARY_REFUSED = {
     "parallel-product-empty": lambda: parallel_product([]),
     "replicate-0": lambda: replicate(T, 0),
     "plan-no-offers": lambda: exact_plan([], 1),
+    "greedy-int-for-offer": lambda: greedy_plan([1], 10),
+    "rank-lower-int-for-offer": lambda: rank_sources_lower([1]),
+    "rank-upper-none-for-offers": lambda: rank_sources_upper(None),
+    "rank-lower-no-offers": lambda: rank_sources_lower([]),
+    "space-0d-array": lambda: Space(np.array("ab")),
 }
 
 
@@ -254,8 +262,9 @@ class TestNumpyScalars:
 MAX = sys.float_info.max
 BELOW_0 = math.nextafter(0.0, -1.0)
 
-#: Each closed range a field kind carries: a call of one value, the bound, the
-#: value one step past it and the name the message gives the field.
+#: Each range a field kind carries: a call of one value, the last value
+#: accepted at one end (the end itself when it is closed), the first value
+#: refused past it and the name the message gives the field.
 RANGES = {
     "sigma-low": (lambda v: binary_label_noise(v, 0.2), 0.0, BELOW_0, "sigma_neg"),
     "sigma-high": (lambda v: binary_label_noise(0.1, v), 1.0, math.nextafter(1.0, 2.0), "sigma_pos"),
@@ -270,9 +279,17 @@ RANGES = {
     "pacbayes-n-high": (lambda v: pacbayes_upper(1.0, v, 1.0), int(MAX), int(MAX) + 1, "n"),
     "pacbayes-kl": (lambda v: pacbayes_upper(1.0, 5, v), 0.0, BELOW_0, "kl"),
     "pacbayes-corrected-sup": (lambda v: pacbayes_upper(v, 5, 1.0), 0.0, BELOW_0, "corrected_sup"),
+    "pacbayes-delta-low": (lambda v: pacbayes_upper(1.0, 5, 1.0, v), 5e-324, 0.0, "delta"),
+    "pacbayes-delta-high": (lambda v: pacbayes_upper(1.0, 5, 1.0, v), math.nextafter(1.0, 0.0), 1.0, "delta"),
+    "fastrate-beta-low": (lambda v: fastrate_gamma(v, 1e-300), 5e-324, 0.0, "beta"),
+    "fastrate-beta-high": (lambda v: fastrate_gamma(v, 1.0), math.log(MAX), math.nextafter(math.log(MAX), math.inf),
+                           "beta"),
+    "fastrate-sup-norm": (lambda v: fastrate_gamma(1e-300, v), 5e-324, 0.0, "sup_norm"),
     "lecam-n": (lambda v: lecam_replicated(DecisionProblem(**PROBLEM), 0, 1, v), 0.0, BELOW_0, "replication count"),
     "offer-alpha-low": (lambda v: SourceOffer("A", v, 1), 0.0, BELOW_0, 'offer "alpha"'),
     "offer-alpha-high": (lambda v: SourceOffer("A", v, 1), 1.0, math.nextafter(1.0, 2.0), 'offer "alpha"'),
+    "offer-cost-low": (lambda v: SourceOffer("A", 0.5, v), 5e-324, Fraction(1, 2**1075), 'offer "unit_cost"'),
+    "offer-cost-high": (lambda v: SourceOffer("A", 0.5, v), MAX, int(MAX) + 1, 'offer "unit_cost"'),
     "offer-corrected-sup-low": (lambda v: SourceOffer("A", 0.5, 1, v), 0.0, BELOW_0, 'offer "corrected_sup"'),
     "offer-corrected-sup-high": (lambda v: SourceOffer("A", 0.5, 1, v), math.sqrt(MAX),
                                  math.nextafter(math.sqrt(MAX), math.inf), 'offer "corrected_sup"'),
@@ -308,6 +325,30 @@ class TestWithin:
             replicate(T, 0)
         with pytest.raises(InvalidParameter, match=r"^n must be in \[1, 1.7976931348623157e\+308\], got ~2e308$"):
             pacbayes_upper(1.0, 2 * 10**308, 1.0)
+
+    def test_open_end_messages(self):
+        with pytest.raises(InvalidParameter, match=r"^delta must be in \(0, 1\), got 0.0$"):
+            pacbayes_upper(1.0, 5, 1.0, 0.0)
+        with pytest.raises(InvalidParameter, match=r"^sup_norm must be > 0, got 0.0$"):
+            fastrate_gamma(1.0, 0.0)
+        with pytest.raises(InvalidParameter, match=r"^beta must be in \(0, 709.782712893384\], got 1000.0$"):
+            fastrate_gamma(1000, 1.0)
+        with pytest.raises(InvalidParameter,
+                           match=r'^offer "unit_cost" must be in \(~2e-324, 1.7976931348623157e\+308\], got 0$'):
+            SourceOffer("A", 0.5, 0)
+        with pytest.raises(InvalidParameter, match=r"^x must be in \[0, 1\), got 1.0$"):
+            typed(1.0, "x", within(NUM, 0, 1, "[)"))
+        assert typed(0.0, "x", within(NUM, 0, 1, "[)")) == 0.0
+
+    def test_lists_are_non_empty(self):
+        with pytest.raises(InvalidParameter, match="^offers must be non-empty$"):
+            exact_plan([], 1)
+        with pytest.raises(InvalidParameter, match="^offers must be a list of SourceOffer$"):
+            greedy_plan([1], 10)
+        with pytest.raises(InvalidParameter, match='^mixed corruption "sources" must be non-empty$'):
+            MixedCorruption(())
+        with pytest.raises(InvalidParameter, match="^parallel_product factors must be non-empty$"):
+            parallel_product(np.array([]))
 
     def test_keeps_the_kind(self):
         with pytest.raises(InvalidParameter, match="^x must be an integer$"):

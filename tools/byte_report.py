@@ -63,6 +63,8 @@ EDGE_DOCUMENTS = {
     "sigma-string-and-unknown-key.json": _FAST_RATE | {"corruption": {
         "family": "binary_label_noise", "params": {"sigma_neg": "x", "sigma_pos": 0.3, "extra": 1}}},
     "alpha-1.5-offer.json": [{"name": "A", "alpha": 1.5, "cost": 1}],
+    "cost-0-offer.json": [{"name": "A", "alpha": 0.5, "cost": 0}],
+    "cost-tiny-offer.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 10**400}}],
     "zero-trials.json": _FAST_RATE | {"trials": 0},
     "one-class.json": _FAST_RATE | {"corruption": {"family": "symmetric_label_noise",
                                                    "params": {"sigma": 0.2, "classes": 1}}},
@@ -85,13 +87,15 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: value types refuse: a boolean and a ragged kernel matrix, a string weight,
 #: a fractional trial count, a string alpha in a mix, and a bad parameter next
 #: to an unknown key; one value just outside each kind of range: an offer's
-#: alpha of 1.5, no trials, one class, a negative count in a mix and a
-#: negative ``--n``; and a config with no sample sizes.
+#: alpha of 1.5, a cost of 0 and one that is 0 as a double, no trials, one
+#: class, a negative count in a mix and a negative ``--n``; and a config with
+#: no sample sizes.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan", "1e999999999999999999",
                       "-1e999999999999999999", "1/0", "-1e-40", "inf", "1e99999999999999999999999")},
-    "plan-alpha-1.5": ("plan", "--offers", "alpha-1.5-offer.json", "--budget", "1"),
+    **{f"plan-{name}": ("plan", "--offers", f"{name}-offer.json", "--budget", "1")
+       for name in ("alpha-1.5", "cost-0", "cost-tiny")},
     **{f"lecam-{name}": (*_LECAM, f"{name}.json")
        for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
                     "hypotheses-out-of-order")},
