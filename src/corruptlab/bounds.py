@@ -43,6 +43,12 @@ _PACBAYES_N = within(INT, 1, sys.float_info.max)
 #: largest value, so e**beta stays a float.
 _BETA = within(NUM, 0, math.log(sys.float_info.max), "(]")
 
+#: Below this beta, e**beta - 1 - beta cancels in more bits than its series
+#: loses, so gamma sums the series up to beta**16 / 17!, whose first term left
+#: out is below an ulp of the sum there.
+_GAMMA_SERIES_BELOW = 0.5
+_GAMMA_SERIES_TERMS = 17
+
 
 @dataclass(frozen=True, eq=False)
 class DecisionProblem:
@@ -298,7 +304,12 @@ def fastrate_gamma(beta: float, sup_norm: float) -> float:
     """gamma = (e^beta - 1 - beta) / (beta * ||ell||_inf), the curvature
     factor in the fast-rate PAC-Bayes bound."""
     beta, sup_norm = typed(beta, "beta", _BETA), typed(sup_norm, "sup_norm", POSITIVE)
-    return (math.expm1(beta) - beta) / beta / sup_norm  # beta * sup_norm may underflow to 0
+    if beta >= _GAMMA_SERIES_BELOW:
+        return (math.expm1(beta) - beta) / beta / sup_norm  # beta * sup_norm may underflow to 0
+    ratio = 1.0  # (e^beta - 1 - beta) / beta = beta/2! + beta^2/3! + ..., by Horner's rule
+    for k in range(_GAMMA_SERIES_TERMS, 2, -1):
+        ratio = 1.0 + ratio * beta / k
+    return beta / 2.0 * ratio / sup_norm
 
 
 # -- JSON wire formats -----------------------------------------------------------

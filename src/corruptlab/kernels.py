@@ -133,7 +133,7 @@ def make_dist(space: Space, weights: Sequence[float]) -> Dist:
 
 def normalized(weights: Sequence[float]) -> np.ndarray:
     """Explicitly rescale non-negative weights to sum to 1."""
-    w = np.asarray(weights, dtype=np.float64)
+    w = typed(weights, "weights", VECTOR)
     if np.any(w < 0):
         raise NegativeWeight("cannot normalize negative weights")
     total = float(w.sum())
@@ -178,7 +178,7 @@ def pullback(t: Kernel, f: Sequence[float]) -> np.ndarray:
 
     Satisfies <T(P), f> == <P, pullback(T, f)> for every P.
     """
-    f = np.asarray(f, dtype=np.float64)
+    t, f = typed(t, "t", KERNEL), typed(f, "f", VECTOR)
     if f.shape != (len(t.codomain),):
         raise LengthMismatch(f"function has {f.shape[0]} values for {len(t.codomain)} outcomes")
     return t.matrix.T @ f

@@ -50,7 +50,8 @@ from .errors import (
 )
 from .kernels import KERNEL, Dist, Kernel, Space, dist_from_json, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, corrected_loss, loss_from_json, pseudoinverse
-from .schema import COUNT, INT, OBJECT, POSITIVE_COUNT, fields, instance_of, list_of, read_fields, typed
+from .schema import (COUNT, INT, OBJECT, POSITIVE, POSITIVE_COUNT, VECTOR, fields, instance_of, list_of,
+                     read_fields, typed)
 
 _MASK64 = (1 << 64) - 1
 
@@ -304,6 +305,7 @@ class CanonicalProperLoss:
     def midpoint_convex(self, dim: int, trials: int, seed: int) -> bool:
         """Check psi((v1+v2)/2) <= (psi(v1)+psi(v2))/2 + 1e-9 on ``trials``
         seeded pairs of N(0, 3^2) vectors of length ``dim``."""
+        dim, trials = typed(dim, "dim", POSITIVE_COUNT), typed(trials, "trials", COUNT)
         rng = _generator(seed)
         for _ in range(trials):
             v1 = rng.normal(0.0, 3.0, dim)
@@ -362,6 +364,7 @@ def fit_proper(
     would increase the objective (at most 30 halvings per step), so the
     objective sequence is non-increasing.
     """
+    t, steps, rate = typed(t, "t", KERNEL), typed(steps, "steps", COUNT), typed(rate, "rate", POSITIVE)
     linear = _objective_parts(corrected, t, sample_values)
     v = np.zeros(len(t.domain))
 
@@ -395,8 +398,10 @@ def gradient_check(psi: CanonicalProperLoss, t: Kernel, at: np.ndarray) -> float
     corrected objective at uniform corrupted-outcome frequencies.  Returns the
     worst coordinate-wise relative error."""
     h = 1e-5
+    t, at = typed(t, "t", KERNEL), typed(at, "at", VECTOR)
+    if at.shape != (len(t.domain),):
+        raise LengthMismatch(f"gradient point has {at.shape[0]} values for {len(t.domain)} outcomes")
     linear = pseudoinverse(t).matrix @ np.full(len(t.codomain), 1.0 / len(t.codomain))
-    at = np.asarray(at, dtype=np.float64)
 
     def g(x: np.ndarray) -> float:
         return float(linear @ x) + psi.psi(x)

@@ -1,6 +1,7 @@
 """Lower bounds, PAC-Bayes terms, Bernstein and compatibility constants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -464,6 +465,17 @@ class TestFastRateGamma:
         # gamma * beta ~ beta^2 / 2 as beta -> 0
         got = fastrate_gamma(1e-4, 1.0)
         assert got == pytest.approx(5e-5, rel=0.01)
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e-16, 1e-12, 1e-8, 1e-4, 0.1, 0.4999])
+    def test_small_beta_within_ulps_of_the_exact_series(self, beta):
+        # (e^beta - 1 - beta) / beta = sum_k beta^k / (k + 1)!, whose later terms are past any ulp here
+        exact = sum(Fraction(beta) ** k / math.factorial(k + 1) for k in range(1, 40))
+        got = fastrate_gamma(beta, 1.0)
+        assert abs(Fraction(got) - exact) <= 4 * Fraction(math.ulp(got))
+
+    @pytest.mark.parametrize("beta", [0.5, 0.7, 1.0, 3.0, 700.0])
+    def test_from_a_half_on_the_closed_form_is_kept(self, beta):
+        assert fastrate_gamma(beta, 1.5) == (math.expm1(beta) - beta) / beta / 1.5
 
     def test_monotone_in_beta(self):
         values = [fastrate_gamma(b, 1.0) for b in np.linspace(0.01, 3.0, 50)]

@@ -86,6 +86,7 @@ class TestFDivergence:
         grid = np.linspace(0.05, 5.0, 60)
         assert VARIATIONAL.is_midpoint_convex(grid)
         assert KL.is_midpoint_convex(grid)
+        assert not FGenerator("concave", lambda t: math.sqrt(t) - 1.0, -1.0, 0.0).is_midpoint_convex(grid)
 
 
 class TestLambdaAlpha:

@@ -24,6 +24,7 @@ from corruptlab.kernels import (
     pullback,
     pushforward,
     replicate,
+    uniform,
 )
 from corruptlab.reconstruct import LossTable, Reconstruction
 
@@ -35,6 +36,8 @@ class TestMakeDist:
     def test_uniform_is_valid(self):
         d = make_dist(Space(["-1", "+1"]), [0.5, 0.5])
         assert d["-1"] == 0.5
+        assert uniform(Space(["a", "b", "c", "d"])).weights.tolist() == [0.25] * 4
+        assert list(d.space) == ["-1", "+1"]
 
     def test_point_mass_is_valid(self):
         d = make_dist(Space(["a", "b", "c"]), [1, 0, 0])

@@ -483,6 +483,8 @@ class TestFastRate:
 class TestFitProper:
     def test_log_loss_is_midpoint_convex(self):
         assert log_loss().midpoint_convex(dim=4, trials=500, seed=7)
+        concave = CanonicalProperLoss(name="concave", psi=lambda v: -float(v @ v), grad=lambda v: -2.0 * v)
+        assert not concave.midpoint_convex(dim=4, trials=500, seed=7)
 
     def test_clean_fit_recovers_distribution(self):
         space = Space(["a", "b"])

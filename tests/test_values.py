@@ -26,23 +26,34 @@ from corruptlab import (  # noqa: E402
     Reconstruction,
     SourceOffer,
     Space,
+    VARIATIONAL,
     alpha,
+    bernstein_constant,
     binary_label_noise,
     corrupt,
     exact_plan,
+    f_divergence,
+    fastrate_curve,
     fastrate_gamma,
+    fit_proper,
+    gradient_check,
     greedy_plan,
     lambda_coeff,
     lecam_corrupted,
     lecam_replicated,
+    log_loss,
+    normalized,
     pacbayes_upper,
     parallel_product,
     partial_labels,
+    pullback,
+    pushforward,
     rank_sources_lower,
     rank_sources_upper,
     regret,
     replicate,
     sample,
+    sdpi_check,
     semi_supervised,
     separation,
     symmetric_label_noise,
@@ -52,7 +63,17 @@ from corruptlab.catalog import make_spec  # noqa: E402
 from corruptlab.bounds import lecam_mixed  # noqa: E402
 from corruptlab.schema import INT, NUM, RATIONAL, typed, within  # noqa: E402
 from corruptlab.simlab import erm, erm_indices  # noqa: E402
-from corruptlab.errors import CapacityGuardExceeded, InvalidInput, InvalidParameter, ParseError  # noqa: E402
+from corruptlab.errors import (  # noqa: E402
+    CapacityGuardExceeded,
+    InvalidInput,
+    InvalidParameter,
+    LengthMismatch,
+    NegativeWeight,
+    NotNormalized,
+    ParseError,
+    PreconditionFailed,
+    SpaceMismatch,
+)
 
 from helpers import binary_noise  # noqa: E402
 from test_fuzz import _SCALARS  # noqa: E402
@@ -65,6 +86,8 @@ CONFIG = dict(clean_dist=Dist(S, [0.3, 0.7]), loss=zero_one_loss(S), corruption=
 OFFERS = [SourceOffer("A", 0.5, 3), SourceOffer("B", 0.7, 5)]
 P = Dist(S, [0.3, 0.7])
 SPEC = (("sigma_neg", 0.1), ("sigma_pos", 0.2))
+FOREIGN = Dist(Space(["x", "y"]), [0.5, 0.5])
+FIT = partial(fit_proper, True, T, ["-1", "+1"], log_loss())
 
 
 #: Library calls that must raise an InvalidInput subclass with a one-line
@@ -150,12 +173,54 @@ LIBRARY_REFUSED = {
     "rank-upper-none-for-offers": lambda: rank_sources_upper(None),
     "rank-lower-no-offers": lambda: rank_sources_lower([]),
     "space-0d-array": lambda: Space(np.array("ab")),
+    "silent-normalized-nan": lambda: normalized([1.0, float("nan")]),
+    "silent-normalized-inf": lambda: normalized([1.0, float("inf")]),
+    "normalized-strings": lambda: normalized(["a", "b"]),
+    "silent-normalized-booleans": lambda: normalized([True, False]),
+    "normalized-negative": lambda: normalized([-1.0, 2.0]),
+    "normalized-all-zero": lambda: normalized([0.0, 0.0]),
+    "silent-pullback-nan": lambda: pullback(T, [float("nan"), 1.0]),
+    "pullback-strings": lambda: pullback(T, ["a", "b"]),
+    "pullback-scalar": lambda: pullback(T, 1.0),
+    "pullback-length": lambda: pullback(T, [1.0, 2.0, 3.0]),
+    "pullback-array-for-kernel": lambda: pullback(np.eye(2), [1.0, 2.0]),
+    "silent-gradient-check-nan": lambda: gradient_check(log_loss(), T, [float("nan"), 0.0]),
+    "gradient-check-strings": lambda: gradient_check(log_loss(), T, ["a", "b"]),
+    "gradient-check-length": lambda: gradient_check(log_loss(), T, [0.0, 0.0, 0.0]),
+    "silent-fit-steps--1": lambda: FIT(steps=-1),
+    "fit-steps-1.5": lambda: FIT(steps=1.5),
+    "silent-fit-rate-nan": lambda: FIT(rate=float("nan")),
+    "silent-fit-rate--1": lambda: FIT(rate=-1),
+    "fit-rate-string": lambda: FIT(rate="x"),
+    "fit-array-for-kernel": lambda: fit_proper(True, np.eye(2), ["-1", "+1"], log_loss()),
+    "midpoint-convex-dim-0": lambda: log_loss().midpoint_convex(0, 2, 0),
+    "midpoint-convex-dim-1.5": lambda: log_loss().midpoint_convex(1.5, 2, 0),
+    "silent-midpoint-convex-trials--1": lambda: log_loss().midpoint_convex(2, -1, 0),
+    "reconstruction-shape": lambda: Reconstruction(T, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    "space-index-foreign": lambda: S.index("x"),
+    "bernstein-foreign-loss": lambda: bernstein_constant(P, zero_one_loss(FOREIGN.space)),
+    "f-divergence-foreign": lambda: f_divergence(P, FOREIGN, VARIATIONAL),
+    "sdpi-check-foreign": lambda: sdpi_check(T, P, FOREIGN, VARIATIONAL),
+    "pushforward-foreign": lambda: pushforward(T, FOREIGN),
+    # the actions tie on the clean outcome -1 only, where noise moves their corrected losses apart
+    "fastrate-eta-infinite": lambda: fastrate_curve(ExperimentConfig(
+        **CONFIG | {"loss": LossTable(S, ["a0", "a1"], [[0.0, 0.0], [0.0, 1.0]])})),
+}
+
+#: The class each refusal above raises, where it is more than an InvalidInput.
+REFUSED_AS = {
+    "normalized-negative": NegativeWeight,
+    "normalized-all-zero": NotNormalized,
+    **dict.fromkeys(["pullback-length", "gradient-check-length", "reconstruction-shape"], LengthMismatch),
+    **dict.fromkeys(["space-index-foreign", "bernstein-foreign-loss", "f-divergence-foreign", "sdpi-check-foreign",
+                     "pushforward-foreign"], SpaceMismatch),
+    "fastrate-eta-infinite": PreconditionFailed,
 }
 
 
 @pytest.mark.parametrize("case", LIBRARY_REFUSED)
 def test_library_refusal_is_one_line(case):
-    with pytest.raises(InvalidInput) as caught:
+    with pytest.raises(REFUSED_AS.get(case, InvalidInput)) as caught:
         LIBRARY_REFUSED[case]()
     message = str(caught.value)
     assert message and "\n" not in message
@@ -184,6 +249,11 @@ CONSTRUCTORS = {
     "pacbayes_upper": (pacbayes_upper, dict(corrected_sup=1.0, n=5, kl=1.0, delta=0.1)),
     "fastrate_gamma": (fastrate_gamma, dict(beta=1.0, sup_norm=1.0)),
     "lecam_replicated": (partial(lecam_replicated, DecisionProblem(**PROBLEM), 0, 1), dict(n=5.0)),
+    "normalized": (normalized, dict(weights=[1.0, 3.0])),
+    "pullback": (pullback, dict(t=T, f=[1.0, 2.0])),
+    "gradient_check": (partial(gradient_check, log_loss()), dict(t=T, at=[0.3, -0.2])),
+    "fit_proper": (FIT, dict(steps=5, rate=1.0)),
+    "midpoint_convex": (log_loss().midpoint_convex, dict(dim=2, trials=3, seed=1)),
 }
 
 FIELDS = [(name, key) for name, (_, valid) in CONSTRUCTORS.items() for key in valid]
@@ -195,6 +265,9 @@ ARRAYS = {
     "LossTable": ("values", [[0.0, 1.0], [1.0, 0.0]]),
     "Reconstruction": ("matrix", [[1.0, 0.0], [0.0, 1.0]]),
     "DecisionProblem": ("loss", [[0.0, 1.0], [1.0, 0.0]]),
+    "normalized": ("weights", [1.0, 3.0]),
+    "pullback": ("f", [1.0, 2.0]),
+    "gradient_check": ("at", [0.3, -0.2]),
 }
 
 

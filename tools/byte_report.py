@@ -1,39 +1,42 @@
-"""Byte-identity report: run every benchmark job on two source trees and list
-the jobs whose exit code, stdout, stderr or CSV differ.
+"""Byte record: run every benchmark job on one source tree and print, per
+job, its exit code, the SHA-256 of its stdout and of its CSV, and its stderr.
 
-    python3 tools/byte_report.py OLD_SRC NEW_SRC
+    python3 tools/byte_report.py SRC
 
-OLD_SRC and NEW_SRC are ``src`` directories, each holding a ``corruptlab``
-package.  The inputs of the four workloads of ``benchmark/workloads.py`` are
-built once, at seeds 101 and 202, by a child process that imports OLD_SRC,
-together with those of a fixed list of edge-case jobs (``EDGE_JOBS``) that no
-benchmark job reaches.  Then each tree runs every job through its own
-``cli.main`` in a child process of its own, on those same inputs, with
-``OPENBLAS_NUM_THREADS=1``, and then runs them all again in reverse order in
-that same process, so that state one call leaves for the next shows.  The report gives the job count, the count
-per exit code of each tree, every job that differs between the trees and
-every job whose two passes differ within a tree, with the old and the new
-stderr of each job whose stderr differs; the exit status is 1 when some job
-differs, else 0.
+SRC is a ``src`` directory holding a ``corruptlab`` package.  The inputs of
+the four workloads of ``benchmark/workloads.py`` are built at seeds 101 and
+202 in a temporary directory, together with those of a fixed list of
+edge-case jobs (``EDGE_JOBS``) that no benchmark job reaches.  Every job then
+runs through ``cli.main`` in this process, with ``OPENBLAS_NUM_THREADS=1``,
+and then all of them again in reverse order, so that state one call leaves
+for the next shows.
+
+The record is JSON on stdout, one job per line in build order: ``{"exit",
+"stdout", "stderr", "csv"}``, with ``csv`` null where the job writes none and
+the temporary directory written as ``<inputs>`` in stderr.  Its
+``environment`` names the Python, the numpy, the BLAS numpy was built with
+and the configuration the loaded OpenBLAS reports, which names the CPU
+kernels it chose at run time.  Two trees are compared by ``diff`` of their
+records; ``tests/test_byte_record.py`` compares ``src`` with the committed
+``tests/data/byte_record.json``.  The exit status is 1, with the jobs named
+on stderr, when a job's two passes differ, else 0.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import io
 import json
 import os
-import pickle
-import subprocess
 import sys
 import tempfile
 import traceback
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 SEEDS = (101, 202)
-FIELDS = ("exit code", "stdout", "stderr", "csv")
 
 _KERNEL = {"from": ["-1", "+1"], "to": ["-1", "+1"], "matrix": [[0.8, 0.3], [0.2, 0.7]]}
 _LOSS = {"outcomes": ["-1", "+1"], "actions": ["-1", "+1"], "values": [[0.0, 1.0], [1.0, 0.0]]}
@@ -139,7 +142,7 @@ def _pass(jobs: list[dict]) -> list[tuple]:
         argv = job["argv"]
         out = argv[argv.index("--out") + 1] if "--out" in argv else None
         if out is not None and os.path.exists(out):
-            os.remove(out)  # left by the other tree
+            os.remove(out)  # left by an earlier job or pass
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
@@ -154,62 +157,42 @@ def _pass(jobs: list[dict]) -> list[tuple]:
     return results
 
 
-def _fields(a: tuple, b: tuple) -> list[str]:
-    """The fields in which two results of one job differ."""
-    return [name for name, x, y in zip(FIELDS, a, b) if x != y]
+def _environment() -> dict:
+    """Python, numpy, the BLAS numpy was built with, and the configuration
+    the OpenBLAS bundled with numpy reports, which names the CPU kernels it
+    chose at run time (null where numpy bundles none)."""
+    import numpy as np
+
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    openblas = None
+    for path in Path(np.__file__).parents[1].glob("numpy*libs/*scipy_openblas64_*"):
+        config = ctypes.CDLL(str(path)).scipy_openblas_get_config64_
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        openblas = " ".join(config().decode().split())
+    return {"python": ".".join(map(str, sys.version_info[:3])), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}", "openblas": openblas}
 
 
-def _child(src: str, *args: str) -> None:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([os.path.abspath(src), str(BENCHMARK)]))
-    subprocess.run([sys.executable, __file__, "--child", *args], env=env, check=True)
+def _digest(data: bytes | None) -> str | None:
+    return None if data is None else hashlib.sha256(data).hexdigest()
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--child"]:
-        task, *paths = argv[1:]
-        if task == "build":
-            Path(paths[1]).write_text(json.dumps(_build(paths[0])))
-        else:
-            jobs = json.loads(Path(paths[0]).read_text())
-            passes = (_pass(jobs), _pass(jobs[::-1])[::-1])
-            Path(paths[1]).write_bytes(pickle.dumps(passes))
-        return 0
-    if len(argv) != 2:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before anything imports numpy
+    if len(argv) != 1:
         print(__doc__.strip().split("\n\n")[1].strip(), file=sys.stderr)
         return 2
-    trees = {"old": argv[0], "new": argv[1]}
-    with tempfile.TemporaryDirectory(prefix="byte-report-") as work:
-        jobs_file = os.path.join(work, "jobs.json")
-        _child(trees["old"], "build", os.path.join(work, "inputs"), jobs_file)
-        results = {}
-        for tree, src in trees.items():
-            result_file = os.path.join(work, f"{tree}.pickle")
-            _child(src, "run", jobs_file, result_file)
-            results[tree] = pickle.loads(Path(result_file).read_bytes())
-        jobs = json.loads(Path(jobs_file).read_text())
-
-    print(f"{len(jobs)} jobs")
-    for tree, src in trees.items():
-        counts = Counter(str(r[0]) for r in results[tree][0])
-        print(f"{tree} ({src}): " + ", ".join(f"exit {c}: {n}" for c, n in sorted(counts.items())))
-    differing = 0
-    for job, old, new in zip(jobs, results["old"][0], results["new"][0]):
-        if fields := _fields(old, new):
-            differing += 1
-            print(f"differs: {job['name']}: {', '.join(fields)} (exit {old[0]} -> {new[0]})")
-            if "stderr" in fields:
-                print(f"  stderr: {old[2]!r} -> {new[2]!r}")
-    print(f"identical: {len(jobs) - differing} of {len(jobs)}")
-    unrepeated = 0
-    for tree in trees:
-        for job, first, second in zip(jobs, *results[tree]):
-            if fields := _fields(first, second):
-                unrepeated += 1
-                print(f"differs between passes: {tree}: {job['name']}: {', '.join(fields)} "
-                      f"(exit {first[0]} -> {second[0]})")
-    print(f"repeated by the second pass: {2 * len(jobs) - unrepeated} of {2 * len(jobs)}")
-    return 1 if differing or unrepeated else 0
+    sys.path[:0] = [os.path.abspath(argv[0]), str(BENCHMARK)]
+    with tempfile.TemporaryDirectory(prefix="byte-report-") as inputs:
+        jobs = _build(inputs)
+        first, second = _pass(jobs), _pass(jobs[::-1])[::-1]
+    lines = [f"{json.dumps(job['name'])}: " + json.dumps(
+        {"exit": code, "stdout": _digest(stdout.encode()), "stderr": stderr.replace(inputs, "<inputs>"),
+         "csv": _digest(csv)}) for job, (code, stdout, stderr, csv) in zip(jobs, first)]
+    print(f'{{"environment": {json.dumps(_environment())},\n"jobs": {{\n' + ",\n".join(lines) + "\n}}")
+    unrepeated = [f"differs between passes: {job['name']}\n" for job, a, b in zip(jobs, first, second) if a != b]
+    sys.stderr.write("".join(unrepeated))
+    return 1 if unrepeated else 0
 
 
 if __name__ == "__main__":
