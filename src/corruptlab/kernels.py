@@ -136,7 +136,11 @@ def normalized(weights: Sequence[float]) -> np.ndarray:
     w = typed(weights, "weights", VECTOR)
     if np.any(w < 0):
         raise NegativeWeight("cannot normalize negative weights")
-    total = float(w.sum())
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if total == np.inf:  # finite weights summing past the largest double
+        w = w / w.max()
+        total = float(w.sum())
     if total <= 0:
         raise NotNormalized("cannot normalize an all-zero weight vector")
     return w / total

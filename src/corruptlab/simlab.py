@@ -147,12 +147,14 @@ def corrupt(t: Kernel, clean: Sequence, seed: int) -> np.ndarray:
 
 def erm_indices(counts, loss: LossTable) -> np.ndarray:
     """Per row of the (rows x outcomes) ``counts``, the index of the action
-    minimizing average loss over those outcome counts.  Risks within
-    ``ERM_TIE_RTOL`` times the loss's sup norm of a row's minimum are tied,
-    and ties go to the lowest action index."""
+    minimizing average loss over those outcome counts, which must be finite
+    numbers >= 0.  Risks within ``ERM_TIE_RTOL`` times the loss's sup norm of
+    a row's minimum are tied, and ties go to the lowest action index."""
     counts, loss = np.asarray(counts), typed(loss, "loss", LOSS)
     if counts.ndim != 2 or counts.shape[1] != len(loss.outcomes):
         raise LengthMismatch(f"counts of shape {counts.shape} for {len(loss.outcomes)} outcomes")
+    if counts.dtype.kind not in "iuf" or not ((counts >= 0) & (counts < np.inf)).all():
+        raise InvalidParameter("counts must be finite numbers >= 0")
     totals = counts.sum(axis=1, keepdims=True)
     if not totals.all():
         raise EmptySample("empirical risk minimization needs at least one observation")

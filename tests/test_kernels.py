@@ -61,6 +61,21 @@ class TestMakeDist:
         with pytest.raises(errors.NotNormalized):
             make_dist(Space(["a", "b"]), [2, 2])
 
+    @pytest.mark.parametrize("weights, expected", [
+        ([1e308, 1e308], [0.5, 0.5]),
+        ([1e308, 1e308, 4e307], [5 / 12, 5 / 12, 1 / 6]),
+        ([1.7976931348623157e308, 1.7976931348623157e308, 0.0, 5e-324], [0.5, 0.5, 0.0, 0.0]),
+    ], ids=["two", "three", "largest-and-subnormal"])
+    def test_normalized_weights_summing_past_a_double(self, weights, expected):
+        # finite weights whose sum overflows are first scaled by the largest;
+        # warnings are errors in this suite, so no overflow warning escapes
+        np.testing.assert_allclose(normalized(weights), expected, rtol=1e-15)
+        assert normalized(weights).sum() == pytest.approx(1.0, rel=1e-15)
+
+    def test_normalized_finite_sums_keep_their_bytes(self):
+        w = [1e308, 7e307, 3.0e-5, 0.1]
+        assert normalized(w).tobytes() == (np.array(w) / sum(w)).tobytes()
+
 
 class TestKernelValidation:
     def test_column_sum_enforced(self):

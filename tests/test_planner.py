@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from corruptlab import errors
+from corruptlab import errors, planner
 from corruptlab.planner import (
     CAPACITY_GUARD,
+    PLAN_TIE_RTOL,
     AcquisitionPlan,
     SourceOffer,
     _density_order,
@@ -321,6 +323,102 @@ class TestExchangeBound:
         plan = exact_plan([SourceOffer("A", 0.5, 3), SourceOffer("B", 0.7, 5)], CAPACITY_GUARD)
         assert plan.counts == {"A": CAPACITY_GUARD // 3}
         assert plan.spend == CAPACITY_GUARD - 1
+
+
+def widths(offers):
+    """W - 1, W, W + 1 and 5 W for W the exact plan's DP width uncut by the capacity."""
+    _, costs, _, scale = planner._scaled(offers, 0)
+    width = (costs[0] - 1) * max(costs)
+    return scale, sorted({max(width - 1, 0), width, width + 1, 5 * width})
+
+
+def block_offers(c_min, count, alphas):
+    """``count`` offers of ``alphas`` ("random", "alpha-0", "equal-densities"
+    or "equal-objectives"), the first at cost c_min, the others dearer."""
+    rng = np.random.default_rng(c_min * 100 + count)
+    costs = [c_min] + [int(c) for c in rng.integers(c_min + 1, 3 * c_min + 2, count - 1)]
+    values = {"random": lambda: rng.uniform(0.05, 1.0, count),
+              "alpha-0": lambda: np.where(rng.integers(2, size=count), rng.uniform(0.05, 1.0, count), 0.0),
+              "equal-densities": lambda: np.array(costs) / max(costs),
+              "equal-objectives": lambda: rng.choice([0.2, 0.3, 0.6], count)}[alphas]()
+    return [SourceOffer(f"s{i}", float(a), c) for i, (c, a) in enumerate(zip(costs, values))]
+
+
+class TestBlockPath:
+    """The DP fills a block of the cheapest cost's width at a time once the
+    block's entries, c_min * offers, reach ``_BLOCK_ENTRIES``.  Both paths
+    give the same plan, and it is the plan of the DP over every spend, or on
+    a tie one worth as much with more units of the densest offer."""
+
+    @staticmethod
+    def check(offers, budget):
+        plan = exact_plan(offers, budget)
+        for entries in (0, math.inf):  # every cell in blocks, every cell in the loop
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(planner, "_BLOCK_ENTRIES", entries)
+                assert exact_plan(offers, budget) == plan
+        oracle = full_capacity_plan(offers, budget)
+        if plan.to_json() != oracle.to_json():
+            dense = _density_order(offers)[0].name
+            assert plan.objective >= oracle.objective * (1.0 - PLAN_TIE_RTOL), (plan, oracle)
+            assert plan.counts.get(dense, 0) > oracle.counts.get(dense, 0), (plan, oracle)
+        return plan, oracle
+
+    @pytest.mark.parametrize("alphas", ["random", "alpha-0", "equal-densities", "equal-objectives"])
+    @pytest.mark.parametrize("c_min, count", [(15, 3), (23, 2), (47, 1), (16, 3), (8, 6), (25, 2), (10, 5)],
+                             ids=["45", "46", "47", "48", "48-six", "50", "50-five"])
+    def test_matches_full_capacity_dp_about_the_crossover(self, c_min, count, alphas):
+        offers = block_offers(c_min, count, alphas)
+        scale, capacities = widths(offers)
+        for capacity in capacities:
+            plan, oracle = self.check(offers, Fraction(capacity, scale))
+            if alphas in ("random", "alpha-0"):  # no two plans tie
+                assert plan.to_json() == oracle.to_json(), capacity
+
+    def test_costs_in_twelfths_and_a_cost_past_the_width(self):
+        # scaled costs 25, 30 and 37 on the block path; a cost of 10**300 never
+        # fits, nor sizes the DP's padding
+        offers = [SourceOffer("A", 0.61, Fraction(25, 12)), SourceOffer("B", 0.7, Fraction(5, 2)),
+                  SourceOffer("C", 0.93, Fraction(37, 12))]
+        _, capacities = widths(offers)
+        for capacity in capacities:
+            budget = Fraction(capacity, 12)
+            plan, oracle = self.check(offers, budget)
+            assert plan.to_json() == oracle.to_json()
+            assert exact_plan(offers + [SourceOffer("D", 1.0, 10**300)], budget) == plan
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_instances_match_full_capacity_dp(self, data):
+        # c_min * count from about 32 to past 48 + 12 * count, across the crossover
+        count = data.draw(st.integers(1, 5))
+        c_min = data.draw(st.integers(-(-32 // count), -(-32 // count) + 12))
+        costs = [c_min] + data.draw(st.lists(st.integers(c_min, 2 * c_min + 1), min_size=count - 1,
+                                             max_size=count - 1))
+        alphas = data.draw(st.lists(st.sampled_from([0.0, 0.2, 0.3, 0.6, 1.0]) | st.floats(0.0, 1.0),
+                                    min_size=count, max_size=count))
+        offers = [SourceOffer(f"s{i}", a, c) for i, (c, a) in enumerate(zip(costs, alphas))]
+        scale, capacities = widths(offers)
+        self.check(offers, Fraction(data.draw(st.sampled_from(capacities)), scale))
+
+    def test_block_memory_stops_growing_at_the_width(self, monkeypatch):
+        # costs 16 (the densest), 97 and 101: 48 entries a block, W = 15 * 101 = 1,515
+        offers = [SourceOffer("A", 0.9, 16), SourceOffer("B", 0.5, 97), SourceOffer("C", 0.6, 101)]
+        assert 16 * len(offers) >= planner._BLOCK_ENTRIES
+        width = (16 - 1) * 101
+
+        def peak(budget):
+            tracemalloc.start()
+            try:
+                exact_plan(offers, budget)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        at_width = peak(width)
+        assert peak(CAPACITY_GUARD) <= 2 * at_width, (peak(CAPACITY_GUARD), at_width)
+        monkeypatch.setattr(planner, "_BLOCK_ENTRIES", math.inf)
+        assert at_width <= peak(width), (at_width, peak(width))
 
 
 class TestRankings:

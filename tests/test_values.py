@@ -150,6 +150,12 @@ LIBRARY_REFUSED = {
     "spec-params-not-pairs": lambda: CorruptionSpec("binary_label_noise", (0.1, 0.2)),
     "erm-counts-too-long": lambda: erm_indices([[1, 2, 3]], LossTable(S, ["a0"], [[0.0], [1.0]])),
     "erm-counts-one-row": lambda: erm_indices([1, 2], LossTable(S, ["a0"], [[0.0], [1.0]])),
+    "silent-erm-counts-negative": lambda: erm_indices([[-1, 3]], zero_one_loss(S)),
+    "silent-erm-counts-negative-total": lambda: erm_indices([[2, -5]], zero_one_loss(S)),
+    "silent-erm-counts-nan": lambda: erm_indices([[float("nan"), 3]], zero_one_loss(S)),
+    "silent-erm-counts-inf": lambda: erm_indices([[float("inf"), 3]], zero_one_loss(S)),
+    "silent-erm-counts-booleans": lambda: erm_indices(np.array([[True, False]]), zero_one_loss(S)),
+    "erm-counts-strings": lambda: erm_indices([["1", "3"]], zero_one_loss(S)),
     "config-bad-spec": lambda: ExperimentConfig(**CONFIG | {"corruption": CorruptionSpec("partial_labels", SPEC)}),
     "sample-list-for-dist": lambda: sample([0.5, 0.5], 3, 1),
     "corrupt-array-for-kernel": lambda: corrupt(np.eye(2), [0, 1], 1),
@@ -215,6 +221,8 @@ REFUSED_AS = {
     **dict.fromkeys(["space-index-foreign", "bernstein-foreign-loss", "f-divergence-foreign", "sdpi-check-foreign",
                      "pushforward-foreign"], SpaceMismatch),
     "fastrate-eta-infinite": PreconditionFailed,
+    **dict.fromkeys(["silent-erm-counts-negative", "silent-erm-counts-negative-total", "silent-erm-counts-nan",
+                     "silent-erm-counts-inf", "silent-erm-counts-booleans", "erm-counts-strings"], InvalidParameter),
 }
 
 

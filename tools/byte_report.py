@@ -50,6 +50,12 @@ _FAST_RATE = {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]}, "loss": _
 EDGE_DOCUMENTS = {
     "offers.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
                     {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}],
+    "tied-offers.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 25, "den": 12}},
+                         {"name": "B", "alpha": 0.6, "cost": {"num": 5, "den": 2}},
+                         {"name": "C", "alpha": 0.9, "cost": {"num": 15, "den": 4}}],
+    "twelfth-offers.json": [{"name": "A", "alpha": 0.01, "cost": {"num": 1, "den": 12}},
+                            {"name": "B", "alpha": 0.9, "cost": {"num": 5, "den": 12}},
+                            {"name": "C", "alpha": 0.95, "cost": {"num": 7, "den": 12}}],
     "problem.json": _PROBLEM,
     "no-hypotheses.json": _PROBLEM | {"thetas": []},
     "no-actions.json": _PROBLEM | {"actions": []},
@@ -92,13 +98,18 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: to an unknown key; one value just outside each kind of range: an offer's
 #: alpha of 1.5, a cost of 0 and one that is 0 as a double, no trials, one
 #: class, a negative count in a mix and a negative ``--n``; and a config with
-#: no sample sizes.
+#: no sample sizes; and one exact plan on each path of the DP: three offers
+#: of equal density whose cheapest scaled cost, 25, fills the DP in blocks,
+#: with many plans worth 24 at budget 100, and a cost of 1/12, which fills
+#: it cell by cell.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan", "1e999999999999999999",
                       "-1e999999999999999999", "1/0", "-1e-40", "inf", "1e99999999999999999999999")},
     **{f"plan-{name}": ("plan", "--offers", f"{name}-offer.json", "--budget", "1")
        for name in ("alpha-1.5", "cost-0", "cost-tiny")},
+    "plan-tied-offers-in-blocks": ("plan", "--offers", "tied-offers.json", "--budget", "100"),
+    "plan-twelfth-cost-cell-by-cell": ("plan", "--offers", "twelfth-offers.json", "--budget", "9.75"),
     **{f"lecam-{name}": (*_LECAM, f"{name}.json")
        for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
                     "hypotheses-out-of-order")},
