@@ -17,16 +17,17 @@ assembler turns those counts into the plan, its objective and its spend.  Plans 
 its name, so offers must have distinct names.
 
 The exact plan costs O(min(capacity, (c_b - 1) * c_max) * offers) for scaled
-costs c_b of the densest offer and c_max of the dearest, whatever the budget:
-some optimal plan holds at most c_b - 1 items other than the densest offer
-(Gilmore and Gomory, "The theory and computation of knapsack functions"), so
-a DP over that width, filled up with the densest offer, finds it.  For
-c_min the cheapest scaled cost, the DP fills c_min cells in each of its
-steps, with a few numpy calls on the offers at once, once c_min * offers is
-past a measured crossover (see ``exact_plan``); every cell is bit-identical
-to a loop over the cells, which fills the smaller DPs.  Plans
-worth the same up to ``PLAN_TIE_RTOL`` are tied, and a tie goes to the plan
-with the most units of the densest offer.
+costs c_b of the densest offer and c_max of the dearest within the budget,
+whatever the budget: some optimal plan holds at most c_b - 1 items other
+than the densest offer (Gilmore and Gomory, "The theory and computation of
+knapsack functions"), each costing at most the budget, so a DP over that
+width, filled up with the densest offer, finds it.  For c_min the cheapest
+scaled cost, the DP fills c_min cells in each of its steps, with a few numpy
+calls on the offers at once, once c_min * offers is past a measured
+crossover (see ``exact_plan``); every cell is bit-identical to a loop over
+the cells, which fills the smaller DPs.  Plans worth the same up to
+``PLAN_TIE_RTOL`` are tied, and a tie goes to the plan with the most units
+of the densest offer.
 """
 
 from __future__ import annotations
@@ -168,11 +169,13 @@ _BLOCK_ENTRIES = 48
 
 def _best(costs: list[int], alphas: list[float], width: int) -> np.ndarray:
     """best[w], the most sum alpha_i n_i over counts with sum c_i n_i <= w,
-    for w = 0..width, after max(costs) cells of -inf: best[w] is
-    max(best[w - 1], max_i best[w - c_i] + alpha_i), and a cell below 0
-    offers nothing."""
+    for w = 0..width: best[w] is max(best[w - 1], max_i best[w - c_i] +
+    alpha_i), and a cell below 0 offers nothing.  A cost past the width never
+    fits, so it reads as width + 1, and max(costs) cells of -inf lie below
+    spend 0."""
+    costs = [min(c, width + 1) for c in costs]
     pad, c_min = max(costs), min(costs)
-    if c_min * len(costs) < _BLOCK_ENTRIES or width < c_min:
+    if c_min * len(costs) < _BLOCK_ENTRIES:
         best = [-math.inf] * pad + [0.0] * (width + 1)
         for w in range(pad + 1, pad + width + 1):
             value = best[w - 1]
@@ -181,20 +184,20 @@ def _best(costs: list[int], alphas: list[float], width: int) -> np.ndarray:
                 if candidate > value:
                     value = candidate
             best[w] = value
-        return np.array(best)
+        return np.array(best)[pad:]
     # cells s..s+c_min-1 read best[w - c_i] below s alone, so a block's
-    # candidates are one gather, and a running max from best[s - 1] adds best[w - 1]
+    # candidates are one gather, and a running max from best[s - 1] adds
+    # best[w - 1]; the last block runs up to c_min - 1 cells past the width
     end = pad + width + 1
-    best = np.full(end, -math.inf)
+    best = np.full(end + c_min - 1, -math.inf)
     best[pad] = 0.0
     gather = np.arange(c_min) - np.array(costs)[:, None]
     alphas = np.array(alphas)[:, None]
     for s in range(pad + 1, end, c_min):
-        s = min(s, end - c_min)  # the last block ends at the width, refilling the cells it overlaps alike
         block = best[s - 1:s + c_min]
         block[1:] = (best[gather + s] + alphas).max(axis=0)
         np.maximum.accumulate(block, out=block)
-    return best
+    return best[pad:end]
 
 
 def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> AcquisitionPlan:
@@ -204,12 +207,13 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
     their denominators, and the budget is read in those units and rounded
     down, which loses no plan, as every cost is a whole number of units;
     the budget's exact value in those units must stay within the guard.
-    With c_b the scaled cost of the densest offer and c_max the largest, the
-    DP runs over the scaled spends w <= min(capacity, (c_b - 1) * c_max)
-    alone, in O(that width * offers), and the plan is the best DP plan at
-    some w filled up with floor((capacity - w) / c_b) densest units.  Plans
-    within ``PLAN_TIE_RTOL`` of the best are tied, and the tie goes to the
-    plan with the most units of the densest offer.
+    With c_b the scaled cost of the densest offer and c_max the largest at
+    most the capacity (0 if none is), the DP runs over the scaled spends
+    w <= min(capacity, (c_b - 1) * c_max) alone, in O(that width * offers),
+    and the plan is the best DP plan at some w filled up with
+    floor((capacity - w) / c_b) densest units.  Plans within
+    ``PLAN_TIE_RTOL`` of the best are tied, and the tie goes to the plan
+    with the most units of the densest offer.
 
     The DP value best[w] = max(best[w - 1], max_i best[w - c_i] + alpha_i)
     reads, on the cells [s, s + c_min) for c_min the cheapest scaled cost,
@@ -219,32 +223,32 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
     sum as in a loop over the cells, and a max never rounds, so every cell
     is bit-identical.  The pick at w is read back from best, so no choice
     array is kept: a unit is bought at w exactly when best[w] > best[w - 1],
-    and it is the first offer, densest first, whose candidate equals best[w],
-    the one a loop that keeps a candidate only when strictly better keeps.
+    and it is the first offer, densest first, of cost at most w whose
+    candidate equals best[w], the one a loop that keeps a candidate only
+    when strictly better keeps.
 
     A DP whose blocks hold fewer than ``_BLOCK_ENTRIES`` entries (c_min *
-    offers), or that is narrower than one block, is filled cell by cell by
-    that loop instead, where a block's five numpy calls cost more than the
-    cells they fill.  At budget 10**6 on three
-    offers (2-core Intel Xeon, numpy 2.4, best of 21), loop against blocks:
-    costs 4, 7, 11 (12 entries) 51 against 83 us, costs 8, 13, 29 (24) 116
-    against 160 us, costs 16, 37, 53 (48) 366 against 275 us, costs 32, 71,
-    97 (96) 1.29 against 0.47 ms.  So the crossover lies near 48; between
-    32 and 48 either path can win, as it depends on how many cells improve.
+    offers) is filled cell by cell by that loop instead, where a block's
+    five numpy calls cost more than the cells they fill.  At budget 10**6 on
+    three offers (2-core Intel Xeon, numpy 2.4, best of 21), loop against
+    blocks: costs 4, 7, 11 (12 entries) 51 against 83 us, costs 8, 13, 29
+    (24) 116 against 160 us, costs 16, 37, 53 (48) 366 against 275 us, costs
+    32, 71, 97 (96) 1.29 against 0.47 ms.  So the crossover lies near 48;
+    between 32 and 48 either path can win, as it depends on how many cells
+    improve.
     """
     ordered, costs, capacity, scale = _scaled(offers, budget)
     c_b, alpha_b = costs[0], ordered[0].alpha
-    width = min(capacity, (c_b - 1) * max(costs))
-    # a cost past the width never fits, and no more -inf cells than width + 1 are read
-    fits, alphas = [min(c, width + 1) for c in costs], [o.alpha for o in ordered]
-    best, pad = _best(fits, alphas, width), max(fits)
+    width = min(capacity, (c_b - 1) * max((c for c in costs if c <= capacity), default=0))
+    alphas = [o.alpha for o in ordered]
+    best = _best(costs, alphas, width)
 
     # densest units bought past w, as whole floats below 2**53, so exactly;
     # none when every plan is worth 0, as the DP buys none
     fill = np.arange(capacity, capacity - width - 1, -1.0) if alpha_b > 0.0 else np.zeros(width + 1)
     fill //= c_b
     totals = alpha_b * fill
-    totals += best[pad:]
+    totals += best
     # The first tied w buys the most densest units: a tied plan's other items
     # and unused budget cost some v <= w, the plan at v is worth as much, and
     # it fills floor((capacity - v) / c_b) densest units, at least as many.
@@ -253,11 +257,11 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
     counts = [int(fill[w])] + [0] * (len(ordered) - 1)
     at = best.item  # a Python float: the same sums, without a numpy scalar per read
     while w > 0:
-        value = at(pad + w)
-        if value > at(pad + w - 1):
-            idx = next(i for i, (cost, alpha) in enumerate(zip(fits, alphas)) if at(pad + w - cost) + alpha == value)
+        value = at(w)
+        if value > at(w - 1):
+            idx = next(i for i, (c, a) in enumerate(zip(costs, alphas)) if c <= w and at(w - c) + a == value)
             counts[idx] += 1
-            w -= fits[idx]
+            w -= costs[idx]
         else:
             w -= 1
     return _plan(ordered, costs, counts, scale)

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .kernels import KERNEL, Dist, Kernel, Space, dist_from_json, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, corrected_loss, loss_from_json, pseudoinverse
-from .schema import (COUNT, INT, OBJECT, POSITIVE, POSITIVE_COUNT, VECTOR, fields, instance_of, list_of,
+from .schema import (COUNT, INT, MATRIX, OBJECT, POSITIVE, POSITIVE_COUNT, VECTOR, fields, instance_of, list_of,
                      read_fields, typed)
 
 _MASK64 = (1 << 64) - 1
@@ -150,11 +150,11 @@ def erm_indices(counts, loss: LossTable) -> np.ndarray:
     minimizing average loss over those outcome counts, which must be finite
     numbers >= 0.  Risks within ``ERM_TIE_RTOL`` times the loss's sup norm of
     a row's minimum are tied, and ties go to the lowest action index."""
-    counts, loss = np.asarray(counts), typed(loss, "loss", LOSS)
-    if counts.ndim != 2 or counts.shape[1] != len(loss.outcomes):
+    counts, loss = typed(counts, "counts", MATRIX), typed(loss, "loss", LOSS)
+    if counts.shape[1] != len(loss.outcomes):
         raise LengthMismatch(f"counts of shape {counts.shape} for {len(loss.outcomes)} outcomes")
-    if counts.dtype.kind not in "iuf" or not ((counts >= 0) & (counts < np.inf)).all():
-        raise InvalidParameter("counts must be finite numbers >= 0")
+    if (counts < 0).any():
+        raise InvalidParameter("counts must be >= 0")
     totals = counts.sum(axis=1, keepdims=True)
     if not totals.all():
         raise EmptySample("empirical risk minimization needs at least one observation")
@@ -250,8 +250,8 @@ def _curve(config: ExperimentConfig, rec: Reconstruction) -> RiskCurve:
     for n_idx, n in enumerate(config.sample_sizes):
         cells = range(n_idx * config.trials, (n_idx + 1) * config.trials)
         passes = (cells[i:i + per_pass] for i in range(0, len(cells), per_pass))
-        chosen = np.concatenate([erm_indices([_rekey(rng, fresh, key).multinomial(n, q)
-                                              for key in _trial_seeds(config.seed, part)], table)
+        chosen = np.concatenate([erm_indices(np.array([_rekey(rng, fresh, key).multinomial(n, q)
+                                                       for key in _trial_seeds(config.seed, part)]), table)
                                  for part in passes])
         excess = clean_risks[chosen] - best
         stderr = float(excess.std(ddof=1) / math.sqrt(len(excess))) if len(excess) > 1 else 0.0

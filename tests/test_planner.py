@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from corruptlab import errors, planner
 from corruptlab.planner import (
@@ -102,6 +102,12 @@ def random_offers(rng, max_offers=4, max_cost=7):
         )
         for i in range(count)
     ]
+
+
+def dp_width(costs, capacity):
+    """The exact plan's DP width for scaled costs densest first: c_b - 1
+    times the largest cost within the capacity, cut by the capacity."""
+    return min(capacity, (costs[0] - 1) * max((c for c in costs if c <= capacity), default=0))
 
 
 class TestGreedy:
@@ -199,7 +205,8 @@ class TestExact:
 
 
 class TestExchangeBound:
-    """The DP runs only to W = (c_b - 1) * c_max and fills up with the densest offer."""
+    """The DP runs only to W = (c_b - 1) * c_max, for c_max the largest cost
+    within the budget, and fills up with the densest offer."""
 
     def test_matches_full_capacity_dp(self):
         rng = np.random.default_rng(433)
@@ -210,7 +217,7 @@ class TestExchangeBound:
                       for i in range(count)]
             scale = math.lcm(*(o.unit_cost.denominator for o in offers))
             costs = [int(o.unit_cost * scale) for o in _density_order(offers)]
-            width = (costs[0] - 1) * max(costs)
+            width = dp_width(costs, math.inf)
             for capacity in {max(width - 1, 0), width, width + 1, 5 * width}:
                 budget = Fraction(capacity, scale)
                 assert exact_plan(offers, budget).to_json() == \
@@ -265,6 +272,38 @@ class TestExchangeBound:
         at_width = peak(width)
         for budget in (10 * width, 10**3 * width, CAPACITY_GUARD):
             assert peak(budget) <= 2 * at_width, (budget, peak(budget), at_width)
+
+    def test_unbuyable_offer_does_not_widen_the_dp(self):
+        # costs 30 and 31 give W = 29 * 31 = 899 cells; an offer of cost 10**300
+        # counted in the width would size the DP to the whole capacity of 10**7
+        offers = [SourceOffer("A", 0.9, 30), SourceOffer("B", 0.5, 31)]
+        dear = offers + [SourceOffer("D", 1.0, 10**300)]
+        tracemalloc.start()
+        try:
+            plan = exact_plan(dear, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan == exact_plan(offers, 10**7)
+        assert peak < 2**20, peak
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_offer_dearer_than_the_budget_changes_no_plan(self, data):
+        count = data.draw(st.integers(1, 4))
+        alphas = st.sampled_from([0.0, 0.2, 0.3, 0.6, 1.0]) | st.floats(0.0, 1.0)
+        offers = [SourceOffer(f"s{i}", data.draw(alphas), Fraction(data.draw(st.integers(1, 40)),
+                                                                   data.draw(st.sampled_from([1, 2, 3, 4, 12]))))
+                  for i in range(count)]
+        budget = Fraction(data.draw(st.integers(0, 600)), data.draw(st.sampled_from([1, 7, 12])))
+        extra = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(5000, 3), Fraction(10**300)]))
+        dear = SourceOffer("dear", data.draw(alphas), budget + extra)
+        # a dearer offer that is also the densest decides ties another way
+        assume(_density_order(offers + [dear])[0] is not dear)
+        for entries in (planner._BLOCK_ENTRIES, 0, math.inf):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(planner, "_BLOCK_ENTRIES", entries)
+                assert exact_plan(offers + [dear], budget) == exact_plan(offers, budget)
 
     @pytest.mark.parametrize("offers, budget, counts", [
         # equal densities 0.2, s1 the denser by the cheaper cost; the DP over
@@ -328,7 +367,7 @@ class TestExchangeBound:
 def widths(offers):
     """W - 1, W, W + 1 and 5 W for W the exact plan's DP width uncut by the capacity."""
     _, costs, _, scale = planner._scaled(offers, 0)
-    width = (costs[0] - 1) * max(costs)
+    width = dp_width(costs, math.inf)
     return scale, sorted({max(width - 1, 0), width, width + 1, 5 * width})
 
 
@@ -386,6 +425,16 @@ class TestBlockPath:
             plan, oracle = self.check(offers, budget)
             assert plan.to_json() == oracle.to_json()
             assert exact_plan(offers + [SourceOffer("D", 1.0, 10**300)], budget) == plan
+
+    def test_dp_narrower_than_one_block(self, monkeypatch):
+        # c_b = 1 gives W = 0 and no block; costs 20, 25, 30 at capacities
+        # below 20 give W < c_min, one block whose cells past W are dropped
+        monkeypatch.setattr(planner, "_BLOCK_ENTRIES", 0)
+        cases = [([SourceOffer("A", 1.0, 1), SourceOffer("B", 0.5, 40)], (0, 1, 39, 100)),
+                 ([SourceOffer("A", 0.9, 20), SourceOffer("B", 0.5, 25), SourceOffer("C", 0.6, 30)], (0, 5, 19))]
+        for offers, capacities in cases:
+            for capacity in capacities:
+                self.check(offers, capacity)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())

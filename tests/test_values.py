@@ -156,6 +156,8 @@ LIBRARY_REFUSED = {
     "silent-erm-counts-inf": lambda: erm_indices([[float("inf"), 3]], zero_one_loss(S)),
     "silent-erm-counts-booleans": lambda: erm_indices(np.array([[True, False]]), zero_one_loss(S)),
     "erm-counts-strings": lambda: erm_indices([["1", "3"]], zero_one_loss(S)),
+    "erm-counts-ragged": lambda: erm_indices([[1, 2], [3]], zero_one_loss(S)),
+    "silent-erm-counts-boolean-in-list": lambda: erm_indices([[True, 1]], zero_one_loss(S)),
     "config-bad-spec": lambda: ExperimentConfig(**CONFIG | {"corruption": CorruptionSpec("partial_labels", SPEC)}),
     "sample-list-for-dist": lambda: sample([0.5, 0.5], 3, 1),
     "corrupt-array-for-kernel": lambda: corrupt(np.eye(2), [0, 1], 1),
@@ -222,7 +224,8 @@ REFUSED_AS = {
                      "pushforward-foreign"], SpaceMismatch),
     "fastrate-eta-infinite": PreconditionFailed,
     **dict.fromkeys(["silent-erm-counts-negative", "silent-erm-counts-negative-total", "silent-erm-counts-nan",
-                     "silent-erm-counts-inf", "silent-erm-counts-booleans", "erm-counts-strings"], InvalidParameter),
+                     "silent-erm-counts-inf", "silent-erm-counts-booleans", "erm-counts-strings", "erm-counts-ragged",
+                     "silent-erm-counts-boolean-in-list"], InvalidParameter),
 }
 
 

@@ -45,14 +45,16 @@ _PROBLEM = {"thetas": ["t0", "t1"], "actions": ["a0", "a1"], "loss": [[0.0, 1.0]
 _FAST_RATE = {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]}, "loss": _LOSS,
               "corruption": {"family": "binary_label_noise", "params": {"sigma_neg": 0.2, "sigma_pos": 0.3}},
               "sample_sizes": [25, 50], "trials": 25, "seed": 7}
+_TIED_OFFERS = [{"name": "A", "alpha": 0.5, "cost": {"num": 25, "den": 12}},
+                {"name": "B", "alpha": 0.6, "cost": {"num": 5, "den": 2}},
+                {"name": "C", "alpha": 0.9, "cost": {"num": 15, "den": 4}}]
 
 #: The input documents of the edge-case jobs, by file name.
 EDGE_DOCUMENTS = {
     "offers.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
                     {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}],
-    "tied-offers.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 25, "den": 12}},
-                         {"name": "B", "alpha": 0.6, "cost": {"num": 5, "den": 2}},
-                         {"name": "C", "alpha": 0.9, "cost": {"num": 15, "den": 4}}],
+    "tied-offers.json": _TIED_OFFERS,
+    "unbuyable-offer.json": _TIED_OFFERS + [{"name": "D", "alpha": 1.0, "cost": 10**300}],
     "twelfth-offers.json": [{"name": "A", "alpha": 0.01, "cost": {"num": 1, "den": 12}},
                             {"name": "B", "alpha": 0.9, "cost": {"num": 5, "den": 12}},
                             {"name": "C", "alpha": 0.95, "cost": {"num": 7, "den": 12}}],
@@ -98,10 +100,11 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: to an unknown key; one value just outside each kind of range: an offer's
 #: alpha of 1.5, a cost of 0 and one that is 0 as a double, no trials, one
 #: class, a negative count in a mix and a negative ``--n``; and a config with
-#: no sample sizes; and one exact plan on each path of the DP: three offers
+#: no sample sizes; and exact plans on both paths of the DP: three offers
 #: of equal density whose cheapest scaled cost, 25, fills the DP in blocks,
-#: with many plans worth 24 at budget 100, and a cost of 1/12, which fills
-#: it cell by cell.
+#: with many plans worth 24 at budget 100, the same next to an offer no
+#: budget can buy, which sizes neither the DP's width nor its padding, and
+#: a cost of 1/12, which fills it cell by cell.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan", "1e999999999999999999",
@@ -109,6 +112,7 @@ EDGE_JOBS = {
     **{f"plan-{name}": ("plan", "--offers", f"{name}-offer.json", "--budget", "1")
        for name in ("alpha-1.5", "cost-0", "cost-tiny")},
     "plan-tied-offers-in-blocks": ("plan", "--offers", "tied-offers.json", "--budget", "100"),
+    "plan-unbuyable-offer-in-blocks": ("plan", "--offers", "unbuyable-offer.json", "--budget", "100"),
     "plan-twelfth-cost-cell-by-cell": ("plan", "--offers", "twelfth-offers.json", "--budget", "9.75"),
     **{f"lecam-{name}": (*_LECAM, f"{name}.json")
        for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
