@@ -17,17 +17,16 @@ assembler turns those counts into the plan, its objective and its spend.  Plans 
 its name, so offers must have distinct names.
 
 The exact plan costs O(min(capacity, (c_b - 1) * c_max) * offers) for scaled
-costs c_b of the densest offer and c_max of the dearest within the budget,
-whatever the budget: some optimal plan holds at most c_b - 1 items other
-than the densest offer (Gilmore and Gomory, "The theory and computation of
-knapsack functions"), each costing at most the budget, so a DP over that
-width, filled up with the densest offer, finds it.  For c_min the cheapest
-scaled cost, the DP fills c_min cells in each of its steps, with a few numpy
-calls on the offers at once, once c_min * offers is past a measured
-crossover (see ``exact_plan``); every cell is bit-identical to a loop over
-the cells, which fills the smaller DPs.  Plans worth the same up to
-``PLAN_TIE_RTOL`` are tied, and a tie goes to the plan with the most units
-of the densest offer.
+costs c_b of the densest offer the budget can buy and c_max of the dearest
+within the budget, whatever the budget: some optimal plan holds at most
+c_b - 1 items other than that offer (Gilmore and Gomory, "The theory and
+computation of knapsack functions"), each costing at most the budget, so a
+DP over that width, filled up with that offer, finds it.  The DP takes one
+max-plus scan per offer, a fixed number of numpy calls over the whole width
+(see ``exact_plan``), and the walk back follows the offer each cell was last
+improved by.  Plans worth the same up to ``PLAN_TIE_RTOL`` are tied, and a
+tie goes to the plan with the most units of the densest offer the budget
+can buy.
 """
 
 from __future__ import annotations
@@ -161,43 +160,32 @@ def greedy_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Ac
     return _plan(ordered, costs, counts, scale)
 
 
-#: DPs whose cheapest scaled cost times offer count, the entries of one
-#: block, is at least this are filled a block at a time.  A measured cost
-#: crossover (see :func:`exact_plan`), not a knob: no plan depends on it.
-_BLOCK_ENTRIES = 48
-
-
-def _best(costs: list[int], alphas: list[float], width: int) -> np.ndarray:
+def _best(costs: list[int], alphas: list[float], width: int) -> tuple[np.ndarray, np.ndarray]:
     """best[w], the most sum alpha_i n_i over counts with sum c_i n_i <= w,
-    for w = 0..width: best[w] is max(best[w - 1], max_i best[w - c_i] +
-    alpha_i), and a cell below 0 offers nothing.  A cost past the width never
-    fits, so it reads as width + 1, and max(costs) cells of -inf lie below
-    spend 0."""
-    costs = [min(c, width + 1) for c in costs]
-    pad, c_min = max(costs), min(costs)
-    if c_min * len(costs) < _BLOCK_ENTRIES:
-        best = [-math.inf] * pad + [0.0] * (width + 1)
-        for w in range(pad + 1, pad + width + 1):
-            value = best[w - 1]
-            for cost, alpha in zip(costs, alphas):
-                candidate = best[w - cost] + alpha
-                if candidate > value:
-                    value = candidate
-            best[w] = value
-        return np.array(best)[pad:]
-    # cells s..s+c_min-1 read best[w - c_i] below s alone, so a block's
-    # candidates are one gather, and a running max from best[s - 1] adds
-    # best[w - 1]; the last block runs up to c_min - 1 cells past the width
-    end = pad + width + 1
-    best = np.full(end + c_min - 1, -math.inf)
-    best[pad] = 0.0
-    gather = np.arange(c_min) - np.array(costs)[:, None]
-    alphas = np.array(alphas)[:, None]
-    for s in range(pad + 1, end, c_min):
-        block = best[s - 1:s + c_min]
-        block[1:] = (best[gather + s] + alphas).max(axis=0)
-        np.maximum.accumulate(block, out=block)
-    return best[pad:end]
+    for w = 0..width, and pick[w], the last offer whose pass strictly
+    improved cell w, or -1.  Each offer of cost c at most the width takes one
+    pass, best'[w] = max(best[w], max over j >= 1 of best[w - j c] + j alpha),
+    on the cells viewed as rows of c columns in one buffer that all passes
+    share (see ``exact_plan``); a cost past the width buys nothing."""
+    best = np.zeros(width + 1)
+    pick = np.full(width + 1, -1, np.min_scalar_type(-len(costs)))
+    grid = np.empty(width + max((c for c in costs if c <= width), default=1))
+    for k, (c, alpha) in enumerate(zip(costs, alphas)):
+        if c > width:
+            continue
+        rows = -(-(width + 1) // c)
+        flat = grid[:rows * c]
+        flat[:width + 1] = best
+        flat[width + 1:] = -math.inf
+        scan, steps = flat.reshape(rows, c), np.arange(rows + 1.0)
+        steps *= alpha
+        scan -= steps[:-1, None]
+        np.maximum.accumulate(scan, axis=0, out=scan)
+        scan += steps[1:, None]
+        buys = flat[:width + 1 - c]  # row i holds row i + 1's candidate: cell w's at w - c
+        pick[c:][buys > best[c:]] = k
+        np.maximum(best[c:], buys, out=best[c:])
+    return best, pick
 
 
 def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> AcquisitionPlan:
@@ -207,63 +195,53 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
     their denominators, and the budget is read in those units and rounded
     down, which loses no plan, as every cost is a whole number of units;
     the budget's exact value in those units must stay within the guard.
-    With c_b the scaled cost of the densest offer and c_max the largest at
-    most the capacity (0 if none is), the DP runs over the scaled spends
-    w <= min(capacity, (c_b - 1) * c_max) alone, in O(that width * offers),
-    and the plan is the best DP plan at some w filled up with
-    floor((capacity - w) / c_b) densest units.  Plans within
+    With b the densest offer the budget can buy, c_b its scaled cost and
+    c_max the largest scaled cost at most the capacity, the DP runs over the
+    scaled spends w <= min(capacity, (c_b - 1) * c_max) alone, in
+    O(that width * offers), and the plan is the best DP plan at some w filled
+    up with floor((capacity - w) / c_b) units of b.  Plans within
     ``PLAN_TIE_RTOL`` of the best are tied, and the tie goes to the plan
-    with the most units of the densest offer.
+    with the most units of b.  Nothing is bought when no offer fits.
 
-    The DP value best[w] = max(best[w - 1], max_i best[w - c_i] + alpha_i)
-    reads, on the cells [s, s + c_min) for c_min the cheapest scaled cost,
-    only cells below s.  So those c_min cells are filled at once: one gather
-    of best[w - c_i] for every offer, the alphas added, the max over offers,
-    and a running max from best[s - 1].  Each candidate is the same float64
-    sum as in a loop over the cells, and a max never rounds, so every cell
-    is bit-identical.  The pick at w is read back from best, so no choice
-    array is kept: a unit is bought at w exactly when best[w] > best[w - 1],
-    and it is the first offer, densest first, of cost at most w whose
-    candidate equals best[w], the one a loop that keeps a candidate only
-    when strictly better keeps.
-
-    A DP whose blocks hold fewer than ``_BLOCK_ENTRIES`` entries (c_min *
-    offers) is filled cell by cell by that loop instead, where a block's
-    five numpy calls cost more than the cells they fill.  At budget 10**6 on
-    three offers (2-core Intel Xeon, numpy 2.4, best of 21), loop against
-    blocks: costs 4, 7, 11 (12 entries) 51 against 83 us, costs 8, 13, 29
-    (24) 116 against 160 us, costs 16, 37, 53 (48) 366 against 275 us, costs
-    32, 71, 97 (96) 1.29 against 0.47 ms.  So the crossover lies near 48;
-    between 32 and 48 either path can win, as it depends on how many cells
-    improve.
+    The DP takes one max-plus scan per offer, densest first (see ``_best``),
+    in a fixed number of numpy calls per offer whatever the width or the
+    cheapest cost.  A pass of cost c and value alpha gives the cell
+    w = r + (i + 1) * c the candidate max over i' <= i of
+    (best[r + i' * c] - i' * alpha) + (i + 1) * alpha, which buys
+    j = i + 1 - i' >= 1 units.  The cell's own value (j = 0) never goes
+    through that sum, since best[w] - i * alpha + i * alpha can round above
+    best[w] and would read as a unit bought for nothing: a cell changes only
+    when a candidate that buys a unit is strictly greater.  A cell may differ
+    by rounding from the chained sums best[w - c] + alpha of a loop over the
+    cells; the objective is summed from the counts, and ``PLAN_TIE_RTOL``
+    absorbs such differences.  The walk back reads pick[w], the offer whose
+    pass last improved w, and steps back by its cost: one step per unit
+    bought, with no float equality.
     """
     ordered, costs, capacity, scale = _scaled(offers, budget)
-    c_b, alpha_b = costs[0], ordered[0].alpha
+    # b is 0 when no offer fits: its cost is then past the capacity, so the
+    # width is 0 and it fills no unit
+    b = next((i for i, c in enumerate(costs) if c <= capacity), 0)
+    c_b, alpha_b = costs[b], ordered[b].alpha
     width = min(capacity, (c_b - 1) * max((c for c in costs if c <= capacity), default=0))
-    alphas = [o.alpha for o in ordered]
-    best = _best(costs, alphas, width)
+    best, pick = _best(costs, [o.alpha for o in ordered], width)
 
-    # densest units bought past w, as whole floats below 2**53, so exactly;
+    # units of b bought past w, as whole floats below 2**53, so exactly;
     # none when every plan is worth 0, as the DP buys none
     fill = np.arange(capacity, capacity - width - 1, -1.0) if alpha_b > 0.0 else np.zeros(width + 1)
     fill //= c_b
     totals = alpha_b * fill
     totals += best
-    # The first tied w buys the most densest units: a tied plan's other items
+    # The first tied w buys the most units of b: a tied plan's other items
     # and unused budget cost some v <= w, the plan at v is worth as much, and
-    # it fills floor((capacity - v) / c_b) densest units, at least as many.
+    # it fills floor((capacity - v) / c_b) units of b, at least as many.
     w = int(np.argmax(totals >= totals.max() * (1.0 - PLAN_TIE_RTOL)))
 
-    counts = [int(fill[w])] + [0] * (len(ordered) - 1)
-    at = best.item  # a Python float: the same sums, without a numpy scalar per read
-    while w > 0:
-        value = at(w)
-        if value > at(w - 1):
-            idx = next(i for i, (c, a) in enumerate(zip(costs, alphas)) if c <= w and at(w - c) + a == value)
-            counts[idx] += 1
-            w -= costs[idx]
-        else:
-            w -= 1
+    counts = [0] * len(ordered)
+    counts[b] = int(fill[w])
+    while (k := pick[w]) >= 0:
+        counts[k] += 1
+        w -= costs[k]
     return _plan(ordered, costs, counts, scale)
 
 

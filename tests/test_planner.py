@@ -1,13 +1,14 @@
 """Acquisition planning: greedy and exact knapsack, source rankings."""
 
 import math
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from corruptlab import errors, planner
 from corruptlab.planner import (
@@ -298,12 +299,7 @@ class TestExchangeBound:
         budget = Fraction(data.draw(st.integers(0, 600)), data.draw(st.sampled_from([1, 7, 12])))
         extra = data.draw(st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(5000, 3), Fraction(10**300)]))
         dear = SourceOffer("dear", data.draw(alphas), budget + extra)
-        # a dearer offer that is also the densest decides ties another way
-        assume(_density_order(offers + [dear])[0] is not dear)
-        for entries in (planner._BLOCK_ENTRIES, 0, math.inf):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(planner, "_BLOCK_ENTRIES", entries)
-                assert exact_plan(offers + [dear], budget) == exact_plan(offers, budget)
+        assert exact_plan(offers + [dear], budget) == exact_plan(offers, budget)
 
     @pytest.mark.parametrize("offers, budget, counts", [
         # equal densities 0.2, s1 the denser by the cheaper cost; the DP over
@@ -313,7 +309,11 @@ class TestExchangeBound:
         # 3 * 0.6 and 2 * 0.3 + 2 * 0.6 are both 1.8; the DP over every spend,
         # or a tie decided by rounding, returns {s0: 2, s1: 2}
         ([SourceOffer("s0", 0.3, 3), SourceOffer("s1", 0.6, 4)], Fraction(29, 2), {"s1": 3}),
-    ], ids=["equal-densities", "equal-objectives"])
+        # 6 * 0.1 and 3 * 0.1 + 0.3 tie; D, the densest, is dearer than the
+        # budget, so the tie goes to A, the densest offer the budget can buy
+        ([SourceOffer("A", 0.1, 1), SourceOffer("B", 0.3, 3), SourceOffer("D", 1.0, Fraction(19, 3))], 6,
+         {"A": 6}),
+    ], ids=["equal-densities", "equal-objectives", "densest-offer-past-the-budget"])
     def test_exact_tie_goes_to_the_densest_offer(self, offers, budget, counts):
         assert exact_plan(offers, budget).counts == counts
 
@@ -384,18 +384,13 @@ def block_offers(c_min, count, alphas):
 
 
 class TestBlockPath:
-    """The DP fills a block of the cheapest cost's width at a time once the
-    block's entries, c_min * offers, reach ``_BLOCK_ENTRIES``.  Both paths
-    give the same plan, and it is the plan of the DP over every spend, or on
-    a tie one worth as much with more units of the densest offer."""
+    """The DP takes one max-plus scan per offer, whatever the width or the
+    cheapest cost.  Its plan is the plan of the DP over every spend, or on a
+    tie one worth as much with more units of the densest offer."""
 
     @staticmethod
     def check(offers, budget):
         plan = exact_plan(offers, budget)
-        for entries in (0, math.inf):  # every cell in blocks, every cell in the loop
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(planner, "_BLOCK_ENTRIES", entries)
-                assert exact_plan(offers, budget) == plan
         oracle = full_capacity_plan(offers, budget)
         if plan.to_json() != oracle.to_json():
             dense = _density_order(offers)[0].name
@@ -415,8 +410,8 @@ class TestBlockPath:
                 assert plan.to_json() == oracle.to_json(), capacity
 
     def test_costs_in_twelfths_and_a_cost_past_the_width(self):
-        # scaled costs 25, 30 and 37 on the block path; a cost of 10**300 never
-        # fits, nor sizes the DP's padding
+        # scaled costs 25, 30 and 37; a cost of 10**300 never fits, nor sizes
+        # the DP's buffer
         offers = [SourceOffer("A", 0.61, Fraction(25, 12)), SourceOffer("B", 0.7, Fraction(5, 2)),
                   SourceOffer("C", 0.93, Fraction(37, 12))]
         _, capacities = widths(offers)
@@ -426,10 +421,9 @@ class TestBlockPath:
             assert plan.to_json() == oracle.to_json()
             assert exact_plan(offers + [SourceOffer("D", 1.0, 10**300)], budget) == plan
 
-    def test_dp_narrower_than_one_block(self, monkeypatch):
-        # c_b = 1 gives W = 0 and no block; costs 20, 25, 30 at capacities
-        # below 20 give W < c_min, one block whose cells past W are dropped
-        monkeypatch.setattr(planner, "_BLOCK_ENTRIES", 0)
+    def test_dp_narrower_than_one_block(self):
+        # c_b = 1 gives W = 0, where no offer takes a pass; costs 20, 25, 30
+        # at capacities below 20 fit no offer, so nothing is bought
         cases = [([SourceOffer("A", 1.0, 1), SourceOffer("B", 0.5, 40)], (0, 1, 39, 100)),
                  ([SourceOffer("A", 0.9, 20), SourceOffer("B", 0.5, 25), SourceOffer("C", 0.6, 30)], (0, 5, 19))]
         for offers, capacities in cases:
@@ -439,7 +433,7 @@ class TestBlockPath:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_random_instances_match_full_capacity_dp(self, data):
-        # c_min * count from about 32 to past 48 + 12 * count, across the crossover
+        # a cheapest cost c_min of 32 / count to 12 more, the other costs up to 2 c_min + 1
         count = data.draw(st.integers(1, 5))
         c_min = data.draw(st.integers(-(-32 // count), -(-32 // count) + 12))
         costs = [c_min] + data.draw(st.lists(st.integers(c_min, 2 * c_min + 1), min_size=count - 1,
@@ -450,10 +444,9 @@ class TestBlockPath:
         scale, capacities = widths(offers)
         self.check(offers, Fraction(data.draw(st.sampled_from(capacities)), scale))
 
-    def test_block_memory_stops_growing_at_the_width(self, monkeypatch):
-        # costs 16 (the densest), 97 and 101: 48 entries a block, W = 15 * 101 = 1,515
+    def test_block_memory_stops_growing_at_the_width(self):
+        # costs 16 (the densest), 97 and 101: W = 15 * 101 = 1,515
         offers = [SourceOffer("A", 0.9, 16), SourceOffer("B", 0.5, 97), SourceOffer("C", 0.6, 101)]
-        assert 16 * len(offers) >= planner._BLOCK_ENTRIES
         width = (16 - 1) * 101
 
         def peak(budget):
@@ -466,8 +459,37 @@ class TestBlockPath:
 
         at_width = peak(width)
         assert peak(CAPACITY_GUARD) <= 2 * at_width, (peak(CAPACITY_GUARD), at_width)
-        monkeypatch.setattr(planner, "_BLOCK_ENTRIES", math.inf)
-        assert at_width <= peak(width), (at_width, peak(width))
+
+    def test_fill_runs_the_same_lines_whatever_the_width_or_cheapest_cost(self):
+        # one pass of a fixed number of numpy calls per offer: the lines _best
+        # runs count neither the cells nor the rows of a pass
+        def lines(costs, width):
+            count = 0
+
+            def local(frame, event, arg):
+                nonlocal count
+                count += event == "line"
+                return local
+
+            previous = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: local if frame.f_code is planner._best.__code__ else None)
+            try:
+                planner._best(costs, [0.9, 0.5, 0.6], width)
+            finally:
+                sys.settrace(previous)
+            return count
+
+        counts = {(c_min, width): lines([c_min, 101, 103], width) for c_min in (1, 97) for width in (1_000, 100_000)}
+        assert len(set(counts.values())) == 1, counts
+
+    def test_more_offers_than_an_8_bit_pick_holds(self):
+        # 129 offers of cost 2, then t, the least dense, which a budget of 3
+        # buys: its pick, 129, needs 16 bits
+        offers = [SourceOffer(f"s{i:03}", 0.5 - i * 1e-4, 2) for i in range(129)] + [SourceOffer("t", 0.7, 3)]
+        assert _density_order(offers)[-1].name == "t"
+        for budget in range(40):
+            assert exact_plan(offers, budget).to_json() == full_capacity_plan(offers, budget).to_json(), budget
+        assert exact_plan(offers, 3).counts == {"t": 1}
 
 
 class TestRankings:

@@ -55,6 +55,8 @@ EDGE_DOCUMENTS = {
                     {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}],
     "tied-offers.json": _TIED_OFFERS,
     "unbuyable-offer.json": _TIED_OFFERS + [{"name": "D", "alpha": 1.0, "cost": 10**300}],
+    "dear-densest-offer.json": [{"name": "A", "alpha": 0.1, "cost": 1}, {"name": "B", "alpha": 0.3, "cost": 3},
+                                {"name": "D", "alpha": 1.0, "cost": {"num": 19, "den": 3}}],
     "twelfth-offers.json": [{"name": "A", "alpha": 0.01, "cost": {"num": 1, "den": 12}},
                             {"name": "B", "alpha": 0.9, "cost": {"num": 5, "den": 12}},
                             {"name": "C", "alpha": 0.95, "cost": {"num": 7, "den": 12}}],
@@ -100,11 +102,13 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: to an unknown key; one value just outside each kind of range: an offer's
 #: alpha of 1.5, a cost of 0 and one that is 0 as a double, no trials, one
 #: class, a negative count in a mix and a negative ``--n``; and a config with
-#: no sample sizes; and exact plans on both paths of the DP: three offers
-#: of equal density whose cheapest scaled cost, 25, fills the DP in blocks,
-#: with many plans worth 24 at budget 100, the same next to an offer no
-#: budget can buy, which sizes neither the DP's width nor its padding, and
-#: a cost of 1/12, which fills it cell by cell.
+#: no sample sizes; and exact plans: three offers of equal density, with
+#: many plans worth 24 at budget 100; the same next to an offer no budget can
+#: buy, which never sizes the DP; a cheapest scaled cost of 1 (a cost of
+#: 1/12); and plans worth 0.6 at budget 6 whose densest offer is dearer than
+#: the budget, so the tie goes to the densest offer the budget can buy.  The
+#: names "in-blocks" and "cell-by-cell" are kept from an earlier DP with two
+#: fill paths, so the record keeps its job names.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan", "1e999999999999999999",
@@ -113,6 +117,7 @@ EDGE_JOBS = {
        for name in ("alpha-1.5", "cost-0", "cost-tiny")},
     "plan-tied-offers-in-blocks": ("plan", "--offers", "tied-offers.json", "--budget", "100"),
     "plan-unbuyable-offer-in-blocks": ("plan", "--offers", "unbuyable-offer.json", "--budget", "100"),
+    "plan-tie-past-a-dear-densest-offer": ("plan", "--offers", "dear-densest-offer.json", "--budget", "6"),
     "plan-twelfth-cost-cell-by-cell": ("plan", "--offers", "twelfth-offers.json", "--budget", "9.75"),
     **{f"lecam-{name}": (*_LECAM, f"{name}.json")
        for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
