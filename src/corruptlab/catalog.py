@@ -1,10 +1,14 @@
 """Parametric corruption families with closed-form statistics.
 
 Each family is one row of :data:`FAMILIES`: its parameter names, the kernel
-they build and, where a closed form exists, its contraction coefficient and
-reconstruction norms, so the generic machinery can be cross-checked against
-it.  Norms with no closed form (or at a degenerate parameter) are reported as
-``None`` and must be computed numerically via :mod:`corruptlab.reconstruct`.
+matrices they build and, where a closed form exists, its contraction
+coefficient and reconstruction norms, so the generic machinery can be
+cross-checked against it.  Both take a whole grid of parameter values at
+once, as arrays, so ``tables`` builds a grid as one (G, k, m) stack
+(:func:`build_kernels`); :func:`build_kernel` and :func:`closed_form_stats`
+are their one-point cases, so each formula is written once.  Norms with no
+closed form (or at a degenerate parameter) are reported as ``None`` (NaN in
+a stack) and must be computed numerically via :mod:`corruptlab.reconstruct`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidParameter, SizeGuardExceeded, UnknownFamily
-from .kernels import PRODUCT_ENTRY_GUARD, Kernel, Space
+from .kernels import PRODUCT_ENTRY_GUARD, Kernel, Space, check_stochastic
 from .schema import INT, OBJECT, PROBABILITY, STR, fields, typed, within
 
 BINARY = "binary_label_noise"
@@ -61,89 +65,95 @@ class ClosedFormStats:
     corrected01_norm: float | None
 
 
-def _binary_kernel(sn: float, sp: float) -> Kernel:
+def _stack(g: int, rows) -> np.ndarray:
+    """The (G, k, m) stack of G matrices whose entry (i, j) is ``rows[i][j]``,
+    an array of G values or a number."""
+    matrices = np.empty((g, len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            matrices[:, i, j] = entry
+    return matrices
+
+
+def _over(x, gap: np.ndarray) -> np.ndarray:
+    """``x / gap``, and NaN (no closed form) where ``gap`` is 0."""
+    return np.divide(x, gap, out=np.full_like(gap, np.nan), where=gap != 0.0)
+
+
+def _binary_matrices(sn: np.ndarray, sp: np.ndarray) -> tuple[Space, Space, np.ndarray]:
     space = Space(["-1", "+1"])
-    return Kernel(space, space, [[1.0 - sn, sp], [sn, 1.0 - sp]])
+    return space, space, _stack(len(sn), [[1.0 - sn, sp], [sn, 1.0 - sp]])
 
 
-def _binary_stats(sn: float, sp: float) -> ClosedFormStats:
-    gap = abs(1.0 - sn - sp)
-    if gap == 0.0:
-        return ClosedFormStats(alpha=0.0, row_norm=None, corrected01_norm=None)
-    return ClosedFormStats(
-        alpha=gap,
-        row_norm=max(1.0 - sn + sp, 1.0 - sp + sn) / gap,
-        corrected01_norm=max(1.0 - sn, 1.0 - sp, sn, sp) / gap,
-    )
+def _binary_stats(sn: np.ndarray, sp: np.ndarray) -> tuple[np.ndarray, ...]:
+    gap = np.abs(1.0 - sn - sp)
+    return gap, _over(np.maximum(1.0 - sn + sp, 1.0 - sp + sn), gap), _over(
+        np.maximum.reduce([1.0 - sn, 1.0 - sp, sn, sp]), gap)
 
 
-def _symmetric_kernel(k: int, s: float) -> Kernel:
+def _symmetric_matrices(k: int, s: np.ndarray) -> tuple[Space, Space, np.ndarray]:
     space = Space([str(i + 1) for i in range(k)])
-    matrix = np.full((k, k), s / (k - 1))
-    np.fill_diagonal(matrix, 1.0 - s)
-    return Kernel(space, space, matrix)
+    matrices = np.empty((len(s), k, k))
+    matrices[:] = (s / (k - 1))[:, None, None]
+    matrices.reshape(len(s), k * k)[:, ::k + 1] = (1.0 - s)[:, None]  # the diagonals
+    return space, space, matrices
 
 
-def _symmetric_stats(k: int, s: float) -> ClosedFormStats:
-    a = abs(1.0 - k * s / (k - 1))
-    gap = abs(2.0 - 3.0 * s)
-    if k != 3 or gap == 0.0:
-        return ClosedFormStats(alpha=a, row_norm=None, corrected01_norm=None)
-    return ClosedFormStats(
-        alpha=a,
-        row_norm=(2.0 + s) / gap,
-        corrected01_norm=2.0 * max(s, 1.0 - s) / gap,
-    )
+def _symmetric_stats(k: int, s: np.ndarray) -> tuple[np.ndarray, ...]:
+    gap = np.abs(2.0 - 3.0 * s) if k == 3 else np.zeros_like(s)  # the norms' closed forms are for 3 classes
+    return np.abs(1.0 - k * s / (k - 1)), _over(2.0 + s, gap), _over(2.0 * np.maximum(s, 1.0 - s), gap)
 
 
-def _semi_supervised_kernel(sn: float, sp: float) -> Kernel:
-    return Kernel(
-        Space(["-1", "+1"]),
-        Space(["-1", "+1", "?"]),
-        [[sn, 0.0], [0.0, sp], [1.0 - sn, 1.0 - sp]],
-    )
+def _semi_supervised_matrices(sn: np.ndarray, sp: np.ndarray) -> tuple[Space, Space, np.ndarray]:
+    matrices = _stack(len(sn), [[sn, 0.0], [0.0, sp], [1.0 - sn, 1.0 - sp]])
+    return Space(["-1", "+1"]), Space(["-1", "+1", "?"]), matrices
 
 
-def _semi_supervised_stats(sn: float, sp: float) -> ClosedFormStats:
+def _semi_supervised_stats(sn: np.ndarray, sp: np.ndarray) -> tuple[np.ndarray, ...]:
     # The printed corrected-0-1 norm for the symmetric case looks garbled
     # at the source, so it is never hard-coded here; compare numerically.
-    row_norm = 1.0 / sn if sn == sp and sn > 0.0 else None
-    return ClosedFormStats(alpha=max(sn, sp), row_norm=row_norm, corrected01_norm=None)
+    return np.maximum(sn, sp), _over(1.0, np.where(sn == sp, sn, 0.0)), np.full_like(sn, np.nan)
 
 
 #: Output space of the partial-labels kernel: indicator triples over the
 #: three classes in binary counting order, the all-empty set excluded.
 PARTIAL_LABEL_SETS = ("001", "010", "011", "100", "101", "110", "111")
 
-
-def _partial_kernel(s: float) -> Kernel:
-    matrix = np.zeros((7, 3))
-    for j in range(3):
-        for i, bits in enumerate(PARTIAL_LABEL_SETS):
-            if bits[j] != "1":
-                continue  # the true label is always included
-            spurious = sum(1 for b, bit in enumerate(bits) if bit == "1" and b != j)
-            matrix[i, j] = s**spurious * (1.0 - s) ** (2 - spurious)
-    return Kernel(Space(["1", "2", "3"]), Space(PARTIAL_LABEL_SETS), matrix)
+#: Python's float power, libm's ``pow``, on each entry.  numpy's ``x**2`` is
+#: ``x*x`` and its ``power`` has loops of its own; both round some squares
+#: otherwise (0.0397**2 is 0.0015760899999999998, 0.0397*0.0397 0.00157609).
+_pow = np.frompyfunc(pow, 2, 1)
 
 
-def _partial_stats(s: float) -> ClosedFormStats:
-    return ClosedFormStats(alpha=1.0 - s, row_norm=None, corrected01_norm=None)
+def _partial_matrices(s: np.ndarray) -> tuple[Space, Space, np.ndarray]:
+    # the true label is always in the set, and each of the other two with probability s
+    weight = [(_pow(s, spurious) * _pow(1.0 - s, 2 - spurious)).astype(float) for spurious in range(3)]
+    rows = [[weight[bits.count("1") - 1] if bit == "1" else 0.0 for bit in bits] for bits in PARTIAL_LABEL_SETS]
+    return Space(["1", "2", "3"]), Space(PARTIAL_LABEL_SETS), _stack(len(s), rows)
+
+
+def _partial_stats(s: np.ndarray) -> tuple[np.ndarray, ...]:
+    return 1.0 - s, np.full_like(s, np.nan), np.full_like(s, np.nan)
 
 
 class Family(NamedTuple):
-    """Parameter names in spec order; kernel and closed forms take them in that order."""
+    """Parameter names in spec order; the matrices and closed forms take them
+    in that order, ``classes`` as a count and each probability as an array
+    of G values.  ``matrices`` gives the domain, the codomain and the
+    (G, k, m) stack of the G kernels' matrices; ``stats`` the G values of
+    alpha, the row norm and the corrected 0-1 norm, NaN where there is no
+    closed form."""
 
     params: tuple[str, ...]
-    kernel: Callable[..., Kernel]
-    stats: Callable[..., ClosedFormStats]
+    matrices: Callable[..., tuple[Space, Space, np.ndarray]]
+    stats: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 FAMILIES = {
-    BINARY: Family(("sigma_neg", "sigma_pos"), _binary_kernel, _binary_stats),
-    SYMMETRIC: Family(("classes", "sigma"), _symmetric_kernel, _symmetric_stats),
-    SEMI_SUPERVISED: Family(("sigma_neg", "sigma_pos"), _semi_supervised_kernel, _semi_supervised_stats),
-    PARTIAL: Family(("sigma",), _partial_kernel, _partial_stats),
+    BINARY: Family(("sigma_neg", "sigma_pos"), _binary_matrices, _binary_stats),
+    SYMMETRIC: Family(("classes", "sigma"), _symmetric_matrices, _symmetric_stats),
+    SEMI_SUPERVISED: Family(("sigma_neg", "sigma_pos"), _semi_supervised_matrices, _semi_supervised_stats),
+    PARTIAL: Family(("sigma",), _partial_matrices, _partial_stats),
 }
 
 
@@ -191,12 +201,31 @@ def partial_labels(sigma: float) -> CorruptionSpec:
     return make_spec(PARTIAL, sigma=sigma)
 
 
+def build_kernels(name: str, *values) -> tuple[Space, Space, np.ndarray]:
+    """The domain, the codomain and the (G, k, m) matrix stack of family
+    ``name`` at its parameters ``values``, in order: ``classes`` a count and
+    each probability an array of G values, all valid.  The stack is checked
+    once, as a :class:`Kernel` checks its matrix."""
+    domain, codomain, matrices = family(name).matrices(*values)
+    check_stochastic(matrices)
+    return domain, codomain, matrices
+
+
+def _one_point(spec: CorruptionSpec) -> list:
+    """The parameters of ``spec``, each probability as an array of one value."""
+    return [value if key == "classes" else np.array([value]) for key, value in spec.params]
+
+
 def build_kernel(spec: CorruptionSpec) -> Kernel:
-    return family(spec.family).kernel(*(value for _, value in spec.params))
+    """The kernel of ``spec``: the one-point stack of :func:`build_kernels`."""
+    domain, codomain, matrices = family(spec.family).matrices(*_one_point(spec))
+    return Kernel(domain, codomain, matrices[0])
 
 
 def closed_form_stats(spec: CorruptionSpec) -> ClosedFormStats:
-    return family(spec.family).stats(*(value for _, value in spec.params))
+    """The closed forms of ``spec``: the one-point case of its family's ``stats``."""
+    stats = [float(values[0]) for values in family(spec.family).stats(*_one_point(spec))]
+    return ClosedFormStats(*(None if math.isnan(value) else value for value in stats))
 
 
 # -- JSON wire format -----------------------------------------------------------

@@ -7,7 +7,12 @@ output is byte-stable for fixed inputs and seeds.
 
 ``tables`` sweeps one family along the grid: every probability parameter is
 set to the grid value sigma and ``classes`` (if the family has it) to
-``--classes``.
+``--classes``.  Every point is checked before any kernel is built, and the
+work, grid points times m(m-1)k/2 + m^2 k for k x m kernels, is bounded by
+``TABLE_WORK_GUARD``.  The grid is then taken in chunks of at most
+``STACK_CHUNK_ENTRIES`` of that work: each chunk's kernels are one (G, k, m)
+stack, and :func:`_statistics` runs the pair pass, one stacked SVD and the
+norms on the whole stack.  ``analyze`` runs it on a stack of one.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure or tripped guard.
 """
@@ -22,12 +27,13 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-from . import catalog, divergence, planner
+import numpy as np
+
+from . import catalog, divergence, planner, reconstruct
 from .bounds import check_corruption, lecam_replicated, mixed_from_json, problem_from_json, separation
-from .errors import InvalidInput, InvalidParameter, NumericalFailure, ParseError, RankDeficient, SizeGuardExceeded
-from .kernels import kernel_from_json
-from .reconstruct import (check_loss, corrected_sup_norm, loss_from_json, op_norm_row_sum, pseudoinverse,
-                          zero_one_loss)
+from .errors import InvalidInput, InvalidParameter, NumericalFailure, ParseError, SizeGuardExceeded, _escaped
+from .kernels import Kernel, kernel_from_json
+from .reconstruct import check_loss, loss_from_json
 from .schema import NONNEGATIVE, load_json, typed
 from .simlab import config_from_json, fastrate_curve, risk_curve
 
@@ -38,6 +44,18 @@ TABLE_HEADER = (
 
 #: Most points a ``tables --grid`` may hold.
 GRID_POINT_GUARD = 10**5
+
+#: Most work a ``tables`` run may do, in entries: grid points times the
+#: m(m-1)k/2 entries of a k x m kernel's column pairs and the m^2 k of its
+#: SVD.  Measured on a 2-core Xeon, an entry costs 2 to 3 ns at 200 to 1000
+#: classes, 5 ns at 20 to 45 and 7 to 8 ns at 46 to 50, where the screened
+#: pass takes over, so the longest run admitted is about 16 s.
+TABLE_WORK_GUARD = 2 * 10**9
+
+#: Most work entries, counted as for ``TABLE_WORK_GUARD``, in one stacked
+#: pass.  Measured on a 2-core Xeon: 2^16 costs up to 3x more at 40 classes
+#: and 10% more at 7; 2^22 gains nothing below 40 classes.
+STACK_CHUNK_ENTRIES = 2**20
 
 
 def _emit(obj) -> None:
@@ -75,15 +93,48 @@ def _theta_ref(text: str):
         return text
 
 
-def _statistics(kernel, loss=None) -> tuple:
-    """``alpha`` of a kernel, the row norm of its pseudoinverse and the sup
-    norm of ``loss`` corrected by it (None without a loss); both norms are
-    None when the kernel's columns are dependent."""
-    try:
-        rec = pseudoinverse(kernel)
-    except RankDeficient:
-        return divergence.alpha(kernel), None, None
-    return divergence.alpha(kernel), op_norm_row_sum(rec), None if loss is None else corrected_sup_norm(rec, loss)
+def _statistics(matrices, loss, kernel_at) -> tuple:
+    """``alpha``, ``lambda``, the row norm of the pseudoinverse and the sup
+    norm of ``loss`` (an m x a array, or None) corrected by it, each an array
+    of one value per matrix of the (G, k, m) stack ``matrices``; both norms
+    are NaN at a matrix whose columns are dependent, and the last is None
+    without a loss.  One stacked SVD factorizes every matrix.
+
+    The checks run per matrix, and the first matrix that fails one raises as
+    if the matrices were taken one at a time: the left-inverse residual
+    first, then the agreement of alpha and lambda.  A stack whose first slab
+    of column pairs reaches ``divergence._SCREEN_ENTRIES`` takes the screened
+    pass of :func:`divergence.alpha` and :func:`divergence.lambda_coeff`, one
+    kernel ``kernel_at(i)`` at a time; smaller ones take the exact
+    reductions on the whole stack."""
+    g, k, m = matrices.shape
+    u, s, vt, full = reconstruct._svd(matrices)
+    dependent = not full.all()
+    if dependent:  # their matrices divide by ones instead, and their results are dropped
+        s = np.where(full[:, None], s, 1.0)
+    rec = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
+    residual = np.abs(rec @ matrices - np.eye(m)).max(axis=(1, 2))
+    norms = [np.abs(rec).sum(axis=1).max(axis=1)]
+    if loss is not None:
+        norms.append(np.abs(np.swapaxes(rec, 1, 2) @ loss).max(axis=(1, 2)))
+    if dependent:
+        residual[~full] = 0.0
+        for values in norms:
+            values[~full] = np.nan
+    unfit = ~(residual <= reconstruct.RESIDUAL_ATOL)
+    if (m - 1) * k < divergence._SCREEN_ENTRIES:
+        worst, best = divergence.stacked_extremes(matrices)
+    else:
+        worst, best = np.zeros(g), np.ones(g)
+        for i in range(int(np.argmax(unfit)) if unfit.any() else g):  # up to the first residual failure
+            t = kernel_at(i)
+            worst[i], best[i] = divergence.alpha(t), divergence.lambda_coeff(t)
+    failing = unfit | (np.abs((1.0 - best) - worst) > divergence.ALPHA_CONSISTENCY_ATOL)
+    if failing.any():
+        i = int(np.argmax(failing))
+        reconstruct.check_residual(float(residual[i]))
+        divergence.check_extremes(float(worst[i]), float(best[i]))
+    return worst, best, norms[0], norms[1] if loss is not None else None
 
 
 def cmd_analyze(args) -> int:
@@ -91,34 +142,57 @@ def cmd_analyze(args) -> int:
     loss = None if args.loss is None else loss_from_json(load_json(args.loss))
     if loss is not None:
         check_loss(kernel, loss)  # also when there is no reconstruction to correct it with
-    alpha, row_norm, corrected_sup = _statistics(kernel, loss)
-    report = {"alpha": alpha, "lambda": divergence.lambda_coeff(kernel),
-              "reconstructible": row_norm is not None, "row_norm": row_norm}
-    _emit(report if loss is None else report | {"corrected_sup": corrected_sup})
+    stats = _statistics(kernel.matrix[None], None if loss is None else loss.values, lambda i: kernel)
+    alpha, lam, row_norm, corrected = (None if a is None or math.isnan(a[0]) else a.item() for a in stats)
+    report = {"alpha": alpha, "lambda": lam, "reconstructible": row_norm is not None, "row_norm": row_norm}
+    _emit(report if loss is None else report | {"corrected_sup": corrected})
     return 0
 
 
-def _cell(value) -> str:
-    return "" if value is None else repr(float(value))
+def _cells(values: np.ndarray) -> list[str]:
+    return ["" if math.isnan(x) else repr(x) for x in values.tolist()]
 
 
 def cmd_tables(args) -> int:
-    names = catalog.family(args.family).params  # an unknown family fails before the grid is read
+    family = catalog.family(args.family)  # an unknown family fails before the grid is read
+    names = family.params
+    sigmas = _parse_grid(args.grid)
+
+    def values(part):
+        return [args.classes if key == "classes" else np.array(part) for key in names]
+
+    def spec(sigma):
+        return catalog.make_spec(args.family, **{key: args.classes if key == "classes" else sigma for key in names})
+
     lines = [TABLE_HEADER]
-    for sigma in _parse_grid(args.grid):
-        params = {key: args.classes if key == "classes" else sigma for key in names}
-        spec = catalog.make_spec(args.family, **params)
-        kernel = catalog.build_kernel(spec)
-        closed = catalog.closed_form_stats(spec)
-        numeric = _statistics(kernel, zero_one_loss(kernel.domain))
-        cells = list(zip((closed.alpha, closed.row_norm, closed.corrected01_norm), numeric))
-        diffs = [abs(c - n) for c, n in cells if c is not None and n is not None]
-        lines.append(",".join([
-            repr(float(sigma)),
-            *(_cell(value) for cell in cells for value in cell),
-            _cell(max(diffs) if diffs else None),
-            "" if numeric[1] is not None else "non-reconstructible",
-        ]))
+    if sigmas:
+        # Every point is checked before any kernel is built.  The points
+        # differ only in sigma, which rises along the grid, and a
+        # probability's range is an interval: when both ends pass, every
+        # point does; otherwise the first failing point raises.
+        spec(sigmas[0])
+        try:
+            spec(sigmas[-1])
+        except InvalidInput:
+            for sigma in sigmas:
+                spec(sigma)
+        _, k, m = catalog.build_kernels(args.family, *values([]))[2].shape  # from a stack of no kernels
+        per_point = m * (m - 1) * k // 2 + m * m * k
+        if (work := len(sigmas) * per_point) > TABLE_WORK_GUARD:
+            raise SizeGuardExceeded(f"{len(sigmas)} grid points of {per_point} entries each are {work} "
+                                    f"entries of work (guard: {TABLE_WORK_GUARD})")
+        size = max(1, STACK_CHUNK_ENTRIES // per_point)
+        for start in range(0, len(sigmas), size):
+            part = values(sigmas[start:start + size])
+            domain, codomain, matrices = catalog.build_kernels(args.family, *part)
+            alpha, _, row_norm, corrected = _statistics(
+                matrices, 1.0 - np.eye(m), lambda i: Kernel(domain, codomain, matrices[i]))
+            closed = family.stats(*part)
+            numeric = (alpha, row_norm, corrected)
+            diff = np.fmax.reduce([np.abs(c - n) for c, n in zip(closed, numeric)])
+            columns = [_cells(a) for pair in zip(closed, numeric) for a in pair]
+            flags = ["non-reconstructible" if singular else "" for singular in np.isnan(row_norm).tolist()]
+            lines += map(",".join, zip(map(repr, sigmas[start:start + size]), *columns, _cells(diff), flags))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -166,7 +240,7 @@ def cmd_simulate(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv)
     except OSError as exc:
-        raise ParseError(f"cannot write {args.out}: {exc}") from exc
+        raise ParseError(f"cannot write {_escaped(args.out)}: {exc}") from exc
     if report is not None:
         _emit({"ratios": {str(n): r for n, r in report.ratios}, "mean_ratio": report.mean_ratio})
     return 0

@@ -116,10 +116,38 @@ _SCREEN_ENTRIES = 2048
 _SCREEN_ROWS = 2**22
 
 
-def _exact_extremes(rows: np.ndarray, col: np.ndarray) -> tuple[float, float]:
-    """(max total variation, min overlap) of ``col`` against each row."""
-    return (0.5 * float(np.abs(rows - col).sum(axis=1).max()),
-            float(np.minimum(rows, col).sum(axis=1).min()))
+def _exact_extremes(rows: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max total variation, min overlap) of ``col`` against each row, over
+    the last two axes: of one slab, or of each slab of a stack.  Each row is
+    summed on its own, along its last axis."""
+    return (0.5 * np.abs(rows - col).sum(axis=-1).max(axis=-1),
+            np.minimum(rows, col).sum(axis=-1).min(axis=-1))
+
+
+def check_extremes(worst: float, best: float) -> None:
+    """The two extremes must add up to 1 within ``ALPHA_CONSISTENCY_ATOL``."""
+    if abs((1.0 - best) - worst) > ALPHA_CONSISTENCY_ATOL:
+        raise InternalInconsistency(
+            f"alpha formulas disagree: 1-lambda={1.0 - best!r}, max column V={worst!r}"
+        )
+
+
+def stacked_extremes(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(max total variation, min overlap) over the column pairs of each
+    matrix of the (G, k, m) stack ``matrices``, unchecked: column i meets
+    every later column of all G matrices in one slab, through the exact
+    reductions of an unscreened :func:`_pair_extremes`, so each value is bit
+    for bit that of the kernel's own pass.  A single column gives (0.0,
+    1.0)."""
+    cols = np.ascontiguousarray(np.swapaxes(matrices, 1, 2))
+    g, m, _ = cols.shape
+    if m == 1:
+        return np.zeros(g), np.ones(g)
+    worst, best = _exact_extremes(cols[:, 1:], cols[:, 0, None])
+    for i in range(1, m - 1):
+        tv, overlap = _exact_extremes(cols[:, i + 1:], cols[:, i, None])
+        worst, best = np.maximum(worst, tv), np.minimum(best, overlap)
+    return worst, best
 
 
 @functools.lru_cache(maxsize=1)
@@ -215,11 +243,8 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
             if not len(rest):
                 continue
         tv, overlap = _exact_extremes(rest, col)
-        worst, best = max(worst, tv), min(best, overlap)
-    if abs((1.0 - best) - worst) > ALPHA_CONSISTENCY_ATOL:
-        raise InternalInconsistency(
-            f"alpha formulas disagree: 1-lambda={1.0 - best!r}, max column V={worst!r}"
-        )
+        worst, best = max(worst, float(tv)), min(best, float(overlap))
+    check_extremes(worst, best)
     return worst, best
 
 

@@ -7,6 +7,7 @@ numerical failure or a tripped guard.  The CLI exit code (2 vs 3) is read
 from these two bases alone.
 """
 
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -32,6 +33,15 @@ def _shown(x) -> str:
     e = math.floor(math.log10(n) - math.log10(d)) - 1  # the float may be one off either way
     top = str(n * 10**max(-e, 0) // (d * 10**max(e, 0)))  # so |q| / 10**e has 1 to 3 digits
     return f"{'-' if q < 0 else ''}~{top[0]}e{e + len(top) - 1}"
+
+
+def _escaped(text) -> str:
+    """``str(text)`` escaped as inside a JSON string, and so are the line
+    separators JSON leaves as they are (U+0085, U+2028, U+2029): a message
+    that holds it stays on one line.  Text with no control character, double
+    quote or backslash reads as itself."""
+    return json.dumps(str(text), ensure_ascii=False)[1:-1].translate({0x85: "\\u0085", 0x2028: "\\u2028",
+                                                                 0x2029: "\\u2029"})
 
 
 class CorruptLabError(Exception):

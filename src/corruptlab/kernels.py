@@ -109,13 +109,7 @@ class Kernel:
         m = self.matrix
         if m.shape != (shape := (len(self.codomain), len(self.domain))):
             raise LengthMismatch(f"kernel matrix has shape {m.shape}, expected {shape}")
-        if (m < 0).any():
-            raise NegativeWeight("kernel entries must be non-negative")
-        sums = m.sum(axis=0)
-        bad = np.abs(sums - 1.0) > STOCHASTIC_ATOL
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise NotNormalized(f"column {j} sums to {sums[j]!r}, not 1")
+        check_stochastic(m)
 
     def column(self, j: int) -> Dist:
         """The output distribution for the j-th domain outcome."""
@@ -124,6 +118,23 @@ class Kernel:
 
 #: The kind of a :class:`Kernel` field.
 KERNEL = instance_of(Kernel)
+
+
+def check_stochastic(matrices: np.ndarray) -> None:
+    """Refuse a k x m matrix, or the first matrix of a (G, k, m) stack, that
+    has a negative entry or a column whose sum is off 1 by more than
+    ``STOCHASTIC_ATOL``."""
+    negative = matrices < 0
+    sums = matrices.sum(axis=-2)
+    bad = np.abs(sums - 1.0) > STOCHASTIC_ATOL
+    if negative.any() or bad.any():
+        sums, bad = sums.reshape(-1, matrices.shape[-1]), bad.reshape(-1, matrices.shape[-1])
+        negative = negative.reshape(len(sums), -1).any(axis=1)
+        g = int(np.argmax(negative | bad.any(axis=1)))
+        if negative[g]:
+            raise NegativeWeight("kernel entries must be non-negative")
+        j = int(np.argmax(bad[g]))
+        raise NotNormalized(f"column {j} sums to {sums[g, j]!r}, not 1")
 
 
 def make_dist(space: Space, weights: Sequence[float]) -> Dist:

@@ -49,23 +49,27 @@ def zero_one_loss(space: Space) -> LossTable:
     return LossTable(space, space.labels, 1.0 - np.eye(n))
 
 
-def _svd(t: Kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The thin SVD ``(u, s, vt)`` of T; raises :class:`RankDeficient` when
-    T has fewer singular values than clean outcomes or its smallest is below
-    ``RANK_SV_RTOL`` of its largest."""
-    u, s, vt = np.linalg.svd(t.matrix, full_matrices=False)
-    if s.size < len(t.domain) or not s[-1] >= RANK_SV_RTOL * s[0]:
-        raise RankDeficient("kernel has (numerically) dependent columns; no left inverse")
-    return u, s, vt
+def _svd(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The thin SVDs ``(u, s, vt)`` of the (..., k, m) stack ``matrices``, one
+    stacked call, and whether each matrix passes the rank test: m singular
+    values, the smallest at least ``RANK_SV_RTOL`` of the largest."""
+    u, s, vt = np.linalg.svd(matrices, full_matrices=False)
+    if s.shape[-1] < matrices.shape[-1]:  # fewer corrupted outcomes than clean ones
+        return u, s, vt, np.zeros(s.shape[:-1], bool)
+    return u, s, vt, s[..., -1] >= RANK_SV_RTOL * s[..., 0]
 
 
 def is_reconstructible(t: Kernel) -> bool:
     """True when T has full column rank under the relative singular-value threshold."""
-    try:
-        _svd(t)
-    except RankDeficient:
-        return False
-    return True
+    return bool(_svd(t.matrix)[3])
+
+
+def check_residual(residual: float) -> float:
+    """A left inverse's ``residual``, the largest absolute entry of RT - I,
+    once it is at most ``RESIDUAL_ATOL``."""
+    if not residual <= RESIDUAL_ATOL:
+        raise NotReconstructible(f"matrix is not a left inverse: residual {residual:.3e} > {RESIDUAL_ATOL:.0e}")
+    return residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +92,7 @@ class Reconstruction:
         if r.shape != (m, k):
             raise LengthMismatch(f"reconstruction has shape {r.shape}, expected ({m}, {k})")
         residual = float(np.abs(r @ self.kernel.matrix - np.eye(m)).max())
-        if not residual <= RESIDUAL_ATOL:
-            raise NotReconstructible(
-                f"matrix is not a left inverse: residual {residual:.3e} > {RESIDUAL_ATOL:.0e}"
-            )
-        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "residual", check_residual(residual))
 
     def to_json(self) -> dict:
         return {
@@ -104,7 +104,9 @@ class Reconstruction:
 def pseudoinverse(t: Kernel) -> Reconstruction:
     """The Moore-Penrose left inverse R = V diag(1/s) U^t from the thin SVD
     of T; raises :class:`RankDeficient` when T fails the rank test."""
-    u, s, vt = _svd(t)
+    u, s, vt, full = _svd(t.matrix)
+    if not full:
+        raise RankDeficient("kernel has (numerically) dependent columns; no left inverse")
     return Reconstruction(kernel=t, matrix=(vt.T / s) @ u.T)
 
 

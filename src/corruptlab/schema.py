@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError, _shown
+from .errors import InvalidParameter, ParseError, _escaped, _shown
 
 
 def _need(ok: bool, value):
@@ -185,20 +185,21 @@ def fields(obj, what: str, *required, optional=()) -> list:
     known = [k if isinstance(k, str) else k[0] for k in (*required, *optional)]
     unknown = next((key for key in obj if key not in known), None)
     if unknown is not None:  # a misspelt optional key would read as its default
-        raise ParseError(f'{what} has unknown key "{unknown}"; known: {", ".join(sorted(known))}')
+        raise ParseError(f'{what} has unknown key "{_escaped(unknown)}"; known: {", ".join(sorted(known))}')
     return values
 
 
 def load_json(path: str):
-    """Parse the JSON file at ``path``; bare ``NaN`` and ``Infinity`` are rejected."""
+    """Parse the JSON file at ``path``; bare ``NaN`` and ``Infinity`` are
+    rejected.  Messages show the path escaped, so they stay on one line."""
     def reject(name: str):
-        raise ParseError(f"{path} is not valid JSON: {name} is not a number")
+        raise ParseError(f"{_escaped(path)} is not valid JSON: {name} is not a number")
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=reject)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {_escaped(path)}: {exc}") from exc
     # ValueError: bad syntax, bad UTF-8 or an integer past the digit limit.
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        raise ParseError(f"{_escaped(path)} is not valid JSON: {exc}") from exc

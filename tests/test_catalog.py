@@ -9,6 +9,7 @@ from corruptlab.catalog import (
     PARTIAL_LABEL_SETS,
     binary_label_noise,
     build_kernel,
+    build_kernels,
     closed_form_stats,
     make_spec,
     partial_labels,
@@ -177,6 +178,83 @@ class TestGridCrossValidation:
                 rec = pseudoinverse(build_kernel(spec))
                 loss = zero_one_loss(rec.kernel.domain)
                 assert corrected_sup_norm(rec, loss) <= op_norm_row_sum(rec) + 1e-12
+
+
+#: Each family's matrix and closed forms one point at a time, in Python
+#: floats, as the catalog wrote them before its builders took stacks: the
+#: oracle the stacks must match bit for bit.
+def _symmetric_matrix(k, s):
+    matrix = np.full((k, k), s / (k - 1))
+    np.fill_diagonal(matrix, 1.0 - s)
+    return matrix
+
+
+def _partial_matrix(s):
+    matrix = np.zeros((7, 3))
+    for j in range(3):
+        for i, bits in enumerate(PARTIAL_LABEL_SETS):
+            if bits[j] == "1":
+                spurious = bits.count("1") - 1
+                matrix[i, j] = s**spurious * (1.0 - s) ** (2 - spurious)
+    return matrix
+
+
+def _binary_stats(sn, sp):
+    gap = abs(1.0 - sn - sp)
+    if gap == 0.0:
+        return 0.0, None, None
+    return gap, max(1.0 - sn + sp, 1.0 - sp + sn) / gap, max(1.0 - sn, 1.0 - sp, sn, sp) / gap
+
+
+def _symmetric_stats(k, s):
+    a, gap = abs(1.0 - k * s / (k - 1)), abs(2.0 - 3.0 * s)
+    if k != 3 or gap == 0.0:
+        return a, None, None
+    return a, (2.0 + s) / gap, 2.0 * max(s, 1.0 - s) / gap
+
+
+ONE_POINT = {
+    "binary_label_noise": (lambda sn, sp: [[1.0 - sn, sp], [sn, 1.0 - sp]], _binary_stats),
+    "symmetric_label_noise": (_symmetric_matrix, _symmetric_stats),
+    "semi_supervised": (lambda sn, sp: [[sn, 0.0], [0.0, sp], [1.0 - sn, 1.0 - sp]],
+                        lambda sn, sp: (max(sn, sp), 1.0 / sn if sn == sp and sn > 0.0 else None, None)),
+    "partial_labels": (_partial_matrix, lambda s: (1.0 - s, None, None)),
+}
+
+
+@pytest.mark.parametrize("family, classes", [(family, 3) for family in FAMILIES] + [("symmetric_label_noise", 7)],
+                         ids=[*FAMILIES, "symmetric_label_noise-7"])
+class TestStacks:
+    """The stacked builders give, at every point, the one-point formulas' bits."""
+
+    @staticmethod
+    def points(family, classes):
+        """10^4 values of sigma, each probability parameter running through them in its own order,
+        with the parameters of each point as the family takes them."""
+        sigma = np.arange(10**4) / 10**4  # holds 0.0397, whose square libm's pow and x*x round apart
+        probabilities = iter((sigma, sigma[::-1]))
+        values = [classes if key == "classes" else next(probabilities) for key in FAMILIES[family].params]
+        return values, [[v if key == "classes" else v[g] for key, v in zip(FAMILIES[family].params, values)]
+                        for g in range(len(sigma))]
+
+    def test_matrices(self, family, classes):
+        values, points = self.points(family, classes)
+        matrices = build_kernels(family, *values)[2]
+        for g, point in enumerate(points):
+            expected = np.asarray(ONE_POINT[family][0](*point), dtype=float)
+            assert np.array_equal(matrices[g], expected), (family, point)
+            spec = make_spec(family, **dict(zip(FAMILIES[family].params, point)))
+            assert np.array_equal(build_kernel(spec).matrix, expected), (family, point)
+
+    def test_closed_forms(self, family, classes):
+        values, points = self.points(family, classes)
+        stacked = [[None if np.isnan(v) else v for v in column.tolist()]
+                   for column in FAMILIES[family].stats(*values)]
+        for g, point in enumerate(points):
+            expected = ONE_POINT[family][1](*point)
+            assert (stacked[0][g], stacked[1][g], stacked[2][g]) == expected, (family, point)
+            stats = closed_form_stats(make_spec(family, **dict(zip(FAMILIES[family].params, point))))
+            assert (stats.alpha, stats.row_norm, stats.corrected01_norm) == expected, (family, point)
 
 
 class TestJson:

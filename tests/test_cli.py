@@ -54,13 +54,13 @@ def write_json(tmp_path, name, obj):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """Records one entry per SVD of a kernel."""
+    """Records, per stacked SVD call, the number of matrices it factorizes."""
     calls = []
     original = reconstruct._svd
 
-    def counting(t):
-        calls.append(t.matrix.shape)
-        return original(t)
+    def counting(matrices):
+        calls.append(len(matrices))
+        return original(matrices)
 
     monkeypatch.setattr(reconstruct, "_svd", counting)
     return calls
@@ -144,7 +144,7 @@ class TestAnalyze:
         kpath = write_json(tmp_path, "k.json", kernel_to_json(t))
         lpath = write_json(tmp_path, "l.json", loss_to_json(zero_one_loss(t.domain)))
         code, out, _ = run(capsys, "analyze", "--kernel", kpath, "--loss", lpath)
-        assert code == 0 and len(factorizations) == 1
+        assert code == 0 and factorizations == [1]
         assert json.loads(out)["reconstructible"] is (sigmas != (0.5, 0.5))
 
     def test_residual_failure_still_exits_two(self, tmp_path, capsys, monkeypatch):
@@ -154,6 +154,37 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--kernel", path)
         assert code == 2 and out == ""
         assert err.startswith("error: matrix is not a left inverse") and err.count("\n") == 1
+
+
+def tables_one_point_at_a_time(family, grid, classes=3) -> str:
+    """The stdout of ``tables``, the oracle of its stacked pass: per grid point
+    a kernel, its pseudoinverse, alpha and the norms, each on its own."""
+    names = catalog.FAMILIES[family].params
+    lines = [cli.TABLE_HEADER]
+    for sigma in _parse_grid(grid):
+        spec = catalog.make_spec(family, **{key: classes if key == "classes" else sigma for key in names})
+        kernel = catalog.build_kernel(spec)
+        closed = catalog.closed_form_stats(spec)
+        try:
+            rec = reconstruct.pseudoinverse(kernel)
+            numeric = (divergence.alpha(kernel), reconstruct.op_norm_row_sum(rec),
+                       reconstruct.corrected_sup_norm(rec, zero_one_loss(kernel.domain)))
+        except errors.RankDeficient:
+            numeric = (divergence.alpha(kernel), None, None)
+        cells = list(zip((closed.alpha, closed.row_norm, closed.corrected01_norm), numeric))
+        diffs = [abs(c - n) for c, n in cells if c is not None and n is not None]
+        lines.append(",".join([repr(float(sigma)),
+                               *("" if v is None else repr(float(v)) for cell in cells for v in cell),
+                               "" if not diffs else repr(max(diffs)),
+                               "" if numeric[1] is not None else "non-reconstructible"]))
+    return "\n".join(lines) + "\n"
+
+
+def work_per_point(family, classes=3):
+    """The work ``tables`` counts for one point of ``family``: m(m-1)k/2 + m^2 k for k x m kernels."""
+    _, k, m = catalog.build_kernels(family, *(classes if key == "classes" else np.zeros(0)
+                                              for key in catalog.FAMILIES[family].params))[2].shape
+    return m * (m - 1) * k // 2 + m * m * k
 
 
 class TestTables:
@@ -205,9 +236,91 @@ class TestTables:
         assert code == 2
 
     @pytest.mark.parametrize("family", ["binary_label_noise", "symmetric_label_noise"])
-    def test_one_elimination_per_grid_point(self, family, capsys, factorizations):
+    def test_one_elimination_per_grid_point(self, family, capsys, monkeypatch, factorizations):
+        # one stacked factorization per chunk of the grid, holding each of its points once
         code, out, _ = run(capsys, "tables", "--family", family, "--grid", "0.4:0.6:0.1")
-        assert code == 0 and len(factorizations) == len(out.strip().split("\n")) - 1 == 3
+        assert code == 0 and factorizations == [len(out.strip().split("\n")) - 1] == [3]
+        factorizations.clear()
+        monkeypatch.setattr(cli, "STACK_CHUNK_ENTRIES", 2 * work_per_point(family) + 1)
+        assert run(capsys, "tables", "--family", family, "--grid", "0.4:0.6:0.1")[:2] == (0, out)
+        assert factorizations == [2, 1]
+
+    @staticmethod
+    def kernels_built(monkeypatch) -> list:
+        """Records the number of kernels each stacked build makes."""
+        built, original = [], catalog.build_kernels
+
+        def counting(name, *values):
+            stack = original(name, *values)
+            built.append(len(stack[2]))
+            return stack
+
+        monkeypatch.setattr(catalog, "build_kernels", counting)
+        return built
+
+    @pytest.mark.parametrize("family, grid, classes", [
+        *((family, "0:1:0.0005", 3) for family in catalog.FAMILIES),
+        ("binary_label_noise", "0.45:0.55:0.0001", 3), ("symmetric_label_noise", "0.6:0.7:0.0001", 3),
+        ("symmetric_label_noise", "0:1:0.001", 4), ("symmetric_label_noise", "0:1:0.001", 7),
+        ("symmetric_label_noise", "0:1:0.1", 50)],
+        ids=[*catalog.FAMILIES, "binary-about-0.5", "symmetric-about-2/3", "4-classes", "7-classes",
+             "50-classes-screened"])
+    def test_stacked_pass_prints_the_one_point_bytes(self, family, grid, classes, capsys):
+        argv = ["tables", "--family", family, "--grid", grid, "--classes", str(classes)]
+        assert run(capsys, *argv) == (0, tables_one_point_at_a_time(family, grid, classes), "")
+
+    @pytest.mark.parametrize("family", catalog.FAMILIES)
+    def test_chunks_print_the_bytes_of_one_pass(self, family, capsys, monkeypatch, factorizations):
+        expected = tables_one_point_at_a_time(family, "0:1:0.01")
+        factorizations.clear()
+        monkeypatch.setattr(cli, "STACK_CHUNK_ENTRIES", 7 * work_per_point(family))
+        assert run(capsys, "tables", "--family", family, "--grid", "0:1:0.01") == (0, expected, "")
+        assert factorizations == [7] * 14 + [3]  # 101 points in chunks of 7
+
+    @pytest.mark.parametrize("residual_atol, alpha_atol", [(0.0, 1e-9), (1e-9, -1.0), (0.0, -1.0)],
+                             ids=["residual", "alpha", "both"])
+    @pytest.mark.parametrize("grid, classes", [("0.1:0.3:0.1", 3), ("0:0.2:0.1", 50)],
+                             ids=["3-classes", "50-classes"])
+    def test_first_failing_point_raises_the_one_point_error(self, residual_atol, alpha_atol, grid, classes,
+                                                            capsys, monkeypatch):
+        monkeypatch.setattr(reconstruct, "RESIDUAL_ATOL", residual_atol)
+        monkeypatch.setattr(divergence, "ALPHA_CONSISTENCY_ATOL", alpha_atol)
+        with pytest.raises(errors.CorruptLabError) as caught:
+            tables_one_point_at_a_time(catalog.SYMMETRIC, grid, classes)
+        prefix = "error: " if isinstance(caught.value, errors.InvalidInput) else "numerical failure: "
+        assert run(capsys, *_tables(grid, classes)) == (2 if prefix == "error: " else 3, "",
+                                                         f"{prefix}{caught.value}\n")
+
+    def test_work_guard_admits_its_bound(self, capsys, monkeypatch):
+        built = self.kernels_built(monkeypatch)
+        monkeypatch.setattr(cli, "TABLE_WORK_GUARD", 3 * work_per_point(catalog.SYMMETRIC, 10))
+        code, out, err = run(capsys, *_tables("0:0.2:0.1", 10))
+        assert (code, err, len(out.split("\n"))) == (0, "", 5) and sum(built) == 3
+
+    @pytest.mark.parametrize("grid, classes", [("0:0.3:0.1", 10), ("0:0.99:0.00001", 1000)],
+                             ids=["one-point-past", "99001-points-of-1000-classes"])
+    def test_work_guard_refuses_past_its_bound(self, grid, classes, capsys, monkeypatch):
+        built = self.kernels_built(monkeypatch)
+        if classes == 10:
+            monkeypatch.setattr(cli, "TABLE_WORK_GUARD", 3 * work_per_point(catalog.SYMMETRIC, 10))
+        points, per_point = len(cli._parse_grid(grid)), work_per_point(catalog.SYMMETRIC, classes)
+        code, out, err = run(capsys, *_tables(grid, classes))
+        assert (code, out) == (3, "") and sum(built) == 0
+        assert err == (f"numerical failure: {points} grid points of {per_point} entries each are "
+                       f"{points * per_point} entries of work (guard: {cli.TABLE_WORK_GUARD})\n")
+
+    @pytest.mark.parametrize("classes", [1, 1000])
+    def test_empty_grid_prints_the_header_whatever_the_classes(self, classes, capsys):
+        assert run(capsys, *_tables("1:0:0.1", classes)) == (0, cli.TABLE_HEADER + "\n", "")
+
+    def test_every_point_is_checked_before_any_kernel(self, capsys, monkeypatch):
+        # 1.1 is refused before any kernel is built, so before the residual check fails at 0.9
+        built = self.kernels_built(monkeypatch)
+        monkeypatch.setattr(reconstruct, "RESIDUAL_ATOL", 0.0)
+        code, out, err = run(capsys, *_tables("0.9:1.2:0.1"))
+        assert (code, out, err) == (2, "", "error: sigma must be in [0, 1], got 1.1\n") and sum(built) == 0
+        code, out, err = run(capsys, *_tables("0.1:0.3:0.1"))
+        assert (code, out) == (2, "") and err.startswith("error: matrix is not a left inverse: residual ")
 
     @pytest.mark.parametrize("grid", ["0:0.45:0.05", "0.4:0.6:0.1", "0.3:0.3:0.1", "1:0:0.1",
                                       "-1:1:0.03", "0.2:0.499999999999:0.1", "0.3:0.999999999999:0.1",
@@ -700,6 +813,7 @@ REFUSED = {
     "config-classes-10**400": (3, lambda d: document_argv("config", _symmetric_config(10**400), d)),
     "config-classes-10**9": (3, lambda d: document_argv("config", _symmetric_config(10**9), d)),
     "tables-classes-10**9": (3, lambda d: _tables("0.1:0.2:0.1", 10**9)),
+    "tables-work-past-guard": (3, lambda d: _tables("0:0.99:0.00001", 1000)),
     "grid-nan": (2, lambda d: _tables("0:nan:0.1")),
     "grid-inf": (2, lambda d: _tables("0:inf:0.1")),
     "grid-step-1e-300": (3, lambda d: _tables("0:0.1:1e-300")),
@@ -738,10 +852,17 @@ def test_refused_input_exits_cleanly(case, tmp_path, capsys, monkeypatch):
     def no_kernel(spec):
         raise AssertionError("a guard must trip before a catalog kernel is built")
 
+    def no_kernels(name, *values):
+        stack = build_kernels(name, *values)
+        assert not len(stack[2]), "a guard must trip before a catalog kernel is built"
+        return stack
+
     def no_sample(*args):
         raise AssertionError("a guard must trip before anything is drawn")
 
+    build_kernels = catalog.build_kernels
     monkeypatch.setattr(catalog, "build_kernel", no_kernel)
+    monkeypatch.setattr(catalog, "build_kernels", no_kernels)
     monkeypatch.setattr(simlab, "sample", no_sample)
     monkeypatch.setattr(simlab, "_generator", no_sample)  # every draw's stream
     argv = argv(tmp_path)
@@ -782,6 +903,40 @@ def test_exit_code_follows_error_type(name, capsys, monkeypatch):
     code, out, err = run(capsys, "plan", "--offers", "offers.json", "--budget", "1")
     assert code == EXIT_CODES[name] and out == ""
     assert err == ("error: detail\n" if code == 2 else "numerical failure: detail\n")
+
+
+#: Text that would break a message over lines, and how a message shows it.
+BREAKING = {"newline": ("x\ny", "x\\ny"), "carriage-return": ("x\ry", "x\\ry"),
+            "line-separator": ("x\u2028y", "x\\u2028y"), "next-line": ("x\x85y", "x\\u0085y")}
+
+
+@pytest.mark.parametrize("case", BREAKING)
+def test_unknown_key_message_stays_on_one_line(case, tmp_path, capsys):
+    key, shown = BREAKING[case]
+    path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": 1, key: 1}])
+    assert run(capsys, "plan", "--offers", path, "--budget", "1") == (
+        2, "", f'error: offer 0 has unknown key "{shown}"; known: alpha, corrected_sup, cost, name\n')
+
+
+@pytest.mark.parametrize("case", BREAKING)
+@pytest.mark.parametrize("content, message", [(None, "cannot read {}: "), ("{", "{} is not valid JSON: "),
+                                               ("NaN", "{} is not valid JSON: NaN is not a number")],
+                         ids=["missing", "bad-syntax", "nan"])
+def test_path_in_message_stays_on_one_line(case, content, message, tmp_path, capsys):
+    name, shown = BREAKING[case]
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "analyze", "--kernel", str(path))
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("error: " + message.format(str(tmp_path / shown)))
+
+
+def test_unwritable_out_path_stays_on_one_line(tmp_path, capsys):
+    config = write_json(tmp_path, "config.json", DOCUMENTS["config"])
+    code, out, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "no\ndir" / "out.csv"))
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {tmp_path}/no\\ndir/out.csv: ")
 
 
 def child_env():

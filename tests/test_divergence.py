@@ -353,12 +353,13 @@ class TestOnePassMatchesPairLoops:
 @pytest.fixture
 def exact_rows(monkeypatch):
     """Rows that reach the exact reductions, counted through the helper that
-    computes them; no pass result is kept from before the test."""
+    computes them, over every slab of a stack; no pass result is kept from
+    before the test."""
     rows = []
     exact = divergence._exact_extremes
 
     def counting(rest, col):
-        rows.append(len(rest))
+        rows.append(rest[..., 0].size)
         return exact(rest, col)
 
     monkeypatch.setattr(divergence, "_exact_extremes", counting)

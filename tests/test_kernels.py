@@ -88,6 +88,18 @@ class TestKernelValidation:
         with pytest.raises(errors.NegativeWeight):
             Kernel(space, space, [[1.2, 0.5], [-0.2, 0.5]])
 
+    @pytest.mark.parametrize("order, error, message", [
+        ((0, 1, 2), errors.NotNormalized, "column 1 sums to np.float64(0.9), not 1"),
+        ((0, 2, 1), errors.NegativeWeight, "kernel entries must be non-negative")], ids=["sum-first", "sign-first"])
+    def test_stack_is_refused_at_its_first_bad_matrix(self, order, error, message):
+        stack = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.4], [0.5, 0.5]], [[-0.1, 0.5], [1.1, 0.5]]])
+        with pytest.raises(error) as caught:
+            kernels.check_stochastic(stack[list(order)])
+        assert str(caught.value) == message
+        with pytest.raises(error) as alone:
+            Kernel(Space(["a", "b"]), Space(["x", "y"]), stack[order[1]])
+        assert str(alone.value) == message
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_entry(self, bad):
         # A NaN column passes both the sign test and the column-sum test.

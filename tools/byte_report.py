@@ -82,6 +82,7 @@ EDGE_DOCUMENTS = {
     "one-class.json": _FAST_RATE | {"corruption": {"family": "symmetric_label_noise",
                                                    "params": {"sigma": 0.2, "classes": 1}}},
     "mix-negative-count.json": [{"count": -1, "alpha": 0.7}],
+    "newline-key-offer.json": [{"name": "A", "alpha": 0.5, "cost": 1, "x\ny": 1}],
     "no-sample-sizes.json": _FAST_RATE | {"sample_sizes": []},
     "ties.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": [0.5, 0.5]},
                                "corruption": {"family": "binary_label_noise",
@@ -106,9 +107,14 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: many plans worth 24 at budget 100; the same next to an offer no budget can
 #: buy, which never sizes the DP; a cheapest scaled cost of 1 (a cost of
 #: 1/12); and plans worth 0.6 at budget 6 whose densest offer is dearer than
-#: the budget, so the tie goes to the densest offer the budget can buy.  The
-#: names "in-blocks" and "cell-by-cell" are kept from an earlier DP with two
-#: fill paths, so the record keeps its job names.
+#: the budget, so the tie goes to the densest offer the budget can buy; an
+#: offer key holding a newline, which the message escapes; and tables: a
+#: binary grid through the singular sigma = 0.5, 50 classes (past the pair
+#: pass's screen threshold), a sigma whose square libm's pow and x*x round
+#: apart, one class on an empty grid and on a grid it refuses, and two points
+#: of 1000 classes, past the work guard.  The names "in-blocks" and
+#: "cell-by-cell" are kept from an earlier DP with two fill paths, so the
+#: record keeps its job names.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan", "1e999999999999999999",
@@ -119,6 +125,16 @@ EDGE_JOBS = {
     "plan-unbuyable-offer-in-blocks": ("plan", "--offers", "unbuyable-offer.json", "--budget", "100"),
     "plan-tie-past-a-dear-densest-offer": ("plan", "--offers", "dear-densest-offer.json", "--budget", "6"),
     "plan-twelfth-cost-cell-by-cell": ("plan", "--offers", "twelfth-offers.json", "--budget", "9.75"),
+    "plan-newline-key": ("plan", "--offers", "newline-key-offer.json", "--budget", "1"),
+    "tables-binary-singular-point": ("tables", "--family", "binary_label_noise", "--grid", "0.4:0.6:0.1"),
+    "tables-50-classes-screened": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.3:0.1",
+                                   "--classes", "50"),
+    "tables-partial-pow-square": ("tables", "--family", "partial_labels", "--grid", "0.0397:0.0397:0.1"),
+    "tables-one-class-empty-grid": ("tables", "--family", "symmetric_label_noise", "--grid", "1:0:0.1",
+                                    "--classes", "1"),
+    "tables-one-class": ("tables", "--family", "symmetric_label_noise", "--grid", "0.9:1.2:0.1", "--classes", "1"),
+    "tables-past-work-guard": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.2:0.1",
+                               "--classes", "1000"),
     **{f"lecam-{name}": (*_LECAM, f"{name}.json")
        for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
                     "hypotheses-out-of-order")},
