@@ -255,8 +255,15 @@ def kernel_to_json(t: Kernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> Kernel:
+    """The kernel a document describes.  One of more than
+    ``PRODUCT_ENTRY_GUARD`` entries, counted from its label lists, is refused
+    before its matrix is read."""
     domain, codomain, matrix = fields(obj, "kernel", "from", "to", "matrix")
-    return Kernel(Space(domain), Space(codomain), matrix)
+    domain, codomain = Space(domain), Space(codomain)
+    if (entries := len(codomain) * len(domain)) > PRODUCT_ENTRY_GUARD:
+        raise SizeGuardExceeded(f"kernel would have {len(codomain)}x{len(domain)} = {entries} entries "
+                                f"(guard: {PRODUCT_ENTRY_GUARD})")
+    return Kernel(domain, codomain, matrix)
 
 
 def dist_to_json(p: Dist) -> dict:

@@ -63,9 +63,12 @@ ERM_TIE_RTOL = 1e-12
 SAMPLE_SIZE_GUARD = 10**7
 
 #: Most cells, trials times sample sizes, a config may ask for.  A cell is one
-#: multinomial draw and its share of one batched ERM, whatever its n; its
-#: marginal cost, measured on a 2-core Xeon, is 5 to 6 microseconds with 2
-#: outcomes and actions, about 9 with 16 and 0.10 to 0.16 ms with 1,000.
+#: multinomial draw and its share of one batched ERM, whatever its n.  Its
+#: marginal cost is 2 to 4 microseconds with 2 outcomes and actions, 5 to 7
+#: with 16 and 0.08 to 0.17 ms with 1,000: the difference of two
+#: ``risk_curve`` times at n = 1,000, 20,000 and 2,000 cells (2,000 and 200
+#: at 1,000 outcomes), best of 5, over 4 runs on a 2-core Xeon, numpy 2.4.6,
+#: one OpenBLAS thread.
 CELL_GUARD = 10**6
 
 #: Most cells times the larger of the outcome and action counts drawn and
@@ -91,13 +94,25 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=typed(seed, "seed", INT) & _MASK64))
 
 
+def _fresh_state(rng: np.random.Generator) -> dict:
+    """The state of ``rng``, a Philox generator before its first draw (counter
+    zero, empty buffer, no pending 32-bit half), with its counter, key and
+    buffer as lists of Python ints: the state setter reads a uint64 array
+    entry by entry, building a numpy scalar for each, and a list hands it
+    the ints themselves."""
+    state = rng.bit_generator.state
+    return state | {"state": {name: words.tolist() for name, words in state["state"].items()},
+                    "buffer": state["buffer"].tolist()}
+
+
 def _rekey(rng: np.random.Generator, fresh: dict, key: int) -> np.random.Generator:
     """``rng``, a Philox generator, moved to the start of ``Philox(key=key)``'s
-    stream.  ``fresh`` is the state of a Philox generator before its first
-    draw: counter zero, empty buffer, no pending 32-bit half; only its key is
-    replaced.  This costs about an eighth of a new generator, for which
-    numpy gathers OS entropy even when the key is given."""
-    fresh["state"]["key"][:] = key, 0
+    stream.  ``fresh`` is a state from ``_fresh_state``; only the low word
+    of its key is replaced, as the key's high word stays 0.  This costs
+    about a twentieth of a new generator, for which numpy gathers OS
+    entropy even when the key is given: 0.5 to 1.0 µs against 11 to 19 µs,
+    the best of 5 loops of 20,000 keys on a 2-core Xeon, numpy 2.4.6."""
+    fresh["state"]["key"][0] = key
     rng.bit_generator.state = fresh
     return rng
 
@@ -244,7 +259,7 @@ def _curve(config: ExperimentConfig, rec: Reconstruction) -> RiskCurve:
     q = q / q.sum()
     kl = math.log(len(config.loss.actions))
     rng = _generator(config.seed)
-    fresh = rng.bit_generator.state  # before any draw; each cell's stream starts here under its key
+    fresh = _fresh_state(rng)  # before any draw; each cell's stream starts here under its key
     per_pass = max(1, SCORE_CHUNK_ENTRIES // max(len(q), len(table.actions)))
     rows = []
     for n_idx, n in enumerate(config.sample_sizes):

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from corruptlab.kernels import Dist, Kernel, Space
+from corruptlab.kernels import Dist, Kernel, Space, identity, parallel_product, product_space
+from corruptlab.reconstruct import LossTable
 
 
 def binary_noise(sigma):
@@ -36,6 +37,38 @@ def random_kernel(rng, m, k):
 
 def random_dist(rng, space):
     return Dist(space, rng.dirichlet(np.ones(len(space))))
+
+
+def separable_instance_problem():
+    """Separable binary-label classification over 8 instances.
+
+    Outcomes are instance/label pairs with deterministic labels; actions are
+    the true classifier plus every one-instance flip; the corruption flips
+    only the label coordinate.
+    """
+    m = 8
+    instances = Space([f"x{i}" for i in range(m)])
+    labels = Space(["-1", "+1"])
+    outcomes = product_space([instances, labels])
+    truth = ["+1" if i % 2 == 0 else "-1" for i in range(m)]
+    weights = np.zeros(len(outcomes))
+    for i in range(m):
+        weights[2 * i + (1 if truth[i] == "+1" else 0)] = 1.0 / m
+    clean = Dist(outcomes, weights)
+
+    def classifier_loss(flip):
+        col = np.zeros(len(outcomes))
+        for i in range(m):
+            predicted = truth[i] if flip != i else ("-1" if truth[i] == "+1" else "+1")
+            for j, label in enumerate(("-1", "+1")):
+                col[2 * i + j] = 0.0 if predicted == label else 1.0
+        return col
+
+    actions = ["bayes"] + [f"flip{i}" for i in range(m)]
+    values = np.column_stack([classifier_loss(None)] + [classifier_loss(i) for i in range(m)])
+    loss = LossTable(outcomes, actions, values)
+    corruption = parallel_product([identity(instances), binary_noise(0.2)])
+    return clean, loss, corruption
 
 
 # -- one valid JSON document per CLI input role ------------------------------------

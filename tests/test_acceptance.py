@@ -33,9 +33,7 @@ from corruptlab.kernels import (
     compose,
     identity,
     kernel_to_json,
-    parallel_product,
     point_mass,
-    product_space,
     pushforward,
 )
 from corruptlab.planner import SourceOffer, exact_plan, greedy_plan
@@ -56,7 +54,7 @@ from corruptlab.simlab import (
     risk_curve,
 )
 
-from helpers import asym_noise, binary_noise, random_kernel
+from helpers import asym_noise, binary_noise, random_kernel, separable_instance_problem
 
 GRID = [round(0.05 * i, 2) for i in range(10)]  # 0, 0.05, ..., 0.45
 
@@ -343,38 +341,6 @@ def test_criterion_11_monte_carlo_envelope():
     detail = "; ".join(f"n={r.n}: {r.mean_excess_risk:.4f} <= {r.envelope:.4f}"
                        for r in curve.rows)
     report(11, "PAC-Bayes envelope dominates corrected ERM", ok and elapsed < 60.0, detail)
-
-
-def separable_instance_problem():
-    """Separable binary-label classification over 8 instances.
-
-    Outcomes are instance/label pairs with deterministic labels; actions are
-    the true classifier plus every one-instance flip; the corruption flips
-    only the label coordinate.
-    """
-    m = 8
-    instances = Space([f"x{i}" for i in range(m)])
-    labels = Space(["-1", "+1"])
-    outcomes = product_space([instances, labels])
-    truth = ["+1" if i % 2 == 0 else "-1" for i in range(m)]
-    weights = np.zeros(len(outcomes))
-    for i in range(m):
-        weights[2 * i + (1 if truth[i] == "+1" else 0)] = 1.0 / m
-    clean = Dist(outcomes, weights)
-
-    def classifier_loss(flip):
-        col = np.zeros(len(outcomes))
-        for i in range(m):
-            predicted = truth[i] if flip != i else ("-1" if truth[i] == "+1" else "+1")
-            for j, label in enumerate(("-1", "+1")):
-                col[2 * i + j] = 0.0 if predicted == label else 1.0
-        return col
-
-    actions = ["bayes"] + [f"flip{i}" for i in range(m)]
-    values = np.column_stack([classifier_loss(None)] + [classifier_loss(i) for i in range(m)])
-    loss = LossTable(outcomes, actions, values)
-    corruption = parallel_product([identity(instances), binary_noise(0.2)])
-    return clean, loss, corruption
 
 
 def test_criterion_12_fast_rate_signature():

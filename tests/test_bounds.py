@@ -1,12 +1,14 @@
 """Lower bounds, PAC-Bayes terms, Bernstein and compatibility constants."""
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from corruptlab import errors
+from corruptlab import bounds, errors
 from corruptlab.bounds import (
     DecisionProblem,
     MixedCorruption,
@@ -27,7 +29,7 @@ from corruptlab.divergence import alpha
 from corruptlab.kernels import Dist, Kernel, Space, identity, pushforward
 from corruptlab.reconstruct import LossTable, corrected_loss, is_reconstructible, pseudoinverse, zero_one_loss
 
-from helpers import asym_noise, binary_noise, constant_kernel, random_kernel
+from helpers import asym_noise, binary_noise, constant_kernel, random_kernel, separable_instance_problem
 
 
 def coin_problem():
@@ -301,6 +303,24 @@ def eta_loop(loss, t, r):
     return eta
 
 
+def eta_pair_loop(loss, r):
+    """The loop over action pairs that ``eta_compatibility`` replaced by
+    passes over all pairs; it computes each pair with the same numpy
+    operations, so its value must be equal bit for bit."""
+    t = r.kernel
+    corrected = r.matrix.T @ loss.values
+    support = t.matrix > 0.0
+    eta = 0.0
+    for a1, a2 in itertools.combinations(range(len(loss.actions)), 2):
+        clean_sq = (loss.values[:, a1] - loss.values[:, a2]) ** 2
+        corr_sq = np.where(support, ((corrected[:, a1] - corrected[:, a2]) ** 2)[:, None], 0.0).max(axis=0)
+        counted = clean_sq > 1e-12
+        if np.any(~counted & (corr_sq > 1e-12)):
+            return math.inf
+        eta = max(eta, float(np.max(corr_sq[counted] / clean_sq[counted], initial=0.0)))
+    return eta
+
+
 def sparse_columns(rng, rows, cols):
     """Dirichlet columns with about a third of the entries zeroed, each
     column keeping at least one positive entry, renormalised."""
@@ -320,6 +340,20 @@ def oracle_loss(rng, space, kind):
 
 
 ORACLE_KINDS = ("uniform", "integer", "single-action")
+
+
+def eta_instances(kind):
+    """1000 seeded draws of a sparse kernel of 1 to 4 columns and up to 6
+    rows with a loss of ``kind``, as (kernel, reconstruction, loss); the
+    draws that are not reconstructible are skipped."""
+    rng = np.random.default_rng([337, ORACLE_KINDS.index(kind)])
+    for _ in range(1000):
+        m = int(rng.integers(1, 5))
+        k = int(rng.integers(m, 7))
+        t = Kernel(Space([f"x{i}" for i in range(m)]), Space([f"y{i}" for i in range(k)]),
+                   sparse_columns(rng, k, m))
+        if is_reconstructible(t):
+            yield t, pseudoinverse(t), oracle_loss(rng, t.domain, kind)
 
 
 class TestBernstein:
@@ -439,22 +473,48 @@ class TestEtaCompatibility:
     def test_matches_loop_oracle(self, kind):
         # The oracle squares with libm pow and numpy multiplies, so a finite
         # value may differ in its last bit.
-        rng = np.random.default_rng([337, ORACLE_KINDS.index(kind)])
         verdicts = set()
-        for _ in range(1000):
-            m = int(rng.integers(1, 5))
-            k = int(rng.integers(m, 7))
-            t = Kernel(Space([f"x{i}" for i in range(m)]), Space([f"y{i}" for i in range(k)]),
-                       sparse_columns(rng, k, m))
-            if not is_reconstructible(t):
-                continue
-            r = pseudoinverse(t)
-            loss = oracle_loss(rng, t.domain, kind)
+        for t, r, loss in eta_instances(kind):
             got, want = eta_compatibility(loss, r), eta_loop(loss, t, r)
             assert math.isinf(got) == math.isinf(want), (t.matrix, loss.values)
             assert math.isinf(want) or math.isclose(got, want, rel_tol=1e-15), (got, want)
             verdicts.add(math.isinf(want))
         assert verdicts == ({False, True} if kind == "integer" else {False})
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_equals_pair_loop_oracle(self, kind, monkeypatch):
+        # in one pass, one pair per pass and passes of two pairs, so a pass
+        # can end inside the pairs and an infinite pair can come after a finite one
+        verdicts = set()
+        for t, r, loss in eta_instances(kind):
+            want = eta_pair_loop(loss, r)
+            for entries in (bounds.ETA_CHUNK_ENTRIES, 1, 2 * t.matrix.size):
+                monkeypatch.setattr(bounds, "ETA_CHUNK_ENTRIES", entries)
+                assert eta_compatibility(loss, r) == want, (entries, t.matrix, loss.values)
+            verdicts.add(math.isinf(want))
+        assert verdicts == ({False, True} if kind == "integer" else {False})
+
+    def test_criterion_12_instance_equals_pair_loop_oracle(self):
+        _, loss, corruption = separable_instance_problem()
+        r = pseudoinverse(corruption)
+        want = eta_pair_loop(loss, r)
+        assert eta_compatibility(loss, r) == want and math.isfinite(want)
+
+    def test_passes_bound_memory(self):
+        # 200 actions on a 16 x 16 kernel are 19,900 pairs, about 40 MB of
+        # float64 entries in one pass
+        rng = np.random.default_rng(347)
+        t = random_kernel(rng, 16, 16)
+        loss = LossTable(t.domain, [f"a{i}" for i in range(200)], rng.uniform(0, 1, size=(16, 200)))
+        r = pseudoinverse(t)
+        tracemalloc.start()
+        try:
+            got = eta_compatibility(loss, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert got == eta_pair_loop(loss, r)
 
 
 class TestFastRateGamma:

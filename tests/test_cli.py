@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import corruptlab
-from corruptlab import bounds, catalog, cli, divergence, errors, reconstruct, simlab
+from corruptlab import bounds, catalog, cli, divergence, errors, kernels, reconstruct, simlab
 from corruptlab.cli import _parse_grid, main
 from corruptlab.kernels import Space, identity, kernel_to_json
 from corruptlab.reconstruct import loss_to_json, zero_one_loss
@@ -873,6 +873,48 @@ def test_refused_input_exits_cleanly(case, tmp_path, capsys, monkeypatch):
     assert err.startswith("error: " if code == 2 else "numerical failure: ")
     assert err.count("\n") == 1 and err.endswith("\n")
 
+
+
+#: argv for a kernel document `k` in each role a kernel plays, under a directory.
+KERNEL_ROLES = {
+    "analyze": lambda k, d: document_argv("kernel", k, d),
+    "lecam-kernel": lambda k, d: [*_lecam("problem")(d), "--kernel", write_json(d, "corruption.json", k)],
+    "lecam-experiment": lambda k, d: document_argv("problem", DOCUMENTS["problem"] | {
+        "experiment": k | {"from": ["t0", "t1"]}}, d),
+    "lecam-mix-source": lambda k, d: document_argv("mix", [{"count": 6, "kernel": k}], d),
+    "simulate-config": lambda k, d: document_argv("config", DOCUMENTS["config"] | {"corruption": {"kernel": k}}, d),
+}
+
+
+class TestKernelEntryGuard:
+    @pytest.fixture
+    def matrix_reads(self, monkeypatch):
+        """The matrices a Kernel reads, one entry per matrix."""
+        reads = []
+        refused_by, description, read = kernels.MATRIX
+        monkeypatch.setattr(kernels, "MATRIX", (refused_by, description, lambda v: reads.append(1) or read(v)))
+        return reads
+
+    @pytest.mark.parametrize("role", KERNEL_ROLES)
+    def test_admits_a_kernel_at_its_bound(self, role, tmp_path, capsys, monkeypatch, matrix_reads):
+        monkeypatch.setattr(kernels, "PRODUCT_ENTRY_GUARD", 4)
+        code, _, err = run(capsys, *KERNEL_ROLES[role](DOCUMENTS["kernel"], tmp_path))
+        assert (code, err) == (0, "")
+        assert matrix_reads
+
+    @pytest.mark.parametrize("role", KERNEL_ROLES)
+    def test_refuses_one_entry_past_before_reading_the_matrix(self, role, tmp_path, capsys, monkeypatch,
+                                                              matrix_reads):
+        monkeypatch.setattr(kernels, "PRODUCT_ENTRY_GUARD", 3)
+        assert run(capsys, *KERNEL_ROLES[role](DOCUMENTS["kernel"], tmp_path)) == (
+            3, "", "numerical failure: kernel would have 2x2 = 4 entries (guard: 3)\n")
+        assert matrix_reads == []
+
+    def test_refuses_1001_columns_of_1000_rows(self, tmp_path, capsys, matrix_reads):
+        k = {"from": [f"x{i}" for i in range(1001)], "to": [f"y{i}" for i in range(1000)], "matrix": [[1.0]]}
+        assert run(capsys, *KERNEL_ROLES["analyze"](k, tmp_path)) == (
+            3, "", "numerical failure: kernel would have 1000x1001 = 1001000 entries (guard: 1000000)\n")
+        assert matrix_reads == []
 
 
 #: The exit code of each error class; RankDeficient is bad input like its base.

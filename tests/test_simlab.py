@@ -27,6 +27,7 @@ from corruptlab.simlab import (
     ExperimentConfig,
     RiskCurve,
     RiskPoint,
+    _fresh_state,
     _generator,
     _rekey,
     _trial_seeds,
@@ -441,7 +442,7 @@ class TestRekey:
         cases = [(n, np.asarray(q)) for q in ([0.5, 0.5], [0.02, 0.18, 0.8], [0.001, 0.3, 0.699])
                  for n in (1, 59, 61, 1400, 1600, 10**6)]
         rng = _generator(7)
-        fresh = rng.bit_generator.state
+        fresh = _fresh_state(rng)
         before = set()  # (buffer position, pending 32-bit half) at each re-keying
         for i in range(200):
             key = _trial_seed(2024, i)
@@ -454,6 +455,29 @@ class TestRekey:
             np.testing.assert_array_equal(got, expected)
         assert len({pos for pos, _ in before}) > 1
         assert {half for _, half in before} == {1 if leftover == "one-uint32" else 0}
+
+    @pytest.mark.parametrize("curve", [risk_curve, fastrate_curve])
+    def test_curve_reads_the_state_once(self, curve, monkeypatch):
+        # the fresh state is read once per curve and written once per cell
+        config = standard_config(clean_dist=make_dist(Space(["-1", "+1"]), [0.0, 1.0]),
+                                 sample_sizes=(25, 50), trials=6)
+        accesses = {"read": 0, "write": 0}
+
+        class CountingPhilox(np.random.Philox):
+            @property
+            def state(self):
+                accesses["read"] += 1
+                return np.random.Philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                accesses["write"] += 1
+                np.random.Philox.state.__set__(self, value)
+
+        expected = curve(config)
+        monkeypatch.setattr(simlab, "_generator", lambda seed: np.random.Generator(CountingPhilox(key=seed)))
+        assert curve(config) == expected
+        assert accesses == {"read": 1, "write": 2 * 6}
 
 
 class TestFastRate:

@@ -70,6 +70,8 @@ EDGE_DOCUMENTS = {
     "fast-rate.json": _FAST_RATE,
     "bool-matrix.json": _KERNEL | {"matrix": [[True, False], [False, True]]},
     "ragged-matrix.json": _KERNEL | {"matrix": [[0.8, 0.3], [0.2]]},
+    "past-entry-guard.json": {"from": [f"x{i}" for i in range(1001)], "to": [f"y{i}" for i in range(1000)],
+                              "matrix": [[1.0]]},
     "string-weight.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": ["0.5", 0.5]}},
     "fractional-trials.json": _FAST_RATE | {"trials": 2.5},
     "mix-alpha-string.json": [{"count": 10, "alpha": "0.7"}],
@@ -100,7 +102,7 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: the tie rule picks the action), and documents whose bad values only the
 #: value types refuse: a boolean and a ragged kernel matrix, a string weight,
 #: a fractional trial count, a string alpha in a mix, and a bad parameter next
-#: to an unknown key; one value just outside each kind of range: an offer's
+#: to an unknown key; a kernel of 1000 x 1001 labels, past the entry guard; one value just outside each kind of range: an offer's
 #: alpha of 1.5, a cost of 0 and one that is 0 as a double, no trials, one
 #: class, a negative count in a mix and a negative ``--n``; and a config with
 #: no sample sizes; and exact plans: three offers of equal density, with
@@ -144,7 +146,8 @@ EDGE_JOBS = {
     "simulate-fast-rate": ("simulate", "--config", "fast-rate.json", "--out", "fast-rate.csv",
                            "--mode", "fast-rate"),
     "simulate-ties": ("simulate", "--config", "ties.json", "--out", "ties.csv"),
-    **{f"analyze-{name}": ("analyze", "--kernel", f"{name}.json") for name in ("bool-matrix", "ragged-matrix")},
+    **{f"analyze-{name}": ("analyze", "--kernel", f"{name}.json")
+       for name in ("bool-matrix", "ragged-matrix", "past-entry-guard")},
     **{f"simulate-{name}": ("simulate", "--config", f"{name}.json", "--out", "malformed.csv")
        for name in ("string-weight", "fractional-trials", "sigma-string-and-unknown-key", "zero-trials",
                     "one-class", "no-sample-sizes")},
