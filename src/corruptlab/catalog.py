@@ -211,20 +211,26 @@ def build_kernels(name: str, *values) -> tuple[Space, Space, np.ndarray]:
     return domain, codomain, matrices
 
 
-def _one_point(spec: CorruptionSpec) -> list:
-    """The parameters of ``spec``, each probability as an array of one value."""
-    return [value if key == "classes" else np.array([value]) for key, value in spec.params]
+def _points(spec: CorruptionSpec, count: int = 1) -> list:
+    """The parameters of ``spec``, each probability as an array of ``count`` copies of its value."""
+    return [value if key == "classes" else np.full(count, value) for key, value in spec.params]
 
 
 def build_kernel(spec: CorruptionSpec) -> Kernel:
     """The kernel of ``spec``: the one-point stack of :func:`build_kernels`."""
-    domain, codomain, matrices = family(spec.family).matrices(*_one_point(spec))
+    domain, codomain, matrices = family(spec.family).matrices(*_points(spec))
     return Kernel(domain, codomain, matrices[0])
+
+
+def codomain(spec: CorruptionSpec) -> Space:
+    """The codomain of ``spec``'s kernel, from its family's stack of no
+    kernels, so no matrix is built."""
+    return family(spec.family).matrices(*_points(spec, 0))[1]
 
 
 def closed_form_stats(spec: CorruptionSpec) -> ClosedFormStats:
     """The closed forms of ``spec``: the one-point case of its family's ``stats``."""
-    stats = [float(values[0]) for values in family(spec.family).stats(*_one_point(spec))]
+    stats = [float(values[0]) for values in family(spec.family).stats(*_points(spec))]
     return ClosedFormStats(*(None if math.isnan(value) else value for value in stats))
 
 

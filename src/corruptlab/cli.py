@@ -274,11 +274,20 @@ def cmd_lecam(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise :class:`ParseError`, so
+    ``main`` prints them on one line and exits 2; its subparsers are of this
+    class too."""
+
+    def error(self, message):
+        raise ParseError(_escaped(message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built at the first call and shared by later ones;
     ``parse_args`` keeps no state on it between calls."""
-    parser = argparse.ArgumentParser(prog="corruptlab")
+    parser = _Parser(prog="corruptlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="contraction and reconstruction statistics of a kernel")
@@ -310,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # looked up per call, so a cmd_* replaced after the parser was built still runs
         return globals()[f"cmd_{args.command}"](args)
     except InvalidInput as exc:

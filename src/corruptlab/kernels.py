@@ -250,7 +250,7 @@ def kernel_to_json(t: Kernel) -> dict:
     return {
         "from": list(t.domain.labels),
         "to": list(t.codomain.labels),
-        "matrix": [[float(x) for x in row] for row in t.matrix],
+        "matrix": t.matrix.tolist(),
     }
 
 
@@ -267,7 +267,7 @@ def kernel_from_json(obj: dict) -> Kernel:
 
 
 def dist_to_json(p: Dist) -> dict:
-    return {"space": list(p.space.labels), "weights": [float(x) for x in p.weights]}
+    return {"space": list(p.space.labels), "weights": p.weights.tolist()}
 
 
 def dist_from_json(obj: dict) -> Dist:

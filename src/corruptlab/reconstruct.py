@@ -96,7 +96,7 @@ class Reconstruction:
 
     def to_json(self) -> dict:
         return {
-            "matrix": [[float(x) for x in row] for row in self.matrix],
+            "matrix": self.matrix.tolist(),
             "residual": self.residual,
         }
 
@@ -162,7 +162,7 @@ def loss_to_json(loss: LossTable) -> dict:
     return {
         "outcomes": list(loss.outcomes.labels),
         "actions": list(loss.actions),
-        "values": [[float(x) for x in row] for row in loss.values],
+        "values": loss.values.tolist(),
     }
 
 

@@ -16,8 +16,9 @@ splitmix64 in wrapping uint64 arithmetic.
 
 Corrected ERM reads a corrupted sample only through its outcome counts,
 which follow Multinomial(n, T·p), so each cell draws them in one
-``multinomial`` call on its stream and costs the same at every n.  A sample
-size's counts are stacked into one array and scored together by
+``multinomial`` call on its stream and costs the same at every n.  A
+curve's cells are drawn in cell order, in passes that may span sample sizes;
+a pass's counts are stacked into one array and scored together by
 ``erm_indices``, one matrix product and the tie rule applied row by row.
 ``sample``, ``corrupt`` and ``erm`` work outcome by outcome; the tests use
 them as the oracle.  ``risk_curve`` and ``fastrate_curve`` share one
@@ -64,12 +65,23 @@ SAMPLE_SIZE_GUARD = 10**7
 
 #: Most cells, trials times sample sizes, a config may ask for.  A cell is one
 #: multinomial draw and its share of one batched ERM, whatever its n.  Its
-#: marginal cost is 2 to 4 microseconds with 2 outcomes and actions, 5 to 7
-#: with 16 and 0.08 to 0.17 ms with 1,000: the difference of two
+#: marginal cost is 1.8 to 1.9 microseconds with 2 outcomes and actions, 3.9
+#: to 4.0 with 16 and 0.09 to 0.11 ms with 1,000: the difference of two
 #: ``risk_curve`` times at n = 1,000, 20,000 and 2,000 cells (2,000 and 200
 #: at 1,000 outcomes), best of 5, over 4 runs on a 2-core Xeon, numpy 2.4.6,
 #: one OpenBLAS thread.
 CELL_GUARD = 10**6
+
+#: Most work a config may ask for: cells times corrupted outcomes times
+#: actions, counted before anything is drawn.  A cell's multinomial costs
+#: about 0.08 to 0.12 microseconds per corrupted outcome at n = 10^7, and
+#: its ERM far less per outcome and action, so a unit costs at most about
+#: 0.12 microseconds once a cell holds 100 units.  The longest run admitted
+#: is about 12 s: 1,000 cells of one action and 10^5 corrupted outcomes took
+#: 12.1 s, 10^6 cells of 100 outcomes 9.6 s and 10^5 cells of 1,000 outcomes
+#: 8.5 s, at n = 10^7 on a 2-core Xeon, numpy 2.4.6, one OpenBLAS thread.
+#: Below 100 units a cell, ``CELL_GUARD`` binds first.
+CELL_WORK_GUARD = 10**8
 
 #: Most cells times the larger of the outcome and action counts drawn and
 #: scored in one array pass, so a pass's counts and risks take at most 512 KB
@@ -164,7 +176,15 @@ def erm_indices(counts, loss: LossTable) -> np.ndarray:
     """Per row of the (rows x outcomes) ``counts``, the index of the action
     minimizing average loss over those outcome counts, which must be finite
     numbers >= 0.  Risks within ``ERM_TIE_RTOL`` times the loss's sup norm of
-    a row's minimum are tied, and ties go to the lowest action index."""
+    a row's minimum are tied, and ties go to the lowest action index.
+
+    A row's risks may differ in their last bits with the number of rows, as
+    the BLAS picks its kernel by the product's shape: on random losses at 2
+    to 64 outcomes and actions, rows scored in one array of 4,000 and one at
+    a time differed by up to 5e-16 times the sup norm (1.7e-16 at 2 outcomes
+    and 10 actions).  ``ERM_TIE_RTOL`` is 2,000 times that, so an exact tie
+    stays tied whatever the row count, and a chosen action can move only if
+    another action's risk lies within those bits of the tie cut."""
     counts, loss = typed(counts, "counts", MATRIX), typed(loss, "loss", LOSS)
     if counts.shape[1] != len(loss.outcomes):
         raise LengthMismatch(f"counts of shape {counts.shape} for {len(loss.outcomes)} outcomes")
@@ -203,8 +223,13 @@ class ExperimentConfig:
             raise InvalidParameter("loss outcomes must match the clean distribution")
         if sizes[-1] > SAMPLE_SIZE_GUARD:  # checked before anything is drawn
             raise SizeGuardExceeded(f"a sample size above {SAMPLE_SIZE_GUARD} exceeds the size guard")
-        if self.trials * len(sizes) > CELL_GUARD:
+        if (cells := self.trials * len(sizes)) > CELL_GUARD:
             raise SizeGuardExceeded(f"trials times the number of sample sizes exceed {CELL_GUARD} cells")
+        corruption = self.corruption
+        outcomes = len(corruption.codomain if isinstance(corruption, Kernel) else catalog.codomain(corruption))
+        if (work := cells * outcomes * len(self.loss.actions)) > CELL_WORK_GUARD:
+            raise SizeGuardExceeded(f"{cells} cells of {outcomes} corrupted outcomes and {len(self.loss.actions)} "
+                                    f"actions are {work} units of work (guard: {CELL_WORK_GUARD})")
 
     def kernel(self) -> Kernel:
         if isinstance(self.corruption, Kernel):
@@ -246,10 +271,18 @@ class FastRateReport:
 
 
 def _curve(config: ExperimentConfig, rec: Reconstruction) -> RiskCurve:
-    """The risk curve of both modes: each sample size's cells are drawn, in
-    cell order, and scored by corrected ERM in one array pass per
-    ``SCORE_CHUNK_ENTRIES``, then its row is written."""
-    p = config.clean_dist
+    """The risk curve of both modes, in one pass over all its cells in cell
+    order: cell ``i`` draws ``multinomial(sizes[i // trials], q)`` on its
+    stream, and the cells are drawn and scored by corrected ERM in array
+    passes of at most ``SCORE_CHUNK_ENTRIES``, which may span sample sizes.
+    The excess risks form one (sizes x trials) array, and every size's mean
+    and standard error come from one reduction along its rows, which reduces
+    each row as the same call on that row alone would.
+
+    A pass's row count moves the last bits of its risks, up to 5e-16 times
+    the loss's sup norm; the tie rule of ``erm_indices`` is 2,000 times wider,
+    so the pass sizes leave the chosen actions as they are."""
+    p, sizes, trials = config.clean_dist, config.sample_sizes, config.trials
     table = corrected_loss(rec, config.loss)
     clean_risks = p.weights @ config.loss.values
     best = float(clean_risks.min())
@@ -261,17 +294,16 @@ def _curve(config: ExperimentConfig, rec: Reconstruction) -> RiskCurve:
     rng = _generator(config.seed)
     fresh = _fresh_state(rng)  # before any draw; each cell's stream starts here under its key
     per_pass = max(1, SCORE_CHUNK_ENTRIES // max(len(q), len(table.actions)))
-    rows = []
-    for n_idx, n in enumerate(config.sample_sizes):
-        cells = range(n_idx * config.trials, (n_idx + 1) * config.trials)
-        passes = (cells[i:i + per_pass] for i in range(0, len(cells), per_pass))
-        chosen = np.concatenate([erm_indices(np.array([_rekey(rng, fresh, key).multinomial(n, q)
-                                                       for key in _trial_seeds(config.seed, part)]), table)
-                                 for part in passes])
-        excess = clean_risks[chosen] - best
-        stderr = float(excess.std(ddof=1) / math.sqrt(len(excess))) if len(excess) > 1 else 0.0
-        rows.append(RiskPoint(n, float(excess.mean()), stderr, table.sup_norm * math.sqrt(2.0 * kl / n)))
-    return RiskCurve(tuple(rows))
+    cells = range(len(sizes) * trials)
+    passes = (cells[i:i + per_pass] for i in range(0, len(cells), per_pass))
+    chosen = np.concatenate([erm_indices(np.array([_rekey(rng, fresh, key).multinomial(sizes[i // trials], q)
+                                                   for i, key in zip(part, _trial_seeds(config.seed, part))]), table)
+                             for part in passes])
+    excess = (clean_risks[chosen] - best).reshape(len(sizes), trials)
+    means = excess.mean(axis=1).tolist()
+    stderrs = (excess.std(axis=1, ddof=1) / math.sqrt(trials)).tolist() if trials > 1 else [0.0] * len(sizes)
+    return RiskCurve(tuple(RiskPoint(n, mean, stderr, table.sup_norm * math.sqrt(2.0 * kl / n))
+                           for n, mean, stderr in zip(sizes, means, stderrs)))
 
 
 def risk_curve(config: ExperimentConfig) -> RiskCurve:

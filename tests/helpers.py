@@ -1,12 +1,14 @@
 """Shared builders for the test suite."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
+from corruptlab import simlab
 from corruptlab.kernels import Dist, Kernel, Space, identity, parallel_product, product_space
-from corruptlab.reconstruct import LossTable
+from corruptlab.reconstruct import LossTable, corrected_loss
 
 
 def binary_noise(sigma):
@@ -69,6 +71,35 @@ def separable_instance_problem():
     loss = LossTable(outcomes, actions, values)
     corruption = parallel_product([identity(instances), binary_noise(0.2)])
     return clean, loss, corruption
+
+
+def curve_by_size(config, rec):
+    """The risk curve one sample size at a time, the oracle of
+    ``simlab._curve``: each size's cells are drawn and scored in passes of at
+    most ``SCORE_CHUNK_ENTRIES`` within that size, and its row is written
+    from that size's excess risks alone."""
+    p = config.clean_dist
+    table = corrected_loss(rec, config.loss)
+    clean_risks = p.weights @ config.loss.values
+    best = float(clean_risks.min())
+    q = rec.kernel.matrix @ p.weights
+    q = q / q.sum()
+    kl = math.log(len(config.loss.actions))
+    rng = simlab._generator(config.seed)
+    fresh = simlab._fresh_state(rng)
+    per_pass = max(1, simlab.SCORE_CHUNK_ENTRIES // max(len(q), len(table.actions)))
+    rows = []
+    for n_idx, n in enumerate(config.sample_sizes):
+        cells = range(n_idx * config.trials, (n_idx + 1) * config.trials)
+        passes = (cells[i:i + per_pass] for i in range(0, len(cells), per_pass))
+        chosen = np.concatenate([simlab.erm_indices(np.array([simlab._rekey(rng, fresh, key).multinomial(n, q)
+                                                              for key in simlab._trial_seeds(config.seed, part)]),
+                                                    table)
+                                 for part in passes])
+        excess = clean_risks[chosen] - best
+        stderr = float(excess.std(ddof=1) / math.sqrt(len(excess))) if len(excess) > 1 else 0.0
+        rows.append(simlab.RiskPoint(n, float(excess.mean()), stderr, table.sup_norm * math.sqrt(2.0 * kl / n)))
+    return simlab.RiskCurve(tuple(rows))
 
 
 # -- one valid JSON document per CLI input role ------------------------------------

@@ -527,9 +527,9 @@ class TestSimulate:
     @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
     def test_draws_counts_not_samples(self, mode, tmp_path, capsys, simlab_calls):
         # one generator per curve, re-keyed once per (n, trial) cell, no outcome drawn one by one,
-        # and one scoring pass per sample size
+        # and one scoring pass for the 21 cells of all three sample sizes
         calls = self.simulate_counting(mode, [10, 20, 40], 7, tmp_path, capsys, simlab_calls)
-        assert calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": 3 * 7, "erm_indices": 3}
+        assert calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": 3 * 7, "erm_indices": 1}
 
     @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
     def test_scores_once_per_chunk(self, mode, tmp_path, capsys, simlab_calls):
@@ -538,6 +538,31 @@ class TestSimulate:
         trials = simlab.SCORE_CHUNK_ENTRIES // 2 + 1
         calls = self.simulate_counting(mode, [10], trials, tmp_path, capsys, simlab_calls)
         assert calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": trials, "erm_indices": 2}
+
+    #: Corruptions of 2 clean outcomes, by the number of corrupted outcomes they give.
+    CORRUPTIONS = {2: DOCUMENTS["config"]["corruption"],
+                   3: {"family": "semi_supervised", "params": {"sigma_neg": 0.5, "sigma_pos": 0.6}},
+                   4: {"kernel": {"from": ["-1", "+1"], "to": ["a", "b", "c", "d"],
+                                  "matrix": [[0.7, 0.1], [0.1, 0.7], [0.1, 0.1], [0.1, 0.1]]}}}
+
+    @pytest.mark.parametrize("outcomes", CORRUPTIONS)
+    @pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "one-past"])
+    def test_work_guard_counts_corrupted_outcomes(self, outcomes, past, tmp_path, capsys, monkeypatch,
+                                                  simlab_calls):
+        # 3 sizes x 7 trials = 21 cells of 2 actions
+        work = 21 * outcomes * 2
+        monkeypatch.setattr(simlab, "CELL_WORK_GUARD", work - past)
+        config = _sized_config([10, 20, 40], 7) | {"corruption": self.CORRUPTIONS[outcomes]}
+        out_path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "simulate", "--config", write_json(tmp_path, "config.json", config),
+                             "--out", str(out_path))
+        if past:
+            assert (code, out, simlab_calls["_rekey"], out_path.exists()) == (3, "", 0, False)
+            assert err == (f"numerical failure: 21 cells of {outcomes} corrupted outcomes and 2 actions are "
+                           f"{work} units of work (guard: {work - 1})\n")
+        else:
+            assert (code, out, err, simlab_calls["_rekey"], len(out_path.read_text().split("\n"))) == (
+                0, "", "", 21, 5)
 
     def test_guard_bounds_cells_not_draws(self, tmp_path, capsys):
         # 11 cells of 10^7 draws each, 1.1e8 draws in all: one multinomial call per cell
@@ -671,10 +696,9 @@ class TestLecam:
                            "--theta1", "0.5", "--theta2", "0.6")
         assert code == 2
 
-    def test_unknown_flag_rejected(self, coin_problem_file):
-        with pytest.raises(SystemExit):
-            main(["lecam", "--problem", coin_problem_file, "--theta1", "0",
-                  "--theta2", "1", "--frobnicate"])
+    def test_unknown_flag_rejected(self, capsys, coin_problem_file):
+        assert run(capsys, "lecam", "--problem", coin_problem_file, "--theta1", "0", "--theta2", "1",
+                   "--frobnicate") == (2, "", "error: unrecognized arguments: --frobnicate\n")
 
 
 # -- malformed documents --------------------------------------------------------
@@ -756,6 +780,14 @@ def _sized_config(sample_sizes, trials):
     return changed("config", ("sample_sizes",), sample_sizes) | {"trials": trials}
 
 
+def _classes_config(classes, trials):
+    """Symmetric noise on `classes` labels, uniform labels, the zero-one loss, 2 sample sizes."""
+    labels = [str(i + 1) for i in range(classes)]
+    return _symmetric_config(classes) | {"clean": {"space": labels, "weights": [1 / classes] * classes},
+                                         "loss": loss_to_json(zero_one_loss(Space(labels))),
+                                         "sample_sizes": [10, 20], "trials": trials}
+
+
 def _tables(grid, classes=3):
     return ["tables", "--family", "symmetric_label_noise", "--grid", grid, "--classes", str(classes)]
 
@@ -823,6 +855,7 @@ REFUSED = {
     "trials-10**9": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**9), d)),
     "trials-10**400": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**400), d)),
     "cells-10**6+1": (3, lambda d: document_argv("config", _sized_config([10], 10**6 + 1), d)),
+    "work-10**6-cells-of-11-classes": (3, lambda d: document_argv("config", _classes_config(11, 5 * 10**5), d)),
     "budget-1e300": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e300"]),
     "budget-1e400": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e400"]),
     "budget-1e5000": (3, _plan("1e5000")),
@@ -994,6 +1027,33 @@ def main_in_child(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+#: Command lines the parser refuses, with the start of the one line printed for each.
+USAGE_ERRORS = {
+    "no-subcommand": ([], "the following arguments are required: command"),
+    "missing-option": (["analyze"], "the following arguments are required: --kernel"),
+    "bad-int": (["tables", "--family", "binary_label_noise", "--grid", "0:1:0.5", "--classes", "x"],
+                "argument --classes: invalid int value: 'x'"),
+    "bad-choice": (["simulate", "--config", "c", "--out", "o", "--mode", "fast"], "argument --mode: invalid choice"),
+    "unknown-flag-holding-a-newline": (["analyze", "--kernel", "k", "--x\ny"], "unrecognized arguments: --x\\ny"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_prints_one_line_and_exits_two(case, capsys):
+    argv, start = USAGE_ERRORS[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_prints_usage_and_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (caught.value.code, captured.err) == (0, "") and captured.out.startswith("usage: corruptlab")
+
+
 def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
     kernel = write_json(tmp_path, "kernel.json", DOCUMENTS["kernel"])
     calls = [["analyze"], ["analyze", "--kernel", kernel], ["plan", "--budget", "1"]]
@@ -1008,10 +1068,7 @@ def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
     seen, parsers_built = [], []
     for argv in calls:
         built.clear()
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # a usage error
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         seen.append((code, captured.out, captured.err))
         parsers_built.append(len(built))

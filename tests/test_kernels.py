@@ -26,7 +26,7 @@ from corruptlab.kernels import (
     replicate,
     uniform,
 )
-from corruptlab.reconstruct import LossTable, Reconstruction
+from corruptlab.reconstruct import LossTable, Reconstruction, loss_to_json, pseudoinverse
 
 
 from helpers import binary_noise, constant_kernel, random_kernel
@@ -282,6 +282,31 @@ class TestJson:
         d = make_dist(Space(["a", "b"]), [0.25, 0.75])
         again = dist_from_json(dist_to_json(d))
         np.testing.assert_array_equal(again.weights, d.weights)
+
+    #: Doubles whose shortest text is easy to get wrong: both zeros, the least
+    #: subnormal, the least normal, the largest double, 17-digit values and
+    #: integers past 2**53.
+    EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1, 1 / 3, 2.0**53 + 2, 1e16, 1e-7]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_writers_give_the_text_of_one_float_per_entry(self, seed):
+        # the writers serialise with ndarray.tolist(); the text is that of float() entry by entry
+        rng = np.random.default_rng(seed)
+        t = random_kernel(rng, 5, 7)
+        values = np.vstack([rng.permutation(self.EDGE_VALUES * 2).reshape(4, 6),
+                            rng.standard_normal((3, 6)) * 10.0 ** rng.integers(-300, 300, (3, 6))])
+        loss = LossTable(Space([f"o{i}" for i in range(7)]), [f"a{i}" for i in range(6)], values)
+        d = make_dist(t.codomain, rng.dirichlet(np.ones(7)))
+        rec = pseudoinverse(t)
+
+        def by_entry(a):
+            return [float(x) for x in a] if a.ndim == 1 else [[float(x) for x in row] for row in a]
+
+        for written, array in [(kernel_to_json(t)["matrix"], t.matrix), (dist_to_json(d)["weights"], d.weights),
+                               (loss_to_json(loss)["values"], values), (rec.to_json()["matrix"], rec.matrix)]:
+            assert json.dumps(written) == json.dumps(by_entry(array))
+        assert json.dumps(loss_to_json(loss)["values"][:4]).count("-0.0") == 2
 
     def test_rejects_bad_columns(self):
         with pytest.raises(errors.NotNormalized):

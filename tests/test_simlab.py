@@ -43,7 +43,7 @@ from corruptlab.simlab import (
     splitmix64,
 )
 
-from helpers import binary_noise, constant_kernel
+from helpers import binary_noise, constant_kernel, curve_by_size, random_kernel
 
 
 def _trial_seed(seed, trial_index):
@@ -327,7 +327,7 @@ class TestScoringPasses:
                             or erm_indices(counts, loss))
         curve = risk_curve(config)
         per_pass = SCORE_CHUNK_ENTRIES // 64
-        assert passes == [per_pass, per_pass, 5] * 2
+        assert passes == [per_pass] * 4 + [10]  # 2 * (2 * per_pass + 5) cells, in passes that span sizes
         table = corrected_loss(pseudoinverse(t), config.loss)
         clean_risks = config.clean_dist.weights @ config.loss.values
         q = t.matrix @ config.clean_dist.weights
@@ -340,6 +340,72 @@ class TestScoringPasses:
             rows.append(RiskPoint(n, float(excess.mean()), float(excess.std(ddof=1) / math.sqrt(len(excess))),
                                   table.sup_norm * math.sqrt(2.0 * math.log(64) / n)))
         assert curve == RiskCurve(tuple(rows))
+
+
+def random_curve_config(rng):
+    """A config of 2 to 16 clean outcomes, up to 2 more corrupted ones, 1 to 12
+    actions (integer losses in about a third, for exact ties), 1 to 6 sample
+    sizes from 1 to 10^6 and 1 to 40 trials, its corruption a random kernel
+    mixed with the identity so that it has a left inverse."""
+    k = int(rng.integers(2, 17))
+    t = random_kernel(rng, k, k + int(rng.integers(0, 3)))
+    s = rng.uniform(0.1, 0.6)
+    kernel = Kernel(t.domain, t.codomain, (1.0 - s) * np.eye(len(t.codomain), k) + s * t.matrix)
+    actions = int(rng.integers(1, 13))
+    values = (rng.integers(0, 3, (k, actions)).astype(float) if rng.random() < 1 / 3
+              else rng.uniform(-1.0, 2.0, (k, actions)))
+    sizes = tuple(sorted({int(x) for x in 10 ** rng.uniform(0, 6, int(rng.integers(1, 7)))}))
+    return ExperimentConfig(Dist(t.domain, rng.dirichlet(np.ones(k))),
+                            LossTable(t.domain, [f"a{i}" for i in range(actions)], values), kernel, sizes,
+                            int(rng.integers(1, 41)), int(rng.integers(2**63)))
+
+
+class TestOnePassCurve:
+    """The curve drawn and scored in one pass over its cells, in passes that
+    span sample sizes, against the per-size loop it replaced."""
+
+    def test_matches_the_per_size_loop_at_every_pass_size(self, monkeypatch):
+        chosen = []
+
+        def recorded(counts, loss):
+            chosen.append(erm_indices(counts, loss))
+            return chosen[-1]
+
+        monkeypatch.setattr(simlab, "erm_indices", recorded)
+        rng = np.random.default_rng(2029)
+        for _ in range(300):
+            config = random_curve_config(rng)
+            rec = pseudoinverse(config.kernel())
+            chosen.clear()
+            expected = curve_by_size(config, rec)
+            expected_chosen = np.concatenate(chosen)
+            widest = max(len(rec.kernel.codomain), len(config.loss.actions))
+            for entries in (SCORE_CHUNK_ENTRIES, 1, 7 * widest):  # the default, 1 cell and 7 cells a pass
+                monkeypatch.setattr(simlab, "SCORE_CHUNK_ENTRIES", entries)
+                chosen.clear()
+                curve = simlab._curve(config, rec)
+                assert curve == expected and curve.to_csv() == expected.to_csv()
+                np.testing.assert_array_equal(np.concatenate(chosen), expected_chosen)  # every cell's action
+            monkeypatch.setattr(simlab, "SCORE_CHUNK_ENTRIES", SCORE_CHUNK_ENTRIES)  # the oracle's passes
+
+    @pytest.mark.parametrize("entries, passes", [(SCORE_CHUNK_ENTRIES, 1), (7 * 2, 4), (1, 27)],
+                             ids=["default", "7-cells", "1-cell"])
+    def test_keys_derived_and_scored_once_per_pass(self, entries, passes, monkeypatch):
+        # 3 sizes x 9 trials = 27 cells of 2 outcomes and 2 actions
+        calls = dict.fromkeys(("erm_indices", "_trial_seeds"), 0)
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simlab, name, counting(name, getattr(simlab, name)))
+        monkeypatch.setattr(simlab, "SCORE_CHUNK_ENTRIES", entries)
+        risk_curve(standard_config(sample_sizes=(10, 20, 30), trials=9))
+        assert passes == math.ceil(27 / max(1, entries // 2))
+        assert calls == {"erm_indices": passes, "_trial_seeds": passes}
 
 
 def standard_config(**overrides):

@@ -90,6 +90,12 @@ EDGE_DOCUMENTS = {
                                "corruption": {"family": "binary_label_noise",
                                               "params": {"sigma_neg": 0.2, "sigma_pos": 0.2}},
                                "sample_sizes": [2, 4, 6, 8], "trials": 2000, "seed": 11},
+    "past-work-guard.json": _FAST_RATE | {
+        "clean": {"space": [str(i) for i in range(1, 12)], "weights": [1 / 11] * 11},
+        "loss": {"outcomes": [str(i) for i in range(1, 12)], "actions": [f"a{i}" for i in range(11)],
+                 "values": [[float(i != j) for j in range(11)] for i in range(11)]},
+        "corruption": {"family": "symmetric_label_noise", "params": {"sigma": 0.2, "classes": 11}},
+        "sample_sizes": [10, 20], "trials": 500000},
 }
 
 _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
@@ -114,7 +120,9 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: binary grid through the singular sigma = 0.5, 50 classes (past the pair
 #: pass's screen threshold), a sigma whose square libm's pow and x*x round
 #: apart, one class on an empty grid and on a grid it refuses, and two points
-#: of 1000 classes, past the work guard.  The names "in-blocks" and
+#: of 1000 classes, past the work guard; a simulation of 10^6 cells of 11
+#: outcomes and actions, past its work guard; two usage errors, an unknown
+#: flag and a class count that is not an integer.  The names "in-blocks" and
 #: "cell-by-cell" are kept from an earlier DP with two fill paths, so the
 #: record keeps its job names.
 EDGE_JOBS = {
@@ -146,6 +154,9 @@ EDGE_JOBS = {
     "simulate-fast-rate": ("simulate", "--config", "fast-rate.json", "--out", "fast-rate.csv",
                            "--mode", "fast-rate"),
     "simulate-ties": ("simulate", "--config", "ties.json", "--out", "ties.csv"),
+    "simulate-past-work-guard": ("simulate", "--config", "past-work-guard.json", "--out", "malformed.csv"),
+    "usage-unknown-flag": (*_LECAM, "problem.json", "--frobnicate"),
+    "usage-bad-int": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.2:0.1", "--classes", "x"),
     **{f"analyze-{name}": ("analyze", "--kernel", f"{name}.json")
        for name in ("bool-matrix", "ragged-matrix", "past-entry-guard")},
     **{f"simulate-{name}": ("simulate", "--config", f"{name}.json", "--out", "malformed.csv")
@@ -186,8 +197,6 @@ def _pass(jobs: list[dict]) -> list[tuple]:
         with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
                 code = cli.main(argv)
-            except SystemExit as exc:  # argparse refuses the command line
-                code = exc.code
             except Exception as exc:  # noqa: BLE001 - an escaped exception is an outcome too
                 code = f"uncaught {type(exc).__name__}"
                 traceback.print_exc()
