@@ -222,10 +222,10 @@ def build_kernel(spec: CorruptionSpec) -> Kernel:
     return Kernel(domain, codomain, matrices[0])
 
 
-def codomain(spec: CorruptionSpec) -> Space:
-    """The codomain of ``spec``'s kernel, from its family's stack of no
-    kernels, so no matrix is built."""
-    return family(spec.family).matrices(*_points(spec, 0))[1]
+def spaces(spec: CorruptionSpec) -> tuple[Space, Space]:
+    """The domain and the codomain of ``spec``'s kernel, from its family's
+    stack of no kernels, so no matrix is built."""
+    return family(spec.family).matrices(*_points(spec, 0))[:2]
 
 
 def closed_form_stats(spec: CorruptionSpec) -> ClosedFormStats:

@@ -16,12 +16,17 @@ ten.  Each plan counts units per offer, densest offer first, and one
 assembler turns those counts into the plan, its objective and its spend.  Plans and rankings name an offer only by
 its name, so offers must have distinct names.
 
-The exact plan costs O(min(capacity, (c_b - 1) * c_max) * offers) for scaled
-costs c_b of the densest offer the budget can buy and c_max of the dearest
-within the budget, whatever the budget: some optimal plan holds at most
-c_b - 1 items other than that offer (Gilmore and Gomory, "The theory and
-computation of knapsack functions"), each costing at most the budget, so a
-DP over that width, filled up with that offer, finds it.  The DP takes one
+The exact plan costs O(W * offers) for a DP width W of at most
+min(capacity, (c_b - 1) * c_max), for scaled costs c_b of the densest offer
+the budget can buy and c_max of the dearest within the budget, whatever the
+budget: some optimal plan holds at most c_b - 1 items other than that offer
+(Gilmore and Gomory, "The theory and computation of knapsack functions"),
+each costing at most the budget, so a DP over that width, filled up with
+that offer, finds it.  W is also at most about d_b * (c_b - 1) / (d_b - d_2)
+for d_b that offer's density and d_2 the next largest among the offers the
+budget can buy, and 0 when it can buy no other (see ``exact_plan``): the
+less dense the runner-up, the fewer cells the DP needs.  W times the
+offers that take a pass is bounded by ``PLAN_WORK_GUARD``.  The DP takes one
 max-plus scan per offer, a fixed number of numpy calls over the whole width
 (see ``exact_plan``), and the walk back follows the offer each cell was last
 improved by.  Plans worth the same up to ``PLAN_TIE_RTOL`` are tied, and a
@@ -45,6 +50,7 @@ from .errors import (
     CapacityGuardExceeded,
     InvalidParameter,
     MissingStatistic,
+    SizeGuardExceeded,
     _shown,
 )
 from .schema import (INT, LIST, NUM, PROBABILITY, RATIONAL, STR, fields, instance_of, list_of, maybe, read_fields,
@@ -75,6 +81,10 @@ _CORRECTED_SUP = maybe(within(NUM, 0, math.sqrt(sys.float_info.max)))
 
 #: Largest budget, in units of 1/scale, either plan will accept.
 CAPACITY_GUARD = 10**7
+
+#: Largest exact-plan DP, in cells times the offers that take a pass: at
+#: about 15 ns a cell per offer at a width of 10**7, about 1.5 s.
+PLAN_WORK_GUARD = 10**8
 
 #: Plans whose objectives differ by at most this fraction of the best are
 #: tied; a constant, not an option.
@@ -180,7 +190,7 @@ def _best(costs: list[int], alphas: list[float], width: int) -> tuple[np.ndarray
         scan, steps = flat.reshape(rows, c), np.arange(rows + 1.0)
         steps *= alpha
         scan -= steps[:-1, None]
-        np.maximum.accumulate(scan, axis=0, out=scan)
+        np.fmax.accumulate(scan, axis=0, out=scan)  # no NaN here, and fmax is the faster scan
         scan += steps[1:, None]
         buys = flat[:width + 1 - c]  # row i holds row i + 1's candidate: cell w's at w - c
         pick[c:][buys > best[c:]] = k
@@ -197,11 +207,35 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
     the budget's exact value in those units must stay within the guard.
     With b the densest offer the budget can buy, c_b its scaled cost and
     c_max the largest scaled cost at most the capacity, the DP runs over the
-    scaled spends w <= min(capacity, (c_b - 1) * c_max) alone, in
-    O(that width * offers), and the plan is the best DP plan at some w filled
-    up with floor((capacity - w) / c_b) units of b.  Plans within
-    ``PLAN_TIE_RTOL`` of the best are tied, and the tie goes to the plan
-    with the most units of b.  Nothing is bought when no offer fits.
+    scaled spends w <= W alone, in O(W * offers), and the plan is the best DP
+    plan at some w filled up with floor((capacity - w) / c_b) units of b.
+    Plans within ``PLAN_TIE_RTOL`` of the best are tied, and the tie goes to
+    the plan with the most units of b.  Nothing is bought when no offer fits.
+
+    The width.  W is min(capacity, (c_b - 1) * c_max), the Gilmore-Gomory
+    width, and also at most floor(L / (d_b - d_2)) when d_b > d_2; W is 0
+    when b is the only offer the budget can buy.  Here d_b = alpha_b / c_b,
+    d_2 is the largest alpha_i / c_i of the other offers the budget can buy,
+    both exact fractions of the float alpha, and
+    L = d_b * (c_b - 1) + 2 * PLAN_TIE_RTOL * alpha_b * floor(capacity / c_b).
+    Why it holds: take a plan whose items other than b, S, cost s and which
+    holds n_b units of b.  It is worth
+    d_b * (s + c_b * n_b) - sum over S of n_i * (d_b - d_i) * c_i, at most
+    d_b * capacity - (d_b - d_2) * s, while the plan of b alone is worth
+    V_b = alpha_b * floor(capacity / c_b) >= d_b * (capacity - c_b + 1).  So
+    a plan tied with the best, which is worth at least V_b, within
+    ``PLAN_TIE_RTOL`` has (d_b - d_2) * s <= L.  The DP's first tied cell is
+    the spend of such an S: at an earlier cell its items would be worth as
+    much with as many units of b, and a unit of b among them would be worth
+    as much one c_b earlier.  The first cell holding the largest total is
+    such a spend for the same reasons.  A cell depends only on smaller
+    cells, so every cell up to W holds the bits it holds in the wider DP, and
+    the chosen w, the walk back and the plan are the same.  The factor 2 on
+    the tolerance absorbs the float error of the totals, about 1e-15 of
+    their value; only a total within that error of the tie cut itself,
+    where no float DP decides the tie, could move.  The bound is the density
+    gap's, a dominance bound in the sense of Martello and Toth, "Knapsack
+    Problems".
 
     The DP takes one max-plus scan per offer, densest first (see ``_best``),
     in a fixed number of numpy calls per offer whatever the width or the
@@ -216,20 +250,34 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
     cells; the objective is summed from the counts, and ``PLAN_TIE_RTOL``
     absorbs such differences.  The walk back reads pick[w], the offer whose
     pass last improved w, and steps back by its cost: one step per unit
-    bought, with no float equality.
+    bought, with no float equality.  W times the offers that take a pass is
+    counted before the DP allocates, and past ``PLAN_WORK_GUARD`` the plan
+    is refused.
     """
     ordered, costs, capacity, scale = _scaled(offers, budget)
     # b is 0 when no offer fits: its cost is then past the capacity, so the
     # width is 0 and it fills no unit
     b = next((i for i, c in enumerate(costs) if c <= capacity), 0)
     c_b, alpha_b = costs[b], ordered[b].alpha
-    width = min(capacity, (c_b - 1) * max((c for c in costs if c <= capacity), default=0))
+    others = [i for i in range(b + 1, len(costs)) if costs[i] <= capacity]
+    width = 0
+    if others:
+        width = min(capacity, (c_b - 1) * max(c_b, *(costs[i] for i in others)))
+        d_b = Fraction(alpha_b) / c_b
+        gap = d_b - max(Fraction(ordered[i].alpha) / costs[i] for i in others)
+        if gap > 0:
+            loss = d_b * (c_b - 1) + 2 * Fraction(PLAN_TIE_RTOL) * Fraction(alpha_b) * (capacity // c_b)
+            width = min(width, math.floor(loss / gap))
+    passes = sum(c <= width for c in costs)
+    if (work := width * passes) > PLAN_WORK_GUARD:
+        raise SizeGuardExceeded(f"an exact-plan DP of width {width} over {passes} offers is {work} units of work "
+                                f"(guard: {PLAN_WORK_GUARD})")
     best, pick = _best(costs, [o.alpha for o in ordered], width)
 
-    # units of b bought past w, as whole floats below 2**53, so exactly;
+    # units of b bought past w, whole numbers below 2**53, so exact as floats;
     # none when every plan is worth 0, as the DP buys none
-    fill = np.arange(capacity, capacity - width - 1, -1.0) if alpha_b > 0.0 else np.zeros(width + 1)
-    fill //= c_b
+    fill = ((np.arange(capacity, capacity - width - 1, -1) // c_b).astype(float) if alpha_b > 0.0 and c_b <= capacity
+            else np.zeros(width + 1))
     totals = alpha_b * fill
     totals += best
     # The first tied w buys the most units of b: a tied plan's other items

@@ -47,6 +47,7 @@ from .errors import (
     LengthMismatch,
     PreconditionFailed,
     SizeGuardExceeded,
+    SpaceMismatch,
     UnknownOutcome,
 )
 from .kernels import KERNEL, Dist, Kernel, Space, dist_from_json, kernel_from_json
@@ -221,12 +222,16 @@ class ExperimentConfig:
             raise InvalidParameter("sample sizes must be strictly increasing")
         if self.loss.outcomes != self.clean_dist.space:
             raise InvalidParameter("loss outcomes must match the clean distribution")
+        corruption = self.corruption
+        domain, codomain = ((corruption.domain, corruption.codomain) if isinstance(corruption, Kernel)
+                            else catalog.spaces(corruption))
+        if domain != self.clean_dist.space:  # bad input, so checked before the guards
+            raise SpaceMismatch("loss outcomes must match the corruption's domain")
         if sizes[-1] > SAMPLE_SIZE_GUARD:  # checked before anything is drawn
             raise SizeGuardExceeded(f"a sample size above {SAMPLE_SIZE_GUARD} exceeds the size guard")
         if (cells := self.trials * len(sizes)) > CELL_GUARD:
             raise SizeGuardExceeded(f"trials times the number of sample sizes exceed {CELL_GUARD} cells")
-        corruption = self.corruption
-        outcomes = len(corruption.codomain if isinstance(corruption, Kernel) else catalog.codomain(corruption))
+        outcomes = len(codomain)
         if (work := cells * outcomes * len(self.loss.actions)) > CELL_WORK_GUARD:
             raise SizeGuardExceeded(f"{cells} cells of {outcomes} corrupted outcomes and {len(self.loss.actions)} "
                                     f"actions are {work} units of work (guard: {CELL_WORK_GUARD})")

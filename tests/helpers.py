@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from corruptlab import simlab
+from corruptlab import planner, simlab
 from corruptlab.kernels import Dist, Kernel, Space, identity, parallel_product, product_space
 from corruptlab.reconstruct import LossTable, corrected_loss
 
@@ -100,6 +100,42 @@ def curve_by_size(config, rec):
         stderr = float(excess.std(ddof=1) / math.sqrt(len(excess))) if len(excess) > 1 else 0.0
         rows.append(simlab.RiskPoint(n, float(excess.mean()), stderr, table.sup_norm * math.sqrt(2.0 * kl / n)))
     return simlab.RiskCurve(tuple(rows))
+
+
+def gilmore_gomory_plan(offers, budget):
+    """The exact plan with its DP over the Gilmore-Gomory width alone,
+    min(capacity, (c_b - 1) * c_max), scanned by ``np.maximum.accumulate``
+    and filled in floats (the oracle of ``planner.exact_plan``): the plan,
+    the DP's cells and the width."""
+    ordered, costs, capacity, scale = planner._scaled(offers, budget)
+    b = next((i for i, c in enumerate(costs) if c <= capacity), 0)
+    c_b, alpha_b = costs[b], ordered[b].alpha
+    width = min(capacity, (c_b - 1) * max((c for c in costs if c <= capacity), default=0))
+    best = np.zeros(width + 1)
+    pick = np.full(width + 1, -1, np.min_scalar_type(-len(costs)))
+    for k, (c, o) in enumerate(zip(costs, ordered)):
+        if c > width:
+            continue
+        rows = -(-(width + 1) // c)
+        flat = np.full(rows * c, -math.inf)
+        flat[:width + 1] = best
+        scan, steps = flat.reshape(rows, c), np.arange(rows + 1.0) * o.alpha
+        scan -= steps[:-1, None]
+        np.maximum.accumulate(scan, axis=0, out=scan)
+        scan += steps[1:, None]
+        buys = flat[:width + 1 - c]
+        pick[c:][buys > best[c:]] = k
+        np.maximum(best[c:], buys, out=best[c:])
+    fill = np.arange(capacity, capacity - width - 1, -1.0) if alpha_b > 0.0 else np.zeros(width + 1)
+    fill //= c_b
+    totals = alpha_b * fill + best
+    w = int(np.argmax(totals >= totals.max() * (1.0 - planner.PLAN_TIE_RTOL)))
+    counts = [0] * len(ordered)
+    counts[b] = int(fill[w])
+    while (k := pick[w]) >= 0:
+        counts[k] += 1
+        w -= costs[k]
+    return planner._plan(ordered, costs, counts, scale), best, width
 
 
 # -- one valid JSON document per CLI input role ------------------------------------

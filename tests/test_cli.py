@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import corruptlab
-from corruptlab import bounds, catalog, cli, divergence, errors, kernels, reconstruct, simlab
+from corruptlab import bounds, catalog, cli, divergence, errors, kernels, planner, reconstruct, simlab
 from corruptlab.cli import _parse_grid, main
 from corruptlab.kernels import Space, identity, kernel_to_json
 from corruptlab.reconstruct import loss_to_json, zero_one_loss
@@ -469,6 +469,22 @@ class TestPlan:
         assert code == 3 and "capacity" in err.lower()
 
 
+    @pytest.mark.parametrize("past", [0, 1], ids=["at-the-bound", "one-past"])
+    def test_work_guard_counts_width_times_passes(self, past, tmp_path, capsys, monkeypatch):
+        # costs 41, 43 and 47 at density 1/64: W = 40 * 47 = 1,880 over 3 passes
+        path = write_json(tmp_path, "offers.json", [{"name": n, "alpha": c / 64, "cost": c}
+                                                    for n, c in (("b", 41), ("c", 43), ("d", 47))])
+        monkeypatch.setattr(planner, "PLAN_WORK_GUARD", 1880 * 3 - past)
+        if past:
+            monkeypatch.setattr(planner, "_best", lambda *args: pytest.fail("the DP ran past the guard"))
+        code, out, err = run(capsys, "plan", "--offers", path, "--budget", "1999")
+        if past:
+            assert (code, out, err) == (3, "", "numerical failure: an exact-plan DP of width 1880 over 3 offers "
+                                                "is 5640 units of work (guard: 5639)\n")
+        else:
+            assert (code, err) == (0, "") and json.loads(out)["exact"]["spend"] == {"num": 1999, "den": 1}
+
+
 class TestSimulate:
     @pytest.fixture
     def config_file(self, tmp_path):
@@ -563,6 +579,23 @@ class TestSimulate:
         else:
             assert (code, out, err, simlab_calls["_rekey"], len(out_path.read_text().split("\n"))) == (
                 0, "", "", 21, 5)
+
+    @pytest.mark.parametrize("corruption", [
+        {"family": "symmetric_label_noise", "params": {"sigma": 0.2, "classes": 3}},
+        {"kernel": {"from": ["a", "b"], "to": ["-1", "+1"], "matrix": [[0.8, 0.3], [0.2, 0.7]]}},
+    ], ids=["3-classes", "foreign-kernel"])
+    @pytest.mark.parametrize("past", ["no-guard", "sample-size", "cells", "work"])
+    def test_foreign_domain_exits_two_before_any_guard(self, corruption, past, tmp_path, capsys, monkeypatch,
+                                                       simlab_calls):
+        # the clean distribution has 2 labels: bad input, whatever the sizes
+        sizes, trials = {"sample-size": ([10, 10**9], 2), "cells": ([10, 20], 10**6 + 1)}.get(past, ([10, 20], 2))
+        if past == "work":
+            monkeypatch.setattr(simlab, "CELL_WORK_GUARD", 1)
+        config = _sized_config(sizes, trials) | {"corruption": corruption}
+        code, out, err = run(capsys, "simulate", "--config", write_json(tmp_path, "config.json", config),
+                             "--out", str(tmp_path / "out.csv"))
+        assert (code, out, err) == (2, "", "error: loss outcomes must match the corruption's domain\n")
+        assert simlab_calls["_rekey"] == 0 and not (tmp_path / "out.csv").exists()
 
     def test_guard_bounds_cells_not_draws(self, tmp_path, capsys):
         # 11 cells of 10^7 draws each, 1.1e8 draws in all: one multinomial call per cell
@@ -856,6 +889,8 @@ REFUSED = {
     "trials-10**400": (3, lambda d: document_argv("config", _sized_config([10, 20], 10**400), d)),
     "cells-10**6+1": (3, lambda d: document_argv("config", _sized_config([10], 10**6 + 1), d)),
     "work-10**6-cells-of-11-classes": (3, lambda d: document_argv("config", _classes_config(11, 5 * 10**5), d)),
+    "plan-work-11-equally-dense-offers": (3, lambda d: [*document_argv("offers", [
+        {"name": f"s{i}", "alpha": (3163 + i) / 2**14, "cost": 3163 + i} for i in range(11)], d)[:-1], "1e7"]),
     "budget-1e300": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e300"]),
     "budget-1e400": (3, lambda d: [*document_argv("offers", DOCUMENTS["offers"], d)[:-1], "1e400"]),
     "budget-1e5000": (3, _plan("1e5000")),

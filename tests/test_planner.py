@@ -1,5 +1,6 @@
 """Acquisition planning: greedy and exact knapsack, source rankings."""
 
+import json
 import math
 import sys
 import time
@@ -23,6 +24,8 @@ from corruptlab.planner import (
     rank_sources_lower,
     rank_sources_upper,
 )
+
+from helpers import gilmore_gomory_plan
 
 
 def brute_force_objective(offers, budget):
@@ -106,9 +109,26 @@ def random_offers(rng, max_offers=4, max_cost=7):
 
 
 def dp_width(costs, capacity):
-    """The exact plan's DP width for scaled costs densest first: c_b - 1
+    """The Gilmore-Gomory width for scaled costs densest first: c_b - 1
     times the largest cost within the capacity, cut by the capacity."""
     return min(capacity, (costs[0] - 1) * max((c for c in costs if c <= capacity), default=0))
+
+
+def dp_widths(offers, *budgets):
+    """The width of the exact plan's DP at each budget, counted by ``_best``."""
+    seen = []
+
+    def counted(costs, alphas, width):
+        seen.append(width)
+        return best(costs, alphas, width)
+
+    best, planner._best = planner._best, counted
+    try:
+        for budget in budgets:
+            exact_plan(offers, budget)
+    finally:
+        planner._best = best
+    return seen
 
 
 class TestGreedy:
@@ -206,8 +226,8 @@ class TestExact:
 
 
 class TestExchangeBound:
-    """The DP runs only to W = (c_b - 1) * c_max, for c_max the largest cost
-    within the budget, and fills up with the densest offer."""
+    """The DP runs only to at most W = (c_b - 1) * c_max, for c_max the
+    largest cost within the budget, and fills up with the densest offer."""
 
     def test_matches_full_capacity_dp(self):
         rng = np.random.default_rng(433)
@@ -257,10 +277,13 @@ class TestExchangeBound:
         assert best_of_7(Fraction("99.9999")) < 10 * best_of_7(99)
 
     def test_dp_memory_stops_growing_at_the_width(self):
-        # costs 13 (the densest), 97 and 101 give W = 12 * 101 = 1,212 cells; a DP
-        # over the whole capacity of 10**7 would hold tens of MB
-        offers = [SourceOffer("A", 0.9, 13), SourceOffer("B", 0.5, 97), SourceOffer("C", 0.6, 101)]
+        # costs 13 (the densest, twice, so no density gap narrows the DP), 97 and
+        # 101 give W = 12 * 101 = 1,212 cells; a DP over the whole capacity of
+        # 10**7 would hold tens of MB
+        offers = [SourceOffer("A", 0.9, 13), SourceOffer("A2", 0.9, 13), SourceOffer("B", 0.5, 97),
+                  SourceOffer("C", 0.6, 101)]
         width = (13 - 1) * 101
+        assert dp_widths(offers, width) == [width]
 
         def peak(budget):
             tracemalloc.start()
@@ -275,9 +298,10 @@ class TestExchangeBound:
             assert peak(budget) <= 2 * at_width, (budget, peak(budget), at_width)
 
     def test_unbuyable_offer_does_not_widen_the_dp(self):
-        # costs 30 and 31 give W = 29 * 31 = 899 cells; an offer of cost 10**300
-        # counted in the width would size the DP to the whole capacity of 10**7
-        offers = [SourceOffer("A", 0.9, 30), SourceOffer("B", 0.5, 31)]
+        # costs 30 and 31, as dense, give W = 29 * 31 = 899 cells; an offer of cost
+        # 10**300 counted in the width would size the DP to the whole capacity of 10**7
+        offers = [SourceOffer("A", 30 / 64, 30), SourceOffer("B", 31 / 64, 31)]
+        assert dp_widths(offers, 10**7) == [899]
         dear = offers + [SourceOffer("D", 1.0, 10**300)]
         tracemalloc.start()
         try:
@@ -445,9 +469,12 @@ class TestBlockPath:
         self.check(offers, Fraction(data.draw(st.sampled_from(capacities)), scale))
 
     def test_block_memory_stops_growing_at_the_width(self):
-        # costs 16 (the densest), 97 and 101: W = 15 * 101 = 1,515
-        offers = [SourceOffer("A", 0.9, 16), SourceOffer("B", 0.5, 97), SourceOffer("C", 0.6, 101)]
+        # costs 16 (the densest, twice, so no density gap narrows the DP), 97 and
+        # 101: W = 15 * 101 = 1,515
+        offers = [SourceOffer("A", 0.9, 16), SourceOffer("A2", 0.9, 16), SourceOffer("B", 0.5, 97),
+                  SourceOffer("C", 0.6, 101)]
         width = (16 - 1) * 101
+        assert dp_widths(offers, CAPACITY_GUARD) == [width]
 
         def peak(budget):
             tracemalloc.start()
@@ -490,6 +517,87 @@ class TestBlockPath:
         for budget in range(40):
             assert exact_plan(offers, budget).to_json() == full_capacity_plan(offers, budget).to_json(), budget
         assert exact_plan(offers, 3).counts == {"t": 1}
+
+
+def gap_offers(rng):
+    """1 to 6 offers at costs n / d (n <= 60, d in 1, 2, 3, 4, 12), some of
+    alpha 0, and by ``kind`` one more: a duplicate, a proportional offer (k
+    times the alpha and the cost, or 1 / k of both), or a runner-up within
+    1e-12 relative of the densest offer's density, either side of it."""
+    pairs = [[float(rng.choice([0.0, 0.2, 0.3, 0.6, 1.0])) if rng.random() < 0.3 else float(rng.uniform(0, 1)),
+              Fraction(int(rng.integers(1, 61)), int(rng.choice([1, 2, 3, 4, 12])))]
+             for _ in range(int(rng.integers(1, 7)))]
+    kind = ["random", "duplicate", "proportional", "near-tie"][int(rng.integers(4))]
+    alpha, cost = pairs[int(rng.integers(len(pairs)))]
+    if kind == "duplicate":
+        pairs.append([alpha, cost])
+    elif kind == "proportional":
+        k = int(rng.choice([2, 3]))
+        pairs.append([alpha * k, cost * k] if alpha * k <= 1.0 else [alpha / k, cost / k])
+    elif kind == "near-tie":
+        alpha, cost = max(pairs, key=lambda p: Fraction(p[0]) / p[1])
+        other = Fraction(int(rng.integers(1, 61)), int(rng.choice([1, 2, 3, 4, 12])))
+        pairs.append([min(1.0, alpha * float(other / cost) * (1.0 + float(rng.uniform(-1e-12, 1e-12)))), other])
+    rng.shuffle(pairs)
+    return [SourceOffer(f"s{i}", a, c) for i, (a, c) in enumerate(pairs)], kind
+
+
+class TestDensityGap:
+    """The DP also stops at floor(L / (d_b - d_2)) for d_2 the largest density
+    of the other buyable offers, and at 0 when b is the only one.  Its plan,
+    and every cell it keeps, are those of the DP over the Gilmore-Gomory
+    width."""
+
+    def test_plans_and_cells_match_the_gilmore_gomory_dp(self, monkeypatch):
+        seen = []
+
+        def counted(costs, alphas, width):
+            seen.append(best(costs, alphas, width))
+            return seen[-1]
+
+        best = planner._best
+        monkeypatch.setattr(planner, "_best", counted)
+        rng = np.random.default_rng(449)
+        kinds, narrowed = set(), 0
+        for _ in range(10_000):
+            offers, kind = gap_offers(rng)
+            kinds.add(kind)
+            _, costs, _, scale = planner._scaled(offers, 0)
+            if rng.random() < 0.6:  # about the Gilmore-Gomory width
+                capacity = int(rng.integers(0, 3 * dp_width(costs, math.inf) + 2))
+            else:
+                capacity = int(10 ** rng.uniform(0, 6))
+            budget = Fraction(capacity, scale)
+            oracle, cells, width = gilmore_gomory_plan(offers, budget)
+            plan = exact_plan(offers, budget)
+            assert json.dumps(plan.to_json()) == json.dumps(oracle.to_json()), (offers, budget)
+            kept = seen[-1][0]
+            assert len(kept) <= width + 1
+            assert np.array_equal(kept.view(np.int64), cells[:len(kept)].view(np.int64)), (offers, budget)
+            narrowed += len(kept) <= width
+        assert kinds == {"random", "duplicate", "proportional", "near-tie"}
+        assert narrowed > 5_000, narrowed
+
+    @pytest.mark.parametrize("offers, budget, width", [
+        # d_b = 1/100, d_2 = 0.5/101: floor((0.99 + 2e-12 * 10**4) / (1/100 - 0.5/101)) = 196,
+        # not 99 * 101 = 9,999
+        ([SourceOffer("b", 1.0, 100), SourceOffer("r", 0.5, 101)], 10**6, 196),
+        # the same with 13 (the densest), 97 and 101: 13, not 12 * 101 = 1,212
+        ([SourceOffer("A", 0.9, 13), SourceOffer("B", 0.5, 97), SourceOffer("C", 0.6, 101)], 10**6, 13),
+        # b alone, or with an offer past the budget: no DP, not 2 * 3 = 6
+        ([SourceOffer("A", 0.5, 3)], 10**6, 0),
+        ([SourceOffer("A", 0.5, 3), SourceOffer("D", 1.0, 10**7)], 10**6, 0),
+        # an equally dense runner-up (1/256): the Gilmore-Gomory width, 63 * 128
+        ([SourceOffer("b", 0.25, 64), SourceOffer("r", 0.5, 128)], 10**6, 8064),
+        # a runner-up 1e-12 below: floor(L / gap) is about 10**14, past 99 * 101
+        ([SourceOffer("b", 0.5, 100), SourceOffer("r", 0.505 * (1 - 1e-12), 101)], 10**6, 9999),
+        # and a budget below the Gilmore-Gomory width cuts it
+        ([SourceOffer("b", 0.25, 64), SourceOffer("r", 0.5, 128)], 1000, 1000),
+    ], ids=["gap", "gap-three-offers", "lone-offer", "lone-buyable-offer", "equally-dense", "1e-12-below",
+            "capacity"])
+    def test_width_by_counting(self, offers, budget, width):
+        assert dp_widths(offers, budget) == [width]
+        assert exact_plan(offers, budget) == gilmore_gomory_plan(offers, budget)[0]
 
 
 class TestRankings:

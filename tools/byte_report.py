@@ -85,6 +85,14 @@ EDGE_DOCUMENTS = {
                                                    "params": {"sigma": 0.2, "classes": 1}}},
     "mix-negative-count.json": [{"count": -1, "alpha": 0.7}],
     "newline-key-offer.json": [{"name": "A", "alpha": 0.5, "cost": 1, "x\ny": 1}],
+    "equally-dense-offers.json": [{"name": "b", "alpha": 0.25, "cost": 64}, {"name": "r", "alpha": 0.5, "cost": 128},
+                                  {"name": "s", "alpha": 0.3, "cost": 101}],
+    "single-buyable-offer.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 7, "den": 3}},
+                                  {"name": "D", "alpha": 1.0, "cost": 2000}],
+    "runner-up-just-below.json": [{"name": "b", "alpha": 0.5, "cost": 100},
+                                  {"name": "r", "alpha": 0.505 * (1 - 1e-12), "cost": 101}],
+    "past-plan-work-guard.json": [{"name": f"s{i}", "alpha": (3163 + i) / 2**14, "cost": 3163 + i}
+                                  for i in range(11)],
     "no-sample-sizes.json": _FAST_RATE | {"sample_sizes": []},
     "ties.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": [0.5, 0.5]},
                                "corruption": {"family": "binary_label_noise",
@@ -116,7 +124,11 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: buy, which never sizes the DP; a cheapest scaled cost of 1 (a cost of
 #: 1/12); and plans worth 0.6 at budget 6 whose densest offer is dearer than
 #: the budget, so the tie goes to the densest offer the budget can buy; an
-#: offer key holding a newline, which the message escapes; and tables: a
+#: offer key holding a newline, which the message escapes; a runner-up as
+#: dense as the densest offer (the DP keeps the Gilmore-Gomory width), one
+#: offer the budget can buy next to one it cannot (no DP), a runner-up 1e-12
+#: below the densest offer's density, and 11 equally dense offers whose DP
+#: would be 1.1e8 units of work, past the plan's work guard; and tables: a
 #: binary grid through the singular sigma = 0.5, 50 classes (past the pair
 #: pass's screen threshold), a sigma whose square libm's pow and x*x round
 #: apart, one class on an empty grid and on a grid it refuses, and two points
@@ -136,6 +148,10 @@ EDGE_JOBS = {
     "plan-tie-past-a-dear-densest-offer": ("plan", "--offers", "dear-densest-offer.json", "--budget", "6"),
     "plan-twelfth-cost-cell-by-cell": ("plan", "--offers", "twelfth-offers.json", "--budget", "9.75"),
     "plan-newline-key": ("plan", "--offers", "newline-key-offer.json", "--budget", "1"),
+    "plan-equally-dense-runner-up": ("plan", "--offers", "equally-dense-offers.json", "--budget", "100000"),
+    "plan-single-buyable-offer": ("plan", "--offers", "single-buyable-offer.json", "--budget", "1000"),
+    "plan-runner-up-just-below": ("plan", "--offers", "runner-up-just-below.json", "--budget", "1000000"),
+    "plan-past-work-guard": ("plan", "--offers", "past-plan-work-guard.json", "--budget", "10000000"),
     "tables-binary-singular-point": ("tables", "--family", "binary_label_noise", "--grid", "0.4:0.6:0.1"),
     "tables-50-classes-screened": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.3:0.1",
                                    "--classes", "50"),
