@@ -28,7 +28,8 @@ SYMMETRIC = "symmetric_label_noise"
 SEMI_SUPERVISED = "semi_supervised"
 PARTIAL = "partial_labels"
 
-#: The kind of ``classes``: a count of at least 2.
+#: The kind of ``classes``: a count of at least 2; every other parameter is
+#: a probability.
 _CLASSES = within(INT, 2)
 
 
@@ -37,7 +38,8 @@ class CorruptionSpec:
     """A family and its parameters, as (name, value) pairs in the family's
     order.  However it is built, the family must be known, each of its
     parameters given once and none other, and each value valid; they are
-    checked in the family's order."""
+    checked in the family's order, and only then is ``classes`` held to the
+    entry guard."""
 
     family: str
     params: tuple[tuple[str, float], ...]
@@ -52,7 +54,10 @@ class CorruptionSpec:
         if repeated or given.keys() != set(names):
             raise InvalidParameter(f"{self.family} takes the parameters {', '.join(names)}, "
                                    "each once, as (name, value) pairs")
-        object.__setattr__(self, "params", tuple((key, _check(key, given[key])) for key in names))
+        params = tuple((key, typed(given[key], key, _CLASSES if key == "classes" else PROBABILITY)) for key in names)
+        if dict(params).get("classes", 0)**2 > PRODUCT_ENTRY_GUARD:  # before the k x k matrix
+            raise SizeGuardExceeded(f"more than {math.isqrt(PRODUCT_ENTRY_GUARD)} classes exceed the entry guard")
+        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -162,17 +167,6 @@ def family(name: str) -> Family:
         return FAMILIES[typed(name, 'corruption "family"', STR)]
     except KeyError:
         raise UnknownFamily(f"unknown family {name!r}; known: {', '.join(sorted(FAMILIES))}") from None
-
-
-def _check(name: str, value):
-    """``classes`` is a count of at least 2 under the entry guard; every other
-    parameter is a probability."""
-    if name != "classes":
-        return typed(value, name, PROBABILITY)
-    value = typed(value, name, _CLASSES)
-    if value**2 > PRODUCT_ENTRY_GUARD:  # before the k x k matrix
-        raise SizeGuardExceeded(f"more than {math.isqrt(PRODUCT_ENTRY_GUARD)} classes exceed the entry guard")
-    return value
 
 
 def make_spec(name: str, **params) -> CorruptionSpec:

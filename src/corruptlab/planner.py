@@ -13,8 +13,15 @@ units, and the guard applies to the budget's exact value in that unit; so
 the way a budget is written never sizes the DP.  A ``Decimal`` budget is
 scaled in exact decimal arithmetic, so its exponent never builds a power of
 ten.  Each plan counts units per offer, densest offer first, and one
-assembler turns those counts into the plan, its objective and its spend.  Plans and rankings name an offer only by
-its name, so offers must have distinct names.
+assembler turns those counts into the plan, its objective and its spend.
+Plans and rankings name an offer only by its name, so offers must have
+distinct names.
+
+A list of offers is read once, as :class:`Offers`, which
+``offers_from_json`` returns: the names are checked, the offers put in
+density order and their costs scaled at first use, and both plans and both
+rankings of the list read that one view.  A plain list gets the same view
+per call; the budget is always typed before the offers are read.
 
 The exact plan costs O(W * offers) for a DP width W of at most
 min(capacity, (c_b - 1) * c_max), for scaled costs c_b of the densest offer
@@ -36,6 +43,7 @@ can buy.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -69,7 +77,12 @@ EXACT = (InvalidParameter, "an integer, a Fraction or a finite number", _exact)
 #: double's largest value, since the ranking keys use it as a double.  A
 #: Fraction rounds to 0.0 exactly when it is at most 2**-1075, half the least
 #: subnormal (that tie rounds to the even 0.0), so the range opens there.
-_UNIT_COST = within(EXACT, Fraction(1, 2**1075), sys.float_info.max, "(]")
+#: The ends are compared in integers: n / d > 2**-1075 when d < n * 2**1075,
+#: and n / d is at most the largest double, an integer, when n is at most it
+#: times d.
+_UNIT_COST = within(EXACT, Fraction(1, 2**1075), sys.float_info.max, "(]",
+                    lambda v: v.denominator < v.numerator << 1075
+                    and v.numerator <= int(sys.float_info.max) * v.denominator)
 
 #: The kind of a budget: at least 0, and a finite Decimal as it is, since a
 #: Fraction of one builds 10**exponent, else read as ``EXACT``.
@@ -108,6 +121,35 @@ class SourceOffer:
 OFFERS = list_of(instance_of(SourceOffer), "a list of SourceOffer")
 
 
+class Offers(tuple):
+    """A non-empty list of offers, read once: built from a sequence of
+    :class:`SourceOffer` (typed as ``OFFERS``), or as itself from an
+    ``Offers``.  Its density order and its scaled costs are computed at
+    first use and kept, so both plans and both rankings of one list share
+    them."""
+
+    def __new__(cls, offers: Sequence[SourceOffer]):
+        return offers if type(offers) is cls else super().__new__(cls, typed(offers, "offers", OFFERS))
+
+    @functools.cached_property
+    def ordered(self) -> list[SourceOffer]:
+        """The offers by decreasing alpha / cost; ties go to the lower cost,
+        then the name."""
+        return _density_order(self)
+
+    @functools.cached_property
+    def scaled(self) -> tuple[list[int], int]:
+        """The costs of ``ordered`` in units of 1/scale, for scale the least
+        common multiple of the costs' denominators, and scale.  Offers sharing
+        a name are refused."""
+        names = sorted(o.name for o in self)
+        for a, b in zip(names, names[1:]):
+            if a == b:
+                raise InvalidParameter(f"offer name {a!r} appears more than once")
+        scale = math.lcm(*(o.unit_cost.denominator for o in self))
+        return [o.unit_cost.numerator * (scale // o.unit_cost.denominator) for o in self.ordered], scale
+
+
 @dataclass(frozen=True)
 class AcquisitionPlan:
     """Counts to buy per source, with the objective sum alpha_i * n_i."""
@@ -129,26 +171,24 @@ def _density_order(offers: Sequence[SourceOffer]) -> list[SourceOffer]:
     return sorted(offers, key=lambda o: (-(o.alpha / o.unit_cost), o.unit_cost, o.name))
 
 
+#: Exact decimal arithmetic, in which a Decimal past Emax is infinite.
+_EXACT_DECIMAL = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
+
+
 def _scaled(offers: Sequence[SourceOffer], budget) -> tuple[list[SourceOffer], list[int], int, int]:
-    """The offers densest first, their costs in units of 1/scale for scale the
-    least common multiple of the costs' denominators, the budget in those
-    units rounded down, and scale.  Offers sharing a name are refused, and so
-    is a budget whose exact value in those units is past the guard, before
-    any count is made, so no count can overflow a float; the budget's own
-    denominator never enters the scale."""
-    budget, offers = typed(budget, "budget", BUDGET), typed(offers, "offers", OFFERS)
-    names = sorted(o.name for o in offers)
-    for a, b in zip(names, names[1:]):
-        if a == b:
-            raise InvalidParameter(f"offer name {a!r} appears more than once")
-    ordered = _density_order(offers)
-    scale = math.lcm(*(o.unit_cost.denominator for o in ordered))
-    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
-        capacity = budget * scale  # exact; a Decimal past Emax is infinite
+    """The offers densest first, their costs in units of 1/scale (both read
+    once per list: see :class:`Offers`), the budget in those units rounded
+    down, and scale.  The budget is typed first, then the offers; offers
+    sharing a name are refused, and so is a budget whose exact value in those
+    units is past the guard, before any count is made, so no count can
+    overflow a float; the budget's own denominator never enters the scale."""
+    budget, offers = typed(budget, "budget", BUDGET), Offers(offers)
+    costs, scale = offers.scaled
+    with localcontext(_EXACT_DECIMAL):
+        capacity = budget * scale
     if capacity > CAPACITY_GUARD:
         raise CapacityGuardExceeded(f"scaled capacity {_shown(capacity)} exceeds guard {CAPACITY_GUARD}")
-    costs = [o.unit_cost.numerator * (scale // o.unit_cost.denominator) for o in ordered]
-    return ordered, costs, math.floor(capacity), scale
+    return offers.ordered, costs, math.floor(capacity), scale
 
 
 def _plan(ordered: list[SourceOffer], costs: list[int], counts: list[int], scale: int) -> AcquisitionPlan:
@@ -218,6 +258,11 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
     d_2 is the largest alpha_i / c_i of the other offers the budget can buy,
     both exact fractions of the float alpha, and
     L = d_b * (c_b - 1) + 2 * PLAN_TIE_RTOL * alpha_b * floor(capacity / c_b).
+    It is computed in integers: a float is n / 2**k exactly
+    (``as_integer_ratio``), so with the alphas written over one power of two
+    and PLAN_TIE_RTOL as t / u, floor(L / (d_b - d_2)) is
+    a_b * c_2 * (u * (c_b - 1) + 2 * t * floor(capacity / c_b) * c_b)
+    // (u * (a_b * c_2 - a_2 * c_b)), the same W as in exact fractions.
     Why it holds: take a plan whose items other than b, S, cost s and which
     holds n_b units of b.  It is worth
     d_b * (s + c_b * n_b) - sum over S of n_i * (d_b - d_i) * c_i, at most
@@ -263,11 +308,18 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
     width = 0
     if others:
         width = min(capacity, (c_b - 1) * max(c_b, *(costs[i] for i in others)))
-        d_b = Fraction(alpha_b) / c_b
-        gap = d_b - max(Fraction(ordered[i].alpha) / costs[i] for i in others)
-        if gap > 0:
-            loss = d_b * (c_b - 1) + 2 * Fraction(PLAN_TIE_RTOL) * Fraction(alpha_b) * (capacity // c_b)
-            width = min(width, math.floor(loss / gap))
+        # the alphas as a_i / 2**e for one e, so each density is a_i / (2**e * c_i)
+        ratios = [ordered[i].alpha.as_integer_ratio() for i in (b, *others)]
+        unit = max(d for _, d in ratios)
+        a_b, *a_others = (n * (unit // d) for n, d in ratios)
+        a_2, c_2 = 0, 1  # the runner-up: the largest a_i / c_i of the others
+        for a, i in zip(a_others, others):
+            if a * c_2 > a_2 * costs[i]:
+                a_2, c_2 = a, costs[i]
+        if a_b * c_2 > a_2 * c_b:  # floor(L / (d_b - d_2)), its 2**e cancelled
+            tol, tol_unit = PLAN_TIE_RTOL.as_integer_ratio()
+            width = min(width, a_b * c_2 * (tol_unit * (c_b - 1) + 2 * tol * (capacity // c_b) * c_b)
+                        // (tol_unit * (a_b * c_2 - a_2 * c_b)))
     passes = sum(c <= width for c in costs)
     if (work := width * passes) > PLAN_WORK_GUARD:
         raise SizeGuardExceeded(f"an exact-plan DP of width {width} over {passes} offers is {work} units of work "
@@ -295,12 +347,12 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
 
 def rank_sources_lower(offers: Sequence[SourceOffer]) -> list[str]:
     """Source names by decreasing alpha / cost (the knapsack greedy key)."""
-    return [o.name for o in _density_order(typed(offers, "offers", OFFERS))]
+    return [o.name for o in Offers(offers).ordered]
 
 
 def rank_sources_upper(offers: Sequence[SourceOffer]) -> list[str]:
     """Source names by increasing cost * ||corrected||_inf^2."""
-    offers = typed(offers, "offers", OFFERS)
+    offers = Offers(offers)
     for o in offers:
         if o.corrected_sup is None:
             raise MissingStatistic(f"offer {o.name!r} has no corrected_sup")
@@ -309,9 +361,9 @@ def rank_sources_upper(offers: Sequence[SourceOffer]) -> list[str]:
 
 # -- JSON wire format -----------------------------------------------------------
 
-def offers_from_json(obj: list) -> list[SourceOffer]:
-    return [
+def offers_from_json(obj: list) -> Offers:
+    return Offers([
         SourceOffer(*fields(entry, f"offer {i}", "name", "alpha", ("cost", RATIONAL),
                             optional=(("corrected_sup", None),)))
         for i, entry in enumerate(typed(obj, "offers", LIST))
-    ]
+    ])

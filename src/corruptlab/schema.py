@@ -115,20 +115,25 @@ def instance_of(*classes: type):
             lambda v: _need(isinstance(v, classes), v))
 
 
-def within(kind, low, high=math.inf, ends="[]"):
+def within(kind, low, high=math.inf, ends="[]", inside=None):
     """``kind`` with its values between ``low`` and ``high``, each end closed
     or open as ``ends`` writes it in interval notation (``"(]"``: above low,
     at most high).  A value of the right type outside is refused as ``must be
     in [low, high], got <value>``, or as ``must be >= low`` (``> low``) when
-    ``high`` is infinite."""
+    ``high`` is infinite.  ``inside``, when given, is the test of a value
+    read that holds exactly on that range, for a kind whose values compare
+    slowly with its ends (a Fraction with a float)."""
     read = kind[2]
     opened = tuple(end for end, bracket in ((low, ends[0]), (high, ends[1])) if bracket in "()")
     rule = (f"{'>' if ends[0] == '(' else '>='} {_shown(low)}" if high == math.inf
             else f"in {ends[0]}{_shown(low)}, {_shown(high)}{ends[1]}")
+    if inside is None:
+        def inside(v):
+            return low <= v <= high and v not in opened
 
     def reader(v):
         v = read(v)
-        if not low <= v <= high or v in opened:
+        if not inside(v):
             raise _OutOfRange(f"{rule}, got {_shown(v)}")
         return v
     return (kind[0], kind[1], reader)
@@ -150,17 +155,21 @@ def read_fields(value, what: str, **kinds) -> None:
     """Set each field of the frozen dataclass ``value`` named in ``kinds`` to
     itself read as its kind, in order; ``what`` names ``value`` in messages."""
     for name, kind in kinds.items():
-        object.__setattr__(value, name, typed(getattr(value, name), f'{what} "{name}"', kind))
+        object.__setattr__(value, name, typed(getattr(value, name), what, kind, name))
 
 
-def typed(value, what: str, kind):
-    """``value`` read as ``kind``; ``what`` names it in the error message."""
+def typed(value, what: str, kind, key=None):
+    """``value`` read as ``kind``; ``what`` names it in the error message,
+    followed by ``"key"`` when ``key`` is given."""
     try:
         return kind[2](value)
     except _OutOfRange as exc:
-        raise kind[0](f"{what} must be {exc}") from None
+        rule = exc
     except (ValueError, OverflowError):
-        raise kind[0](f"{what} must be {kind[1]}") from None
+        rule = kind[1]
+    if key is not None:
+        what = f'{what} "{key}"'
+    raise kind[0](f"{what} must be {rule}") from None
 
 
 def fields(obj, what: str, *required, optional=()) -> list:
@@ -171,20 +180,19 @@ def fields(obj, what: str, *required, optional=()) -> list:
     reads as its default.  A key that is neither is refused, after every
     known key has been read."""
     obj = typed(obj, what, OBJECT)
-
-    def read(key, *kind):
-        return typed(obj[key], f'{what} "{key}"', *kind) if kind else obj[key]
-
-    values = []
-    for key, *kind in ((k,) if isinstance(k, str) else k for k in required):
+    values, known = [], set()
+    for key in required:
+        key, kind = (key, None) if isinstance(key, str) else key
         if key not in obj:
             raise ParseError(f'{what} needs key "{key}"')
-        values.append(read(key, *kind))
+        values.append(obj[key] if kind is None else typed(obj[key], what, kind, key))
+        known.add(key)
     for key, *kind, default in optional:
-        values.append(default if obj.get(key) is None else read(key, *kind))
-    known = [k if isinstance(k, str) else k[0] for k in (*required, *optional)]
-    unknown = next((key for key in obj if key not in known), None)
-    if unknown is not None:  # a misspelt optional key would read as its default
+        value = obj.get(key)
+        values.append(default if value is None else typed(value, what, *kind, key) if kind else value)
+        known.add(key)
+    if not obj.keys() <= known:  # a misspelt optional key would read as its default
+        unknown = next(key for key in obj if key not in known)
         raise ParseError(f'{what} has unknown key "{_escaped(unknown)}"; known: {", ".join(sorted(known))}')
     return values
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,26 @@ def gilmore_gomory_plan(offers, budget):
         counts[k] += 1
         w -= costs[k]
     return planner._plan(ordered, costs, counts, scale), best, width
+
+
+def fraction_width(offers, budget):
+    """The exact plan's DP width with the density gap taken in Fractions (the
+    oracle of ``planner.exact_plan``'s integer width): the Gilmore-Gomory
+    width, cut to floor(L / (d_b - d_2)) when d_b > d_2, and 0 when b is the
+    only offer the budget can buy."""
+    ordered, costs, capacity, _ = planner._scaled(offers, budget)
+    b = next((i for i, c in enumerate(costs) if c <= capacity), 0)
+    c_b, alpha_b = costs[b], ordered[b].alpha
+    others = [i for i in range(b + 1, len(costs)) if costs[i] <= capacity]
+    if not others:
+        return 0
+    width = min(capacity, (c_b - 1) * max(c_b, *(costs[i] for i in others)))
+    d_b = Fraction(alpha_b) / c_b
+    gap = d_b - max(Fraction(ordered[i].alpha) / costs[i] for i in others)
+    if gap > 0:
+        loss = d_b * (c_b - 1) + 2 * Fraction(planner.PLAN_TIE_RTOL) * Fraction(alpha_b) * (capacity // c_b)
+        width = min(width, math.floor(loss / gap))
+    return width
 
 
 # -- one valid JSON document per CLI input role ------------------------------------

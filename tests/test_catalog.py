@@ -79,6 +79,14 @@ class TestBuildKernel:
         with pytest.raises(errors.InvalidParameter):
             partial_labels(1.5)
 
+    def test_every_parameter_is_read_before_the_class_guard(self):
+        with pytest.raises(errors.InvalidParameter, match=r"^sigma must be in \[0, 1\], got 5.0$"):
+            symmetric_label_noise(10**9, 5.0)
+        with pytest.raises(errors.InvalidParameter, match="^sigma must be a finite number$"):
+            make_spec("symmetric_label_noise", classes=10**9, sigma="x")
+        with pytest.raises(errors.SizeGuardExceeded, match="^more than 1000 classes exceed the entry guard$"):
+            symmetric_label_noise(10**9, 0.5)
+
 
 @pytest.mark.parametrize("family", FAMILIES)
 class TestEveryFamily:

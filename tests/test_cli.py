@@ -878,6 +878,7 @@ REFUSED = {
     "config-classes-10**400": (3, lambda d: document_argv("config", _symmetric_config(10**400), d)),
     "config-classes-10**9": (3, lambda d: document_argv("config", _symmetric_config(10**9), d)),
     "tables-classes-10**9": (3, lambda d: _tables("0.1:0.2:0.1", 10**9)),
+    "tables-sigma-2-classes-10**9": (2, lambda d: _tables("2:3:0.5", 10**9)),
     "tables-work-past-guard": (3, lambda d: _tables("0:0.99:0.00001", 1000)),
     "grid-nan": (2, lambda d: _tables("0:nan:0.1")),
     "grid-inf": (2, lambda d: _tables("0:inf:0.1")),

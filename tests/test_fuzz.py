@@ -11,8 +11,11 @@ from corruptlab.cli import main  # noqa: E402
 
 from helpers import DOCUMENTS, role_argv  # noqa: E402
 
-# Integers stay small: sample sizes, trials and costs have no size guard yet,
-# and a large one would only make an example slow.
+# Integers stay small.  Every CLI path refuses sizes past its guards, but a
+# large integer under a guard only makes an example slow: its work is bounded
+# by the guard, not by the example.  Lifting the cap waits for one guard
+# helper that bounds each example's work by count, not by a clock (ROADMAP
+# items 11 and 13).
 _SCALARS = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
             | st.text(max_size=4) | st.sampled_from(["-1", "+1", "t0", "a0", "binary_label_noise"]))
 

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corruptlab import errors, planner
+from corruptlab import cli, errors, planner
 from corruptlab.planner import (
     CAPACITY_GUARD,
     PLAN_TIE_RTOL,
     AcquisitionPlan,
+    Offers,
     SourceOffer,
     _density_order,
     exact_plan,
@@ -25,7 +26,7 @@ from corruptlab.planner import (
     rank_sources_upper,
 )
 
-from helpers import gilmore_gomory_plan
+from helpers import fraction_width, gilmore_gomory_plan
 
 
 def brute_force_objective(offers, budget):
@@ -114,18 +115,28 @@ def dp_width(costs, capacity):
     return min(capacity, (costs[0] - 1) * max((c for c in costs if c <= capacity), default=0))
 
 
-def dp_widths(offers, *budgets):
-    """The width of the exact plan's DP at each budget, counted by ``_best``."""
+class _Counted(Exception):
+    """Raised in place of the exact plan's DP once its width is counted."""
+
+
+def dp_widths(offers, *budgets, dp=True):
+    """The width of the exact plan's DP at each budget, counted by ``_best``;
+    with ``dp`` false, each plan stops there, before the DP runs."""
     seen = []
 
     def counted(costs, alphas, width):
         seen.append(width)
+        if not dp:
+            raise _Counted
         return best(costs, alphas, width)
 
     best, planner._best = planner._best, counted
     try:
         for budget in budgets:
-            exact_plan(offers, budget)
+            try:
+                exact_plan(offers, budget)
+            except _Counted:
+                pass
     finally:
         planner._best = best
     return seen
@@ -593,11 +604,32 @@ class TestDensityGap:
         ([SourceOffer("b", 0.5, 100), SourceOffer("r", 0.505 * (1 - 1e-12), 101)], 10**6, 9999),
         # and a budget below the Gilmore-Gomory width cuts it
         ([SourceOffer("b", 0.25, 64), SourceOffer("r", 0.5, 128)], 1000, 1000),
+        # a dear runner-up 2e-6 below: d_b * (c_b - 1) / gap gives 500,000 cells and
+        # 2 * PLAN_TIE_RTOL * alpha_b * floor(capacity / c_b) / gap 10 more, under 1 * 10**6
+        ([SourceOffer("b", 2e-6, 2), SourceOffer("r", 1 - 2e-6, 10**6)], 10**7, 500_010),
     ], ids=["gap", "gap-three-offers", "lone-offer", "lone-buyable-offer", "equally-dense", "1e-12-below",
-            "capacity"])
+            "capacity", "tie-term"])
     def test_width_by_counting(self, offers, budget, width):
         assert dp_widths(offers, budget) == [width]
         assert exact_plan(offers, budget) == gilmore_gomory_plan(offers, budget)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_integer_width_matches_the_fraction_width(self, data):
+        alphas = st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0)
+        costs = st.builds(Fraction, st.integers(1, 10**7), st.sampled_from([1, 2, 3, 12]))
+        pairs = data.draw(st.lists(st.tuples(alphas, costs), min_size=1, max_size=6))
+        alpha, cost = max(pairs, key=lambda p: Fraction(p[0]) / p[1])
+        kind = data.draw(st.sampled_from(["random", "equal-density", "1e-12-below"]))
+        if kind == "equal-density":  # gap 0
+            pairs.append((alpha * 2, cost * 2) if alpha * 2 <= 1.0 else (alpha, cost))
+        elif kind == "1e-12-below":
+            other = data.draw(costs)
+            pairs.append((min(1.0, alpha * float(other / cost) * (1.0 - 1e-12)), other))
+        offers = [SourceOffer(f"s{i}", a, c) for i, (a, c) in enumerate(pairs)]
+        scale = math.lcm(*(c.denominator for _, c in pairs))
+        budget = Fraction(data.draw(st.integers(0, CAPACITY_GUARD)), scale)
+        assert dp_widths(offers, budget, dp=False) == [fraction_width(offers, budget)]
 
 
 class TestRankings:
@@ -632,6 +664,59 @@ class TestRankings:
     def test_lower_ties_by_cost_then_name(self):
         offers = [SourceOffer("B", 0.6, 2), SourceOffer("A", 0.3, 1)]
         assert rank_sources_lower(offers) == ["A", "B"]  # equal density, cheaper first
+
+
+class TestOneRead:
+    """A list of offers is typed, checked, ordered and scaled once: by
+    ``offers_from_json`` or ``Offers``, else once per call."""
+
+    OFFERS = [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 3}, "corrected_sup": 1.5},
+              {"name": "B", "alpha": 0.9, "cost": 2, "corrected_sup": 1.2}]
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        calls = []
+
+        def counted(offers):
+            calls.append(len(offers))
+            return order(offers)
+
+        order = planner._density_order
+        monkeypatch.setattr(planner, "_density_order", counted)
+        return calls
+
+    def test_one_plan_sorts_its_offers_once(self, sorts, tmp_path, capsys):
+        path = tmp_path / "offers.json"
+        path.write_text(json.dumps(self.OFFERS))
+        assert cli.main(["plan", "--offers", str(path), "--budget", "7/2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ranking_lower"] == ["A", "B"] and report["ranking_upper"] == ["A", "B"]
+        assert sorts == [2]
+
+    def test_a_list_is_read_per_call(self, sorts):
+        offers = list(offers_from_json(self.OFFERS))
+        for call in (greedy_plan, exact_plan):
+            assert call(offers, 4) == call(Offers(offers), 4)
+        assert sorts == [2] * 4
+        read = Offers(offers)
+        assert Offers(read) is read and read == tuple(offers)
+        greedy_plan(read, 4), exact_plan(read, 4), rank_sources_lower(read), rank_sources_upper(read)
+        assert sorts == [2] * 5
+
+    def test_the_budget_is_typed_before_the_names_are_checked(self):
+        offers = Offers([SourceOffer("A", 0.5, 1), SourceOffer("A", 0.9, 2)])
+        for plan in (greedy_plan, exact_plan):
+            with pytest.raises(errors.InvalidParameter, match="^budget must be >= 0, got -1$"):
+                plan(offers, -1)
+            with pytest.raises(errors.InvalidParameter, match="^offer name 'A' appears more than once$"):
+                plan(offers, 1)
+
+    def test_offers_are_typed_as_before(self):
+        for value in ([], "AB", [SourceOffer("A", 0.5, 1), 3]):
+            with pytest.raises(errors.InvalidParameter, match="^offers must be "):
+                Offers(value)
+            with pytest.raises(errors.InvalidParameter, match="^offers must be "):
+                exact_plan(value, 1)
 
 
 class TestValidationAndJson:

@@ -396,6 +396,23 @@ def test_range_bound_is_accepted_and_one_step_past_refused(case):
     assert str(caught.value).startswith(f"{field} must be ")
 
 
+@pytest.mark.parametrize("cost, accepted", [
+    (Fraction(1, 2**1075 - 1), True), (Fraction(2**100 + 1, 2**1175), True), (Fraction(1, 2**1075), False),
+    (Fraction(2**100 - 1, 2**1175), False), (Fraction(1, 2**1076), False),
+    (Fraction(int(MAX)), True), (Fraction(3 * int(MAX) - 1, 3), True), (Fraction(3 * int(MAX) + 1, 3), False),
+    (Fraction(int(MAX) + 1), False), (Fraction(-1, 3), False)])
+def test_unit_cost_ends_compare_fractions_exactly(cost, accepted):
+    """The unit-cost range is tested in integers: a Fraction just inside
+    either end is kept as it is, and one at or just past the open low end or
+    just past the high end is refused with the range's words."""
+    if accepted:
+        assert SourceOffer("A", 0.5, cost).unit_cost is cost
+    else:
+        rule = r'^offer "unit_cost" must be in \(~2e-324, 1.7976931348623157e\+308\], got '
+        with pytest.raises(InvalidParameter, match=rule):
+            SourceOffer("A", 0.5, cost)
+
+
 def test_mixed_corruption_names_its_field():
     with pytest.raises(InvalidParameter, match='^mixed corruption "sources" must be a list of MixedSource$'):
         MixedCorruption(5)

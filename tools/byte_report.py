@@ -80,6 +80,11 @@ EDGE_DOCUMENTS = {
     "alpha-1.5-offer.json": [{"name": "A", "alpha": 1.5, "cost": 1}],
     "cost-0-offer.json": [{"name": "A", "alpha": 0.5, "cost": 0}],
     "cost-tiny-offer.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 10**400}}],
+    "den-null-offer.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 5, "den": None}}],
+    "den-0-offer.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 5, "den": 0}}],
+    "cost-unknown-key-offer.json": [{"name": "A", "alpha": 0.5, "cost": {"num": 5, "den": 2, "x": 1}}],
+    "duplicate-names-offer.json": [{"name": "A", "alpha": 0.5, "cost": 1}, {"name": "B", "alpha": 0.6, "cost": 2},
+                                   {"name": "A", "alpha": 0.9, "cost": 3}],
     "zero-trials.json": _FAST_RATE | {"trials": 0},
     "one-class.json": _FAST_RATE | {"corruption": {"family": "symmetric_label_noise",
                                                    "params": {"sigma": 0.2, "classes": 1}}},
@@ -119,7 +124,10 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: to an unknown key; a kernel of 1000 x 1001 labels, past the entry guard; one value just outside each kind of range: an offer's
 #: alpha of 1.5, a cost of 0 and one that is 0 as a double, no trials, one
 #: class, a negative count in a mix and a negative ``--n``; and a config with
-#: no sample sizes; and exact plans: three offers of equal density, with
+#: no sample sizes; offers whose cost has a null ``den`` (read as 1), a
+#: ``den`` of 0 and an unknown key, and two offers sharing a name, at a
+#: negative budget (the budget is refused first) and at a valid one; and
+#: exact plans: three offers of equal density, with
 #: many plans worth 24 at budget 100; the same next to an offer no budget can
 #: buy, which never sizes the DP; a cheapest scaled cost of 1 (a cost of
 #: 1/12); and plans worth 0.6 at budget 6 whose densest offer is dearer than
@@ -132,9 +140,11 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: binary grid through the singular sigma = 0.5, 50 classes (past the pair
 #: pass's screen threshold), a sigma whose square libm's pow and x*x round
 #: apart, one class on an empty grid and on a grid it refuses, and two points
-#: of 1000 classes, past the work guard; a simulation of 10^6 cells of 11
-#: outcomes and actions, past its work guard; two usage errors, an unknown
-#: flag and a class count that is not an integer.  The names "in-blocks" and
+#: of 1000 classes, past the work guard, and 10^9 classes on a grid of
+#: sigma from 2 (every parameter is read before the class count's guard); a
+#: simulation of 10^6 cells of 11 outcomes and actions, past its work guard;
+#: two usage errors, an unknown flag and a class count that is not an
+#: integer.  The names "in-blocks" and
 #: "cell-by-cell" are kept from an earlier DP with two fill paths, so the
 #: record keeps its job names.
 EDGE_JOBS = {
@@ -142,7 +152,9 @@ EDGE_JOBS = {
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan", "1e999999999999999999",
                       "-1e999999999999999999", "1/0", "-1e-40", "inf", "1e99999999999999999999999")},
     **{f"plan-{name}": ("plan", "--offers", f"{name}-offer.json", "--budget", "1")
-       for name in ("alpha-1.5", "cost-0", "cost-tiny")},
+       for name in ("alpha-1.5", "cost-0", "cost-tiny", "den-0", "cost-unknown-key", "duplicate-names")},
+    "plan-den-null": ("plan", "--offers", "den-null-offer.json", "--budget", "12"),
+    "plan-duplicate-names-budget=-1": ("plan", "--offers", "duplicate-names-offer.json", "--budget=-1"),
     "plan-tied-offers-in-blocks": ("plan", "--offers", "tied-offers.json", "--budget", "100"),
     "plan-unbuyable-offer-in-blocks": ("plan", "--offers", "unbuyable-offer.json", "--budget", "100"),
     "plan-tie-past-a-dear-densest-offer": ("plan", "--offers", "dear-densest-offer.json", "--budget", "6"),
@@ -161,6 +173,8 @@ EDGE_JOBS = {
     "tables-one-class": ("tables", "--family", "symmetric_label_noise", "--grid", "0.9:1.2:0.1", "--classes", "1"),
     "tables-past-work-guard": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.2:0.1",
                                "--classes", "1000"),
+    "tables-sigma-out-of-range-past-class-guard": ("tables", "--family", "symmetric_label_noise", "--grid", "2:3:0.5",
+                                                   "--classes", "1000000000"),
     **{f"lecam-{name}": (*_LECAM, f"{name}.json")
        for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
                     "hypotheses-out-of-order")},
