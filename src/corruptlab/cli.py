@@ -47,9 +47,10 @@ GRID_POINT_GUARD = 10**5
 
 #: Most work a ``tables`` run may do, in entries: grid points times the
 #: m(m-1)k/2 entries of a k x m kernel's column pairs and the m^2 k of its
-#: SVD.  Measured on a 2-core Xeon, an entry costs 2 to 3 ns at 200 to 1000
-#: classes, 5 ns at 20 to 45 and 7 to 8 ns at 46 to 50, where the screened
-#: pass takes over, so the longest run admitted is about 16 s.
+#: SVD.  Measured on a 2-core Xeon, an entry costs 1.2 to 2.4 ns at 100 to
+#: 1000 classes, 3.3 to 5.5 ns at 20 to 45 and 3.6 to 4.0 ns at 46 to 50,
+#: where the screened pass takes over, so the longest run admitted takes
+#: about 8 s.
 TABLE_WORK_GUARD = 2 * 10**9
 
 #: Most work entries, counted as for ``TABLE_WORK_GUARD``, in one stacked

@@ -107,21 +107,37 @@ def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
     return total
 
 
-#: Slabs of at least this many entries are screened first.  A measured cost
-#: crossover (see :func:`_pair_extremes`), not a knob: no result depends on it.
+#: Kernels whose first slab of column pairs, (m - 1) k entries, holds at least
+#: this many are screened.  A measured cost crossover (see
+#: :func:`_pair_extremes`), not a knob: no result depends on it.
 _SCREEN_ENTRIES = 2048
 
 #: Kernels of more rows are never screened: the float32 error bound of
 #: :func:`_pair_extremes` needs (k - 1) 2**-24 <= 1/4.
 _SCREEN_ROWS = 2**22
 
+#: Most entries of a screened slab, b columns against every later column,
+#: and of the exact sums' buffer.  A measured cost crossover (see
+#: :func:`_pair_extremes`), not a knob: no result depends on it.
+_SLAB_ENTRIES = 2**18
 
-def _exact_extremes(rows: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+def _exact_extremes(rows: np.ndarray, col: np.ndarray, out: np.ndarray | None = None) -> tuple:
     """(max total variation, min overlap) of ``col`` against each row, over
     the last two axes: of one slab, or of each slab of a stack.  Each row is
-    summed on its own, along its last axis."""
-    return (0.5 * np.abs(rows - col).sum(axis=-1).max(axis=-1),
-            np.minimum(rows, col).sum(axis=-1).min(axis=-1))
+    summed on its own, along its last axis.  With ``out``, a float64 array of
+    the rows' shape, every step is taken in it: the same sums, no temporary."""
+    if out is None:
+        return (0.5 * np.abs(rows - col).sum(axis=-1).max(axis=-1),
+                np.minimum(rows, col).sum(axis=-1).min(axis=-1))
+    # halving is monotone under rounding, so it commutes with the max
+    tv = np.add.reduce(np.abs(np.subtract(rows, col, out=out), out=out), axis=-1).max(axis=-1)
+    return 0.5 * tv, np.add.reduce(np.minimum(rows, col, out=out), axis=-1).min(axis=-1)
+
+
+def _row_sums(maxima: np.ndarray) -> np.ndarray:
+    """The float32 sum of each row of a screened slab, in one BLAS matvec."""
+    return maxima @ np.ones(maxima.shape[1], np.float32)
 
 
 def check_extremes(worst: float, best: float) -> None:
@@ -160,58 +176,89 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     of its own, so the kept result cannot go stale; an exception is never
     kept.
 
-    Column i meets every later column in one slab, so each step holds
-    O(m k) memory.  For columns a and b with sums s_a and s_b, in exact
-    arithmetic,
+    For columns a and b with sums s_a and s_b, in exact arithmetic,
 
         sum max(a, b) = (s_a + s_b)/2 + TV(a, b),
         sum min(a, b) = (s_a + s_b)/2 - TV(a, b).
 
     So the score u = sum max(a, b) - (s_a + s_b)/2 is TV, and a pair can have
     the least overlap only if its TV is within 2 max|s - 1| of the largest.
-    A slab of at least ``_SCREEN_ENTRIES`` entries is screened with that one
-    reduction, taken over float32 copies of the columns made once per pass;
-    s stays float64.  The cut, the largest u or exact TV seen so far minus a
-    slack, only rises, and only the rows at or above it reach the exact
-    float64 reductions of :func:`_exact_extremes`.  A row below the cut holds
-    neither extreme or ties it, and each row is summed on its own, so the
-    result is bit for bit that of the exact reductions on every pair.
+    A kernel whose first slab, column 0 against the m - 1 others, holds at
+    least ``_SCREEN_ENTRIES`` entries is screened with that one reduction,
+    taken over float32 copies of the columns made once per pass; s stays
+    float64.
 
-    The slack is 2 max|s - 1| plus twice the error of the computed s, of u
-    and of both exact sums.  Every summand is non-negative, so a k-term sum
-    at unit roundoff r errs, in any order, by at most (k - 1) r / (1 - (k - 1)
-    r) times its value, which is at most 2 M for M = max s.  Let e = 2**-53
-    and f = 2**-24 be the unit roundoffs of float64 and float32, and
-    eps32 = 2 f.  Then s errs by (k - 1) e M, each exact TV and overlap by
-    (k + 1) e M, and u, as follows, for k <= ``_SCREEN_ROWS``, where
-    (k - 1) f <= 1/4:
+    Slabs.  A slab is b columns i, ..., i + b - 1 against every column after
+    i: b (m - 1 - i) k entries, with b the most that ``_SLAB_ENTRIES`` allows,
+    at least 1.  Its maxima take one numpy call and its row sums one BLAS
+    matvec against a ones vector (:func:`_row_sums`); the pairs of column
+    i + p with a column not after it, on and below the slab's diagonal, are
+    masked.  The cut, the largest u or exact TV seen so far minus a slack,
+    is taken over the whole slab and only rises, and only the pairs at or
+    above it reach the exact float64 reductions of :func:`_exact_extremes`.
+    A pair below the cut holds neither extreme or ties it, and each row is
+    summed on its own, so the result is bit for bit that of the exact
+    reductions on every pair.  The kept pairs are gathered, in chunks of at
+    most ``_SLAB_ENTRIES`` entries (or of one pair) for both columns and the
+    work together, into one float64 buffer reused over the pass, so each
+    step holds O(``_SLAB_ENTRIES`` + m k) memory.
+
+    The bound.  The slack is 2 max|s - 1| plus twice the error of the
+    computed s, of u and of both exact sums.  Every summand is non-negative,
+    so a k-term sum at unit roundoff r errs, in any order, by at most
+    (k - 1) r / (1 - (k - 1) r) times its value, which is at most 2 M for
+    M = max s.  Let e = 2**-53 and f = 2**-24 be the unit roundoffs of float64
+    and float32, and eps32 = 2 f.  Then s errs by (k - 1) e M, each exact TV
+    and overlap by (k + 1) e M, and u, as follows, for k <= ``_SCREEN_ROWS``,
+    where (k - 1) f <= 1/4:
 
     - casting an entry to float32 moves it by at most f times its value
       plus 2**-126, which covers gradual underflow and flush-to-zero alike,
       and max(a, b) moves by no more than its arguments: 2 f M + k 2**-126
       over the row;
-    - the float32 sum of the maxima: (4/3)(k - 1) f (1 + f) 2 M, plus
-      (k - 1) 2**-126 if subnormal partial sums are flushed, plus under
-      1/3 of the cast's k 2**-126;
+    - the BLAS sum of the maxima, in whatever order and blocking it takes,
+      at float32 or a wider precision: each product with the ones vector is
+      exact, so a fused multiply-add rounds once, as an addition does, and
+      the sum errs by (4/3)(k - 1) f (1 + f) 2 M, plus (k - 1) 2**-126 if it
+      flushes subnormal partial sums to zero, plus k 2**-126 if it reads
+      subnormal entries as zero, plus under 1/3 of the cast's k 2**-126;
     - the halved float64 sums (k - 1) e M, and the two float64
       subtractions 6 e M.
 
-    So u errs by less than (3/2)(k + 1) eps32 M + (7/3) k 2**-126, and twice
+    So u errs by less than (3/2)(k + 1) eps32 M + (10/3) k 2**-126, and twice
     the total of all four is under the 8 (k + 2) eps32 M + k 2**-123 used.
     Taller kernels run the exact reductions on every row; there the slack
     would pass 4 M anyway.
 
-    Slabs below ``_SCREEN_ENTRIES`` run the exact reductions on every row,
-    because there the screen's fixed cost of some ten numpy calls outweighs
-    the reductions it saves.  Per pass, unscreened against every slab
-    screened (2-core Intel Xeon, numpy 2.4, one BLAS thread, best of 51
-    runs): a random 7x7 kernel 52 against 69 us, a 32-column binary product
-    0.32 against 0.41 ms, a 64-column one 0.85 against 0.67 ms, an 81-column
-    3-class symmetric product, whose columns each tie exactly with 16 others,
-    1.31 against 1.52 ms.  Slabs of 992 entries (32 columns) lose and slabs
-    of 4032 (64 columns) gain unless rich in exact ties, so the threshold
-    lies between them, at 2048; the kernels of ``tables``, ``lecam`` and
-    small ``analyze`` calls stay below it.
+    Switch-off.  Per entry of a pair (2-core Intel Xeon, numpy 2.4, one BLAS
+    thread, k = m = 128 to 512), the screen costs 0.55 to 0.61 ns, and the
+    exact sums 2.0 to 3.4 ns on contiguous rows and 2.9 to 3.9 ns on
+    gathered ones.  Screening slabs that keep a share q of their pairs so
+    costs 0.6 + 3.3 q ns against about 2.7 unscreened, and loses once q
+    passes 0.5 to 0.76.  So once the screened slabs have seen at least 4m
+    pairs and kept more than half of them, the rest of the pass runs the
+    exact reductions on contiguous slabs: column i against every later
+    column, in chunks of the buffer.  Symmetric noise, whose pairs all tie,
+    keeps every pair: at 300 classes only the first three slabs are
+    screened.
+
+    Per pass, unscreened against screened (best of 6 to 54 runs, same
+    machine): a random 7x7 kernel 46 against 36 us, binary products of 32,
+    64, 128 and 512 columns 0.28 against 0.063, 0.79 against 0.20, 3.3
+    against 0.74 and 208 against 32 ms; 3-class symmetric products of 81
+    and 243 columns, whose columns each tie exactly with 16 and 32 others,
+    1.2 against 0.46 and 16.6 against 6.9 ms; symmetric noise of 64 and 300
+    classes 0.80 against 0.67 and 30.2 against 29.4 ms.  A slab of 2**16
+    or 2**20 entries costs more than 2**18 at 128 columns (0.92 and 0.98
+    against 0.69 ms), and 2**20 at 512 (39 against 29 ms) and on the
+    243-column product (7.9 against 6.3 ms).  One kernel is thus cheaper
+    screened at every size measured; ``_SCREEN_ENTRIES`` is the crossover
+    for stacks, since ``cli._statistics`` sends a stack whose first slab
+    reaches it through this pass one kernel at a time instead of the
+    stacked exact reductions of :func:`stacked_extremes`.  Per unit of
+    ``tables`` work, 45 classes cost 3.3 to 3.7 ns through the stack and 46
+    classes 3.7 to 3.8 ns through this pass.  The kernels of ``lecam``,
+    small ``analyze`` calls and ``tables`` below 46 classes stay below it.
 
     The two extremes must add up to 1 within 1e-9; a disagreement signals a
     numeric bug and raises :class:`InternalInconsistency`.  A single column
@@ -221,30 +268,56 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     m, k = cols.shape
     if m == 1:
         return 0.0, 1.0
-    worst, best = 0.0, math.inf  # an overlap may exceed 1 by rounding
-    screened = _SCREEN_ENTRIES if k <= _SCREEN_ROWS else math.inf
-    if (m - 1) * k >= screened:  # slabs shrink, so the first is the largest
-        cols32 = cols.astype(np.float32)
-        sums = cols.sum(axis=1)
-        half = 0.5 * sums
-        rounding = 8 * (k + 2) * float(np.finfo(np.float32).eps) * float(sums.max()) + k * 2.0**-123
-        slack = 2.0 * float(np.abs(sums - 1.0).max()) + rounding
-        buf, total, score = np.empty_like(cols32[1:]), np.empty(m - 1, np.float32), np.empty(m - 1)
-        cut = -math.inf
-    for i, col in enumerate(cols[:-1]):
-        rest = cols[i + 1:]
-        if rest.size >= screened:
-            n = len(rest)
-            np.add.reduce(np.maximum(cols32[i + 1:], cols32[i], out=buf[:n]), axis=1, out=total[:n])
-            u = np.subtract(total[:n], half[i + 1:], out=score[:n])
-            u -= half[i]
-            cut = max(cut, float(u.max()) - slack, worst - slack)
-            rest = rest[u >= cut]
-            if not len(rest):
-                continue
-        tv, overlap = _exact_extremes(rest, col)
-        worst, best = max(worst, float(tv)), min(best, float(overlap))
+    if (m - 1) * k >= _SCREEN_ENTRIES and k <= _SCREEN_ROWS:
+        worst, best = _screened_extremes(cols)
+    else:
+        worst, best = 0.0, math.inf  # an overlap may exceed 1 by rounding
+        for i, col in enumerate(cols[:-1]):
+            tv, overlap = _exact_extremes(cols[i + 1:], col)
+            worst, best = max(worst, float(tv)), min(best, float(overlap))
     check_extremes(worst, best)
+    return worst, best
+
+
+def _screened_extremes(cols: np.ndarray) -> tuple[float, float]:
+    """The screened route of :func:`_pair_extremes` over the m x k float64
+    ``cols``, unchecked."""
+    m, k = cols.shape
+    sums = cols.sum(axis=1)
+    half = 0.5 * sums
+    rounding = 8 * (k + 2) * float(np.finfo(np.float32).eps) * float(sums.max()) + k * 2.0**-123
+    slack = 2.0 * float(np.abs(sums - 1.0).max()) + rounding
+    cols32 = cols.astype(np.float32)
+    maxima = np.empty(max(_SLAB_ENTRIES, (m - 1) * k), np.float32)
+    pairs = max(1, _SLAB_ENTRIES // (3 * k))  # per exact chunk: both gathers and the work fit the buffer
+    work = np.empty((3, pairs, k))
+    worst, best, cut = 0.0, math.inf, -math.inf  # an overlap may exceed 1 by rounding
+    i = seen = kept = 0
+    while i < m - 1 and not (seen >= 4 * m and 2 * kept > seen):
+        r = m - 1 - i
+        b = min(r, max(1, _SLAB_ENTRIES // (r * k)))
+        slab = np.maximum(cols32[i:i + b, None], cols32[i + 1:], out=maxima[:b * r * k].reshape(b, r, k))
+        u = _row_sums(slab.reshape(b * r, k)).reshape(b, r) - half[i + 1:]
+        u -= half[i:i + b, None]
+        if b > 1:
+            u[np.tri(b, r, -1, bool)] = -math.inf  # column i + p meets only the columns after it
+        cut = max(cut, float(u.max()) - slack, worst - slack)
+        p, q = np.nonzero(u >= cut)
+        seen, kept = seen + b * r - b * (b - 1) // 2, kept + len(p)
+        for s in range(0, len(p), pairs):
+            a, j = p[s:s + pairs] + i, q[s:s + pairs] + (i + 1)
+            n = len(a)
+            rows = np.take(cols, j, axis=0, out=work[0, :n], mode="clip")
+            col = np.take(cols, a, axis=0, out=work[1, :n], mode="clip")
+            tv, overlap = _exact_extremes(rows, col, work[2, :n])
+            worst, best = max(worst, float(tv)), min(best, float(overlap))
+        i += b
+    flat = work.reshape(3 * pairs, k)
+    for i in range(i, m - 1):  # the screen keeps most pairs: the rest run exact, in contiguous slabs
+        for s in range(i + 1, m, 3 * pairs):
+            rest = cols[s:s + 3 * pairs]
+            tv, overlap = _exact_extremes(rest, cols[i], flat[:len(rest)])
+            worst, best = max(worst, float(tv)), min(best, float(overlap))
     return worst, best
 
 

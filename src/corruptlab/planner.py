@@ -134,18 +134,17 @@ class Offers(tuple):
     @functools.cached_property
     def ordered(self) -> list[SourceOffer]:
         """The offers by decreasing alpha / cost; ties go to the lower cost,
-        then the name."""
+        then the name.  Offers sharing a name are refused."""
+        names = sorted(o.name for o in self)
+        for a, b in zip(names, names[1:]):
+            if a == b:
+                raise InvalidParameter(f"offer name {a!r} appears more than once")
         return _density_order(self)
 
     @functools.cached_property
     def scaled(self) -> tuple[list[int], int]:
         """The costs of ``ordered`` in units of 1/scale, for scale the least
-        common multiple of the costs' denominators, and scale.  Offers sharing
-        a name are refused."""
-        names = sorted(o.name for o in self)
-        for a, b in zip(names, names[1:]):
-            if a == b:
-                raise InvalidParameter(f"offer name {a!r} appears more than once")
+        common multiple of the costs' denominators, and scale."""
         scale = math.lcm(*(o.unit_cost.denominator for o in self))
         return [o.unit_cost.numerator * (scale // o.unit_cost.denominator) for o in self.ordered], scale
 
@@ -352,7 +351,7 @@ def rank_sources_lower(offers: Sequence[SourceOffer]) -> list[str]:
 
 def rank_sources_upper(offers: Sequence[SourceOffer]) -> list[str]:
     """Source names by increasing cost * ||corrected||_inf^2."""
-    offers = Offers(offers)
+    offers = Offers(offers).ordered
     for o in offers:
         if o.corrected_sup is None:
             raise MissingStatistic(f"offer {o.name!r} has no corrected_sup")

@@ -226,6 +226,37 @@ def with_columns(matrix):
                   Space([f"y{i}" for i in range(matrix.shape[0])]), matrix)
 
 
+def symmetric_noise(classes):
+    return catalog.build_kernel(catalog.make_spec("symmetric_label_noise", sigma=0.2, classes=classes))
+
+
+def slab_columns(slabs, m):
+    """The columns of each slab of one pass over m columns, from the pairs
+    each slab screened: b columns against the m - 1 - i columns after the
+    first."""
+    columns = []
+    for pairs in slabs:
+        columns.append(pairs // (m - 1 - sum(columns)))
+    assert sum(columns) <= m - 1
+    return columns
+
+
+@pytest.fixture
+def screen_slabs(monkeypatch):
+    """The pairs of each screened slab, counted through the helper that sums
+    its rows; no pass result is kept from before the test."""
+    slabs = []
+    row_sums = divergence._row_sums
+
+    def counting(maxima):
+        slabs.append(len(maxima))
+        return row_sums(maxima)
+
+    monkeypatch.setattr(divergence, "_row_sums", counting)
+    divergence._pair_extremes.cache_clear()
+    return slabs
+
+
 class TestOnePassMatchesPairLoops:
     """alpha and lambda_coeff come from one pass; they must equal, bit for
     bit, what the two loops over the column pairs gave, both at today's slab
@@ -261,6 +292,18 @@ class TestOnePassMatchesPairLoops:
                       np.tile(col[:, None], (1, 3)))
         self.check(same)
         assert alpha(same) == 0.0
+
+    @pytest.mark.parametrize("m, k", [(46, 130), (64, 67), (100, 116), (128, 71)])
+    def test_several_columns_per_slab(self, m, k, screen_slabs):
+        t = random_kernel(np.random.default_rng(m), m, k)
+        self.check(t)
+        columns = slab_columns(screen_slabs[:len(screen_slabs) // 2], m)  # both settings screen alike
+        assert columns[0] > 1 and columns[-1] == 1 and sum(columns) == m - 1
+
+    @pytest.mark.parametrize("classes", [64, 300])
+    def test_symmetric_noise(self, classes):
+        # every column ties with every other: at 300 classes the screen stops after its first slabs
+        self.check(symmetric_noise(classes))
 
     def test_256_column_product(self):
         for t in (replicate(binary_noise(0.2), 8), replicate(asym_noise(0.1, 0.3), 8)):
@@ -307,6 +350,31 @@ class TestOnePassMatchesPairLoops:
         # columns that differ only in tiny entries
         self.check(with_columns([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.0, tiny, 2 * tiny]]))
         self.check(with_columns([[1.0, 1.0, 1.0, 1.0], [tiny, 0.0, tiny, 0.0], [0.0, tiny, tiny, 0.0]]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.2e-38, 1e-39, 1e-45, 1e-310, 5e-324]),
+           st.sampled_from([1, 200, divergence._SLAB_ENTRIES]))
+    def test_row_sum_order_changes_nothing(self, seed, tiny, slab_entries):
+        # just above float32's least normal, two of its subnormals (1e-45 rounds to
+        # the least) and two values that round to 0 in it: the screen's row sums,
+        # through the matvec, one reduction or in reversed order, keep every pair
+        # that can hold an extreme
+        rng = np.random.default_rng(seed)
+        m, k = rng.integers(2, 30), rng.integers(2, 30)
+        matrix = rng.dirichlet(np.ones(k), size=m).T
+        matrix[rng.random((k, m)) < rng.random()] = tiny
+        matrix[0] = 0.0
+        matrix[0] = 1.0 - matrix.sum(axis=0)  # leaves the tiny entries as they are
+        t = with_columns(matrix)
+        expected = {(alpha_loop(t), lambda_loop(t))}
+        sums = (divergence._row_sums, lambda x: np.add.reduce(x, axis=1), lambda x: np.add.reduce(x[:, ::-1], axis=1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(divergence, "_SCREEN_ENTRIES", 1)
+            mp.setattr(divergence, "_SLAB_ENTRIES", slab_entries)
+            for row_sums in sums:
+                mp.setattr(divergence, "_row_sums", row_sums)
+                divergence._pair_extremes.cache_clear()
+                assert {(alpha(t), lambda_coeff(t))} == expected
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_tall_kernel(self, m):
@@ -358,9 +426,9 @@ def exact_rows(monkeypatch):
     rows = []
     exact = divergence._exact_extremes
 
-    def counting(rest, col):
+    def counting(rest, col, *out):
         rows.append(rest[..., 0].size)
-        return exact(rest, col)
+        return exact(rest, col, *out)
 
     monkeypatch.setattr(divergence, "_exact_extremes", counting)
     divergence._pair_extremes.cache_clear()
@@ -372,7 +440,23 @@ class TestScreenWork:
 
     def test_512_columns_screened(self, exact_rows):
         alpha(replicate(catalog.build_kernel(catalog.binary_label_noise(0.1, 0.2)), 9))
-        assert sum(exact_rows) < 0.01 * (512 * 511 // 2)
+        assert sum(exact_rows) <= 137  # of 130,816 pairs, as when each slab held one column
+
+    def test_128_columns_take_a_handful_of_slabs(self, screen_slabs, exact_rows):
+        alpha(replicate(catalog.build_kernel(catalog.binary_label_noise(0.1, 0.2)), 7))
+        assert len(screen_slabs) < 8 and slab_columns(screen_slabs, 128)[0] > 1
+        assert sum(exact_rows) < 0.01 * (128 * 127 // 2)
+
+    @pytest.mark.parametrize("classes", [64, 300])
+    def test_tie_rich_kernels_run_each_pair_once(self, classes, exact_rows):
+        # every pair ties, so the screen keeps them all, each once
+        alpha(symmetric_noise(classes))
+        assert sum(exact_rows) == classes * (classes - 1) // 2
+
+    def test_tie_rich_kernels_stop_screening(self, screen_slabs):
+        # once the screen has seen 4m pairs and kept most, the rest run exact
+        alpha(symmetric_noise(300))
+        assert sum(screen_slabs) < 8 * 300
 
     def test_small_slabs_run_every_pair(self, exact_rows):
         t = replicate(binary_noise(0.2), 5)

@@ -665,6 +665,15 @@ class TestRankings:
         offers = [SourceOffer("B", 0.6, 2), SourceOffer("A", 0.3, 1)]
         assert rank_sources_lower(offers) == ["A", "B"]  # equal density, cheaper first
 
+    def test_offers_sharing_a_name_are_refused(self):
+        # a ranking names each offer once, so it refuses what the plans refuse, with their words
+        offers = [SourceOffer("A", 0.5, 1, corrected_sup=1.0), SourceOffer("B", 0.6, 2, corrected_sup=1.0),
+                  SourceOffer("A", 0.9, 2, corrected_sup=2.0)]
+        for call in (rank_sources_lower, rank_sources_upper, lambda o: greedy_plan(o, 1), lambda o: exact_plan(o, 1)):
+            for read in (offers, Offers(offers)):
+                with pytest.raises(errors.InvalidParameter, match="^offer name 'A' appears more than once$"):
+                    call(read)
+
 
 class TestOneRead:
     """A list of offers is typed, checked, ordered and scaled once: by

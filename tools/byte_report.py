@@ -45,6 +45,23 @@ _PROBLEM = {"thetas": ["t0", "t1"], "actions": ["a0", "a1"], "loss": [[0.0, 1.0]
 _FAST_RATE = {"clean": {"space": ["-1", "+1"], "weights": [0.0, 1.0]}, "loss": _LOSS,
               "corruption": {"family": "binary_label_noise", "params": {"sigma_neg": 0.2, "sigma_pos": 0.3}},
               "sample_sizes": [25, 50], "trials": 25, "seed": 7}
+
+
+def _kron(*factors: list) -> list:
+    """The Kronecker product of matrices given as lists of rows."""
+    product = [[1.0]]
+    for factor in factors:
+        product = [[a * b for a in row for b in frow] for row in product for frow in factor]
+    return product
+
+
+#: A 100 x 100 product kernel: two 2 x 2 and two 5 x 5 column-stochastic factors.
+_PRODUCT = _kron([[0.8, 0.3], [0.2, 0.7]], [[0.9, 0.25], [0.1, 0.75]],
+                 [[0.6, 0.1, 0.05, 0.1, 0.15], [0.15, 0.5, 0.1, 0.05, 0.1], [0.1, 0.2, 0.7, 0.1, 0.05],
+                  [0.1, 0.1, 0.1, 0.65, 0.1], [0.05, 0.1, 0.05, 0.1, 0.6]],
+                 [[0.5, 0.2, 0.1, 0.1, 0.1], [0.2, 0.4, 0.2, 0.1, 0.1], [0.1, 0.2, 0.4, 0.2, 0.1],
+                  [0.1, 0.1, 0.2, 0.4, 0.2], [0.1, 0.1, 0.1, 0.2, 0.5]])
+
 _TIED_OFFERS = [{"name": "A", "alpha": 0.5, "cost": {"num": 25, "den": 12}},
                 {"name": "B", "alpha": 0.6, "cost": {"num": 5, "den": 2}},
                 {"name": "C", "alpha": 0.9, "cost": {"num": 15, "den": 4}}]
@@ -70,6 +87,8 @@ EDGE_DOCUMENTS = {
     "fast-rate.json": _FAST_RATE,
     "bool-matrix.json": _KERNEL | {"matrix": [[True, False], [False, True]]},
     "ragged-matrix.json": _KERNEL | {"matrix": [[0.8, 0.3], [0.2]]},
+    "product-100.json": {"from": [f"x{i}" for i in range(100)], "to": [f"y{i}" for i in range(100)],
+                         "matrix": _PRODUCT},
     "past-entry-guard.json": {"from": [f"x{i}" for i in range(1001)], "to": [f"y{i}" for i in range(1000)],
                               "matrix": [[1.0]]},
     "string-weight.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": ["0.5", 0.5]}},
@@ -138,13 +157,15 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: below the densest offer's density, and 11 equally dense offers whose DP
 #: would be 1.1e8 units of work, past the plan's work guard; and tables: a
 #: binary grid through the singular sigma = 0.5, 50 classes (past the pair
-#: pass's screen threshold), a sigma whose square libm's pow and x*x round
+#: pass's screen threshold), 300 classes on two points (a screen that keeps
+#: every pair, so it stops after its first slabs), a sigma whose square libm's pow and x*x round
 #: apart, one class on an empty grid and on a grid it refuses, and two points
 #: of 1000 classes, past the work guard, and 10^9 classes on a grid of
 #: sigma from 2 (every parameter is read before the class count's guard); a
 #: simulation of 10^6 cells of 11 outcomes and actions, past its work guard;
 #: two usage errors, an unknown flag and a class count that is not an
-#: integer.  The names "in-blocks" and
+#: integer; and analyze on a 100 x 100 product kernel, whose screened slabs
+#: hold several columns each.  The names "in-blocks" and
 #: "cell-by-cell" are kept from an earlier DP with two fill paths, so the
 #: record keeps its job names.
 EDGE_JOBS = {
@@ -167,6 +188,8 @@ EDGE_JOBS = {
     "tables-binary-singular-point": ("tables", "--family", "binary_label_noise", "--grid", "0.4:0.6:0.1"),
     "tables-50-classes-screened": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.3:0.1",
                                    "--classes", "50"),
+    "tables-300-classes-tie-rich": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.2:0.1",
+                                    "--classes", "300"),
     "tables-partial-pow-square": ("tables", "--family", "partial_labels", "--grid", "0.0397:0.0397:0.1"),
     "tables-one-class-empty-grid": ("tables", "--family", "symmetric_label_noise", "--grid", "1:0:0.1",
                                     "--classes", "1"),
@@ -188,7 +211,7 @@ EDGE_JOBS = {
     "usage-unknown-flag": (*_LECAM, "problem.json", "--frobnicate"),
     "usage-bad-int": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.2:0.1", "--classes", "x"),
     **{f"analyze-{name}": ("analyze", "--kernel", f"{name}.json")
-       for name in ("bool-matrix", "ragged-matrix", "past-entry-guard")},
+       for name in ("bool-matrix", "ragged-matrix", "past-entry-guard", "product-100")},
     **{f"simulate-{name}": ("simulate", "--config", f"{name}.json", "--out", "malformed.csv")
        for name in ("string-weight", "fractional-trials", "sigma-string-and-unknown-key", "zero-trials",
                     "one-class", "no-sample-sizes")},
