@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter, SizeGuardExceeded, UnknownFamily
+from .errors import InvalidParameter, UnknownFamily, _shown, guard
 from .kernels import PRODUCT_ENTRY_GUARD, Kernel, Space, check_stochastic
 from .schema import INT, OBJECT, PROBABILITY, STR, fields, typed, within
 
@@ -55,8 +55,8 @@ class CorruptionSpec:
             raise InvalidParameter(f"{self.family} takes the parameters {', '.join(names)}, "
                                    "each once, as (name, value) pairs")
         params = tuple((key, typed(given[key], key, _CLASSES if key == "classes" else PROBABILITY)) for key in names)
-        if dict(params).get("classes", 0)**2 > PRODUCT_ENTRY_GUARD:  # before the k x k matrix
-            raise SizeGuardExceeded(f"more than {math.isqrt(PRODUCT_ENTRY_GUARD)} classes exceed the entry guard")
+        k = dict(params).get("classes", 1)
+        guard(k * k, PRODUCT_ENTRY_GUARD, f"kernel entries, {_shown(k)}x{_shown(k)} =")  # before the k x k matrix
         object.__setattr__(self, "params", params)
 
 

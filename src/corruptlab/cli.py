@@ -7,8 +7,9 @@ output is byte-stable for fixed inputs and seeds.
 
 ``tables`` sweeps one family along the grid: every probability parameter is
 set to the grid value sigma and ``classes`` (if the family has it) to
-``--classes``.  Every point is checked before any kernel is built, and the
-work, grid points times m(m-1)k/2 + m^2 k for k x m kernels, is bounded by
+``--classes``.  Every point is checked before the points are counted or any
+kernel is built; then the count is bounded by ``GRID_POINT_GUARD`` and the
+work, grid points times m(m-1)k/2 + m^2 k for k x m kernels, by
 ``TABLE_WORK_GUARD``.  The grid is then taken in chunks of at most
 ``STACK_CHUNK_ENTRIES`` of that work: each chunk's kernels are one (G, k, m)
 stack, and :func:`_statistics` runs the pair pass, one stacked SVD and the
@@ -20,6 +21,7 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure or tripped guard.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 import math
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import catalog, divergence, planner, reconstruct
 from .bounds import check_corruption, lecam_replicated, mixed_from_json, problem_from_json, separation
-from .errors import InvalidInput, InvalidParameter, NumericalFailure, ParseError, SizeGuardExceeded, _escaped
+from .errors import InvalidInput, InvalidParameter, NumericalFailure, ParseError, SizeGuardExceeded, _escaped, guard
 from .kernels import Kernel, kernel_from_json
 from .reconstruct import check_loss, loss_from_json
 from .schema import NONNEGATIVE, load_json, typed
@@ -63,7 +65,15 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_grid(text: str) -> list[float]:
+def _grid(text: str):
+    """The points of a ``tables --grid`` "start:end:step", as a function of
+    k, and their number, found without listing them.  Point k is ``start + k
+    * step``, rounded to 12 decimals for clean labels, while that sum is at
+    most ``end + 1e-12``.  The sums rise with k, as ``*`` and ``+`` round
+    monotonically, so when the count read from the span is off, by rounding
+    or because a step below the float spacing at start repeats points, it is
+    found by bisection.  Past ``sys.maxsize`` points, where k no longer fits
+    an index, the count and the points are taken in the reals."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParseError(f'grid must be "start:end:step", got {text!r}')
@@ -75,16 +85,22 @@ def _parse_grid(text: str) -> list[float]:
         raise ParseError(f"grid bounds must be finite, got {text!r}")
     if step <= 0:
         raise ParseError("grid step must be positive")
-    too_many = f"grid {text!r} has more than {GRID_POINT_GUARD} points"
-    if (end + 1e-12 - start) / step >= GRID_POINT_GUARD:  # counted before any point is made
-        raise SizeGuardExceeded(too_many)
-    values = []
-    for k in range(GRID_POINT_GUARD + 1):  # a step below the float spacing at start repeats points
-        v = start + k * step
-        if v > end + 1e-12:
-            return values
-        values.append(round(v, 12))  # keep grid labels clean in the CSV
-    raise SizeGuardExceeded(too_many)
+    top = end + 1e-12
+
+    def past(k):
+        return start + k * step > top
+
+    guess = (top - start) / step + 1
+    count = int(guess) if 1 <= guess < sys.maxsize else 0
+    if not past(count) or count and past(count - 1):  # off by rounding, or points repeat
+        count = bisect.bisect_left(range(sys.maxsize), True, key=past)
+    if count == sys.maxsize:
+        count = max(count, math.floor((Fraction(top) - Fraction(start)) / Fraction(step)) + 1)
+
+    def point(k):
+        return round(start + k * step if k < sys.maxsize else float(Fraction(start) + k * Fraction(step)), 12)
+
+    return point, count
 
 
 def _theta_ref(text: str):
@@ -157,7 +173,7 @@ def _cells(values: np.ndarray) -> list[str]:
 def cmd_tables(args) -> int:
     family = catalog.family(args.family)  # an unknown family fails before the grid is read
     names = family.params
-    sigmas = _parse_grid(args.grid)
+    point, count = _grid(args.grid)
 
     def values(part):
         return [args.classes if key == "classes" else np.array(part) for key in names]
@@ -165,23 +181,33 @@ def cmd_tables(args) -> int:
     def spec(sigma):
         return catalog.make_spec(args.family, **{key: args.classes if key == "classes" else sigma for key in names})
 
-    lines = [TABLE_HEADER]
-    if sigmas:
-        # Every point is checked before any kernel is built.  The points
-        # differ only in sigma, which rises along the grid, and a
-        # probability's range is an interval: when both ends pass, every
-        # point does; otherwise the first failing point raises.
-        spec(sigmas[0])
+    def fails(k):
         try:
-            spec(sigmas[-1])
+            spec(point(k))
         except InvalidInput:
-            for sigma in sigmas:
-                spec(sigma)
+            return True
+        except SizeGuardExceeded:  # the class count's guard, which every valid point trips alike
+            pass
+        return False
+
+    lines = [TABLE_HEADER]
+    if count:
+        # Every point is checked before any guard.  The points differ only in
+        # sigma, which rises along the grid, and a probability's range is an
+        # interval: when both ends pass, every point does.  The last point is
+        # checked past the class count's guard; when it fails, the first
+        # failing point raises, found by bisection past a valid first point,
+        # as the failing points then come last.  Then the first point is
+        # checked, and the class count with it.
+        if fails(count - 1):
+            spec(point(0 if fails(0) else bisect.bisect_left(range(min(count, sys.maxsize)), True, key=fails)))
+            spec(point(count - 1))
+        spec(point(0))
+        guard(count, GRID_POINT_GUARD, f"grid {args.grid!r} point count")
         _, k, m = catalog.build_kernels(args.family, *values([]))[2].shape  # from a stack of no kernels
         per_point = m * (m - 1) * k // 2 + m * m * k
-        if (work := len(sigmas) * per_point) > TABLE_WORK_GUARD:
-            raise SizeGuardExceeded(f"{len(sigmas)} grid points of {per_point} entries each are {work} "
-                                    f"entries of work (guard: {TABLE_WORK_GUARD})")
+        guard(count * per_point, TABLE_WORK_GUARD, f"tables work, {count} points x {per_point} entries =")
+        sigmas = list(map(point, range(count)))
         size = max(1, STACK_CHUNK_ENTRIES // per_point)
         for start in range(0, len(sigmas), size):
             part = values(sigmas[start:start + size])

@@ -152,9 +152,9 @@ def stacked_extremes(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max total variation, min overlap) over the column pairs of each
     matrix of the (G, k, m) stack ``matrices``, unchecked: column i meets
     every later column of all G matrices in one slab, through the exact
-    reductions of an unscreened :func:`_pair_extremes`, so each value is bit
-    for bit that of the kernel's own pass.  A single column gives (0.0,
-    1.0)."""
+    reductions, so each value is bit for bit that of the kernel's own pass:
+    :func:`_pair_extremes` takes this route on a stack of one when it does
+    not screen.  A single column gives (0.0, 1.0)."""
     cols = np.ascontiguousarray(np.swapaxes(matrices, 1, 2))
     g, m, _ = cols.shape
     if m == 1:
@@ -227,8 +227,9 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
 
     So u errs by less than (3/2)(k + 1) eps32 M + (10/3) k 2**-126, and twice
     the total of all four is under the 8 (k + 2) eps32 M + k 2**-123 used.
-    Taller kernels run the exact reductions on every row; there the slack
-    would pass 4 M anyway.
+    Taller kernels, and those whose first slab is below ``_SCREEN_ENTRIES``,
+    take the exact reductions of :func:`stacked_extremes` on a stack of one;
+    for the tall ones the slack would pass 4 M anyway.
 
     Switch-off.  Per entry of a pair (2-core Intel Xeon, numpy 2.4, one BLAS
     thread, k = m = 128 to 512), the screen costs 0.55 to 0.61 ns, and the
@@ -251,8 +252,10 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     classes 0.80 against 0.67 and 30.2 against 29.4 ms.  A slab of 2**16
     or 2**20 entries costs more than 2**18 at 128 columns (0.92 and 0.98
     against 0.69 ms), and 2**20 at 512 (39 against 29 ms) and on the
-    243-column product (7.9 against 6.3 ms).  One kernel is thus cheaper
-    screened at every size measured; ``_SCREEN_ENTRIES`` is the crossover
+    243-column product (7.9 against 6.3 ms).  One kernel of 7 or more
+    columns is thus cheaper screened at every size measured, but not a small
+    one: a random 2x2 kernel costs 10 us unscreened against 34 us screened,
+    and a 3x3 one 20 against 38 us.  ``_SCREEN_ENTRIES`` is the crossover
     for stacks, since ``cli._statistics`` sends a stack whose first slab
     reaches it through this pass one kernel at a time instead of the
     stacked exact reductions of :func:`stacked_extremes`.  Per unit of
@@ -264,17 +267,11 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     numeric bug and raises :class:`InternalInconsistency`.  A single column
     gives (0.0, 1.0): nothing to distinguish.
     """
-    cols = np.ascontiguousarray(t.matrix.T)
-    m, k = cols.shape
-    if m == 1:
-        return 0.0, 1.0
+    k, m = t.matrix.shape
     if (m - 1) * k >= _SCREEN_ENTRIES and k <= _SCREEN_ROWS:
-        worst, best = _screened_extremes(cols)
+        worst, best = _screened_extremes(np.ascontiguousarray(t.matrix.T))
     else:
-        worst, best = 0.0, math.inf  # an overlap may exceed 1 by rounding
-        for i, col in enumerate(cols[:-1]):
-            tv, overlap = _exact_extremes(cols[i + 1:], col)
-            worst, best = max(worst, float(tv)), min(best, float(overlap))
+        worst, best = (float(v[0]) for v in stacked_extremes(t.matrix[None]))
     check_extremes(worst, best)
     return worst, best
 

@@ -20,6 +20,8 @@ def _shown(x) -> str:
     of ten: ``str`` slows with the digits and refuses more than 4,300 of them,
     and a decimal's fraction builds 10**-exponent.  A decimal's trailing zeros
     are dropped first, so 0.5 and 0.50 are shown alike."""
+    if isinstance(x, int) and -10**30 < x < 10**30:  # the common case, without a Fraction
+        return str(x)
     if isinstance(x, Decimal) and x.is_finite():
         sign, digits, exponent = x.as_tuple()
         zeros = len(digits) - len(bytes(digits).rstrip(b"\0"))
@@ -123,11 +125,21 @@ class ParseError(InvalidInput):
 # -- numerical failure / guards -----------------------------------------------
 
 class SizeGuardExceeded(NumericalFailure):
-    """A kernel, grid or other materialized object would exceed its size guard."""
+    """A count past its guard: the size of an object that would be
+    materialized (a kernel's entries, a grid's points, a sample) or the work
+    a command would do (``tables``, ``simulate`` and the exact plan's DP)."""
 
 
 class CapacityGuardExceeded(NumericalFailure):
     """The integer-scaled knapsack capacity exceeds the DP guard."""
+
+
+def guard(count, bound, what: str, error: type[NumericalFailure] = SizeGuardExceeded) -> None:
+    """Refuse ``count`` past ``bound`` with ``error``, worded ``<what>
+    <count> exceeds guard <bound>``.  Every size guard of the library comes
+    here, after the input it counts has been checked."""
+    if count > bound:
+        raise error(f"{what} {_shown(count)} exceeds guard {bound}")
 
 
 class InternalInconsistency(NumericalFailure):

@@ -27,16 +27,16 @@ from .errors import (
     LengthMismatch,
     NegativeWeight,
     NotNormalized,
-    SizeGuardExceeded,
     SpaceMismatch,
-    _shown,
+    guard,
 )
 from .schema import MATRIX, NAMES, POSITIVE_COUNT, VECTOR, fields, instance_of, list_of, read_fields, typed
 
 #: Absolute tolerance on "sums to one" checks at construction time.
 STOCHASTIC_ATOL = 1e-9
 
-#: Maximum number of matrix entries a materialized product kernel may have.
+#: Most matrix entries a kernel may have.  A product kernel is refused before
+#: its matrix is built, any other once its matrix is read and checked.
 PRODUCT_ENTRY_GUARD = 10**6
 
 #: Separator used to build product-space outcome names, e.g. "a⊗b".
@@ -97,7 +97,9 @@ class Kernel:
     """A Markov kernel domain ⇝ codomain as a column-stochastic matrix.
 
     ``matrix[i, j]`` is the probability of codomain outcome i given domain
-    outcome j; every column sums to 1.
+    outcome j; every column sums to 1.  One of more than
+    ``PRODUCT_ENTRY_GUARD`` entries is refused once its matrix is read and
+    checked, before any superlinear work on it.
     """
 
     domain: Space
@@ -110,6 +112,7 @@ class Kernel:
         if m.shape != (shape := (len(self.codomain), len(self.domain))):
             raise LengthMismatch(f"kernel matrix has shape {m.shape}, expected {shape}")
         check_stochastic(m)
+        guard(m.size, PRODUCT_ENTRY_GUARD, f"kernel entries, {shape[0]}x{shape[1]} =")
 
     def column(self, j: int) -> Dist:
         """The output distribution for the j-th domain outcome."""
@@ -216,11 +219,7 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
     for t in ts:  # stop at the first factor past the guard, while the counts are small
         rows *= len(t.codomain)
         cols *= len(t.domain)
-        if rows * cols > PRODUCT_ENTRY_GUARD:
-            raise SizeGuardExceeded(
-                f"product kernel would have at least {rows}x{cols} entries "
-                f"(guard: {PRODUCT_ENTRY_GUARD})"
-            )
+        guard(rows * cols, PRODUCT_ENTRY_GUARD, f"product kernel entries, at least {rows}x{cols} =")
     if len(ts) == 1:
         return ts[0]
     matrix = reduce(np.kron, (t.matrix for t in ts))
@@ -234,13 +233,13 @@ def parallel_product(ts: Sequence[Kernel]) -> Kernel:
 def replicate(t: Kernel, n: int) -> Kernel:
     """The n-fold parallel product of a kernel with itself.
 
-    A count past log2 of the guard is refused before any factor is listed,
-    whatever the kernel: a kernel of two or more entries has at least 2**n
-    of them, and a 1x1 kernel gains nothing but a longer outcome name.
+    Once ``t`` reads as a kernel, a count past log2 of the guard is refused
+    before any factor is listed, whatever its size: a kernel of two or more
+    entries has at least 2**n of them, and a 1x1 kernel gains nothing but a
+    longer outcome name.
     """
-    n = typed(n, "replication count", POSITIVE_COUNT)
-    if n >= (bound := PRODUCT_ENTRY_GUARD.bit_length()):
-        raise SizeGuardExceeded(f"replication count {_shown(n)} is past {bound - 1} (guard: {PRODUCT_ENTRY_GUARD})")
+    t, n = typed(t, "t", KERNEL), typed(n, "replication count", POSITIVE_COUNT)
+    guard(n, PRODUCT_ENTRY_GUARD.bit_length() - 1, "replication count")
     return parallel_product([t] * n)
 
 
@@ -255,15 +254,12 @@ def kernel_to_json(t: Kernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> Kernel:
-    """The kernel a document describes.  One of more than
-    ``PRODUCT_ENTRY_GUARD`` entries, counted from its label lists, is refused
-    before its matrix is read."""
+    """The kernel a document describes, read as a :class:`Kernel`: one of
+    more than ``PRODUCT_ENTRY_GUARD`` entries is refused once its labels and
+    matrix are read and checked, so a malformed document is bad input
+    whatever its size."""
     domain, codomain, matrix = fields(obj, "kernel", "from", "to", "matrix")
-    domain, codomain = Space(domain), Space(codomain)
-    if (entries := len(codomain) * len(domain)) > PRODUCT_ENTRY_GUARD:
-        raise SizeGuardExceeded(f"kernel would have {len(codomain)}x{len(domain)} = {entries} entries "
-                                f"(guard: {PRODUCT_ENTRY_GUARD})")
-    return Kernel(domain, codomain, matrix)
+    return Kernel(Space(domain), Space(codomain), matrix)
 
 
 def dist_to_json(p: Dist) -> dict:

@@ -54,13 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CapacityGuardExceeded,
-    InvalidParameter,
-    MissingStatistic,
-    SizeGuardExceeded,
-    _shown,
-)
+from .errors import CapacityGuardExceeded, InvalidParameter, MissingStatistic, guard
 from .schema import (INT, LIST, NUM, PROBABILITY, RATIONAL, STR, fields, instance_of, list_of, maybe, read_fields,
                      typed, within)
 
@@ -185,8 +179,7 @@ def _scaled(offers: Sequence[SourceOffer], budget) -> tuple[list[SourceOffer], l
     costs, scale = offers.scaled
     with localcontext(_EXACT_DECIMAL):
         capacity = budget * scale
-    if capacity > CAPACITY_GUARD:
-        raise CapacityGuardExceeded(f"scaled capacity {_shown(capacity)} exceeds guard {CAPACITY_GUARD}")
+    guard(capacity, CAPACITY_GUARD, "scaled capacity", CapacityGuardExceeded)
     return offers.ordered, costs, math.floor(capacity), scale
 
 
@@ -320,9 +313,7 @@ def exact_plan(offers: Sequence[SourceOffer], budget: Fraction | Decimal) -> Acq
             width = min(width, a_b * c_2 * (tol_unit * (c_b - 1) + 2 * tol * (capacity // c_b) * c_b)
                         // (tol_unit * (a_b * c_2 - a_2 * c_b)))
     passes = sum(c <= width for c in costs)
-    if (work := width * passes) > PLAN_WORK_GUARD:
-        raise SizeGuardExceeded(f"an exact-plan DP of width {width} over {passes} offers is {work} units of work "
-                                f"(guard: {PLAN_WORK_GUARD})")
+    guard(width * passes, PLAN_WORK_GUARD, f"exact-plan work, width {width} x {passes} offers =")
     best, pick = _best(costs, [o.alpha for o in ordered], width)
 
     # units of b bought past w, whole numbers below 2**53, so exact as floats;

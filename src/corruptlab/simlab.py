@@ -46,9 +46,10 @@ from .errors import (
     InvalidParameter,
     LengthMismatch,
     PreconditionFailed,
-    SizeGuardExceeded,
     SpaceMismatch,
     UnknownOutcome,
+    _shown,
+    guard,
 )
 from .kernels import KERNEL, Dist, Kernel, Space, dist_from_json, kernel_from_json
 from .reconstruct import LossTable, Reconstruction, corrected_loss, loss_from_json, pseudoinverse
@@ -227,14 +228,12 @@ class ExperimentConfig:
                             else catalog.spaces(corruption))
         if domain != self.clean_dist.space:  # bad input, so checked before the guards
             raise SpaceMismatch("loss outcomes must match the corruption's domain")
-        if sizes[-1] > SAMPLE_SIZE_GUARD:  # checked before anything is drawn
-            raise SizeGuardExceeded(f"a sample size above {SAMPLE_SIZE_GUARD} exceeds the size guard")
-        if (cells := self.trials * len(sizes)) > CELL_GUARD:
-            raise SizeGuardExceeded(f"trials times the number of sample sizes exceed {CELL_GUARD} cells")
-        outcomes = len(codomain)
-        if (work := cells * outcomes * len(self.loss.actions)) > CELL_WORK_GUARD:
-            raise SizeGuardExceeded(f"{cells} cells of {outcomes} corrupted outcomes and {len(self.loss.actions)} "
-                                    f"actions are {work} units of work (guard: {CELL_WORK_GUARD})")
+        guard(sizes[-1], SAMPLE_SIZE_GUARD, "sample size")  # checked before anything is drawn
+        cells = self.trials * len(sizes)
+        guard(cells, CELL_GUARD, f"simulate cells, {_shown(self.trials)} trials x {len(sizes)} sample sizes =")
+        outcomes, actions = len(codomain), len(self.loss.actions)
+        guard(cells * outcomes * actions, CELL_WORK_GUARD,
+              f"simulate work, {cells} cells x {outcomes} outcomes x {actions} actions =")
 
     def kernel(self) -> Kernel:
         if isinstance(self.corruption, Kernel):

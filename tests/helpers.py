@@ -1,13 +1,16 @@
 """Shared builders for the test suite."""
 
+import importlib
 import json
 import math
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from corruptlab import planner, simlab
+import corruptlab
+from corruptlab import errors, planner, simlab
 from corruptlab.kernels import Dist, Kernel, Space, identity, parallel_product, product_space
 from corruptlab.reconstruct import LossTable, corrected_loss
 
@@ -157,6 +160,16 @@ def fraction_width(offers, budget):
         loss = d_b * (c_b - 1) + 2 * Fraction(planner.PLAN_TIE_RTOL) * Fraction(alpha_b) * (capacity // c_b)
         width = min(width, math.floor(loss / gap))
     return width
+
+
+def patch_guards(monkeypatch, replacement):
+    """Put ``replacement`` in place of ``errors.guard`` in every module that
+    calls it, and return the names of those modules."""
+    modules = [importlib.import_module(f"corruptlab.{info.name}") for info in pkgutil.iter_modules(corruptlab.__path__)]
+    modules = [module for module in modules if module is not errors and getattr(module, "guard", None) is errors.guard]
+    for module in modules:
+        monkeypatch.setattr(module, "guard", replacement)
+    return sorted(module.__name__ for module in modules)
 
 
 # -- one valid JSON document per CLI input role ------------------------------------

@@ -84,7 +84,8 @@ class TestBuildKernel:
             symmetric_label_noise(10**9, 5.0)
         with pytest.raises(errors.InvalidParameter, match="^sigma must be a finite number$"):
             make_spec("symmetric_label_noise", classes=10**9, sigma="x")
-        with pytest.raises(errors.SizeGuardExceeded, match="^more than 1000 classes exceed the entry guard$"):
+        with pytest.raises(errors.SizeGuardExceeded,
+                           match="^kernel entries, 1000000000x1000000000 = 1000000000000000000 exceeds guard 1000000$"):
             symmetric_label_noise(10**9, 0.5)
 
 

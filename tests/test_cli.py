@@ -15,11 +15,17 @@ import pytest
 
 import corruptlab
 from corruptlab import bounds, catalog, cli, divergence, errors, kernels, planner, reconstruct, simlab
-from corruptlab.cli import _parse_grid, main
+from corruptlab.cli import _grid, main
 from corruptlab.kernels import Space, identity, kernel_to_json
 from corruptlab.reconstruct import loss_to_json, zero_one_loss
 
 from helpers import DOCUMENTS, asym_noise, binary_noise, role_argv
+
+
+def grid_points(grid) -> list:
+    """Every point of a ``tables --grid``, listed."""
+    point, count = _grid(grid)
+    return [point(k) for k in range(count)]
 
 
 def run(capsys, *argv):
@@ -161,7 +167,7 @@ def tables_one_point_at_a_time(family, grid, classes=3) -> str:
     a kernel, its pseudoinverse, alpha and the norms, each on its own."""
     names = catalog.FAMILIES[family].params
     lines = [cli.TABLE_HEADER]
-    for sigma in _parse_grid(grid):
+    for sigma in grid_points(grid):
         spec = catalog.make_spec(family, **{key: classes if key == "classes" else sigma for key in names})
         kernel = catalog.build_kernel(spec)
         closed = catalog.closed_form_stats(spec)
@@ -303,11 +309,11 @@ class TestTables:
         built = self.kernels_built(monkeypatch)
         if classes == 10:
             monkeypatch.setattr(cli, "TABLE_WORK_GUARD", 3 * work_per_point(catalog.SYMMETRIC, 10))
-        points, per_point = len(cli._parse_grid(grid)), work_per_point(catalog.SYMMETRIC, classes)
+        points, per_point = _grid(grid)[1], work_per_point(catalog.SYMMETRIC, classes)
         code, out, err = run(capsys, *_tables(grid, classes))
         assert (code, out) == (3, "") and sum(built) == 0
-        assert err == (f"numerical failure: {points} grid points of {per_point} entries each are "
-                       f"{points * per_point} entries of work (guard: {cli.TABLE_WORK_GUARD})\n")
+        assert err == (f"numerical failure: tables work, {points} points x {per_point} entries = "
+                       f"{points * per_point} exceeds guard {cli.TABLE_WORK_GUARD}\n")
 
     @pytest.mark.parametrize("classes", [1, 1000])
     def test_empty_grid_prints_the_header_whatever_the_classes(self, classes, capsys):
@@ -322,6 +328,12 @@ class TestTables:
         code, out, err = run(capsys, *_tables("0.1:0.3:0.1"))
         assert (code, out) == (2, "") and err.startswith("error: matrix is not a left inverse: residual ")
 
+    @pytest.mark.parametrize("grid, first", [("-0.5:1.5:0.1", -0.5), ("-0.5:0.5:0.1", -0.5), ("0.5:1.5:0.1", 1.1),
+                                             ("0.5:1e6:1e-6", 1.000001)])
+    def test_the_first_failing_point_raises(self, grid, first, capsys):
+        # the last grid has ~10^12 points: its first failing point is found without listing them
+        assert run(capsys, *_tables(grid)) == (2, "", f"error: sigma must be in [0, 1], got {first}\n")
+
     @pytest.mark.parametrize("grid", ["0:0.45:0.05", "0.4:0.6:0.1", "0.3:0.3:0.1", "1:0:0.1",
                                       "-1:1:0.03", "0.2:0.499999999999:0.1", "0.3:0.999999999999:0.1",
                                       "0.5:0.5:2e-17"])
@@ -333,7 +345,15 @@ class TestTables:
         while start + k * step <= end + 1e-12:
             expected.append(round(start + k * step, 12))
             k += 1
-        assert _parse_grid(grid) == expected
+        assert grid_points(grid) == expected
+
+    @pytest.mark.parametrize("grid, last", [("0:0.5:1e-320", 0.500000000001), ("-1e308:1e308:1e-300", 1e308)])
+    def test_grid_past_sys_maxsize_points_is_counted_in_the_reals(self, grid, last):
+        # ~5e319 and ~2e608 points: neither the count nor its last index fits a double
+        start, end, step = (Fraction(float(p)) for p in grid.split(":"))
+        point, count = _grid(grid)
+        assert count == (Fraction(float(end) + 1e-12) - start) // step + 1 > sys.maxsize
+        assert (point(0), point(count - 1)) == (float(start), last)
 
 
 class TestPlan:
@@ -479,8 +499,8 @@ class TestPlan:
             monkeypatch.setattr(planner, "_best", lambda *args: pytest.fail("the DP ran past the guard"))
         code, out, err = run(capsys, "plan", "--offers", path, "--budget", "1999")
         if past:
-            assert (code, out, err) == (3, "", "numerical failure: an exact-plan DP of width 1880 over 3 offers "
-                                                "is 5640 units of work (guard: 5639)\n")
+            assert (code, out, err) == (3, "", "numerical failure: exact-plan work, width 1880 x 3 offers = 5640 "
+                                                "exceeds guard 5639\n")
         else:
             assert (code, err) == (0, "") and json.loads(out)["exact"]["spend"] == {"num": 1999, "den": 1}
 
@@ -574,8 +594,8 @@ class TestSimulate:
                              "--out", str(out_path))
         if past:
             assert (code, out, simlab_calls["_rekey"], out_path.exists()) == (3, "", 0, False)
-            assert err == (f"numerical failure: 21 cells of {outcomes} corrupted outcomes and 2 actions are "
-                           f"{work} units of work (guard: {work - 1})\n")
+            assert err == (f"numerical failure: simulate work, 21 cells x {outcomes} outcomes x 2 actions = {work} "
+                           f"exceeds guard {work - 1}\n")
         else:
             assert (code, out, err, simlab_calls["_rekey"], len(out_path.read_text().split("\n"))) == (
                 0, "", "", 21, 5)
@@ -822,7 +842,7 @@ def _classes_config(classes, trials):
 
 
 def _tables(grid, classes=3):
-    return ["tables", "--family", "symmetric_label_noise", "--grid", grid, "--classes", str(classes)]
+    return ["tables", "--family", "symmetric_label_noise", f"--grid={grid}", "--classes", str(classes)]
 
 
 def _plan(budget):
@@ -879,6 +899,8 @@ REFUSED = {
     "config-classes-10**9": (3, lambda d: document_argv("config", _symmetric_config(10**9), d)),
     "tables-classes-10**9": (3, lambda d: _tables("0.1:0.2:0.1", 10**9)),
     "tables-sigma-2-classes-10**9": (2, lambda d: _tables("2:3:0.5", 10**9)),
+    "tables-last-sigma-3-classes-10**9": (2, lambda d: _tables("0.5:3:0.5", 10**9)),
+    "tables-first-sigma--0.5-classes-10**9": (2, lambda d: _tables("-0.5:0.5:0.5", 10**9)),
     "tables-work-past-guard": (3, lambda d: _tables("0:0.99:0.00001", 1000)),
     "grid-nan": (2, lambda d: _tables("0:nan:0.1")),
     "grid-inf": (2, lambda d: _tables("0:inf:0.1")),
@@ -974,16 +996,29 @@ class TestKernelEntryGuard:
     @pytest.mark.parametrize("role", KERNEL_ROLES)
     def test_refuses_one_entry_past_before_reading_the_matrix(self, role, tmp_path, capsys, monkeypatch,
                                                               matrix_reads):
+        # the guard comes after the matrix is read and checked: labels two
+        # entries past it exit 3 with a valid matrix and 2 with a malformed one
         monkeypatch.setattr(kernels, "PRODUCT_ENTRY_GUARD", 3)
         assert run(capsys, *KERNEL_ROLES[role](DOCUMENTS["kernel"], tmp_path)) == (
-            3, "", "numerical failure: kernel would have 2x2 = 4 entries (guard: 3)\n")
-        assert matrix_reads == []
+            3, "", "numerical failure: kernel entries, 2x2 = 4 exceeds guard 3\n")
+        assert matrix_reads
+        monkeypatch.setattr(kernels, "PRODUCT_ENTRY_GUARD", 4)  # the other documents' kernels are 2x2
+        malformed = DOCUMENTS["kernel"] | {"to": ["a", "b", "c"], "matrix": [[1.0]]}
+        assert run(capsys, *KERNEL_ROLES[role](malformed, tmp_path)) == (
+            2, "", "error: kernel matrix has shape (1, 1), expected (3, 2)\n")
 
     def test_refuses_1001_columns_of_1000_rows(self, tmp_path, capsys, matrix_reads):
-        k = {"from": [f"x{i}" for i in range(1001)], "to": [f"y{i}" for i in range(1000)], "matrix": [[1.0]]}
-        assert run(capsys, *KERNEL_ROLES["analyze"](k, tmp_path)) == (
-            3, "", "numerical failure: kernel would have 1000x1001 = 1001000 entries (guard: 1000000)\n")
-        assert matrix_reads == []
+        # refused once the matrix is read: as bad input when it is malformed,
+        # by the guard when it is a kernel
+        labels = {"from": [f"x{i}" for i in range(1001)], "to": [f"y{i}" for i in range(1000)]}
+        for matrix, message in ((
+                [[1.0]], "error: kernel matrix has shape (1, 1), expected (1000, 1001)\n"), (
+                "nope", 'error: kernel "matrix" must be a list of equal-length rows of finite numbers\n'), (
+                [[int(i == j % 1000) for j in range(1001)] for i in range(1000)],
+                "numerical failure: kernel entries, 1000x1001 = 1001000 exceeds guard 1000000\n")):
+            code, out, err = run(capsys, *KERNEL_ROLES["analyze"](labels | {"matrix": matrix}, tmp_path))
+            assert (code, out, err) == (2 if message.startswith("error") else 3, "", message)
+        assert len(matrix_reads) == 3
 
 
 #: The exit code of each error class; RankDeficient is bad input like its base.

@@ -8,16 +8,29 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from corruptlab.cli import main  # noqa: E402
+from corruptlab.errors import SizeGuardExceeded, guard  # noqa: E402
 
-from helpers import DOCUMENTS, role_argv  # noqa: E402
+from helpers import DOCUMENTS, patch_guards, role_argv  # noqa: E402
 
-# Integers stay small.  Every CLI path refuses sizes past its guards, but a
-# large integer under a guard only makes an example slow: its work is bounded
-# by the guard, not by the example.  Lifting the cap waits for one guard
-# helper that bounds each example's work by count, not by a clock (ROADMAP
-# items 11 and 13).
-_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+
+def scalars(integers):
+    """A JSON scalar, with integers drawn from ``integers``."""
+    return (st.none() | st.booleans() | integers | st.floats()
             | st.text(max_size=4) | st.sampled_from(["-1", "+1", "t0", "a0", "binary_label_noise"]))
+
+
+# Integers of any size.  Every CLI path refuses sizes past its guards, but a
+# large integer under a guard would make an example slow, so the test lowers
+# every guard's bound to ``_BOUND`` through the one guard helper: each
+# example's work is bounded by its counts, not by a clock.
+_SCALARS = scalars(st.integers())
+
+#: The most any guard admits while the documents are fuzzed.
+_BOUND = 10**4
+
+
+def _low(count, bound, what, error=SizeGuardExceeded):
+    guard(count, min(bound, _BOUND), what, error)
 
 
 def _paths(node, prefix=()):
@@ -54,7 +67,8 @@ def _mutated(draw, role):
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_any_document_exits_cleanly(role, data, tmp_path, capsys):
+def test_any_document_exits_cleanly(role, data, tmp_path, capsys, monkeypatch):
+    patch_guards(monkeypatch, _low)
     document = data.draw(JSON_VALUES | _mutated(role))
     path = tmp_path / f"{role}.json"
     path.write_text(json.dumps(document))

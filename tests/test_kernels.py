@@ -257,6 +257,17 @@ class TestProducts:
         with pytest.raises(errors.SizeGuardExceeded):
             replicate(binary_noise(0.2), 2**62)
 
+    def test_a_kernel_built_in_python_is_held_to_the_entry_guard(self):
+        # at the bound, and one column past it: refused only once its matrix is checked
+        assert Kernel(Space([f"x{i}" for i in range(1000)]), Space([f"y{i}" for i in range(1000)]),
+                      np.eye(1000)).matrix.size == kernels.PRODUCT_ENTRY_GUARD
+        domain, codomain = Space([f"x{i}" for i in range(1001)]), Space([f"y{i}" for i in range(1000)])
+        with pytest.raises(errors.NotNormalized):
+            Kernel(domain, codomain, np.zeros((1000, 1001)))
+        with pytest.raises(errors.SizeGuardExceeded,
+                           match="^kernel entries, 1000x1001 = 1001000 exceeds guard 1000000$"):
+            Kernel(domain, codomain, np.eye(1000, 1001) + np.eye(1000, 1001, 1000))
+
     def test_replicate_of_one_entry_stops_at_the_bound(self, monkeypatch):
         # past 19 = log2 of the guard, any kernel of two entries is past it
         one = identity(Space(["a"]))
@@ -267,7 +278,7 @@ class TestProducts:
 
         monkeypatch.setattr(kernels, "parallel_product", no_factors)
         for n in (20, 10**5, 2**62):
-            with pytest.raises(errors.SizeGuardExceeded, match=f"^replication count {n} is past 19 "):
+            with pytest.raises(errors.SizeGuardExceeded, match=f"^replication count {n} exceeds guard 19$"):
                 replicate(one, n)
 
 

@@ -76,7 +76,11 @@ from corruptlab.errors import (  # noqa: E402
 )
 
 from helpers import binary_noise  # noqa: E402
-from test_fuzz import _SCALARS  # noqa: E402
+from test_fuzz import scalars  # noqa: E402
+
+#: Integers stay small: ``sample``, ``fit_proper`` and ``midpoint_convex`` do
+#: work linear in a count that no guard bounds.
+_SCALARS = scalars(st.integers(-3, 40))
 
 S = Space(["-1", "+1"])
 T = binary_noise(0.2)
@@ -115,6 +119,7 @@ LIBRARY_REFUSED = {
     "alpha-ndarray": lambda: alpha(np.eye(2)),
     "lambda-ndarray": lambda: lambda_coeff(np.eye(2)),
     "replicate-2.5": lambda: replicate(T, 2.5),
+    "replicate-string-past-the-guard": lambda: replicate("notakernel", 40),
     "silent-regret-index-1.5": lambda: regret(DecisionProblem(**PROBLEM), 1.5, 0),
     "problem-experiment-matrix": lambda: DecisionProblem(**PROBLEM | {"experiment": T.matrix}),
     "config-clean-weights": lambda: ExperimentConfig(**CONFIG | {"clean_dist": [0.3, 0.7]}),

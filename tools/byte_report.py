@@ -91,6 +91,8 @@ EDGE_DOCUMENTS = {
                          "matrix": _PRODUCT},
     "past-entry-guard.json": {"from": [f"x{i}" for i in range(1001)], "to": [f"y{i}" for i in range(1000)],
                               "matrix": [[1.0]]},
+    "one-hot-past-entry-guard.json": {"from": [f"x{i}" for i in range(1001)], "to": [f"y{i}" for i in range(1000)],
+                                      "matrix": [[int(i == j % 1000) for j in range(1001)] for i in range(1000)]},
     "string-weight.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": ["0.5", 0.5]}},
     "fractional-trials.json": _FAST_RATE | {"trials": 2.5},
     "mix-alpha-string.json": [{"count": 10, "alpha": "0.7"}],
@@ -118,6 +120,8 @@ EDGE_DOCUMENTS = {
     "past-plan-work-guard.json": [{"name": f"s{i}", "alpha": (3163 + i) / 2**14, "cost": 3163 + i}
                                   for i in range(11)],
     "no-sample-sizes.json": _FAST_RATE | {"sample_sizes": []},
+    "past-sample-size-guard.json": _FAST_RATE | {"sample_sizes": [10, 10**7 + 1]},
+    "past-cell-guard.json": _FAST_RATE | {"sample_sizes": [10], "trials": 10**6 + 1},
     "ties.json": _FAST_RATE | {"clean": {"space": ["-1", "+1"], "weights": [0.5, 0.5]},
                                "corruption": {"family": "binary_label_noise",
                                               "params": {"sigma_neg": 0.2, "sigma_pos": 0.2}},
@@ -140,11 +144,13 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: the tie rule picks the action), and documents whose bad values only the
 #: value types refuse: a boolean and a ragged kernel matrix, a string weight,
 #: a fractional trial count, a string alpha in a mix, and a bad parameter next
-#: to an unknown key; a kernel of 1000 x 1001 labels, past the entry guard; one value just outside each kind of range: an offer's
-#: alpha of 1.5, a cost of 0 and one that is 0 as a double, no trials, one
-#: class, a negative count in a mix and a negative ``--n``; and a config with
-#: no sample sizes; offers whose cost has a null ``den`` (read as 1), a
-#: ``den`` of 0 and an unknown key, and two offers sharing a name, at a
+#: to an unknown key; a kernel of 1000 x 1001 labels past the entry guard,
+#: with a 1 x 1 matrix (bad input) and with a one-hot matrix (refused); one
+#: value just outside each kind of range: an offer's alpha of 1.5, a cost of
+#: 0 and one that is 0 as a double, no trials, one class, a negative count
+#: in a mix and a negative ``--n``; and a config with no sample sizes;
+#: offers whose cost has a null ``den`` (read as 1), a ``den`` of 0 and an
+#: unknown key, and two offers sharing a name, at a
 #: negative budget (the budget is refused first) and at a valid one; and
 #: exact plans: three offers of equal density, with
 #: many plans worth 24 at budget 100; the same next to an offer no budget can
@@ -161,7 +167,11 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: every pair, so it stops after its first slabs), a sigma whose square libm's pow and x*x round
 #: apart, one class on an empty grid and on a grid it refuses, and two points
 #: of 1000 classes, past the work guard, and 10^9 classes on a grid of
-#: sigma from 2 (every parameter is read before the class count's guard); a
+#: sigma from 2 (every parameter is read before the class count's guard);
+#: grids past the point guard, valid (10^5 + 1 points) and from sigma = -5
+#: (bad input), 1001 classes, past the class guard, a grid from -1e308 to
+#: 1e308 whose count overflows a double (bad input) and one of ~5e319 valid
+#: points; a sample size of 10^7 + 1 and 10^6 + 1 cells, past their guards; a
 #: simulation of 10^6 cells of 11 outcomes and actions, past its work guard;
 #: two usage errors, an unknown flag and a class count that is not an
 #: integer; and analyze on a 100 x 100 product kernel, whose screened slabs
@@ -198,6 +208,12 @@ EDGE_JOBS = {
                                "--classes", "1000"),
     "tables-sigma-out-of-range-past-class-guard": ("tables", "--family", "symmetric_label_noise", "--grid", "2:3:0.5",
                                                    "--classes", "1000000000"),
+    "tables-past-point-guard": ("tables", "--family", "partial_labels", "--grid", "0:1:0.00001"),
+    "tables-1001-classes-past-class-guard": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.2:0.1",
+                                             "--classes", "1001"),
+    "tables-binary-grid-past-point-guard": ("tables", "--family", "binary_label_noise", "--grid=-5:10:0.00001"),
+    "tables-grid-past-a-double": ("tables", "--family", "binary_label_noise", "--grid=-1e308:1e308:1e-300"),
+    "tables-grid-count-past-a-double": ("tables", "--family", "binary_label_noise", "--grid", "0:0.5:1e-320"),
     **{f"lecam-{name}": (*_LECAM, f"{name}.json")
        for name in ("no-hypotheses", "no-actions", "loss-shape", "repeated-hypothesis",
                     "hypotheses-out-of-order")},
@@ -211,10 +227,10 @@ EDGE_JOBS = {
     "usage-unknown-flag": (*_LECAM, "problem.json", "--frobnicate"),
     "usage-bad-int": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.2:0.1", "--classes", "x"),
     **{f"analyze-{name}": ("analyze", "--kernel", f"{name}.json")
-       for name in ("bool-matrix", "ragged-matrix", "past-entry-guard", "product-100")},
+       for name in ("bool-matrix", "ragged-matrix", "past-entry-guard", "one-hot-past-entry-guard", "product-100")},
     **{f"simulate-{name}": ("simulate", "--config", f"{name}.json", "--out", "malformed.csv")
        for name in ("string-weight", "fractional-trials", "sigma-string-and-unknown-key", "zero-trials",
-                    "one-class", "no-sample-sizes")},
+                    "one-class", "no-sample-sizes", "past-sample-size-guard", "past-cell-guard")},
     **{f"lecam-{name}": (*_LECAM, "problem.json", "--mix", f"{name}.json")
        for name in ("mix-alpha-string", "mix-negative-count")},
 }
