@@ -12,8 +12,11 @@ kernel is built; then the count is bounded by ``GRID_POINT_GUARD`` and the
 work, grid points times m(m-1)k/2 + m^2 k for k x m kernels, by
 ``TABLE_WORK_GUARD``.  The grid is then taken in chunks of at most
 ``STACK_CHUNK_ENTRIES`` of that work: each chunk's kernels are one (G, k, m)
-stack, and :func:`_statistics` runs the pair pass, one stacked SVD and the
-norms on the whole stack.  ``analyze`` runs it on a stack of one.
+stack, :func:`divergence.stacked_extremes` runs the pair pass on it, screened
+or not as the kernels' shape asks, and :func:`_statistics` one stacked SVD and
+the norms.  ``analyze`` runs :func:`_statistics` on a stack of one, checks the
+residual, and then takes alpha and lambda, one pass, from
+:func:`divergence.alpha` and :func:`divergence.lambda_coeff`.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure or tripped guard.
 """
@@ -34,7 +37,7 @@ import numpy as np
 from . import catalog, divergence, planner, reconstruct
 from .bounds import check_corruption, lecam_replicated, mixed_from_json, problem_from_json, separation
 from .errors import InvalidInput, InvalidParameter, NumericalFailure, ParseError, SizeGuardExceeded, _escaped, guard
-from .kernels import Kernel, kernel_from_json
+from .kernels import kernel_from_json
 from .reconstruct import check_loss, loss_from_json
 from .schema import NONNEGATIVE, load_json, typed
 from .simlab import config_from_json, fastrate_curve, risk_curve
@@ -49,10 +52,10 @@ GRID_POINT_GUARD = 10**5
 
 #: Most work a ``tables`` run may do, in entries: grid points times the
 #: m(m-1)k/2 entries of a k x m kernel's column pairs and the m^2 k of its
-#: SVD.  Measured on a 2-core Xeon, an entry costs 1.2 to 2.4 ns at 100 to
-#: 1000 classes, 3.3 to 5.5 ns at 20 to 45 and 3.6 to 4.0 ns at 46 to 50,
-#: where the screened pass takes over, so the longest run admitted takes
-#: about 8 s.
+#: SVD.  It binds before ``GRID_POINT_GUARD`` from 24 classes up, and the
+#: longest runs it admits are there: 86,486 points of 25 classes took 12.6
+#: to 17.3 s (6.3 to 8.6 ns an entry), and 13,798 points of 46 classes 9.7
+#: to 13.3 s, on a 2-core Xeon shared with other work.
 TABLE_WORK_GUARD = 2 * 10**9
 
 #: Most work entries, counted as for ``TABLE_WORK_GUARD``, in one stacked
@@ -110,21 +113,14 @@ def _theta_ref(text: str):
         return text
 
 
-def _statistics(matrices, loss, kernel_at) -> tuple:
-    """``alpha``, ``lambda``, the row norm of the pseudoinverse and the sup
-    norm of ``loss`` (an m x a array, or None) corrected by it, each an array
-    of one value per matrix of the (G, k, m) stack ``matrices``; both norms
+def _statistics(matrices, loss) -> tuple:
+    """The left-inverse residual, the row norm of the pseudoinverse and the
+    sup norm of ``loss`` (an m x a array, or None) corrected by it, each an
+    array of one value per matrix of the (G, k, m) stack ``matrices``: one
+    stacked SVD factorizes every matrix.  The residual is 0 and both norms
     are NaN at a matrix whose columns are dependent, and the last is None
-    without a loss.  One stacked SVD factorizes every matrix.
-
-    The checks run per matrix, and the first matrix that fails one raises as
-    if the matrices were taken one at a time: the left-inverse residual
-    first, then the agreement of alpha and lambda.  A stack whose first slab
-    of column pairs reaches ``divergence._SCREEN_ENTRIES`` takes the screened
-    pass of :func:`divergence.alpha` and :func:`divergence.lambda_coeff`, one
-    kernel ``kernel_at(i)`` at a time; smaller ones take the exact
-    reductions on the whole stack."""
-    g, k, m = matrices.shape
+    without a loss.  Nothing is checked here."""
+    m = matrices.shape[2]
     u, s, vt, full = reconstruct._svd(matrices)
     dependent = not full.all()
     if dependent:  # their matrices divide by ones instead, and their results are dropped
@@ -138,20 +134,7 @@ def _statistics(matrices, loss, kernel_at) -> tuple:
         residual[~full] = 0.0
         for values in norms:
             values[~full] = np.nan
-    unfit = ~(residual <= reconstruct.RESIDUAL_ATOL)
-    if (m - 1) * k < divergence._SCREEN_ENTRIES:
-        worst, best = divergence.stacked_extremes(matrices)
-    else:
-        worst, best = np.zeros(g), np.ones(g)
-        for i in range(int(np.argmax(unfit)) if unfit.any() else g):  # up to the first residual failure
-            t = kernel_at(i)
-            worst[i], best[i] = divergence.alpha(t), divergence.lambda_coeff(t)
-    failing = unfit | (np.abs((1.0 - best) - worst) > divergence.ALPHA_CONSISTENCY_ATOL)
-    if failing.any():
-        i = int(np.argmax(failing))
-        reconstruct.check_residual(float(residual[i]))
-        divergence.check_extremes(float(worst[i]), float(best[i]))
-    return worst, best, norms[0], norms[1] if loss is not None else None
+    return residual, norms[0], norms[1] if loss is not None else None
 
 
 def cmd_analyze(args) -> int:
@@ -159,9 +142,11 @@ def cmd_analyze(args) -> int:
     loss = None if args.loss is None else loss_from_json(load_json(args.loss))
     if loss is not None:
         check_loss(kernel, loss)  # also when there is no reconstruction to correct it with
-    stats = _statistics(kernel.matrix[None], None if loss is None else loss.values, lambda i: kernel)
-    alpha, lam, row_norm, corrected = (None if a is None or math.isnan(a[0]) else a.item() for a in stats)
-    report = {"alpha": alpha, "lambda": lam, "reconstructible": row_norm is not None, "row_norm": row_norm}
+    residual, *norms = _statistics(kernel.matrix[None], None if loss is None else loss.values)
+    reconstruct.check_residual(float(residual[0]))  # before alpha, whose own check comes second
+    row_norm, corrected = (None if a is None or math.isnan(a[0]) else a.item() for a in norms)
+    report = {"alpha": divergence.alpha(kernel), "lambda": divergence.lambda_coeff(kernel),
+              "reconstructible": row_norm is not None, "row_norm": row_norm}
     _emit(report if loss is None else report | {"corrected_sup": corrected})
     return 0
 
@@ -211,9 +196,15 @@ def cmd_tables(args) -> int:
         size = max(1, STACK_CHUNK_ENTRIES // per_point)
         for start in range(0, len(sigmas), size):
             part = values(sigmas[start:start + size])
-            domain, codomain, matrices = catalog.build_kernels(args.family, *part)
-            alpha, _, row_norm, corrected = _statistics(
-                matrices, 1.0 - np.eye(m), lambda i: Kernel(domain, codomain, matrices[i]))
+            matrices = catalog.build_kernels(args.family, *part)[2]
+            residual, row_norm, corrected = _statistics(matrices, 1.0 - np.eye(m))
+            alpha, lam = divergence.stacked_extremes(matrices)
+            failing = ~(residual <= reconstruct.RESIDUAL_ATOL) | (
+                np.abs((1.0 - lam) - alpha) > divergence.ALPHA_CONSISTENCY_ATOL)
+            if failing.any():  # the first failing point raises, its residual checked first
+                i = int(np.argmax(failing))
+                reconstruct.check_residual(float(residual[i]))
+                divergence.check_extremes(float(alpha[i]), float(lam[i]))
             closed = family.stats(*part)
             numeric = (alpha, row_norm, corrected)
             diff = np.fmax.reduce([np.abs(c - n) for c, n in zip(closed, numeric)])

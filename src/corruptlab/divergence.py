@@ -107,32 +107,31 @@ def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
     return total
 
 
-#: Kernels whose first slab of column pairs, (m - 1) k entries, holds at least
-#: this many are screened.  A measured cost crossover (see
-#: :func:`_pair_extremes`), not a knob: no result depends on it.
+#: Stacks whose matrices' first slab of column pairs, (m - 1) k entries,
+#: holds at least this many are screened.  A measured cost crossover (see
+#: :func:`stacked_extremes`), not a knob: no result depends on it.
 _SCREEN_ENTRIES = 2048
 
-#: Kernels of more rows are never screened: the float32 error bound of
-#: :func:`_pair_extremes` needs (k - 1) 2**-24 <= 1/4.
+#: Matrices of more rows are never screened: the float32 error bound of
+#: :func:`stacked_extremes` needs (k - 1) 2**-24 <= 1/4.
 _SCREEN_ROWS = 2**22
 
-#: Most entries of a screened slab, b columns against every later column,
-#: and of the exact sums' buffer.  A measured cost crossover (see
-#: :func:`_pair_extremes`), not a knob: no result depends on it.
+#: Most entries of a screened slab, b columns of every matrix against the
+#: later columns of its own, and of the exact sums' buffer.  A measured cost crossover (see
+#: :func:`stacked_extremes`), not a knob: no result depends on it.
 _SLAB_ENTRIES = 2**18
 
 
-def _exact_extremes(rows: np.ndarray, col: np.ndarray, out: np.ndarray | None = None) -> tuple:
+def _exact_extremes(rows: np.ndarray, col: np.ndarray, out: np.ndarray) -> tuple:
     """(max total variation, min overlap) of ``col`` against each row, over
     the last two axes: of one slab, or of each slab of a stack.  Each row is
-    summed on its own, along its last axis.  With ``out``, a float64 array of
-    the rows' shape, every step is taken in it: the same sums, no temporary."""
-    if out is None:
-        return (0.5 * np.abs(rows - col).sum(axis=-1).max(axis=-1),
-                np.minimum(rows, col).sum(axis=-1).min(axis=-1))
-    # halving is monotone under rounding, so it commutes with the max
-    tv = np.add.reduce(np.abs(np.subtract(rows, col, out=out), out=out), axis=-1).max(axis=-1)
-    return 0.5 * tv, np.add.reduce(np.minimum(rows, col, out=out), axis=-1).min(axis=-1)
+    summed on its own, along its last axis.  Every step is taken in ``out``,
+    a float64 array of the rows' shape: the same sums, no temporary."""
+    # halving is monotone under rounding, so it commutes with the max; the
+    # arguments are positional where numpy allows it, as keywords cost a
+    # microsecond a call
+    tv = np.maximum.reduce(np.add.reduce(np.abs(np.subtract(rows, col, out), out), -1), -1)
+    return 0.5 * tv, np.minimum.reduce(np.add.reduce(np.minimum(rows, col, out=out), -1), -1)
 
 
 def _row_sums(maxima: np.ndarray) -> np.ndarray:
@@ -150,31 +149,8 @@ def check_extremes(worst: float, best: float) -> None:
 
 def stacked_extremes(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(max total variation, min overlap) over the column pairs of each
-    matrix of the (G, k, m) stack ``matrices``, unchecked: column i meets
-    every later column of all G matrices in one slab, through the exact
-    reductions, so each value is bit for bit that of the kernel's own pass:
-    :func:`_pair_extremes` takes this route on a stack of one when it does
-    not screen.  A single column gives (0.0, 1.0)."""
-    cols = np.ascontiguousarray(np.swapaxes(matrices, 1, 2))
-    g, m, _ = cols.shape
-    if m == 1:
-        return np.zeros(g), np.ones(g)
-    worst, best = _exact_extremes(cols[:, 1:], cols[:, 0, None])
-    for i in range(1, m - 1):
-        tv, overlap = _exact_extremes(cols[:, i + 1:], cols[:, i, None])
-        worst, best = np.maximum(worst, tv), np.minimum(best, overlap)
-    return worst, best
-
-
-@functools.lru_cache(maxsize=1)
-def _pair_extremes(t: Kernel) -> tuple[float, float]:
-    """(max total variation, min overlap) over all column pairs, in one pass.
-
-    The result for the last kernel is kept, so ``alpha`` and then
-    ``lambda_coeff`` on one kernel, as ``analyze`` calls them, cost one pass.
-    A :class:`Kernel` is compared by identity and holds a read-only matrix
-    of its own, so the kept result cannot go stale; an exception is never
-    kept.
+    matrix of the (G, k, m) stack ``matrices``, unchecked, in one pass.  A
+    single column gives (0.0, 1.0): nothing to distinguish.
 
     For columns a and b with sums s_a and s_b, in exact arithmetic,
 
@@ -183,25 +159,27 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
 
     So the score u = sum max(a, b) - (s_a + s_b)/2 is TV, and a pair can have
     the least overlap only if its TV is within 2 max|s - 1| of the largest.
-    A kernel whose first slab, column 0 against the m - 1 others, holds at
-    least ``_SCREEN_ENTRIES`` entries is screened with that one reduction,
-    taken over float32 copies of the columns made once per pass; s stays
-    float64.
+    A stack whose matrices' first slab, column 0 against the m - 1 others,
+    holds at least ``_SCREEN_ENTRIES`` entries is screened with that one
+    reduction, taken over float32 copies of the columns made once per pass;
+    s stays float64.
 
-    Slabs.  A slab is b columns i, ..., i + b - 1 against every column after
-    i: b (m - 1 - i) k entries, with b the most that ``_SLAB_ENTRIES`` allows,
-    at least 1.  Its maxima take one numpy call and its row sums one BLAS
-    matvec against a ones vector (:func:`_row_sums`); the pairs of column
-    i + p with a column not after it, on and below the slab's diagonal, are
-    masked.  The cut, the largest u or exact TV seen so far minus a slack,
-    is taken over the whole slab and only rises, and only the pairs at or
-    above it reach the exact float64 reductions of :func:`_exact_extremes`.
-    A pair below the cut holds neither extreme or ties it, and each row is
-    summed on its own, so the result is bit for bit that of the exact
-    reductions on every pair.  The kept pairs are gathered, in chunks of at
-    most ``_SLAB_ENTRIES`` entries (or of one pair) for both columns and the
-    work together, into one float64 buffer reused over the pass, so each
-    step holds O(``_SLAB_ENTRIES`` + m k) memory.
+    Slabs.  A slab is b columns i, ..., i + b - 1 of all G matrices against
+    every column after i of their own matrix: G b (m - 1 - i) k entries, with
+    b the most that ``_SLAB_ENTRIES`` allows, at least 1.  Its maxima take
+    one numpy call and its row sums one BLAS matvec against a ones vector
+    (:func:`_row_sums`); the pairs of column i + p with a column not after
+    it, on and below the slab's diagonal, are masked.  Each matrix has its
+    own slack and its own cut, the largest u or exact TV it has seen so far
+    minus its slack, taken over its part of the slab; a cut only rises, and
+    only the pairs at or above it reach the exact float64 reductions of
+    :func:`_exact_extremes`.  A pair below the cut holds neither extreme of
+    its matrix or ties it, and each row is summed on its own, so each result
+    is bit for bit that of the exact reductions on every pair.  The kept
+    pairs are gathered, in chunks of at most ``_SLAB_ENTRIES`` entries (or
+    of one pair) for both columns and the work together, into one float64
+    buffer reused over the pass, so each step holds O(``_SLAB_ENTRIES`` +
+    G m k) memory.
 
     The bound.  The slack is 2 max|s - 1| plus twice the error of the
     computed s, of u and of both exact sums.  Every summand is non-negative,
@@ -227,21 +205,22 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
 
     So u errs by less than (3/2)(k + 1) eps32 M + (10/3) k 2**-126, and twice
     the total of all four is under the 8 (k + 2) eps32 M + k 2**-123 used.
-    Taller kernels, and those whose first slab is below ``_SCREEN_ENTRIES``,
-    take the exact reductions of :func:`stacked_extremes` on a stack of one;
-    for the tall ones the slack would pass 4 M anyway.
+    Taller matrices, and those whose first slab is below ``_SCREEN_ENTRIES``,
+    are not screened: the pass runs the exact reductions from its start.
+    For the tall ones the slack would pass 4 M anyway.
 
     Switch-off.  Per entry of a pair (2-core Intel Xeon, numpy 2.4, one BLAS
     thread, k = m = 128 to 512), the screen costs 0.55 to 0.61 ns, and the
     exact sums 2.0 to 3.4 ns on contiguous rows and 2.9 to 3.9 ns on
     gathered ones.  Screening slabs that keep a share q of their pairs so
     costs 0.6 + 3.3 q ns against about 2.7 unscreened, and loses once q
-    passes 0.5 to 0.76.  So once the screened slabs have seen at least 4m
-    pairs and kept more than half of them, the rest of the pass runs the
-    exact reductions on contiguous slabs: column i against every later
-    column, in chunks of the buffer.  Symmetric noise, whose pairs all tie,
-    keeps every pair: at 300 classes only the first three slabs are
-    screened.
+    passes 0.5 to 0.76.  So once the screened slabs of the whole stack have
+    seen at least 4 m pairs per matrix and kept more than half of them, the
+    rest of the pass runs the exact reductions on contiguous slabs: column i
+    of all G matrices against every later column, in chunks of the buffer.
+    Symmetric noise, whose pairs all tie, keeps every pair: at 300 classes
+    only the first three slabs are screened, and a stack of 7 matrices of
+    46 classes screens its first slab only.
 
     Per pass, unscreened against screened (best of 6 to 54 runs, same
     machine): a random 7x7 kernel 46 against 36 us, binary products of 32,
@@ -255,66 +234,82 @@ def _pair_extremes(t: Kernel) -> tuple[float, float]:
     243-column product (7.9 against 6.3 ms).  One kernel of 7 or more
     columns is thus cheaper screened at every size measured, but not a small
     one: a random 2x2 kernel costs 10 us unscreened against 34 us screened,
-    and a 3x3 one 20 against 38 us.  ``_SCREEN_ENTRIES`` is the crossover
-    for stacks, since ``cli._statistics`` sends a stack whose first slab
-    reaches it through this pass one kernel at a time instead of the
-    stacked exact reductions of :func:`stacked_extremes`.  Per unit of
-    ``tables`` work, 45 classes cost 3.3 to 3.7 ns through the stack and 46
-    classes 3.7 to 3.8 ns through this pass.  The kernels of ``lecam``,
-    small ``analyze`` calls and ``tables`` below 46 classes stay below it.
-
-    The two extremes must add up to 1 within 1e-9; a disagreement signals a
-    numeric bug and raises :class:`InternalInconsistency`.  A single column
-    gives (0.0, 1.0): nothing to distinguish.
+    and a 3x3 one 20 against 38 us.  ``_SCREEN_ENTRIES`` keeps the stacks of
+    ``tables`` below 46 classes, thousands of small kernels a chunk, on the
+    exact sums: screened, symmetric noise of 7, 20 and 30 classes costs 2.3,
+    1.34 and 1.22 times as much per unit of ``tables`` work.  The kernels
+    of ``lecam`` and small ``analyze`` calls stay below it too.  On stacks
+    of symmetric noise from 46 to 100 classes the screen costs 5 to 12% more
+    than the exact sums alone (4.4 against 3.9 ns a unit at 46 classes, on
+    a loaded machine), because a stack's first slab, 18 columns of each of 7
+    matrices at 46 classes, holds two thirds of the pairs before the
+    switch-off can act.
     """
-    k, m = t.matrix.shape
-    if (m - 1) * k >= _SCREEN_ENTRIES and k <= _SCREEN_ROWS:
-        worst, best = _screened_extremes(np.ascontiguousarray(t.matrix.T))
-    else:
-        worst, best = (float(v[0]) for v in stacked_extremes(t.matrix[None]))
-    check_extremes(worst, best)
+    cols = np.ascontiguousarray(np.swapaxes(matrices, 1, 2))
+    g, m, k = cols.shape
+    if m == 1:
+        return np.zeros(g), np.ones(g)
+    worst, best = [0.0] * g, [math.inf] * g  # an overlap may exceed 1 by rounding
+    pairs = max(1, _SLAB_ENTRIES // (3 * k))  # per exact chunk: both gathers and the work fit the buffer
+    n = min(m - 1, max(1, 3 * pairs // g))  # rows of each matrix per exact chunk
+    screen = (m - 1) * k >= _SCREEN_ENTRIES and k <= _SCREEN_ROWS
+    buffer = np.empty(max(3 * pairs if screen else 0, g * n) * k)
+    i = seen = kept = 0
+    if screen:
+        sums = cols.sum(axis=2)
+        half = 0.5 * sums
+        rounding = 8 * (k + 2) * float(np.finfo(np.float32).eps) * sums.max(axis=1) + k * 2.0**-123
+        slack = (2.0 * np.abs(sums - 1.0).max(axis=1) + rounding).tolist()
+        cut = [-math.inf] * g
+        cols32 = cols.astype(np.float32)
+        maxima = np.empty(max(_SLAB_ENTRIES, g * (m - 1) * k), np.float32)
+        work = buffer[:3 * pairs * k].reshape(3, pairs, k)
+    while screen and i < m - 1 and not (seen >= 4 * m * g and 2 * kept > seen):
+        r = m - 1 - i
+        b = min(r, max(1, _SLAB_ENTRIES // (g * r * k)))
+        slab = np.maximum(cols32[:, i:i + b, None], cols32[:, None, i + 1:],
+                          out=maxima[:g * b * r * k].reshape(g, b, r, k))
+        u = _row_sums(slab.reshape(g * b * r, k)).reshape(g, b, r) - half[:, None, i + 1:]
+        u -= half[:, i:i + b, None]
+        if b > 1:
+            np.copyto(u, -math.inf, where=np.tri(b, r, -1, bool))  # column i + p meets only the columns after it
+        for h, (scores, own) in enumerate(zip(u, cols)):  # each matrix against its own cut
+            cut[h] = max(cut[h], float(scores.max()) - slack[h], worst[h] - slack[h])
+            p, q = np.nonzero(scores >= cut[h])
+            kept += len(p)
+            for s in range(0, len(p), pairs):
+                a, j = p[s:s + pairs] + i, q[s:s + pairs] + (i + 1)
+                rows = np.take(own, j, axis=0, out=work[0, :len(a)], mode="clip")
+                col = np.take(own, a, axis=0, out=work[1, :len(a)], mode="clip")
+                tv, overlap = _exact_extremes(rows, col, work[2, :len(a)])
+                worst[h], best[h] = max(worst[h], float(tv)), min(best[h], float(overlap))
+        seen += g * (b * r - b * (b - 1) // 2)
+        i += b
+    worst, best = np.array(worst), np.array(best)
+    for i in range(i, m - 1):  # unscreened, or the screen keeps most pairs: exact, in contiguous slabs
+        for s in range(i + 1, m, n):
+            rest = cols[:, s:s + n]
+            tv, overlap = _exact_extremes(rest, cols[:, i, None], buffer[:rest.size].reshape(rest.shape))
+            worst, best = np.maximum(worst, tv), np.minimum(best, overlap)
     return worst, best
 
 
-def _screened_extremes(cols: np.ndarray) -> tuple[float, float]:
-    """The screened route of :func:`_pair_extremes` over the m x k float64
-    ``cols``, unchecked."""
-    m, k = cols.shape
-    sums = cols.sum(axis=1)
-    half = 0.5 * sums
-    rounding = 8 * (k + 2) * float(np.finfo(np.float32).eps) * float(sums.max()) + k * 2.0**-123
-    slack = 2.0 * float(np.abs(sums - 1.0).max()) + rounding
-    cols32 = cols.astype(np.float32)
-    maxima = np.empty(max(_SLAB_ENTRIES, (m - 1) * k), np.float32)
-    pairs = max(1, _SLAB_ENTRIES // (3 * k))  # per exact chunk: both gathers and the work fit the buffer
-    work = np.empty((3, pairs, k))
-    worst, best, cut = 0.0, math.inf, -math.inf  # an overlap may exceed 1 by rounding
-    i = seen = kept = 0
-    while i < m - 1 and not (seen >= 4 * m and 2 * kept > seen):
-        r = m - 1 - i
-        b = min(r, max(1, _SLAB_ENTRIES // (r * k)))
-        slab = np.maximum(cols32[i:i + b, None], cols32[i + 1:], out=maxima[:b * r * k].reshape(b, r, k))
-        u = _row_sums(slab.reshape(b * r, k)).reshape(b, r) - half[i + 1:]
-        u -= half[i:i + b, None]
-        if b > 1:
-            u[np.tri(b, r, -1, bool)] = -math.inf  # column i + p meets only the columns after it
-        cut = max(cut, float(u.max()) - slack, worst - slack)
-        p, q = np.nonzero(u >= cut)
-        seen, kept = seen + b * r - b * (b - 1) // 2, kept + len(p)
-        for s in range(0, len(p), pairs):
-            a, j = p[s:s + pairs] + i, q[s:s + pairs] + (i + 1)
-            n = len(a)
-            rows = np.take(cols, j, axis=0, out=work[0, :n], mode="clip")
-            col = np.take(cols, a, axis=0, out=work[1, :n], mode="clip")
-            tv, overlap = _exact_extremes(rows, col, work[2, :n])
-            worst, best = max(worst, float(tv)), min(best, float(overlap))
-        i += b
-    flat = work.reshape(3 * pairs, k)
-    for i in range(i, m - 1):  # the screen keeps most pairs: the rest run exact, in contiguous slabs
-        for s in range(i + 1, m, 3 * pairs):
-            rest = cols[s:s + 3 * pairs]
-            tv, overlap = _exact_extremes(rest, cols[i], flat[:len(rest)])
-            worst, best = max(worst, float(tv)), min(best, float(overlap))
+@functools.lru_cache(maxsize=1)
+def _pair_extremes(t: Kernel) -> tuple[float, float]:
+    """(max total variation, min overlap) over all column pairs, in one pass:
+    :func:`stacked_extremes` on a stack of one.
+
+    The result for the last kernel is kept, so ``alpha`` and then
+    ``lambda_coeff`` on one kernel, as ``analyze`` calls them, cost one pass.
+    A :class:`Kernel` is compared by identity and holds a read-only matrix
+    of its own, so the kept result cannot go stale; an exception is never
+    kept.
+
+    The two extremes must add up to 1 within 1e-9; a disagreement signals a
+    numeric bug and raises :class:`InternalInconsistency`.
+    """
+    worst, best = (float(v[0]) for v in stacked_extremes(t.matrix[None]))
+    check_extremes(worst, best)
     return worst, best
 
 

@@ -62,7 +62,7 @@ _MASK64 = (1 << 64) - 1
 #: smallest count as tied in ``erm``, so rounding cannot break an exact tie.
 ERM_TIE_RTOL = 1e-12
 
-#: Largest sample size a config may ask for.
+#: Largest sample size a config, or a call of :func:`sample`, may ask for.
 SAMPLE_SIZE_GUARD = 10**7
 
 #: Most cells, trials times sample sizes, a config may ask for.  A cell is one
@@ -154,8 +154,10 @@ def _as_indices(space: Space, sample: Sequence) -> np.ndarray:
 
 
 def sample(p: Dist, n: int, seed: int) -> np.ndarray:
-    """Draw n iid outcome indices by inverse CDF over the space's order."""
+    """Draw n iid outcome indices by inverse CDF over the space's order; n
+    past ``SAMPLE_SIZE_GUARD`` is refused before anything is drawn."""
     p, n = typed(p, "p", instance_of(Dist)), typed(n, "sample size", COUNT)
+    guard(n, SAMPLE_SIZE_GUARD, "sample size")
     cum = np.cumsum(p.weights)
     u = _generator(seed).random(n)
     return np.minimum(np.searchsorted(cum, u, side="right"), len(p.space) - 1).astype(np.int64)

@@ -16,7 +16,7 @@ import pytest
 import corruptlab
 from corruptlab import bounds, catalog, cli, divergence, errors, kernels, planner, reconstruct, simlab
 from corruptlab.cli import _grid, main
-from corruptlab.kernels import Space, identity, kernel_to_json
+from corruptlab.kernels import Space, identity, kernel_to_json, replicate
 from corruptlab.reconstruct import loss_to_json, zero_one_loss
 
 from helpers import DOCUMENTS, asym_noise, binary_noise, role_argv
@@ -161,6 +161,18 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("error: matrix is not a left inverse") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("t", [
+        catalog.build_kernel(catalog.make_spec(catalog.SYMMETRIC, sigma=0.2, classes=3)),
+        replicate(binary_noise(0.2), 6)], ids=["3x3", "64-columns"])
+    def test_residual_is_checked_before_alpha(self, t, tmp_path, capsys, monkeypatch):
+        # both checks fail: the residual's comes first, as in tables, so bad input exits 2, not 3
+        monkeypatch.setattr(reconstruct, "RESIDUAL_ATOL", 0.0)
+        monkeypatch.setattr(divergence, "ALPHA_CONSISTENCY_ATOL", -1.0)
+        path = write_json(tmp_path, "k.json", kernel_to_json(t))
+        code, out, err = run(capsys, "analyze", "--kernel", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: matrix is not a left inverse: residual ") and err.count("\n") == 1
+
 
 def tables_one_point_at_a_time(family, grid, classes=3) -> str:
     """The stdout of ``tables``, the oracle of its stacked pass: per grid point
@@ -268,9 +280,10 @@ class TestTables:
         *((family, "0:1:0.0005", 3) for family in catalog.FAMILIES),
         ("binary_label_noise", "0.45:0.55:0.0001", 3), ("symmetric_label_noise", "0.6:0.7:0.0001", 3),
         ("symmetric_label_noise", "0:1:0.001", 4), ("symmetric_label_noise", "0:1:0.001", 7),
-        ("symmetric_label_noise", "0:1:0.1", 50)],
+        ("symmetric_label_noise", "0:1:0.1", 50), ("symmetric_label_noise", "0:1:0.05", 46),
+        ("symmetric_label_noise", "0:1:0.1", 100)],
         ids=[*catalog.FAMILIES, "binary-about-0.5", "symmetric-about-2/3", "4-classes", "7-classes",
-             "50-classes-screened"])
+             "50-classes-screened", "46-classes-in-stacks-of-7", "100-classes"])
     def test_stacked_pass_prints_the_one_point_bytes(self, family, grid, classes, capsys):
         argv = ["tables", "--family", family, "--grid", grid, "--classes", str(classes)]
         assert run(capsys, *argv) == (0, tables_one_point_at_a_time(family, grid, classes), "")

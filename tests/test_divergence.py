@@ -418,6 +418,52 @@ class TestOnePassMatchesPairLoops:
         self.check(t)
 
 
+@st.composite
+def dirichlet_stacks(draw):
+    """1 to 6 random kernels of one shape, up to 12 columns and 40 rows,
+    each with some columns repeated or not, as one (G, k, m) stack."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    matrices = []
+    for _ in range(draw(st.integers(1, 6))):
+        matrix = random_kernel(rng, m, k).matrix
+        if draw(st.booleans()):  # columns drawn with replacement, so duplicates occur
+            matrix = matrix[:, draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
+        matrices.append(matrix)
+    return np.stack(matrices)
+
+
+class TestStackedPass:
+    """Each matrix of a stack has its own slack and cut, so its extremes are,
+    bit for bit, those of its own pass, whatever the other matrices hold:
+    with the screen on or off and at every slab size."""
+
+    def check(self, matrices):
+        expected = [(alpha_loop(t), lambda_loop(t)) for t in map(with_columns, matrices)]
+        for screen_entries in (divergence._SCREEN_ENTRIES, 1):
+            for slab_entries in (1, 200, divergence._SLAB_ENTRIES):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(divergence, "_SCREEN_ENTRIES", screen_entries)
+                    mp.setattr(divergence, "_SLAB_ENTRIES", slab_entries)
+                    worst, best = divergence.stacked_extremes(matrices)
+                    own = [divergence._pair_extremes.__wrapped__(with_columns(matrix)) for matrix in matrices]
+                assert list(zip(worst.tolist(), best.tolist())) == own == expected
+
+    def test_tie_rich_among_screenable_matrices(self):
+        # symmetric noise ties on every pair, below the others' largest TVs: a cut
+        # shared over the stack would drop all of its pairs
+        tie_rich = symmetric_noise(64).matrix
+        screenable = [random_kernel(np.random.default_rng(64), 64, 64).matrix, replicate(binary_noise(0.2), 6).matrix]
+        assert all(matrix.shape == (64, 64) for matrix in (tie_rich, *screenable))
+        self.check(np.stack([tie_rich, *screenable, tie_rich]))
+        self.check(np.stack([*screenable, tie_rich]))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dirichlet_stacks())
+    def test_random_dirichlet_stacks(self, matrices):
+        self.check(matrices)
+
+
 @pytest.fixture
 def exact_rows(monkeypatch):
     """Rows that reach the exact reductions, counted through the helper that
@@ -457,6 +503,16 @@ class TestScreenWork:
         # once the screen has seen 4m pairs and kept most, the rest run exact
         alpha(symmetric_noise(300))
         assert sum(screen_slabs) < 8 * 300
+
+    def test_46_class_stack_screens_its_first_slab_then_runs_exact(self, screen_slabs, exact_rows):
+        # 7 matrices, as a tables chunk holds them: the first slab, 18 columns of each
+        # against the later ones, keeps every tie, so the rest of the pass runs exact
+        matrices = catalog.build_kernels(catalog.SYMMETRIC, 46, np.linspace(0.05, 0.35, 7))[2]
+        worst, best = divergence.stacked_extremes(matrices)
+        assert len(screen_slabs) == 1 and screen_slabs[0] == 7 * 18 * 45
+        assert sum(exact_rows) == 7 * (46 * 45 // 2)  # each pair once
+        assert list(zip(worst.tolist(), best.tolist())) == [
+            divergence._pair_extremes.__wrapped__(with_columns(matrix)) for matrix in matrices]
 
     def test_small_slabs_run_every_pair(self, exact_rows):
         t = replicate(binary_noise(0.2), 5)

@@ -72,14 +72,16 @@ from corruptlab.errors import (  # noqa: E402
     NotNormalized,
     ParseError,
     PreconditionFailed,
+    SizeGuardExceeded,
     SpaceMismatch,
+    guard,
 )
 
-from helpers import binary_noise  # noqa: E402
+from helpers import binary_noise, patch_guards  # noqa: E402
 from test_fuzz import scalars  # noqa: E402
 
-#: Integers stay small: ``sample``, ``fit_proper`` and ``midpoint_convex`` do
-#: work linear in a count that no guard bounds.
+#: Integers stay small: ``fit_proper`` and ``midpoint_convex`` do work linear
+#: in a count that no guard bounds, and ``sample`` draws up to 10^7 outcomes.
 _SCALARS = scalars(st.integers(-3, 40))
 
 S = Space(["-1", "+1"])
@@ -94,8 +96,9 @@ FOREIGN = Dist(Space(["x", "y"]), [0.5, 0.5])
 FIT = partial(fit_proper, True, T, ["-1", "+1"], log_loss())
 
 
-#: Library calls that must raise an InvalidInput subclass with a one-line
-#: message.  The ``silent-`` cases were read as something else before.
+#: Library calls that must raise an InvalidInput subclass, or the class
+#: ``REFUSED_AS`` names, with a one-line message.  The ``silent-`` cases were
+#: read as something else before.
 LIBRARY_REFUSED = {
     "kernel-ragged": lambda: Kernel(S, S, [[1.0, 0.0], [0.0]]),
     "loss-ragged": lambda: LossTable(S, ["a0", "a1"], [[0.0, 1.0], [1.0]]),
@@ -120,6 +123,7 @@ LIBRARY_REFUSED = {
     "lambda-ndarray": lambda: lambda_coeff(np.eye(2)),
     "replicate-2.5": lambda: replicate(T, 2.5),
     "replicate-string-past-the-guard": lambda: replicate("notakernel", 40),
+    "sample-size-past-the-guard": lambda: sample(P, 10**12, 0),
     "silent-regret-index-1.5": lambda: regret(DecisionProblem(**PROBLEM), 1.5, 0),
     "problem-experiment-matrix": lambda: DecisionProblem(**PROBLEM | {"experiment": T.matrix}),
     "config-clean-weights": lambda: ExperimentConfig(**CONFIG | {"clean_dist": [0.3, 0.7]}),
@@ -228,6 +232,7 @@ REFUSED_AS = {
     **dict.fromkeys(["space-index-foreign", "bernstein-foreign-loss", "f-divergence-foreign", "sdpi-check-foreign",
                      "pushforward-foreign"], SpaceMismatch),
     "fastrate-eta-infinite": PreconditionFailed,
+    "sample-size-past-the-guard": SizeGuardExceeded,
     **dict.fromkeys(["silent-erm-counts-negative", "silent-erm-counts-negative-total", "silent-erm-counts-nan",
                      "silent-erm-counts-inf", "silent-erm-counts-booleans", "erm-counts-strings", "erm-counts-ragged",
                      "silent-erm-counts-boolean-in-list"], InvalidParameter),
@@ -240,6 +245,20 @@ def test_library_refusal_is_one_line(case):
         LIBRARY_REFUSED[case]()
     message = str(caught.value)
     assert message and "\n" not in message
+
+
+def test_sample_size_is_guarded_before_anything_is_drawn(monkeypatch):
+    with pytest.raises(SizeGuardExceeded) as caught:
+        LIBRARY_REFUSED["sample-size-past-the-guard"]()
+    assert str(caught.value) == "sample size 1000000000000 exceeds guard 10000000"
+
+    def low(count, bound, what, error=SizeGuardExceeded):
+        guard(count, 3 if what == "sample size" else bound, what, error)
+
+    patch_guards(monkeypatch, low)
+    assert len(sample(P, 3, 1)) == 3  # at the bound
+    with pytest.raises(SizeGuardExceeded, match="^sample size 4 exceeds guard 3$"):
+        sample(P, 4, 1)
 
 
 #: Each value type with the keyword arguments of a valid value, and each

@@ -198,6 +198,8 @@ EDGE_JOBS = {
     "tables-binary-singular-point": ("tables", "--family", "binary_label_noise", "--grid", "0.4:0.6:0.1"),
     "tables-50-classes-screened": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.3:0.1",
                                    "--classes", "50"),
+    "tables-46-classes-stacked": ("tables", "--family", "symmetric_label_noise", "--grid", "0:0.6:0.05",
+                                  "--classes", "46"),
     "tables-300-classes-tie-rich": ("tables", "--family", "symmetric_label_noise", "--grid", "0.1:0.2:0.1",
                                     "--classes", "300"),
     "tables-partial-pow-square": ("tables", "--family", "partial_labels", "--grid", "0.0397:0.0397:0.1"),
