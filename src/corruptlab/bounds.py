@@ -23,8 +23,8 @@ from .errors import (
     SpaceMismatch,
     _shown,
 )
-from .kernels import KERNEL, Dist, Kernel, Space, kernel_from_json
-from .reconstruct import LossTable, Reconstruction, check_loss
+from .kernels import DIST, KERNEL, Dist, Kernel, Space, kernel_from_json
+from .reconstruct import LOSS, LossTable, Reconstruction, corrected_loss
 from .schema import (INT, LIST, NONNEGATIVE, NUM, OBJECT, POSITIVE, PROBABILITY, fields, instance_of, list_of, maybe,
                      read_fields, typed, within)
 
@@ -258,6 +258,7 @@ def pacbayes_upper(
 
 def pacbayes_mixed(mix: MixedCorruption, kl: float, delta: float | None = None) -> float:
     """Complexity term for mixed data: mixing_constant * sqrt(2 kl / n)."""
+    mix = typed(mix, "mix", instance_of(MixedCorruption))
     return pacbayes_upper(mix.mixing_constant(), mix.total, kl, delta=delta)
 
 
@@ -268,6 +269,7 @@ def bernstein_constant(p: Dist, loss: LossTable) -> float:
     excess risk but positive second moment make the condition fail (inf);
     with a single action the condition is vacuous and K = 0.
     """
+    p, loss = typed(p, "p", DIST), typed(loss, "loss", LOSS)
     if loss.outcomes != p.space:
         raise SpaceMismatch("loss outcomes must match the distribution's space")
     risks = p.weights @ loss.values
@@ -293,9 +295,8 @@ def eta_compatibility(loss: LossTable, r: Reconstruction) -> float:
     checked together, in passes of at most ``ETA_CHUNK_ENTRIES`` pairs times
     corrupted times clean outcomes.
     """
+    corrected = corrected_loss(r, loss).values
     t = r.kernel
-    check_loss(t, loss)
-    corrected = r.matrix.T @ loss.values
     support = t.matrix[:, None, :] > 0.0
     # the pairs a1 < a2 in np.triu_indices(n, 1)'s order, at a third of its cost
     first, second = np.nonzero(~np.tri(len(loss.actions), dtype=bool))

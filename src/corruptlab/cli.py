@@ -13,10 +13,11 @@ work, grid points times m(m-1)k/2 + m^2 k for k x m kernels, by
 ``TABLE_WORK_GUARD``.  The grid is then taken in chunks of at most
 ``STACK_CHUNK_ENTRIES`` of that work: each chunk's kernels are one (G, k, m)
 stack, :func:`divergence.stacked_extremes` runs the pair pass on it, screened
-or not as the kernels' shape asks, and :func:`_statistics` one stacked SVD and
-the norms.  ``analyze`` runs :func:`_statistics` on a stack of one, checks the
-residual, and then takes alpha and lambda, one pass, from
-:func:`divergence.alpha` and :func:`divergence.lambda_coeff`.
+or not as the kernels' shape asks, and :func:`reconstruct.statistics` one
+stacked SVD, the residuals and the norms.  ``analyze`` runs
+:func:`reconstruct.statistics` on its one kernel, checks the residual, and
+then takes alpha and lambda, one pass, from :func:`divergence.alpha` and
+:func:`divergence.lambda_coeff`.
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure or tripped guard.
 """
@@ -113,38 +114,14 @@ def _theta_ref(text: str):
         return text
 
 
-def _statistics(matrices, loss) -> tuple:
-    """The left-inverse residual, the row norm of the pseudoinverse and the
-    sup norm of ``loss`` (an m x a array, or None) corrected by it, each an
-    array of one value per matrix of the (G, k, m) stack ``matrices``: one
-    stacked SVD factorizes every matrix.  The residual is 0 and both norms
-    are NaN at a matrix whose columns are dependent, and the last is None
-    without a loss.  Nothing is checked here."""
-    m = matrices.shape[2]
-    u, s, vt, full = reconstruct._svd(matrices)
-    dependent = not full.all()
-    if dependent:  # their matrices divide by ones instead, and their results are dropped
-        s = np.where(full[:, None], s, 1.0)
-    rec = (np.swapaxes(vt, 1, 2) / s[:, None, :]) @ np.swapaxes(u, 1, 2)
-    residual = np.abs(rec @ matrices - np.eye(m)).max(axis=(1, 2))
-    norms = [np.abs(rec).sum(axis=1).max(axis=1)]
-    if loss is not None:
-        norms.append(np.abs(np.swapaxes(rec, 1, 2) @ loss).max(axis=(1, 2)))
-    if dependent:
-        residual[~full] = 0.0
-        for values in norms:
-            values[~full] = np.nan
-    return residual, norms[0], norms[1] if loss is not None else None
-
-
 def cmd_analyze(args) -> int:
     kernel = kernel_from_json(load_json(args.kernel))
     loss = None if args.loss is None else loss_from_json(load_json(args.loss))
     if loss is not None:
         check_loss(kernel, loss)  # also when there is no reconstruction to correct it with
-    residual, *norms = _statistics(kernel.matrix[None], None if loss is None else loss.values)
-    reconstruct.check_residual(float(residual[0]))  # before alpha, whose own check comes second
-    row_norm, corrected = (None if a is None or math.isnan(a[0]) else a.item() for a in norms)
+    residual, *norms = reconstruct.statistics(kernel.matrix, None if loss is None else loss.values)
+    reconstruct.check_residual(float(residual))  # before alpha, whose own check comes second
+    row_norm, corrected = (None if a is None or math.isnan(a) else float(a) for a in norms)
     report = {"alpha": divergence.alpha(kernel), "lambda": divergence.lambda_coeff(kernel),
               "reconstructible": row_norm is not None, "row_norm": row_norm}
     _emit(report if loss is None else report | {"corrected_sup": corrected})
@@ -197,7 +174,7 @@ def cmd_tables(args) -> int:
         for start in range(0, len(sigmas), size):
             part = values(sigmas[start:start + size])
             matrices = catalog.build_kernels(args.family, *part)[2]
-            residual, row_norm, corrected = _statistics(matrices, 1.0 - np.eye(m))
+            residual, row_norm, corrected = reconstruct.statistics(matrices, 1.0 - np.eye(m))
             alpha, lam = divergence.stacked_extremes(matrices)
             failing = ~(residual <= reconstruct.RESIDUAL_ATOL) | (
                 np.abs((1.0 - lam) - alpha) > divergence.ALPHA_CONSISTENCY_ATOL)

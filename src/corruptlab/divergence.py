@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InternalInconsistency, InvalidParameter, SpaceMismatch
-from .kernels import KERNEL, Dist, Kernel, pushforward
-from .schema import typed
+from .kernels import DIST, KERNEL, Dist, Kernel, pushforward
+from .schema import instance_of, typed
 
 #: Agreement tolerance between the two alpha formulas before we flag a bug.
 ALPHA_CONSISTENCY_ATOL = 1e-9
@@ -78,6 +78,7 @@ KL = FGenerator(
 
 def variational(p: Dist, q: Dist) -> float:
     """Half the L1 distance between two distributions on the same space."""
+    p, q = typed(p, "p", DIST), typed(q, "q", DIST)
     if p.space != q.space:
         raise SpaceMismatch("variational divergence needs a common space")
     return 0.5 * float(np.abs(p.weights - q.weights).sum())
@@ -90,6 +91,7 @@ def f_divergence(p: Dist, q: Dist, gen: FGenerator) -> float:
     p_z = q_z = 0 contribute nothing.  Returns ``math.inf`` as soon as any
     term is infinite.
     """
+    p, q, gen = typed(p, "p", DIST), typed(q, "q", DIST), typed(gen, "gen", instance_of(FGenerator))
     if p.space != q.space:
         raise SpaceMismatch("f-divergence needs a common space")
     total = 0.0
@@ -335,6 +337,7 @@ class SdpiReport:
 
 def sdpi_check(t: Kernel, p: Dist, q: Dist, gen: FGenerator) -> SdpiReport:
     """Evaluate both sides of D_f(T(P), T(Q)) <= alpha(T) D_f(P, Q)."""
+    t, p, q = typed(t, "t", KERNEL), typed(p, "p", DIST), typed(q, "q", DIST)
     if p.space != t.domain or q.space != t.domain:
         raise SpaceMismatch("distributions must live on the kernel's domain")
     lhs = f_divergence(pushforward(t, p), pushforward(t, q), gen)

@@ -92,6 +92,10 @@ class Dist:
         return float(self.weights[self.space.index(name)])
 
 
+#: The kind of a :class:`Dist` argument.
+DIST = instance_of(Dist)
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """A Markov kernel domain ⇝ codomain as a column-stochastic matrix.
@@ -176,6 +180,7 @@ def identity(space: Space) -> Kernel:
 
 def compose(t2: Kernel, t1: Kernel) -> Kernel:
     """The kernel ``t2 ∘ t1`` (first t1, then t2) via matrix product."""
+    t2, t1 = typed(t2, "t2", KERNEL), typed(t1, "t1", KERNEL)
     if t1.codomain != t2.domain:
         raise SpaceMismatch(
             f"cannot compose: inner codomain {t1.codomain.labels!r} != "
@@ -186,6 +191,7 @@ def compose(t2: Kernel, t1: Kernel) -> Kernel:
 
 def pushforward(t: Kernel, p: Dist) -> Dist:
     """The image distribution T(P)."""
+    t, p = typed(t, "t", KERNEL), typed(p, "p", DIST)
     if p.space != t.domain:
         raise SpaceMismatch("distribution is not on the kernel's domain")
     return Dist(t.codomain, t.matrix @ p.weights)

@@ -16,7 +16,7 @@ import numpy as np
 from . import divergence
 from .errors import LengthMismatch, NotReconstructible, RankDeficient, SpaceMismatch
 from .kernels import KERNEL, SPACE, Kernel, Space
-from .schema import MATRIX, NAMES, fields, read_fields
+from .schema import MATRIX, NAMES, fields, instance_of, read_fields, typed
 
 #: Left-inverse residual allowed before a Reconstruction is rejected.
 RESIDUAL_ATOL = 1e-9
@@ -43,25 +43,48 @@ class LossTable:
         object.__setattr__(self, "sup_norm", float(np.abs(self.values).max()))
 
 
+#: The kind of a :class:`LossTable` argument.
+LOSS = instance_of(LossTable)
+
+
 def zero_one_loss(space: Space) -> LossTable:
     """0-1 loss with one action per outcome, in outcome order."""
-    n = len(space)
-    return LossTable(space, space.labels, 1.0 - np.eye(n))
+    space = typed(space, "space", SPACE)
+    return LossTable(space, space.labels, 1.0 - np.eye(len(space)))
 
 
-def _svd(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The thin SVDs ``(u, s, vt)`` of the (..., k, m) stack ``matrices``, one
-    stacked call, and whether each matrix passes the rank test: m singular
-    values, the smallest at least ``RANK_SV_RTOL`` of the largest."""
+def left_inverses(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pseudoinverses R = V diag(1/s) U^t of the k x m matrices on the
+    last two axes of ``matrices``, from one stacked thin SVD, and whether
+    each passes the rank test: m singular values, the smallest at least
+    ``RANK_SV_RTOL`` of the largest.  A matrix that fails it divides by ones
+    instead, so its R is finite but no left inverse."""
     u, s, vt = np.linalg.svd(matrices, full_matrices=False)
-    if s.shape[-1] < matrices.shape[-1]:  # fewer corrupted outcomes than clean ones
-        return u, s, vt, np.zeros(s.shape[:-1], bool)
-    return u, s, vt, s[..., -1] >= RANK_SV_RTOL * s[..., 0]
+    # fewer corrupted outcomes than clean ones leave fewer than m singular values
+    full = (s[..., -1] >= RANK_SV_RTOL * s[..., 0]) & (s.shape[-1] == matrices.shape[-1])
+    s = np.where(full[..., None], s, 1.0)
+    return (vt.swapaxes(-1, -2) / s[..., None, :]) @ u.swapaxes(-1, -2), full
+
+
+def statistics(matrices: np.ndarray, loss: np.ndarray | None) -> tuple:
+    """The left-inverse residual, the largest absolute entry of RT - I, the
+    row norm of R (as :func:`op_norm_row_sum`) and the sup norm of ``loss``
+    (an m x a array, or None) corrected by R (as :func:`corrected_sup_norm`),
+    for the pseudoinverse R of :func:`left_inverses`: one value each for one
+    k x m matrix, an array of one value per matrix for a (G, k, m) stack.
+    The residual is 0 and both norms are NaN where the rank test fails, and
+    the last is None without a loss.  Nothing is checked here."""
+    rec, full = left_inverses(matrices)
+    residual = np.abs(rec @ matrices - np.eye(matrices.shape[-1])).max(axis=(-2, -1))
+    row_norm = np.abs(rec).sum(axis=-2).max(axis=-1)
+    corrected = None if loss is None else np.abs(rec.swapaxes(-1, -2) @ loss).max(axis=(-2, -1))
+    return (np.where(full, residual, 0.0), np.where(full, row_norm, np.nan),
+            corrected if corrected is None else np.where(full, corrected, np.nan))
 
 
 def is_reconstructible(t: Kernel) -> bool:
     """True when T has full column rank under the relative singular-value threshold."""
-    return bool(_svd(t.matrix)[3])
+    return bool(left_inverses(typed(t, "t", KERNEL).matrix)[1])
 
 
 def check_residual(residual: float) -> float:
@@ -101,13 +124,19 @@ class Reconstruction:
         }
 
 
+#: The kind of a :class:`Reconstruction` argument.
+RECONSTRUCTION = instance_of(Reconstruction)
+
+
 def pseudoinverse(t: Kernel) -> Reconstruction:
-    """The Moore-Penrose left inverse R = V diag(1/s) U^t from the thin SVD
-    of T; raises :class:`RankDeficient` when T fails the rank test."""
-    u, s, vt, full = _svd(t.matrix)
+    """The Moore-Penrose left inverse R = V diag(1/s) U^t of T, from
+    :func:`left_inverses`; raises :class:`RankDeficient` when T fails the
+    rank test."""
+    t = typed(t, "t", KERNEL)
+    rec, full = left_inverses(t.matrix)
     if not full:
         raise RankDeficient("kernel has (numerically) dependent columns; no left inverse")
-    return Reconstruction(kernel=t, matrix=(vt.T / s) @ u.T)
+    return Reconstruction(kernel=t, matrix=rec)
 
 
 def check_loss(t: Kernel, loss: LossTable) -> None:
@@ -121,6 +150,7 @@ def corrected_loss(r: Reconstruction, loss: LossTable) -> LossTable:
 
     The result satisfies <P, ell_a> = <T(P), corrected_a> for all P.
     """
+    r, loss = typed(r, "r", RECONSTRUCTION), typed(loss, "loss", LOSS)
     check_loss(r.kernel, loss)
     return LossTable(r.kernel.codomain, loss.actions, r.matrix.T @ loss.values)
 
@@ -131,7 +161,7 @@ def op_norm_row_sum(r: Reconstruction) -> float:
     Equals the infinity-norm (max absolute row sum) of the adjoint R*, the
     worst-case blow-up factor for corrected sup norms.
     """
-    return float(np.abs(r.matrix).sum(axis=0).max())
+    return float(np.abs(typed(r, "r", RECONSTRUCTION).matrix).sum(axis=0).max())
 
 
 def corrected_sup_norm(r: Reconstruction, loss: LossTable) -> float:

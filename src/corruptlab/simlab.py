@@ -51,8 +51,8 @@ from .errors import (
     _shown,
     guard,
 )
-from .kernels import KERNEL, Dist, Kernel, Space, dist_from_json, kernel_from_json
-from .reconstruct import LossTable, Reconstruction, corrected_loss, loss_from_json, pseudoinverse
+from .kernels import DIST, KERNEL, Dist, Kernel, Space, dist_from_json, kernel_from_json
+from .reconstruct import LOSS, LossTable, Reconstruction, corrected_loss, loss_from_json, pseudoinverse
 from .schema import (COUNT, INT, MATRIX, OBJECT, POSITIVE, POSITIVE_COUNT, VECTOR, fields, instance_of, list_of,
                      read_fields, typed)
 
@@ -136,10 +136,6 @@ def _trial_seeds(seed: int, cells: range) -> list[int]:
     return (np.uint64(seed & _MASK64) ^ splitmix64(np.arange(cells.start, cells.stop, dtype=np.uint64))).tolist()
 
 
-#: The kind of a :class:`LossTable` argument.
-LOSS = instance_of(LossTable)
-
-
 def _as_indices(space: Space, sample: Sequence) -> np.ndarray:
     values = np.asarray(sample)
     if values.dtype.kind in "iu":
@@ -156,7 +152,7 @@ def _as_indices(space: Space, sample: Sequence) -> np.ndarray:
 def sample(p: Dist, n: int, seed: int) -> np.ndarray:
     """Draw n iid outcome indices by inverse CDF over the space's order; n
     past ``SAMPLE_SIZE_GUARD`` is refused before anything is drawn."""
-    p, n = typed(p, "p", instance_of(Dist)), typed(n, "sample size", COUNT)
+    p, n = typed(p, "p", DIST), typed(n, "sample size", COUNT)
     guard(n, SAMPLE_SIZE_GUARD, "sample size")
     cum = np.cumsum(p.weights)
     u = _generator(seed).random(n)
@@ -217,7 +213,7 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        read_fields(self, "config", clean_dist=instance_of(Dist), loss=LOSS,
+        read_fields(self, "config", clean_dist=DIST, loss=LOSS,
                     corruption=instance_of(catalog.CorruptionSpec, Kernel),
                     sample_sizes=list_of(POSITIVE_COUNT, "a list of integers"), trials=POSITIVE_COUNT, seed=INT)
         sizes = self.sample_sizes

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from corruptlab import catalog, cli, divergence, planner
+from corruptlab import catalog, cli, divergence, planner, reconstruct
 from corruptlab.cli import main
 from corruptlab.errors import CapacityGuardExceeded, SizeGuardExceeded, guard
 
@@ -67,7 +67,7 @@ def _heavy(*args, **kwargs):
 #: stacked statistics of ``analyze`` and ``tables`` (which first builds its
 #: kernels), the pair pass of ``lecam``, the curves of ``simulate``.  The
 #: plan's DP is held by the planner's own guards below.
-HEAVY_WORK = [(catalog, "build_kernels"), (cli, "_statistics"), (divergence, "alpha"), (cli, "risk_curve"),
+HEAVY_WORK = [(catalog, "build_kernels"), (reconstruct, "statistics"), (divergence, "alpha"), (cli, "risk_curve"),
               (cli, "fastrate_curve")]
 
 

@@ -1,7 +1,11 @@
 """Left inverses, corrected losses and the operator-norm ledger."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corruptlab import catalog, errors
 from corruptlab.divergence import alpha
@@ -17,6 +21,7 @@ from corruptlab.reconstruct import (
     op_norm_row_sum,
     pseudoinverse,
     sandwich_report,
+    statistics,
     zero_one_loss,
 )
 
@@ -174,6 +179,67 @@ class TestPseudoinverse:
         out = r.to_json()
         assert out["residual"] <= 1e-9
         assert len(out["matrix"]) == 2
+
+
+@st.composite
+def kernel_stacks(draw):
+    """1 to 6 random kernels of one k x m shape, k < m included, and a loss
+    over their clean outcomes.  Some kernels repeat their first column as
+    their last, so they fail the rank test."""
+    g, m, k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    repeated = draw(st.lists(st.booleans(), min_size=g, max_size=g)) if m > 1 else [False] * g
+    kernels = []
+    for repeat in repeated:
+        matrix = rng.dirichlet(np.ones(k), size=m).T
+        if repeat:
+            matrix[:, -1] = matrix[:, 0]
+        kernels.append(Kernel(Space([f"x{i}" for i in range(m)]), Space([f"y{i}" for i in range(k)]), matrix))
+    return kernels, random_loss(rng, kernels[0].domain, draw(st.integers(1, 4)))
+
+
+class TestStackedStatistics:
+    """The one statistics pass over a stack gives, bit for bit, what the
+    per-kernel functions give for each of its matrices, and so does the pass
+    on one matrix."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=kernel_stacks())
+    def test_matches_the_per_kernel_functions(self, case):
+        kernels, loss = case
+        matrices = np.stack([t.matrix for t in kernels])
+        stacked = statistics(matrices, loss.values)
+        *lossless, none = statistics(matrices, None)
+        assert none is None and np.array_equal(lossless, stacked[:2], equal_nan=True)
+        for i, t in enumerate(kernels):
+            single = statistics(t.matrix, loss.values)
+            got = [(float(v[i]), float(w)) for v, w in zip(stacked, single)]
+            if is_reconstructible(t):
+                r = pseudoinverse(t)
+                want = [r.residual, op_norm_row_sum(r), corrected_sup_norm(r, loss)]
+                assert got == [(w, w) for w in want]
+            else:
+                assert got[0] == (0.0, 0.0) and np.isnan(got[1:]).all()
+                with pytest.raises(errors.RankDeficient):
+                    pseudoinverse(t)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "corruptlab"
+
+
+def test_left_inverses_is_the_one_linalg_call():
+    """``np.linalg`` is used only inside ``reconstruct.left_inverses``, and
+    ``cli`` multiplies no matrices itself."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  for node in ast.walk(f)}
+        found += [(path.name, owners.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "linalg"]
+        if path.name == "cli.py":
+            assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+    assert found == [("reconstruct.py", "left_inverses")]
 
 
 class TestCorrectedLoss:

@@ -30,7 +30,11 @@ from corruptlab import (  # noqa: E402
     alpha,
     bernstein_constant,
     binary_label_noise,
+    compose,
+    corrected_loss,
+    corrected_sup_norm,
     corrupt,
+    eta_compatibility,
     exact_plan,
     f_divergence,
     fastrate_curve,
@@ -38,14 +42,18 @@ from corruptlab import (  # noqa: E402
     fit_proper,
     gradient_check,
     greedy_plan,
+    is_reconstructible,
     lambda_coeff,
     lecam_corrupted,
     lecam_replicated,
     log_loss,
     normalized,
+    op_norm_row_sum,
+    pacbayes_mixed,
     pacbayes_upper,
     parallel_product,
     partial_labels,
+    pseudoinverse,
     pullback,
     pushforward,
     rank_sources_lower,
@@ -53,10 +61,12 @@ from corruptlab import (  # noqa: E402
     regret,
     replicate,
     sample,
+    sandwich_report,
     sdpi_check,
     semi_supervised,
     separation,
     symmetric_label_noise,
+    variational,
     zero_one_loss,
 )
 from corruptlab.catalog import make_spec  # noqa: E402
@@ -94,6 +104,30 @@ P = Dist(S, [0.3, 0.7])
 SPEC = (("sigma_neg", 0.1), ("sigma_pos", 0.2))
 FOREIGN = Dist(Space(["x", "y"]), [0.5, 0.5])
 FIT = partial(fit_proper, True, T, ["-1", "+1"], log_loss())
+R = pseudoinverse(T)
+L = zero_one_loss(S)
+
+#: Calls given a bare array, list or string where a value type belongs; each
+#: is refused as one InvalidParameter line, not a bare AttributeError.
+WRONG_TYPE = {
+    "pseudoinverse-array-for-kernel": lambda: pseudoinverse(np.eye(2)),
+    "is-reconstructible-array-for-kernel": lambda: is_reconstructible(np.eye(2)),
+    "sandwich-report-array-for-kernel": lambda: sandwich_report(np.eye(2)),
+    "op-norm-array-for-reconstruction": lambda: op_norm_row_sum(np.eye(2)),
+    "corrected-loss-array-for-reconstruction": lambda: corrected_loss(np.eye(2), L),
+    "corrected-loss-string-for-loss": lambda: corrected_loss(R, "x"),
+    "corrected-sup-array-for-reconstruction": lambda: corrected_sup_norm(np.eye(2), L),
+    "eta-string-for-loss": lambda: eta_compatibility("x", R),
+    "eta-array-for-reconstruction": lambda: eta_compatibility(L, np.eye(2)),
+    "zero-one-list-for-space": lambda: zero_one_loss(["a", "b"]),
+    "variational-list-for-dist": lambda: variational([0.5, 0.5], P),
+    "f-divergence-list-for-dist": lambda: f_divergence([0.5, 0.5], P, VARIATIONAL),
+    "sdpi-check-array-for-kernel": lambda: sdpi_check(np.eye(2), P, P, VARIATIONAL),
+    "compose-array-for-kernel": lambda: compose(np.eye(2), T),
+    "pushforward-array-for-kernel": lambda: pushforward(np.eye(2), P),
+    "bernstein-list-for-dist": lambda: bernstein_constant([0.5, 0.5], L),
+    "pacbayes-mixed-list-for-mix": lambda: pacbayes_mixed([1], 1.0),
+}
 
 
 #: Library calls that must raise an InvalidInput subclass, or the class
@@ -222,6 +256,7 @@ LIBRARY_REFUSED = {
     # the actions tie on the clean outcome -1 only, where noise moves their corrected losses apart
     "fastrate-eta-infinite": lambda: fastrate_curve(ExperimentConfig(
         **CONFIG | {"loss": LossTable(S, ["a0", "a1"], [[0.0, 0.0], [0.0, 1.0]])})),
+    **WRONG_TYPE,
 }
 
 #: The class each refusal above raises, where it is more than an InvalidInput.
@@ -235,7 +270,7 @@ REFUSED_AS = {
     "sample-size-past-the-guard": SizeGuardExceeded,
     **dict.fromkeys(["silent-erm-counts-negative", "silent-erm-counts-negative-total", "silent-erm-counts-nan",
                      "silent-erm-counts-inf", "silent-erm-counts-booleans", "erm-counts-strings", "erm-counts-ragged",
-                     "silent-erm-counts-boolean-in-list"], InvalidParameter),
+                     "silent-erm-counts-boolean-in-list", *WRONG_TYPE], InvalidParameter),
 }
 
 
