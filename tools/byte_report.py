@@ -1,5 +1,6 @@
 """Byte record: run every benchmark job on one source tree and print, per
-job, its exit code, the SHA-256 of its stdout and of its CSV, and its stderr.
+job, its exit code, its stderr and the SHA-256 of its stdout and of its CSV,
+with the bytes the BLAS decides apart from the rest.
 
     python3 tools/byte_report.py SRC
 
@@ -12,8 +13,15 @@ and then all of them again in reverse order, so that state one call leaves
 for the next shows.
 
 The record is JSON on stdout, one job per line in build order: ``{"exit",
-"stdout", "stderr", "csv"}``, with ``csv`` null where the job writes none and
-the temporary directory written as ``<inputs>`` in stderr.  Its
+"stdout", "stderr", "csv", "blas"}``.  ``stderr`` is verbatim, with the
+temporary directory written as ``<inputs>``.  ``stdout`` and ``csv`` are the
+digests of the bytes no BLAS decides: the stdout of a ``plan``, ``lecam`` or
+fast-rate ``simulate`` job, or of any job that fails, and a CSV's ``n``,
+``mean_excess_risk`` and ``std_error`` columns (null where the job writes
+none).  ``blas`` holds the digests of the bytes that the SVD, and so the CPU
+kernels OpenBLAS picks, decides in their last digits: ``stdout`` of an
+``analyze`` or ``tables`` job that succeeds (its top-level ``stdout`` is then
+null) and ``envelope``, the CSV's corrected-sup-norm column.  The
 ``environment`` names the Python, the numpy, the BLAS numpy was built with
 and the configuration the loaded OpenBLAS reports, which names the CPU
 kernels it chose at run time.  Two trees are compared by ``diff`` of their
@@ -175,9 +183,7 @@ _LECAM = ("lecam", "--theta1", "0", "--theta2", "1", "--problem")
 #: simulation of 10^6 cells of 11 outcomes and actions, past its work guard;
 #: two usage errors, an unknown flag and a class count that is not an
 #: integer; and analyze on a 100 x 100 product kernel, whose screened slabs
-#: hold several columns each.  The names "in-blocks" and
-#: "cell-by-cell" are kept from an earlier DP with two fill paths, so the
-#: record keeps its job names.
+#: hold several columns each.
 EDGE_JOBS = {
     **{f"plan-budget={budget}": ("plan", "--offers", "offers.json", f"--budget={budget}")
        for budget in ("1e-999999", "-1e-999999", "-0.5", "1e400", "1e-10000000", "nan", "1e999999999999999999",
@@ -186,10 +192,10 @@ EDGE_JOBS = {
        for name in ("alpha-1.5", "cost-0", "cost-tiny", "den-0", "cost-unknown-key", "duplicate-names")},
     "plan-den-null": ("plan", "--offers", "den-null-offer.json", "--budget", "12"),
     "plan-duplicate-names-budget=-1": ("plan", "--offers", "duplicate-names-offer.json", "--budget=-1"),
-    "plan-tied-offers-in-blocks": ("plan", "--offers", "tied-offers.json", "--budget", "100"),
-    "plan-unbuyable-offer-in-blocks": ("plan", "--offers", "unbuyable-offer.json", "--budget", "100"),
+    "plan-tied-offers": ("plan", "--offers", "tied-offers.json", "--budget", "100"),
+    "plan-unbuyable-offer": ("plan", "--offers", "unbuyable-offer.json", "--budget", "100"),
     "plan-tie-past-a-dear-densest-offer": ("plan", "--offers", "dear-densest-offer.json", "--budget", "6"),
-    "plan-twelfth-cost-cell-by-cell": ("plan", "--offers", "twelfth-offers.json", "--budget", "9.75"),
+    "plan-twelfth-cost": ("plan", "--offers", "twelfth-offers.json", "--budget", "9.75"),
     "plan-newline-key": ("plan", "--offers", "newline-key-offer.json", "--budget", "1"),
     "plan-equally-dense-runner-up": ("plan", "--offers", "equally-dense-offers.json", "--budget", "100000"),
     "plan-single-buyable-offer": ("plan", "--offers", "single-buyable-offer.json", "--budget", "1000"),
@@ -296,6 +302,17 @@ def _digest(data: bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
+def _line(argv: list[str], code, stdout: str, stderr: str, csv: bytes | None) -> dict:
+    """One job's record, the fields the BLAS decides under ``blas``."""
+    stdout, blas = _digest(stdout.encode()), {}
+    if code == 0 and argv[0] in ("analyze", "tables"):
+        blas["stdout"], stdout = stdout, None
+    if csv is not None:
+        rows = [row.rpartition(b",") for row in csv.split(b"\n")]
+        csv, blas["envelope"] = b"\n".join(row[0] for row in rows), _digest(b"\n".join(row[2] for row in rows))
+    return {"exit": code, "stdout": stdout, "stderr": stderr, "csv": _digest(csv), "blas": blas}
+
+
 def main(argv: list[str]) -> int:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before anything imports numpy
     if len(argv) != 1:
@@ -305,10 +322,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="byte-report-") as inputs:
         jobs = _build(inputs)
         first, second = _pass(jobs), _pass(jobs[::-1])[::-1]
-    lines = [f"{json.dumps(job['name'])}: " + json.dumps(
-        {"exit": code, "stdout": _digest(stdout.encode()), "stderr": stderr.replace(inputs, "<inputs>"),
-         "csv": _digest(csv)}) for job, (code, stdout, stderr, csv) in zip(jobs, first)]
-    print(f'{{"environment": {json.dumps(_environment())},\n"jobs": {{\n' + ",\n".join(lines) + "\n}}")
+    lines = ",\n".join(f"{json.dumps(job['name'])}: {json.dumps(_line(job['argv'], *result))}"
+                       for job, result in zip(jobs, first)).replace(inputs, "<inputs>")
+    print(f'{{"environment": {json.dumps(_environment())},\n"jobs": {{\n{lines}\n}}}}')
     unrepeated = [f"differs between passes: {job['name']}\n" for job, a, b in zip(jobs, first, second) if a != b]
     sys.stderr.write("".join(unrepeated))
     return 1 if unrepeated else 0
