@@ -295,8 +295,13 @@ def eta_compatibility(loss: LossTable, r: Reconstruction) -> float:
     checked together, in passes of at most ``ETA_CHUNK_ENTRIES`` pairs times
     corrupted times clean outcomes.
     """
-    corrected = corrected_loss(r, loss).values
-    t = r.kernel
+    return _eta(loss, corrected_loss(r, loss).values, r.kernel)  # r is checked before r.kernel is read
+
+
+def _eta(loss: LossTable, corrected: np.ndarray, t: Kernel) -> float:
+    """:func:`eta_compatibility` of ``loss`` and the corruption ``t``, given
+    ``corrected``, the values of the loss corrected by a reconstruction of
+    ``t``."""
     support = t.matrix[:, None, :] > 0.0
     # the pairs a1 < a2 in np.triu_indices(n, 1)'s order, at a third of its cost
     first, second = np.nonzero(~np.tri(len(loss.actions), dtype=bool))

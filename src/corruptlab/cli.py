@@ -19,6 +19,11 @@ stacked SVD, the residuals and the norms.  ``analyze`` runs
 then takes alpha and lambda, one pass, from :func:`divergence.alpha` and
 :func:`divergence.lambda_coeff`.
 
+``main`` builds its parser once per process and parses each argv once: an
+argv that starts with a subcommand's name goes straight to that subcommand's
+parser, as the top-level parser would pass it on, and any other argv to the
+top-level parser, which refuses it or prints its help.
+
 Exit codes: 0 success, 2 invalid input, 3 numerical failure or tripped guard.
 """
 
@@ -272,7 +277,8 @@ def cmd_lecam(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise :class:`ParseError`, so
     ``main`` prints them on one line and exits 2; its subparsers are of this
-    class too."""
+    class too.  The top-level parser's ``commands`` maps each subcommand's
+    name to its parser."""
 
     def error(self, message):
         raise ParseError(_escaped(message))
@@ -284,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ``parse_args`` keeps no state on it between calls."""
     parser = _Parser(prog="corruptlab")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("analyze", help="contraction and reconstruction statistics of a kernel")
     p.add_argument("--kernel", required=True, help="kernel JSON file")
@@ -314,8 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        # The top-level parser hands every string after a subcommand's name to
+        # that subcommand's parser unchanged, so a call that names one is
+        # parsed by it alone; any other argv is the top-level parser's.
+        command = parser.commands.get(argv[0]) if argv else None
+        args = (parser.parse_args(argv) if command is None
+                else command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
         # looked up per call, so a cmd_* replaced after the parser was built still runs
         return globals()[f"cmd_{args.command}"](args)
     except InvalidInput as exc:

@@ -62,7 +62,8 @@ def left_inverses(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, s, vt = np.linalg.svd(matrices, full_matrices=False)
     # fewer corrupted outcomes than clean ones leave fewer than m singular values
     full = (s[..., -1] >= RANK_SV_RTOL * s[..., 0]) & (s.shape[-1] == matrices.shape[-1])
-    s = np.where(full[..., None], s, 1.0)
+    if not full.all():  # where every matrix passes, the mask would select s itself
+        s = np.where(full[..., None], s, 1.0)
     return (vt.swapaxes(-1, -2) / s[..., None, :]) @ u.swapaxes(-1, -2), full
 
 
@@ -78,6 +79,8 @@ def statistics(matrices: np.ndarray, loss: np.ndarray | None) -> tuple:
     residual = np.abs(rec @ matrices - np.eye(matrices.shape[-1])).max(axis=(-2, -1))
     row_norm = np.abs(rec).sum(axis=-2).max(axis=-1)
     corrected = None if loss is None else np.abs(rec.swapaxes(-1, -2) @ loss).max(axis=(-2, -1))
+    if full.all():  # the masks below would select every value as it is
+        return residual, row_norm, corrected
     return (np.where(full, residual, 0.0), np.where(full, row_norm, np.nan),
             corrected if corrected is None else np.where(full, corrected, np.nan))
 

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import catalog
-from .bounds import EXCESS_TOL, eta_compatibility
+from .bounds import EXCESS_TOL, _eta
 from .errors import (
     DivergedObjective,
     EmptySample,
@@ -272,11 +272,12 @@ class FastRateReport:
     mean_ratio: float
 
 
-def _curve(config: ExperimentConfig, rec: Reconstruction) -> RiskCurve:
-    """The risk curve of both modes, in one pass over all its cells in cell
-    order: cell ``i`` draws ``multinomial(sizes[i // trials], q)`` on its
-    stream, and the cells are drawn and scored by corrected ERM in array
-    passes of at most ``SCORE_CHUNK_ENTRIES``, which may span sample sizes.
+def _curve(config: ExperimentConfig, rec: Reconstruction, table: LossTable) -> RiskCurve:
+    """The risk curve of both modes, scored with ``table``, the loss corrected
+    by ``rec``, in one pass over all its cells in cell order: cell ``i``
+    draws ``multinomial(sizes[i // trials], q)`` on its stream, and the cells
+    are drawn and scored by corrected ERM in array passes of at most
+    ``SCORE_CHUNK_ENTRIES``, which may span sample sizes.
     The excess risks form one (sizes x trials) array, and every size's mean
     and standard error come from one reduction along its rows, which reduces
     each row as the same call on that row alone would.
@@ -285,7 +286,6 @@ def _curve(config: ExperimentConfig, rec: Reconstruction) -> RiskCurve:
     the loss's sup norm; the tie rule of ``erm_indices`` is 2,000 times wider,
     so the pass sizes leave the chosen actions as they are."""
     p, sizes, trials = config.clean_dist, config.sample_sizes, config.trials
-    table = corrected_loss(rec, config.loss)
     clean_risks = p.weights @ config.loss.values
     best = float(clean_risks.min())
     # A Dist and a kernel column sum to 1 only within STOCHASTIC_ATOL, and
@@ -316,7 +316,8 @@ def risk_curve(config: ExperimentConfig) -> RiskCurve:
     score the true excess risk.  The envelope is
     ||corrected||_inf * sqrt(2 ln|A| / n), the uniform-prior complexity term.
     """
-    return _curve(config, pseudoinverse(config.kernel()))
+    rec = pseudoinverse(config.kernel())
+    return _curve(config, rec, corrected_loss(rec, config.loss))
 
 
 def fastrate_curve(config: ExperimentConfig) -> FastRateReport:
@@ -329,9 +330,10 @@ def fastrate_curve(config: ExperimentConfig) -> FastRateReport:
     if float((config.clean_dist.weights @ config.loss.values).min()) > EXCESS_TOL:
         raise PreconditionFailed("clean distribution is not separable for this loss")
     rec = pseudoinverse(config.kernel())
-    if math.isinf(eta_compatibility(config.loss, rec)):
+    table = corrected_loss(rec, config.loss)  # built once, for eta and for the curve
+    if math.isinf(_eta(config.loss, table.values, rec.kernel)):
         raise PreconditionFailed("loss and corruption are not compatible (eta is infinite)")
-    curve = _curve(config, rec)
+    curve = _curve(config, rec, table)
     means = {r.n: r.mean_excess_risk for r in curve.rows}
     ratios = tuple((n, means[2 * n] / means[n]) for n in config.sample_sizes
                    if 2 * n in means and means[n] > 0.0)

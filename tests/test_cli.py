@@ -1117,6 +1117,64 @@ def test_command_looked_up_at_each_call(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("role", DOCUMENTS)
+def test_a_valid_call_parses_its_argv_once(role, tmp_path, capsys, monkeypatch):
+    argv = role_argv(role, tmp_path, write_json(tmp_path, f"{role}.json", DOCUMENTS[role]))
+    entered = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        entered.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert entered == [f"corruptlab {argv[0]}"]  # the subcommand's parser alone
+
+
+#: Command lines, with ``K`` for a valid kernel file, that ``main`` parses as
+#: the top-level parser does: refused, answered with help, or run.
+TOP_LEVEL_CASES = {
+    **{case: argv for case, (argv, _) in USAGE_ERRORS.items()},
+    "help": ["-h"],
+    "help-long": ["--help"],
+    "help-after-subcommand": ["analyze", "-h"],
+    "help-after-options": ["analyze", "--kernel", "K", "--he"],
+    "abbreviation": ["analyze", "--ker", "K"],
+    "equals": ["analyze", "--kernel=K"],
+    "double-dash-first": ["analyze", "--", "--kernel", "K"],
+    "double-dash-last": ["analyze", "--kernel", "K", "--"],
+    "double-dash-before-subcommand": ["--", "analyze", "--kernel", "K"],
+    "unknown-flag-before-subcommand": ["--x", "analyze", "--kernel", "K"],
+    "subcommand-abbreviation": ["ana", "--kernel", "K"],
+    "valid": ["analyze", "--kernel", "K"],
+    "tuple": ("analyze", "--kernel", "K"),
+    "sys-argv": None,
+}
+
+
+@pytest.mark.parametrize("case", TOP_LEVEL_CASES)
+def test_main_answers_as_the_top_level_parser(case, tmp_path, capsys, monkeypatch):
+    kernel = write_json(tmp_path, "kernel.json", DOCUMENTS["kernel"])
+    argv = TOP_LEVEL_CASES[case]
+    if argv is None:  # main reads sys.argv
+        monkeypatch.setattr(sys, "argv", ["corruptlab", "analyze", "--kernel", kernel])
+    else:
+        argv = type(argv)(kernel if a == "K" else a for a in argv)
+
+    def answer():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    direct = answer()
+    monkeypatch.setattr(cli.build_parser(), "commands", {})  # every argv now goes through the top-level parser
+    assert answer() == direct
+
+
+@pytest.mark.parametrize("role", DOCUMENTS)
 def test_valid_documents_exit_zero(role, tmp_path, capsys):
     path = write_json(tmp_path, f"{role}.json", DOCUMENTS[role])
     code, _, err = run(capsys, *role_argv(role, tmp_path, path))

@@ -11,11 +11,13 @@ from corruptlab import catalog, errors
 from corruptlab.divergence import alpha
 from corruptlab.kernels import Dist, Kernel, Space, compose, identity
 from corruptlab.reconstruct import (
+    RANK_SV_RTOL,
     LossTable,
     Reconstruction,
     corrected_loss,
     corrected_sup_norm,
     is_reconstructible,
+    left_inverses,
     loss_from_json,
     loss_to_json,
     op_norm_row_sum,
@@ -222,6 +224,49 @@ class TestStackedStatistics:
                 assert got[0] == (0.0, 0.0) and np.isnan(got[1:]).all()
                 with pytest.raises(errors.RankDeficient):
                     pseudoinverse(t)
+
+
+def masked(matrices, loss):
+    """``left_inverses`` and ``statistics`` as they read before their fast
+    path: every result masked by the rank test, whether or not a matrix
+    fails it."""
+    u, s, vt = np.linalg.svd(matrices, full_matrices=False)
+    full = (s[..., -1] >= RANK_SV_RTOL * s[..., 0]) & (s.shape[-1] == matrices.shape[-1])
+    rec = (vt.swapaxes(-1, -2) / np.where(full[..., None], s, 1.0)[..., None, :]) @ u.swapaxes(-1, -2)
+    residual = np.abs(rec @ matrices - np.eye(matrices.shape[-1])).max(axis=(-2, -1))
+    row_norm = np.abs(rec).sum(axis=-2).max(axis=-1)
+    corrected = np.abs(rec.swapaxes(-1, -2) @ loss).max(axis=(-2, -1))
+    return (rec, full), (np.where(full, residual, 0.0), np.where(full, row_norm, np.nan),
+                         np.where(full, corrected, np.nan))
+
+
+def _small_shapes():
+    rng = np.random.default_rng(37)
+    shapes = {f"{n}x{n}": random_kernel(rng, n, n).matrix for n in (1, 2, 3, 7)}
+    shapes["2x3"] = random_kernel(rng, 3, 2).matrix  # fewer corrupted outcomes than clean ones
+    shapes["singular-2x2"] = np.full((2, 2), 0.5)
+    shapes["mixed-stack"] = np.stack([shapes["2x2"], shapes["singular-2x2"], np.eye(2)])
+    return shapes
+
+
+SMALL_SHAPES = _small_shapes()
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES)
+def test_small_shapes_match_the_masked_formulas(shape):
+    matrices = SMALL_SHAPES[shape]
+    loss = np.random.default_rng(7).uniform(-1.0, 1.0, size=(matrices.shape[-1], 3))
+    (want_rec, want_full), want = masked(matrices, loss)
+    rec, full = left_inverses(matrices)
+    assert np.array_equal(full, want_full) and np.array_equal(rec, want_rec)  # finite where it fails, too
+    got = statistics(matrices, loss)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w) and np.array_equal(g[full], w[full])
+    residual, row_norm, corrected = (np.asarray(g) for g in got)
+    assert (residual[~full] == 0.0).all()
+    assert np.array_equal(np.isnan(row_norm), ~full) and np.array_equal(np.isnan(corrected), ~full)
+    assert statistics(matrices, None)[2] is None
+    assert full.all() == (shape not in ("2x3", "singular-2x2", "mixed-stack"))  # which path each takes
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "corruptlab"

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from corruptlab import errors
+from corruptlab import bounds, errors
 from corruptlab.catalog import (
     binary_label_noise,
     build_kernel,
@@ -383,7 +383,7 @@ class TestOnePassCurve:
             for entries in (SCORE_CHUNK_ENTRIES, 1, 7 * widest):  # the default, 1 cell and 7 cells a pass
                 monkeypatch.setattr(simlab, "SCORE_CHUNK_ENTRIES", entries)
                 chosen.clear()
-                curve = simlab._curve(config, rec)
+                curve = simlab._curve(config, rec, corrected_loss(rec, config.loss))
                 assert curve == expected and curve.to_csv() == expected.to_csv()
                 np.testing.assert_array_equal(np.concatenate(chosen), expected_chosen)  # every cell's action
             monkeypatch.setattr(simlab, "SCORE_CHUNK_ENTRIES", SCORE_CHUNK_ENTRIES)  # the oracle's passes
@@ -568,6 +568,22 @@ class TestFastRate:
             sample_sizes=(1, 2, 4, 8), trials=200))
         for n, ratio in report.ratios:
             assert 2 * n in (2, 4, 8) and ratio >= 0.0
+
+    @pytest.mark.parametrize("curve", [risk_curve, fastrate_curve])
+    def test_corrected_loss_built_once_per_job(self, curve, monkeypatch):
+        # a fast-rate job's eta check and its curve share one corrected loss
+        config = standard_config(clean_dist=point_mass(Space(["-1", "+1"]), "+1"), sample_sizes=(4, 8), trials=5)
+        expected = curve(config)
+        built = []
+
+        def counting(r, loss):
+            built.append(r)
+            return corrected_loss(r, loss)
+
+        for module in (simlab, bounds):
+            monkeypatch.setattr(module, "corrected_loss", counting)
+        assert curve(config) == expected
+        assert len(built) == 1
 
 
 class TestFitProper:
