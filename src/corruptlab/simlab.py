@@ -7,23 +7,28 @@ derived with splitmix64, a fixed 64-bit mixing function: trial ``t`` at the
 ``k``-th sample size is cell ``i = k * trials + t``, with stream
 ``Philox(key=seed XOR splitmix64(i))`` regardless of execution order.  Cells
 are therefore independent and could run concurrently; results are aggregated
-in cell order so repeated runs are bit-identical.  A risk curve builds one
-generator and re-keys it for each cell: Philox is counter-based, so a stream
-is fixed by its key and counter, and resetting the counter and the buffers
-under the cell's key gives that cell's stream bit for bit, without the cost
-of a new generator.  The keys of a pass's cells are derived together, by
-splitmix64 in wrapping uint64 arithmetic.
+in cell order so repeated runs are bit-identical.  Each thread holds one
+generator, made at its first curve with its fresh state read once, and every
+curve it runs re-keys that generator for each cell: Philox is
+counter-based, so a stream is fixed by its key and counter, and resetting the
+counter and the buffers under the cell's key gives that cell's stream bit for
+bit, without the cost of a new generator.  No stream is shared between
+threads, and no curve opens a stream of its own.  The keys of a pass's cells
+are derived together, by splitmix64 in wrapping uint64 arithmetic.
 
 Corrected ERM reads a corrupted sample only through its outcome counts,
 which follow Multinomial(n, T·p), so each cell draws them in one
 ``multinomial`` call on its stream and costs the same at every n.  A
 curve's cells are drawn in cell order, in passes that may span sample sizes;
-a pass's counts are stacked into one array and scored together by
-``erm_indices``, one matrix product and the tie rule applied row by row.
-``sample``, ``corrupt`` and ``erm`` work outcome by outcome; the tests use
-them as the oracle.  ``risk_curve`` and ``fastrate_curve`` share one
-pipeline; the fast-rate mode only adds its two precondition checks and the
-halving ratios.
+a pass's counts are stacked into one float64 array and scored together by
+the rule of ``erm_indices``, one matrix product and the tie rule applied row
+by row, without its argument checks, which drawn counts pass by construction.
+Every size's mean and standard error come from the ufunc reductions that
+``ndarray.mean`` and ``ndarray.std`` run, bit for bit.  ``sample``,
+``corrupt`` and ``erm`` work outcome by outcome, each on a generator of its
+own; the tests use them as the oracle.  ``risk_curve`` and
+``fastrate_curve`` share one pipeline; the fast-rate mode only adds its two
+precondition checks and the halving ratios.
 
 Excess risk is always scored against the true clean distribution (it is
 available analytically here); this is a validation lab for bound formulas,
@@ -33,6 +38,7 @@ not a benchmark harness.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -113,7 +119,8 @@ def _fresh_state(rng: np.random.Generator) -> dict:
     zero, empty buffer, no pending 32-bit half), with its counter, key and
     buffer as lists of Python ints: the state setter reads a uint64 array
     entry by entry, building a numpy scalar for each, and a list hands it
-    the ints themselves."""
+    the ints themselves.  Read once per thread, by ``_vehicle``: a read
+    costs 3 to 5 µs, a cell about 2 µs at 2 outcomes (``CELL_GUARD``)."""
     state = rng.bit_generator.state
     return state | {"state": {name: words.tolist() for name, words in state["state"].items()},
                     "buffer": state["buffer"].tolist()}
@@ -122,13 +129,30 @@ def _fresh_state(rng: np.random.Generator) -> dict:
 def _rekey(rng: np.random.Generator, fresh: dict, key: int) -> np.random.Generator:
     """``rng``, a Philox generator, moved to the start of ``Philox(key=key)``'s
     stream.  ``fresh`` is a state from ``_fresh_state``; only the low word
-    of its key is replaced, as the key's high word stays 0.  This costs
-    about a twentieth of a new generator, for which numpy gathers OS
-    entropy even when the key is given: 0.5 to 1.0 µs against 11 to 19 µs,
-    the best of 5 loops of 20,000 keys on a 2-core Xeon, numpy 2.4.6."""
+    of its key is replaced, as the key's high word stays 0, so ``rng`` and
+    ``fresh`` must belong to one thread, as ``_vehicle`` hands them out.
+    This costs about a twentieth of a new generator, for which numpy
+    gathers OS entropy even when the key is given: 0.6 to 0.9 µs against 11
+    to 18 µs, the best of 7 loops of 20,000 keys on a 2-core Xeon, numpy
+    2.4.6."""
     fresh["state"]["key"][0] = key
     rng.bit_generator.state = fresh
     return rng
+
+
+_streams = threading.local()
+
+
+def _vehicle() -> tuple[np.random.Generator, dict]:
+    """This thread's Philox generator and its fresh state, made at the
+    thread's first curve and re-keyed by ``_rekey`` for every cell of every
+    curve after, so a curve pays neither a new generator (11 to 18 µs, as
+    numpy gathers OS entropy even when the key is given) nor a state read."""
+    vehicle = getattr(_streams, "vehicle", None)
+    if vehicle is None:
+        rng = np.random.Generator(np.random.Philox(key=0))
+        vehicle = _streams.vehicle = rng, _fresh_state(rng)
+    return vehicle
 
 
 def _trial_seeds(seed: int, cells: range) -> list[int]:
@@ -175,8 +199,10 @@ def corrupt(t: Kernel, clean: Sequence, seed: int) -> np.ndarray:
 def erm_indices(counts, loss: LossTable) -> np.ndarray:
     """Per row of the (rows x outcomes) ``counts``, the index of the action
     minimizing average loss over those outcome counts, which must be finite
-    numbers >= 0.  Risks within ``ERM_TIE_RTOL`` times the loss's sup norm of
-    a row's minimum are tied, and ties go to the lowest action index.
+    numbers >= 0, with a positive total in each row.  Risks within
+    ``ERM_TIE_RTOL`` times the loss's sup norm of a row's minimum are tied,
+    and ties go to the lowest action index.  The checks are this function's;
+    the rule is ``_erm_rows``, which the curves call on their drawn counts.
 
     A row's risks may differ in their last bits with the number of rows, as
     the BLAS picks its kernel by the product's shape: on random losses at 2
@@ -190,10 +216,15 @@ def erm_indices(counts, loss: LossTable) -> np.ndarray:
         raise LengthMismatch(f"counts of shape {counts.shape} for {len(loss.outcomes)} outcomes")
     if (counts < 0).any():
         raise InvalidParameter("counts must be >= 0")
-    totals = counts.sum(axis=1, keepdims=True)
-    if not totals.all():
+    if not counts.sum(axis=1).all():
         raise EmptySample("empirical risk minimization needs at least one observation")
-    risks = (counts / totals) @ loss.values
+    return _erm_rows(counts, loss)
+
+
+def _erm_rows(counts: np.ndarray, loss: LossTable) -> np.ndarray:
+    """The rule of ``erm_indices`` on a float64 array of counts that passes its
+    checks, read in place."""
+    risks = (counts / counts.sum(axis=1, keepdims=True)) @ loss.values
     return np.argmax(risks <= risks.min(axis=1, keepdims=True) + ERM_TIE_RTOL * loss.sup_norm, axis=1)
 
 
@@ -279,12 +310,15 @@ def _curve(config: ExperimentConfig, rec: Reconstruction, table: LossTable) -> R
     are drawn and scored by corrected ERM in array passes of at most
     ``SCORE_CHUNK_ENTRIES``, which may span sample sizes.
     The excess risks form one (sizes x trials) array, and every size's mean
-    and standard error come from one reduction along its rows, which reduces
-    each row as the same call on that row alone would.
+    and standard error come from the reductions ``ndarray.mean`` and
+    ``ndarray.std(ddof=1)`` run along its rows, called as ufuncs, which
+    reduce each row as the same call on that row alone would.
 
     A pass's row count moves the last bits of its risks, up to 5e-16 times
     the loss's sup norm; the tie rule of ``erm_indices`` is 2,000 times wider,
-    so the pass sizes leave the chosen actions as they are."""
+    so the pass sizes leave the chosen actions as they are.  The counts are
+    multinomial draws, >= 0 and summing to n >= 1, so they are scored by
+    ``_erm_rows`` without ``erm_indices``' checks."""
     p, sizes, trials = config.clean_dist, config.sample_sizes, config.trials
     clean_risks = p.weights @ config.loss.values
     best = float(clean_risks.min())
@@ -293,19 +327,33 @@ def _curve(config: ExperimentConfig, rec: Reconstruction, table: LossTable) -> R
     q = rec.kernel.matrix @ p.weights
     q = q / q.sum()
     kl = math.log(len(config.loss.actions))
-    rng = _generator(config.seed)
-    fresh = _fresh_state(rng)  # before any draw; each cell's stream starts here under its key
+    rng, fresh = _vehicle()
     per_pass = max(1, SCORE_CHUNK_ENTRIES // max(len(q), len(table.actions)))
     cells = range(len(sizes) * trials)
     passes = (cells[i:i + per_pass] for i in range(0, len(cells), per_pass))
-    chosen = np.concatenate([erm_indices(np.array([_rekey(rng, fresh, key).multinomial(sizes[i // trials], q)
-                                                   for i, key in zip(part, _trial_seeds(config.seed, part))]), table)
+    chosen = np.concatenate([_erm_rows(np.array([_rekey(rng, fresh, key).multinomial(sizes[i // trials], q)
+                                                 for i, key in zip(part, _trial_seeds(config.seed, part))],
+                                                dtype=np.float64), table)
                              for part in passes])
     excess = (clean_risks[chosen] - best).reshape(len(sizes), trials)
-    means = excess.mean(axis=1).tolist()
-    stderrs = (excess.std(axis=1, ddof=1) / math.sqrt(trials)).tolist() if trials > 1 else [0.0] * len(sizes)
+    means, stderrs = _summary(excess)
     return RiskCurve(tuple(RiskPoint(n, mean, stderr, table.sup_norm * math.sqrt(2.0 * kl / n))
                            for n, mean, stderr in zip(sizes, means, stderrs)))
+
+
+def _summary(excess: np.ndarray) -> tuple[list[float], list[float]]:
+    """Each row's mean and standard error, ``std(ddof=1) / sqrt(trials)``, 0.0
+    for one trial: the ufunc reductions ``ndarray.mean`` and ``ndarray.std``
+    run, bit for bit, without their Python wrappers: 7.4 to 7.8 µs against
+    13.3 to 14.1 µs on 3 sizes of 4 trials."""
+    trials = excess.shape[1]
+    means = np.add.reduce(excess, axis=1, keepdims=True) / trials
+    if trials == 1:
+        return means[:, 0].tolist(), [0.0] * len(excess)
+    deviations = excess - means
+    np.multiply(deviations, deviations, out=deviations)
+    stds = np.sqrt(np.add.reduce(deviations, axis=1) / (trials - 1))
+    return means[:, 0].tolist(), (stds / math.sqrt(trials)).tolist()
 
 
 def risk_curve(config: ExperimentConfig) -> RiskCurve:

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -76,8 +77,10 @@ def factorizations(monkeypatch):
 @pytest.fixture
 def simlab_calls(monkeypatch):
     """Counts calls of simlab's sample-level functions, of its stream constructor,
-    of its re-keying of a stream and of its scoring pass."""
-    calls = dict.fromkeys(("sample", "corrupt", "erm", "_generator", "_rekey", "erm_indices"), 0)
+    of its reading of a new stream's state, of its re-keying of a stream and of
+    its scoring pass, from a thread that holds no stream yet."""
+    monkeypatch.setattr(simlab, "_streams", threading.local())
+    calls = dict.fromkeys(("sample", "corrupt", "erm", "_generator", "_fresh_state", "_rekey", "_erm_rows"), 0)
 
     def counting(name, original):
         def wrapper(*args):
@@ -541,10 +544,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
     def test_draws_counts_not_samples(self, mode, tmp_path, capsys, simlab_calls):
-        # one generator per curve, re-keyed once per (n, trial) cell, no outcome drawn one by one,
-        # and one scoring pass for the 21 cells of all three sample sizes
+        # the thread's one generator made and its state read at its first curve, no stream of the
+        # curve's own, re-keyed once per (n, trial) cell, no outcome drawn one by one, and one
+        # scoring pass for the 21 cells of all three sample sizes
         calls = self.simulate_counting(mode, [10, 20, 40], 7, tmp_path, capsys, simlab_calls)
-        assert calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": 3 * 7, "erm_indices": 1}
+        assert calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 0, "_fresh_state": 1, "_rekey": 3 * 7,
+                         "_erm_rows": 1}
 
     @pytest.mark.parametrize("mode", ["standard", "fast-rate"])
     def test_scores_once_per_chunk(self, mode, tmp_path, capsys, simlab_calls):
@@ -552,7 +557,8 @@ class TestSimulate:
         # is drawn and scored in two passes
         trials = simlab.SCORE_CHUNK_ENTRIES // 2 + 1
         calls = self.simulate_counting(mode, [10], trials, tmp_path, capsys, simlab_calls)
-        assert calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 1, "_rekey": trials, "erm_indices": 2}
+        assert calls == {"sample": 0, "corrupt": 0, "erm": 0, "_generator": 0, "_fresh_state": 1, "_rekey": trials,
+                         "_erm_rows": 2}
 
     #: Corruptions of 2 clean outcomes, by the number of corrupted outcomes they give.
     CORRUPTIONS = {2: DOCUMENTS["config"]["corruption"],
@@ -918,7 +924,8 @@ def test_refused_input_exits_cleanly(case, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(catalog, "build_kernel", no_kernel)
     monkeypatch.setattr(catalog, "build_kernels", no_kernels)
     monkeypatch.setattr(simlab, "sample", no_sample)
-    monkeypatch.setattr(simlab, "_generator", no_sample)  # every draw's stream
+    monkeypatch.setattr(simlab, "_generator", no_sample)  # the stream of every sample and corruption
+    monkeypatch.setattr(simlab, "_vehicle", no_sample)  # the stream of every curve, whatever the thread holds
     argv = argv(tmp_path)
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)

@@ -3,9 +3,14 @@
 import hashlib
 import itertools
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corruptlab import bounds, errors
 from corruptlab.catalog import (
@@ -44,6 +49,16 @@ from corruptlab.simlab import (
 )
 
 from helpers import binary_noise, constant_kernel, curve_by_size, random_kernel
+
+
+#: numpy's own Philox, which a test may replace by a counting subclass.
+Philox = np.random.Philox
+
+
+def in_new_thread(work):
+    """``work()`` run in a new thread, which holds no stream yet: its result, or its exception."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(work).result(timeout=120)
 
 
 def _trial_seed(seed, trial_index):
@@ -322,9 +337,9 @@ class TestScoringPasses:
         t = build_kernel(spec)
         config = ExperimentConfig(Dist(t.domain, np.random.default_rng(5).dirichlet(np.ones(64))),
                                   zero_one_loss(t.domain), spec, (20, 40), 2 * SCORE_CHUNK_ENTRIES // 64 + 5, 31)
-        passes = []
-        monkeypatch.setattr(simlab, "erm_indices", lambda counts, loss: passes.append(len(counts))
-                            or erm_indices(counts, loss))
+        passes, erm_rows = [], simlab._erm_rows
+        monkeypatch.setattr(simlab, "_erm_rows", lambda counts, loss: passes.append(len(counts))
+                            or erm_rows(counts, loss))
         curve = risk_curve(config)
         per_pass = SCORE_CHUNK_ENTRIES // 64
         assert passes == [per_pass] * 4 + [10]  # 2 * (2 * per_pass + 5) cells, in passes that span sizes
@@ -365,13 +380,13 @@ class TestOnePassCurve:
     span sample sizes, against the per-size loop it replaced."""
 
     def test_matches_the_per_size_loop_at_every_pass_size(self, monkeypatch):
-        chosen = []
+        chosen, erm_rows = [], simlab._erm_rows
 
-        def recorded(counts, loss):
-            chosen.append(erm_indices(counts, loss))
+        def recorded(counts, loss):  # the scoring pass of the curve, and of the oracle's erm_indices
+            chosen.append(erm_rows(counts, loss))
             return chosen[-1]
 
-        monkeypatch.setattr(simlab, "erm_indices", recorded)
+        monkeypatch.setattr(simlab, "_erm_rows", recorded)
         rng = np.random.default_rng(2029)
         for _ in range(300):
             config = random_curve_config(rng)
@@ -392,7 +407,7 @@ class TestOnePassCurve:
                              ids=["default", "7-cells", "1-cell"])
     def test_keys_derived_and_scored_once_per_pass(self, entries, passes, monkeypatch):
         # 3 sizes x 9 trials = 27 cells of 2 outcomes and 2 actions
-        calls = dict.fromkeys(("erm_indices", "_trial_seeds"), 0)
+        calls = dict.fromkeys(("_erm_rows", "_trial_seeds"), 0)
 
         def counting(name, original):
             def wrapper(*args):
@@ -405,7 +420,7 @@ class TestOnePassCurve:
         monkeypatch.setattr(simlab, "SCORE_CHUNK_ENTRIES", entries)
         risk_curve(standard_config(sample_sizes=(10, 20, 30), trials=9))
         assert passes == math.ceil(27 / max(1, entries // 2))
-        assert calls == {"erm_indices": passes, "_trial_seeds": passes}
+        assert calls == {"_erm_rows": passes, "_trial_seeds": passes}
 
 
 def standard_config(**overrides):
@@ -524,26 +539,129 @@ class TestRekey:
 
     @pytest.mark.parametrize("curve", [risk_curve, fastrate_curve])
     def test_curve_reads_the_state_once(self, curve, monkeypatch):
-        # the fresh state is read once per curve and written once per cell
+        # the fresh state is read once per thread and written once per cell of each curve
         config = standard_config(clean_dist=make_dist(Space(["-1", "+1"]), [0.0, 1.0]),
                                  sample_sizes=(25, 50), trials=6)
         accesses = {"read": 0, "write": 0}
 
-        class CountingPhilox(np.random.Philox):
+        class CountingPhilox(Philox):
             @property
             def state(self):
                 accesses["read"] += 1
-                return np.random.Philox.state.__get__(self)
+                return Philox.state.__get__(self)
 
             @state.setter
             def state(self, value):
                 accesses["write"] += 1
-                np.random.Philox.state.__set__(self, value)
+                Philox.state.__set__(self, value)
 
         expected = curve(config)
-        monkeypatch.setattr(simlab, "_generator", lambda seed: np.random.Generator(CountingPhilox(key=seed)))
-        assert curve(config) == expected
-        assert accesses == {"read": 1, "write": 2 * 6}
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        assert in_new_thread(lambda: [curve(config), curve(config)]) == [expected, expected]
+        assert accesses == {"read": 1, "write": 2 * 2 * 6}
+
+
+def separable_config(**overrides):
+    return standard_config(clean_dist=make_dist(Space(["-1", "+1"]), [0.0, 1.0]), **overrides)
+
+
+class TestStreamPerThread:
+    """Each thread makes one generator, at its first curve; the oracles open their own streams."""
+
+    def test_one_philox_per_thread(self, monkeypatch):
+        made = []
+
+        class CountingPhilox(Philox):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        configs = (separable_config(sample_sizes=(25, 50), trials=6), separable_config(seed=7, trials=3))
+        expected = (risk_curve(configs[0]), risk_curve(configs[1]), fastrate_curve(configs[0]))
+        monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+        assert in_new_thread(lambda: (risk_curve(configs[0]), risk_curve(configs[1]),
+                                      fastrate_curve(configs[0]))) == expected
+        assert made == [{"key": 0}]
+
+    def test_concurrent_curves_match_serial(self, monkeypatch):
+        # 4 threads on 2 cores, switching every microsecond and at every cell between its re-key
+        # and its draw, where a stream shared between threads would be re-keyed by another
+        configs = [separable_config(sample_sizes=(1 + i, 6, 10), trials=8 + i, seed=1000 + i,  # ERM often errs
+                                    corruption=binary_label_noise(0.3 + 0.02 * i, 0.35))
+                   for i in range(4)]
+        serial = [(risk_curve(c), fastrate_curve(c)) for c in configs]
+        rekey = simlab._rekey
+
+        def rekey_then_yield(rng, fresh, key):
+            rekey(rng, fresh, key)
+            time.sleep(0)
+            return rng
+
+        monkeypatch.setattr(simlab, "_rekey", rekey_then_yield)
+        results = [[] for _ in configs]
+        start = threading.Barrier(len(configs))
+
+        def work(i):
+            start.wait(timeout=60)
+            for _ in range(20):
+                results[i].append((risk_curve(configs[i]), fastrate_curve(configs[i])))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[pair] * 20 for pair in serial]
+
+    def test_oracles_open_their_own_streams(self, monkeypatch):
+        config = separable_config(sample_sizes=(25, 50), trials=6)
+        rec = pseudoinverse(config.kernel())
+        t, p = rec.kernel, config.clean_dist
+        expected = risk_curve(config), sample(p, 300, 5), corrupt(t, sample(p, 300, 5), 6)
+
+        def no_vehicle():
+            raise AssertionError("an oracle used the curves' stream")
+
+        monkeypatch.setattr(simlab, "_vehicle", no_vehicle)
+        with pytest.raises(AssertionError, match="curves' stream"):
+            risk_curve(config)
+        drawn = sample(p, 300, 5)
+        assert curve_by_size(config, rec) == expected[0]
+        np.testing.assert_array_equal(drawn, expected[1])
+        np.testing.assert_array_equal(corrupt(t, drawn, 6), expected[2])
+        for leftover in LEFTOVER_DRAWS:
+            TestRekey().test_rekeyed_stream_matches_a_new_generator(leftover)
+
+
+@st.composite
+def excess_arrays(draw):
+    """1 to 6 sample sizes x 1 to 300 trials of excess risks: uniform, or a few
+    values repeated, as a curve's are."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 300)))
+    if draw(st.booleans()):
+        return rng.uniform(0.0, 2.0, shape)
+    return rng.choice(rng.uniform(0.0, 2.0, draw(st.integers(1, 4))), shape)
+
+
+class TestSummary:
+    """The ufunc reductions give ``ndarray.mean`` and ``ndarray.std``'s bits, past
+    numpy's 8-wide blocks of pairwise summation too."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(excess_arrays())
+    @example(np.full((1, 1), 0.5))
+    @example(np.arange(6 * 300).reshape(6, 300) / 7.0)
+    def test_equals_mean_and_std(self, excess):
+        trials = excess.shape[1]
+        stderrs = (excess.std(axis=1, ddof=1) / math.sqrt(trials)).tolist() if trials > 1 else [0.0] * len(excess)
+        assert simlab._summary(excess) == (excess.mean(axis=1).tolist(), stderrs)
 
 
 class TestFastRate:

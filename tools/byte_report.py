@@ -9,8 +9,9 @@ the four workloads of ``benchmark/workloads.py`` are built at seeds 101 and
 202 in a temporary directory, together with those of a fixed list of
 edge-case jobs (``EDGE_JOBS``) that no benchmark job reaches.  Every job then
 runs through ``cli.main`` in this process, with ``OPENBLAS_NUM_THREADS=1``,
-and then all of them again in reverse order, so that state one call leaves
-for the next shows.
+and then all of them again in reverse order in a new thread, so that state
+one call leaves for the next shows, and so does state a thread keeps: the
+second pass starts without the random stream the first pass's thread holds.
 
 The record is JSON on stdout, one job per line in build order: ``{"exit",
 "stdout", "stderr", "csv", "blas"}``.  ``stderr`` is verbatim, with the
@@ -40,6 +41,7 @@ import os
 import sys
 import tempfile
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -321,7 +323,9 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.abspath(argv[0]), str(BENCHMARK)]
     with tempfile.TemporaryDirectory(prefix="byte-report-") as inputs:
         jobs = _build(inputs)
-        first, second = _pass(jobs), _pass(jobs[::-1])[::-1]
+        first = _pass(jobs)
+        with ThreadPoolExecutor(max_workers=1) as repeat:
+            second = repeat.submit(_pass, jobs[::-1]).result()[::-1]
     lines = ",\n".join(f"{json.dumps(job['name'])}: {json.dumps(_line(job['argv'], *result))}"
                        for job, result in zip(jobs, first)).replace(inputs, "<inputs>")
     print(f'{{"environment": {json.dumps(_environment())},\n"jobs": {{\n{lines}\n}}}}')
